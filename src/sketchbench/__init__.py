@@ -41,6 +41,7 @@ from .lbgraph import (
     verify_dichotomy,
 )
 from .setfam import (
+    BrokenPairRecord,
     DeterminismRequired,
     FamilyTooSparse,
     MessagePartition,

@@ -4,8 +4,15 @@ Each node sketches its signed edge-incidence vector at several geometric
 sampling levels; cell triples (sum, id-weighted sum, fingerprint) live in a
 prime field, so sketches of node sets add up to sketches of their boundary.
 The referee peels k edge-disjoint spanning forests out of the k independent
-sketch stacks (subtracting already-used edges sketch-side) and decides
-k-edge connectivity exactly on the union certificate.
+sketch stacks (subtracting each forest's edges from the later stacks of their
+endpoints, sketch-side) and decides k-edge connectivity exactly on the union
+certificate.
+
+Nothing is tabulated over the n^2 edge slots.  The shared randomness fixes one
+64-bit key per sampling configuration and a fingerprint base; a node hashes
+only its own slots, with a SplitMix64 finalizer keyed per configuration, and
+raises the base to those slots by square-and-multiply.  Encode memory is
+O(configs * levels * degree).
 """
 
 from __future__ import annotations
@@ -94,59 +101,89 @@ def pair_of_slot(slot: int, n: int) -> Optional[tuple[int, int]]:
     return None
 
 
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
 @lru_cache(maxsize=8)
-def _tables(seed: int, n: int, stacks: int, rounds: int, reps: int, levels: int):
-    """Shared subsampling hashes and fingerprint power table for one run."""
-    rand = SharedRandomness(seed)
-    rng = rand.generator("agm-tables", n, stacks, rounds, reps, levels)
-    configs = stacks * rounds * reps
-    hashes = rng.integers(0, 1 << 64, size=(configs, n * n + 1), dtype=np.uint64, endpoint=False)
-    base = int(rng.integers(2, PRIME))
-    powers = np.empty(n * n + 1, dtype=np.uint64)
-    acc = 1
-    for e in range(n * n + 1):
-        powers[e] = acc
-        acc = (acc * base) % PRIME
-    return hashes, powers
+def _keys(seed: int, n: int, stacks: int, rounds: int, reps: int, levels: int):
+    """Per-configuration hash keys and the fingerprint base of one run."""
+    rng = SharedRandomness(seed).generator("agm-keys", n, stacks, rounds, reps, levels)
+    keys = rng.integers(0, 1 << 64, size=stacks * rounds * reps, dtype=np.uint64, endpoint=False)
+    keys.flags.writeable = False
+    return keys, int(rng.integers(2, PRIME))
 
 
-def _config_tables(seeds: SharedRandomness, cfg: SketchConfig):
+def _config_tables(seeds: SharedRandomness, cfg: SketchConfig) -> tuple[np.ndarray, int]:
+    """The run's hash state: one uint64 key per configuration and the fingerprint base.
+
+    Slot hashes and fingerprint powers are computed on demand from these, for
+    the slots a node touches only (see ``_sampled`` and ``_powers``).
+    """
     if seeds.is_empty:
         raise ValueError("sketching needs shared randomness; got the empty source")
-    return _tables(seeds.seed, cfg.n, cfg.stacks, cfg.rounds, cfg.reps, cfg.levels)
+    return _keys(seeds.seed, cfg.n, cfg.stacks, cfg.rounds, cfg.reps, cfg.levels)
+
+
+def _sampled(keys: np.ndarray, levels: int, slots: np.ndarray) -> np.ndarray:
+    """Boolean (configs, levels, slots): does each uint64 slot survive each config's level?
+
+    A slot's hash under a config is the SplitMix64 finalizer of the slot offset
+    by the config's key.  Level l keeps a slot when the top l bits of that hash
+    are zero, so with probability 2^-l; level 0 keeps every slot.
+    """
+    z = keys[:, None] + slots[None, :] * _GOLDEN
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    z ^= z >> np.uint64(31)
+    kept = np.ones((len(keys), levels, len(slots)), dtype=bool)
+    shifts = 64 - np.arange(1, levels, dtype=np.uint64)
+    kept[:, 1:, :] = (z[:, None, :] >> shifts[None, :, None]) == 0
+    return kept
+
+
+def _powers(base: int, slots: np.ndarray) -> np.ndarray:
+    """base**slot mod PRIME per slot, by square-and-multiply in uint64.
+
+    Row i of ``factors`` holds base^(2^i) where bit i of the slot is set and 1
+    elsewhere; the rows are multiplied pairwise down to one.  Operands stay
+    below 2^31, so products stay below 2^62.
+    """
+    width = max(1, int(slots.max()).bit_length())
+    squares = [base]
+    for _ in range(width - 1):
+        squares.append(squares[-1] * squares[-1] % PRIME)
+    bits = (slots[None, :] >> np.arange(width, dtype=np.uint64)[:, None]) & np.uint64(1)
+    factors = np.ones((1 << (width - 1).bit_length(), len(slots)), dtype=np.uint64)
+    factors[:width] = np.where(bits == 1, np.array(squares, dtype=np.uint64)[:, None], 1)
+    while len(factors) > 1:
+        factors = factors[0::2] * factors[1::2] % PRIME
+    return factors[0]
+
+
+def _unit_terms(base: int, slots: np.ndarray) -> np.ndarray:
+    """(slots, 3) uint64: the cell triple (1, slot, base^slot) of a +1 update per slot."""
+    return np.stack([np.ones_like(slots), slots, _powers(base, slots)], axis=1)
 
 
 def _sketch_cells(
-    cfg: SketchConfig,
-    hashes: np.ndarray,
-    powers: np.ndarray,
+    keys: np.ndarray,
+    base: int,
+    levels: int,
     incident: Sequence[tuple[int, int]],
 ) -> np.ndarray:
-    """Cell array (stacks, rounds, reps, levels, 3) for signed slot updates."""
-    shape = (cfg.stacks, cfg.rounds, cfg.reps, cfg.levels, 3)
+    """Cell array (len(keys), levels, 3) of signed slot updates, one row per config key."""
     if not incident:
-        return np.zeros(shape, dtype=np.uint64)
-    slots = np.array([e for e, _ in incident], dtype=np.int64)
-    signed = np.array([c for _, c in incident], dtype=np.int64)
-
-    sub = hashes[:, slots]  # (configs, deg)
-    mask = np.ones((cfg.configs, cfg.levels, len(slots)), dtype=np.uint64)
-    if cfg.levels > 1:
-        shifts = (64 - np.arange(1, cfg.levels, dtype=np.uint64))
-        mask[:, 1:, :] = (sub[:, None, :] >> shifts[None, :, None]) == 0
-
-    mask_i = mask.astype(np.int64)
-    counts = mask_i @ signed  # (configs, levels)
-    ids = mask_i @ (signed * slots)
-    signed_mod = np.where(signed >= 0, signed, signed + PRIME).astype(np.uint64) % PRIME
-    fp_terms = (signed_mod * powers[slots]) % PRIME
-    fps = mask @ fp_terms
-
-    cells = np.empty((cfg.configs, cfg.levels, 3), dtype=np.uint64)
-    cells[:, :, 0] = np.mod(counts, PRIME).astype(np.uint64)
-    cells[:, :, 1] = np.mod(ids, PRIME).astype(np.uint64)
-    cells[:, :, 2] = fps % PRIME
-    return cells.reshape(shape)
+        return np.zeros((len(keys), levels, 3), dtype=np.uint64)
+    slots = np.array([e for e, _ in incident], dtype=np.uint64)
+    signed = np.array([c % PRIME for _, c in incident], dtype=np.uint64)
+    terms = _unit_terms(base, slots) * signed[:, None] % PRIME
+    kept = _sampled(keys, levels, slots).reshape(-1, len(slots))
+    # Exact in float64: each sum adds fewer than n terms below 2^31, so it is
+    # an integer below 2^53 for any n < 2^22.
+    sums = kept.astype(np.float64) @ terms.astype(np.float64)
+    return (sums.astype(np.uint64) % PRIME).reshape(len(keys), levels, 3)
 
 
 def _incidence(view: NodeView) -> list[tuple[int, int]]:
@@ -165,8 +202,9 @@ def node_sketch(
 ) -> np.ndarray:
     """Raw cell array of one node's incidence vector."""
     cfg = SketchConfig.make(view.n, k, delta)
-    hashes, powers = _config_tables(seeds, cfg)
-    return _sketch_cells(cfg, hashes, powers, _incidence(view))
+    keys, base = _config_tables(seeds, cfg)
+    cells = _sketch_cells(keys, base, cfg.levels, _incidence(view))
+    return cells.reshape(cfg.stacks, cfg.rounds, cfg.reps, cfg.levels, 3)
 
 
 def combine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -177,7 +215,8 @@ def combine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _cells_to_bits(cells: np.ndarray) -> Bits:
     flat = cells.reshape(-1).astype(">u4")
     bit_arr = np.unpackbits(flat.view(np.uint8))
-    return (bit_arr + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+    bit_arr += ord("0")
+    return bit_arr.tobytes().decode("ascii")
 
 
 def _bits_to_cells(bits: Bits, cfg: SketchConfig) -> np.ndarray:
@@ -187,6 +226,8 @@ def _bits_to_cells(bits: Bits, cfg: SketchConfig) -> np.ndarray:
     if raw.max(initial=0) > 1:
         raise DecodeError("message contains non-bit characters")
     cells = np.packbits(raw).view(">u4").astype(np.uint64)
+    if cells.max(initial=0) >= PRIME:
+        raise DecodeError(f"message contains a cell outside the field of size {PRIME}")
     return cells.reshape(cfg.stacks, cfg.rounds, cfg.reps, cfg.levels, 3)
 
 
@@ -195,9 +236,7 @@ def agm_encode(view: NodeView, seeds: SharedRandomness, k: int, delta: float) ->
     return _cells_to_bits(node_sketch(view, seeds, k, delta))
 
 
-def extract_edge(
-    cells: np.ndarray, powers: np.ndarray, n: int
-) -> Optional[int]:
+def extract_edge(cells: np.ndarray, base: int, n: int) -> Optional[int]:
     """Recover a slot from a (reps, levels, 3) slice if some triple is 1-sparse."""
     flat = cells.reshape(-1, 3)
     for cnt_u, ids_u, fp_u in flat:
@@ -207,18 +246,18 @@ def extract_edge(
         slot = ids * pow(cnt, PRIME - 2, PRIME) % PRIME
         if not 1 <= slot <= n * n or pair_of_slot(slot, n) is None:
             continue
-        if cnt * int(powers[slot]) % PRIME == fp:
+        if cnt * pow(base, slot, PRIME) % PRIME == fp:
             return slot
     return None
 
 
 def _boruvka(
     cfg: SketchConfig,
-    powers: np.ndarray,
-    sketches: dict[int, np.ndarray],
+    base: int,
+    sketches: np.ndarray,
     n: int,
 ) -> list[int]:
-    """Extract one spanning forest; sketches are per-node (rounds, reps, levels, 3)."""
+    """Extract one spanning forest; ``sketches[node - 1]`` is (rounds, reps, levels, 3)."""
     parent = list(range(n + 1))
 
     def find(x: int) -> int:
@@ -227,7 +266,7 @@ def _boruvka(
             x = parent[x]
         return x
 
-    comp = {node: sketches[node] for node in range(1, n + 1)}
+    comp = {node: sketches[node - 1] for node in range(1, n + 1)}
     forest: list[int] = []
     for rnd in range(cfg.rounds):
         roots = sorted({find(x) for x in range(1, n + 1)})
@@ -235,7 +274,7 @@ def _boruvka(
             break
         proposals = []
         for root in roots:
-            slot = extract_edge(comp[root][rnd], powers, n)
+            slot = extract_edge(comp[root][rnd], base, n)
             if slot is not None:
                 proposals.append(slot)
         for slot in sorted(set(proposals)):
@@ -262,25 +301,32 @@ def agm_decide_kconn(
     if n == 1:
         return Decision.CONNECTED
     cfg = SketchConfig.make(n, k, delta)
-    hashes, powers = _config_tables(seeds, cfg)
-    cells = {node: _bits_to_cells(bits, cfg) for node, bits in messages}
+    keys, base = _config_tables(seeds, cfg)
+    cells = np.empty((n, cfg.stacks, cfg.rounds, cfg.reps, cfg.levels, 3), dtype=np.uint64)
+    for node, bits in messages:
+        cells[node - 1] = _bits_to_cells(bits, cfg)
+    per_stack = cfg.rounds * cfg.reps
 
     used: dict[int, int] = {}  # slot -> multiplicity claimed by earlier forests
     for stack in range(cfg.stacks):
-        incident_used: dict[int, list[tuple[int, int]]] = {node: [] for node in range(1, n + 1)}
-        for slot, count in used.items():
-            u, v = pair_of_slot(slot, n)
-            incident_used[u].append((slot, count))
-            incident_used[v].append((slot, -count))
-        adjusted = {}
-        for node in range(1, n + 1):
-            correction = _sketch_cells(cfg, hashes, powers, incident_used[node])
-            adjusted[node] = (
-                cells[node][stack] + np.uint64(PRIME) - correction[stack]
-            ) % np.uint64(PRIME)
-        forest = _boruvka(cfg, powers, adjusted, n)
+        forest = _boruvka(cfg, base, cells[:, stack], n)
         for slot in forest:
             used[slot] = used.get(slot, 0) + 1
+        later = keys[(stack + 1) * per_stack :]
+        if not forest or not len(later):
+            continue
+        # Sketches are linear: subtracting each forest edge from its two
+        # endpoints' later stacks removes it from every later component sketch.
+        slots = np.array(forest, dtype=np.uint64)
+        kept = _sampled(later, cfg.levels, slots)
+        terms = _unit_terms(base, slots)
+        rest = cells[:, stack + 1 :]
+        for f, slot in enumerate(forest):
+            update = (kept[:, :, f, None] * terms[f]).reshape(rest.shape[1:])
+            u, v = pair_of_slot(slot, n)
+            rest[u - 1] += PRIME - update  # u < v holds the edge as +1, v as -1
+            rest[v - 1] += update
+        rest %= PRIME
 
     certificate = MultiGraph(n)
     for slot, count in used.items():

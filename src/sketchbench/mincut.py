@@ -69,32 +69,29 @@ def global_min_cut(graph: MultiGraph) -> CutResult:
 
     groups = [frozenset({i + 1}) for i in range(n)]
     active = np.ones(n, dtype=bool)
+    # Attachment of grown and contracted vertices: no sum of edge weights lifts
+    # it back above an unpicked vertex's, which is never negative.
+    taken = np.iinfo(np.int64).min // 2
     best: CutResult | None = None
 
+    # n - 1 phases, each on at least two active vertices, so ``best`` gets set.
     for _ in range(n - 1):
         idx = np.flatnonzero(active)
-        if len(idx) < 2:
-            break
         # Maximum-adjacency order: grow from idx[0], always adding the vertex
-        # most strongly connected to the grown set.
-        attach = weights[idx[0], :].astype(np.int64).copy()
-        attach[~active] = -1
-        attach[idx[0]] = -1
-        in_set = np.zeros(n, dtype=bool)
-        in_set[idx[0]] = True
-        last = idx[0]
-        second_last = idx[0]
+        # most strongly connected to the grown set.  Grown and contracted
+        # vertices sit at ``taken`` and are never picked again.
+        attach = weights[idx[0], :].copy()
+        attach[~active] = taken
+        attach[idx[0]] = taken
+        last = second_last = idx[0]
         for _ in range(len(idx) - 1):
-            nxt = int(np.argmax(attach))
+            nxt = int(attach.argmax())
             second_last, last = last, nxt
             cut_of_phase = int(attach[nxt])
-            in_set[nxt] = True
             attach += weights[nxt, :]
-            attach[in_set] = -1
-            attach[~active] = -1
-        candidate = CutResult(cut_of_phase, groups[last])
-        if best is None or candidate.value < best.value:
-            best = candidate
+            attach[nxt] = taken
+        if best is None or cut_of_phase < best.value:
+            best = CutResult(cut_of_phase, groups[last])
         # Contract `last` into `second_last`.
         weights[second_last, :] += weights[last, :]
         weights[:, second_last] += weights[:, last]
@@ -104,7 +101,6 @@ def global_min_cut(graph: MultiGraph) -> CutResult:
         active[last] = False
         groups[second_last] = groups[second_last] | groups[last]
 
-    assert best is not None
     return best
 
 

@@ -44,7 +44,9 @@ Bits = str
 
 
 def check_bits(bits: Bits) -> Bits:
-    if not isinstance(bits, str) or bits.strip("01") != "":
+    # Two count() scans run several times faster than strip("01"), which looks up
+    # every character in its strip set.
+    if not isinstance(bits, str) or bits.count("0") + bits.count("1") != len(bits):
         raise ValueError(f"not a bit string: {bits!r}")
     return bits
 

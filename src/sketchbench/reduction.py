@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, zip_longest
 from typing import Optional
 
 from .lbgraph import LBGraphSpec, build_lb_graph, layout
@@ -345,14 +345,20 @@ def build_compatible_graph(
 def fidelity_mismatches(
     instance: OverlapInstance, ctx: ReductionContext, protocol: SketchProtocol
 ) -> list[int]:
-    """Node ids whose simulated message differs from the honest execution."""
+    """Node ids whose simulated message differs from the honest execution.
+
+    Messages are compared position by position, ids included; a node that one
+    list has and the other lacks counts as a mismatch.
+    """
     _, assembled = simulate(instance, ctx, protocol)
     graph, advice = build_compatible_graph(instance, ctx)
     honest = execute(protocol, graph, advice).messages
     return [
-        node
-        for (node, sim_bits), (_, real_bits) in zip(assembled, honest)
-        if sim_bits != real_bits
+        real_node if node is None else node
+        for (node, sim_bits), (real_node, real_bits) in zip_longest(
+            assembled, honest, fillvalue=(None, None)
+        )
+        if node != real_node or sim_bits != real_bits
     ]
 
 

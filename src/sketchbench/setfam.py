@@ -44,6 +44,10 @@ class NoGoodPartition(RuntimeError):
     """No sampled partition produced a single node with an indistinguishable pair."""
 
 
+class BrokenPairRecord(RuntimeError):
+    """A separated pair failed a property its construction should guarantee."""
+
+
 @dataclass(frozen=True)
 class SetFamily:
     """Distinct same-size subsets of a ground set with bounded pairwise overlap."""
@@ -282,9 +286,11 @@ def find_separated_pair(
         return None
     s0 = next((s for s in c0 if set(s) & b_side), c0[0])
     s1 = c1[0]
-    # Distinctness of both projections is implied by the size split.
-    assert tuple(w for w in s0 if w in a_side) != tuple(w for w in s1 if w in a_side)
-    assert tuple(w for w in s0 if w in b_side) != tuple(w for w in s1 if w in b_side)
+    # Distinctness of both projections is implied by the size split for
+    # same-size members; checked anyway, since the referee relies on it.
+    for side in (a_side, b_side):
+        if tuple(w for w in s0 if w in side) == tuple(w for w in s1 if w in side):
+            raise BrokenPairRecord(f"{s0} and {s1} share their projection on {sorted(side)}")
     return s0, s1
 
 
@@ -457,13 +463,13 @@ def choose_partition(
                 message_a=p_a.message_of(tuple(w for w in s0 if w in a_side)),
                 message_b=p_b.message_of(tuple(w for w in s0 if w in b_side)),
             )
-            assert verify_record(record, protocol, a_side, b_side, n, k)
+            if not verify_record(record, protocol, a_side, b_side, n, k):
+                raise BrokenPairRecord(f"record of node {node} fails re-verification: {record}")
             good[node] = record
         if best is None or len(good) > len(best.good):
             best = PartitionContext(a_side=a_side, b_side=b_side, family=family, good=good)
 
-    assert best is not None
-    if not best.good:
+    if best is None or not best.good:
         raise NoGoodPartition(
             f"no node acquired an indistinguishable pair in {trials} trials"
         )

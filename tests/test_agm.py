@@ -12,6 +12,8 @@ from sketchbench.agm import (
     budget_bits,
     make_agm_protocol,
 )
+from sketchbench.cli import binomial_allowance
+from sketchbench.lbgraph import Condition, build_lb_graph, random_spec
 from sketchbench.mincut import is_k_edge_connected
 from sketchbench.model import Decision, MultiGraph, SharedRandomness, execute, node_view
 
@@ -67,7 +69,7 @@ def test_sampler_attempt_success_rate():
     n, k, delta = 32, 1, 0.05
     seeds = SharedRandomness(123)
     cfg = SketchConfig.make(n, k, delta)
-    _, powers = agm._config_tables(seeds, cfg)
+    _, base = agm._config_tables(seeds, cfg)
     g = MultiGraph(n)
     for _ in range(80):
         u, v = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
@@ -86,7 +88,7 @@ def test_sampler_attempt_success_rate():
         total = None
         for u in side:
             total = sketches[u][0] if total is None else agm.combine(total, sketches[u][0])
-        slot = agm.extract_edge(total[t % cfg.rounds], powers, n)
+        slot = agm.extract_edge(total[t % cfg.rounds], base, n)
         trials += 1
         if slot is not None:
             u, v = agm.pair_of_slot(slot, n)
@@ -126,6 +128,107 @@ def test_decode_rejects_malformed():
     msgs[0] = (msgs[0][0], msgs[0][1][:-1])
     with pytest.raises(DecodeError):
         agm_decide_kconn(msgs, SEEDS, 3, 1, 0.1)
+
+
+def test_decode_rejects_cell_outside_field():
+    g = MultiGraph(3, [(1, 2, 1), (2, 3, 1)])
+    t = execute(make_agm_protocol(3, 1, 0.1), g, randomness=SEEDS)
+    msgs = list(t.messages)
+    node, bits = msgs[1]
+    msgs[1] = (node, bits[:64] + "1" * 32 + bits[96:])  # third cell := 0xFFFFFFFF
+    with pytest.raises(DecodeError, match="outside the field"):
+        agm_decide_kconn(msgs, SEEDS, 3, 1, 0.1)
+
+
+def _splitmix64(key: int, slot: int) -> int:
+    mask = (1 << 64) - 1
+    z = (key + slot * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def test_sketch_cells_match_loop_reference():
+    # Python-integer loop over configs, levels and incident edges, with the
+    # hash written out; multiplicities up to 10^6 exercise the reduction
+    # mod PRIME ahead of the float64 sums.
+    n, k, delta = 300, 1, 0.25
+    rng = np.random.default_rng(8)
+    node = 150
+    g = MultiGraph(n)
+    for v in rng.choice([v for v in range(1, n + 1) if v != node], size=60, replace=False):
+        g.add_edge(node, int(v), int(rng.integers(1, 10**6)))
+    view = node_view(g, node, None, k)
+    cfg = SketchConfig.make(n, k, delta)
+    keys, base = agm._config_tables(SEEDS, cfg)
+    expect = np.zeros((cfg.configs, cfg.levels, 3), dtype=np.uint64)
+    for c, key in enumerate(int(x) for x in keys):
+        for level in range(cfg.levels):
+            cell = [0, 0, 0]
+            for slot, signed in agm._incidence(view):
+                if level and _splitmix64(key, slot) >> (64 - level):
+                    continue
+                cell[0] += signed
+                cell[1] += signed * slot
+                cell[2] += signed * pow(base, slot, agm.PRIME)
+            expect[c, level] = [x % agm.PRIME for x in cell]
+    got = agm.node_sketch(view, SEEDS, k, delta)
+    assert np.array_equal(got, expect.reshape(got.shape))
+
+
+def test_forest_subtraction_matches_from_scratch(monkeypatch):
+    # Each stack's Boruvka input equals the stack's cells minus the sketch of
+    # every edge claimed by earlier forests, rebuilt from scratch per node.
+    n, k, delta = 64, 3, 0.05
+    graph, advice = build_lb_graph(random_spec(n, k, 3, condition=Condition.C1))
+    seeds = SharedRandomness(5)
+    msgs = [(v, agm_encode(node_view(graph, v, advice.get(v), k), seeds, k, delta)) for v in range(1, n + 1)]
+    inputs, forests = [], []
+    boruvka = agm._boruvka
+
+    def spy(cfg, base, sketches, n):
+        inputs.append(np.array(sketches))
+        forests.append(boruvka(cfg, base, sketches, n))
+        return forests[-1]
+
+    monkeypatch.setattr(agm, "_boruvka", spy)
+    assert agm_decide_kconn(msgs, seeds, n, k, delta) is Decision.CONNECTED
+    cfg = SketchConfig.make(n, k, delta)
+    keys, base = agm._config_tables(seeds, cfg)
+    used: dict[int, int] = {}
+    for stack in range(cfg.stacks):
+        incident = {v: [] for v in range(1, n + 1)}
+        for slot, count in used.items():
+            u, v = agm.pair_of_slot(slot, n)
+            incident[u].append((slot, count))
+            incident[v].append((slot, -count))
+        for node, bits in msgs:
+            whole = agm._bits_to_cells(bits, cfg)[stack]
+            correction = agm._sketch_cells(keys, base, cfg.levels, incident[node]).reshape(
+                cfg.stacks, *whole.shape
+            )[stack]
+            assert np.array_equal(inputs[stack][node - 1], agm.combine(whole, agm.PRIME - correction))
+        for slot in forests[stack]:
+            used[slot] = used.get(slot, 0) + 1
+    assert len(forests[-1]) == n - 1
+
+
+@pytest.mark.parametrize("n,k", [(64, 2), (64, 3), (100, 4)])
+def test_hard_family_agreement(n, k):
+    # Members of the hard family sit at the k threshold: sigma's neighbourhood
+    # alone decides whether the min cut reaches k.  Wrong decisions against the
+    # oracle stay within the binomial allowance at delta.
+    delta, ops = 0.05, 16
+    protocol = make_agm_protocol(n, k, delta)
+    wrong = 0
+    for i in range(ops):
+        condition = Condition.C1 if i % 2 else Condition.C0
+        graph, advice = build_lb_graph(random_spec(n, k, 1000 + i, condition=condition))
+        truth = is_k_edge_connected(graph, k)
+        assert truth == (condition is Condition.C1)
+        decision = execute(protocol, graph, advice, SharedRandomness(2000 + i)).decision
+        wrong += (decision is Decision.CONNECTED) != truth
+    assert wrong <= binomial_allowance(ops, delta, 0.99)
 
 
 def test_single_node_decides_connected():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sketchbench.lbgraph import Condition, build_lb_graph, layout, random_spec
 from sketchbench.mincut import (
@@ -95,3 +97,27 @@ def test_lb_instance_cut_value_and_side():
     }
     assert res.side in (b_shore, frozenset(range(1, 50)) - b_shore)
     assert crossing_value(graph, b_shore) == res.value
+
+
+@st.composite
+def multigraphs(draw, max_nodes=14):
+    n = draw(st.integers(2, max_nodes))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+    edges = draw(st.lists(st.tuples(pairs, st.integers(1, 4)), max_size=3 * n))
+    return MultiGraph(n, [(u, v, m) for (u, v), m in edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs())
+def test_agreement_with_networkx(g):
+    nx = pytest.importorskip("networkx")
+    res = global_min_cut(g)
+    h = nx.Graph()
+    h.add_nodes_from(range(1, g.n + 1))
+    h.add_weighted_edges_from(g.edges())
+    if nx.is_connected(h):
+        value, _ = nx.stoer_wagner(h)
+        assert res.value == value
+    else:
+        assert res.value == 0
+    assert crossing_value(g, res.side) == res.value

@@ -168,6 +168,22 @@ def test_fidelity_names_mutated_node(toy_ctx):
     assert fidelity_mismatches(inst, broken, proto) == [node]
 
 
+def test_fidelity_names_dropped_trailing_node(toy_ctx, monkeypatch):
+    import sketchbench.reduction as reduction
+
+    proto = toy_two_bit(2)
+    inst = next(enumerate_valid_instances(6, 3))
+    honest = reduction.simulate
+
+    def dropping(*args):
+        verdict, assembled = honest(*args)
+        return verdict, assembled[:-1]
+
+    monkeypatch.setattr(reduction, "simulate", dropping)
+    assert fidelity_mismatches(inst, toy_ctx, proto) == [toy_ctx.n]
+    assert not verify_fidelity(inst, toy_ctx, proto)
+
+
 def test_constant_protocol_trivially_faithful():
     ctx = build_context(constant(2), m=6, s=3, k=2, seed=1)
     inst = next(enumerate_valid_instances(6, 3))

@@ -5,6 +5,7 @@ import pytest
 from sketchbench.lbgraph import layout
 from sketchbench.protocols import constant, full_information, parity, toy_two_bit, truncation
 from sketchbench.setfam import (
+    BrokenPairRecord,
     DeterminismRequired,
     FamilyTooSparse,
     NoGoodPartition,
@@ -155,6 +156,32 @@ def test_find_separated_pair_cases():
     # preference: S0 keeping a nonempty B-projection wins over an all-A one
     pair = find_separated_pair([(1, 2, 3), (2, 3, 4), (1, 4, 5)], a_side, b_side, 2)
     assert pair == ((2, 3, 4), (1, 4, 5))
+
+
+def test_find_separated_pair_rejects_shared_projection():
+    # Members of unequal size can split on A yet share their B-projection.
+    a_side, b_side = frozenset({1, 2, 3}), frozenset({4, 5, 6})
+    with pytest.raises(BrokenPairRecord):
+        find_separated_pair([(1, 2, 4), (1, 4)], a_side, b_side, 2)
+
+
+def test_choose_partition_raises_on_corrupted_record(monkeypatch):
+    # A record whose sigma message disagrees with a fresh encode is refused
+    # by a named error, not an assert that python -O would strip.
+    from dataclasses import replace
+
+    import sketchbench.setfam as setfam
+
+    honest = setfam.message_partitions
+
+    def corrupted(*args):
+        p_sigma, p_a, p_b = honest(*args)
+        flipped = {("1" if b[0] == "0" else "0") + b[1:]: keys for b, keys in p_sigma.blocks.items()}
+        return replace(p_sigma, blocks=flipped), p_a, p_b
+
+    monkeypatch.setattr(setfam, "message_partitions", corrupted)
+    with pytest.raises(BrokenPairRecord, match="re-verification"):
+        choose_partition(constant(2), fam40(), W16, 2, trials=1, seed=5)
 
 
 def test_find_separated_pair_classification_sweep():
