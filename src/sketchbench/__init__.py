@@ -55,6 +55,7 @@ from .setfam import (
     find_separated_pair,
     message_partitions,
     sample_family,
+    split_projections,
     verify_record,
 )
 from .overlap import (

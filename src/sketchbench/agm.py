@@ -59,6 +59,11 @@ class SketchConfig:
             raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
         if n < 1 or k < 1:
             raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+        if n * (n - 1) >= PRIME:
+            # slot_of(n - 1, n, n) = n(n - 1) is the largest slot; extract_edge
+            # recovers slots modulo PRIME, so every slot must lie below it
+            # (n <= 46,341).
+            raise ValueError(f"n={n}: edge slot n(n-1) = {n * (n - 1)} is not below the field size {PRIME}")
         log_n = max(1, math.ceil(math.log2(max(n, 2))))
         return cls(
             n=n,

@@ -282,11 +282,14 @@ def charlie_decide(
     msgs_b: list[tuple[int, Bits]],
     ctx: ReductionContext,
     protocol: SketchProtocol,
-) -> bool:
-    """Feed the assembled sketches to the referee; yes iff it says connected."""
+) -> tuple[bool, list[tuple[int, Bits]]]:
+    """Assemble every sketch and feed it to the referee.
+
+    Returns (yes iff the referee says connected, the assembled messages).
+    """
     assembled = sorted(msgs_a + msgs_b + charlie_messages(supp_x, supp_y, ctx, protocol))
     decision = protocol.decode(tuple(assembled), EMPTY_RANDOMNESS)
-    return decision is Decision.CONNECTED
+    return decision is Decision.CONNECTED, assembled
 
 
 def simulate(
@@ -295,10 +298,7 @@ def simulate(
     """Full three-party run: returns (answer, every message the referee sees)."""
     msgs_a = alice_messages(instance.x, ctx, protocol)
     msgs_b = bob_messages(instance.y, ctx, protocol)
-    supp_x, supp_y = instance.x.support, instance.y.support
-    verdict = charlie_decide(supp_x, supp_y, msgs_a, msgs_b, ctx, protocol)
-    assembled = sorted(msgs_a + msgs_b + charlie_messages(supp_x, supp_y, ctx, protocol))
-    return verdict, assembled
+    return charlie_decide(instance.x.support, instance.y.support, msgs_a, msgs_b, ctx, protocol)
 
 
 def build_compatible_graph(

@@ -8,6 +8,11 @@ block in all three simultaneously are indistinguishable to the referee.  A
 separated pair inside such a common block pins the node: one neighborhood
 forces the graph disconnected below k, the other forces it k-edge connected,
 yet the node's messages cannot tell them apart.
+
+The search samples several A/B splits of W.  Sigma-role messages do not
+depend on the split, so each node computes them once for all trials, and each
+distinct A- or B-projection view is encoded at most once per node across all
+trials.  Only the final re-verification of a record encodes from scratch.
 """
 
 from __future__ import annotations
@@ -171,21 +176,26 @@ def sample_family(
     return family
 
 
+Projections = dict[Member, tuple[Member, Member]]  # member -> (A-projection, B-projection)
+
+
 @dataclass(frozen=True)
 class MessagePartition:
-    """Inputs of one role grouped by the message the node would send."""
+    """Inputs of one role, each mapped to the message the node would send on it."""
 
     keyspace: str  # "sigma" | "a_projection" | "b_projection"
-    blocks: dict[Bits, tuple[Member, ...]]
+    messages: dict[Member, Bits]
+
+    @property
+    def blocks(self) -> dict[Bits, tuple[Member, ...]]:
+        """The inputs grouped by message, each block in canonical order."""
+        grouped: dict[Bits, list[Member]] = {}
+        for key in sorted(self.messages):
+            grouped.setdefault(self.messages[key], []).append(key)
+        return {bits: tuple(keys) for bits, keys in grouped.items()}
 
     def block_count(self) -> int:
-        return len(self.blocks)
-
-    def message_of(self, key: Member) -> Bits:
-        for bits, members in self.blocks.items():
-            if key in members:
-                return bits
-        raise KeyError(key)
+        return len(set(self.messages.values()))
 
 
 def _role_view(node: int, neighbors: Member, hub: int, advice: Advice, n: int, k: int) -> NodeView:
@@ -195,47 +205,51 @@ def _role_view(node: int, neighbors: Member, hub: int, advice: Advice, n: int, k
     return NodeView(id=node, neighbors=tuple(entries), advice=advice, n=n, k=k)
 
 
-def _group(protocol: SketchProtocol, keyspace: str, views: dict[Member, NodeView]) -> MessagePartition:
-    grouped: dict[Bits, list[Member]] = {}
-    for key in sorted(views):
-        bits = protocol.encode(views[key], EMPTY_RANDOMNESS)
-        grouped.setdefault(bits, []).append(key)
-    return MessagePartition(
-        keyspace=keyspace, blocks={bits: tuple(keys) for bits, keys in grouped.items()}
-    )
+def split_projections(
+    family: SetFamily, a_side: frozenset[int], b_side: frozenset[int]
+) -> Projections:
+    """Every member's (A-projection, B-projection) under one split, in family order."""
+    return {
+        s: (tuple(w for w in s if w in a_side), tuple(w for w in s if w in b_side))
+        for s in family.members
+    }
 
 
 def message_partitions(
     protocol: SketchProtocol,
     node: int,
     family: SetFamily,
-    a_side: frozenset[int],
-    b_side: frozenset[int],
+    a_projections: Iterable[Member],
+    b_projections: Iterable[Member],
     n: int,
     k: int,
 ) -> tuple[MessagePartition, MessagePartition, MessagePartition]:
-    """The three per-role partitions induced by a deterministic protocol.
+    """The three per-role partitions a deterministic protocol induces at one node.
 
     Sigma role: neighborhoods are whole family members plus k parallel hub-A
-    edges.  A-restricted role: distinct A-projections plus hub-A.  B-restricted
-    role: distinct B-projections plus hub-B.
+    edges.  A-restricted role: the given A-projections plus hub-A.
+    B-restricted role: the given B-projections plus hub-B.  The sigma role does
+    not depend on the split, and the projections passed in are the distinct
+    ones of every split under consideration, so one call serves all of a
+    node's trials and encodes each distinct view once.
     """
     if not protocol.deterministic:
         raise DeterminismRequired(f"protocol {protocol.name!r} is randomized")
     _, _, u_a, u_b = layout(n)
 
-    sigma_views = {
-        s: _role_view(node, s, u_a, Advice.SIGMA, n, k) for s in family.members
-    }
-    a_projections = {tuple(w for w in s if w in a_side) for s in family.members}
-    b_projections = {tuple(w for w in s if w in b_side) for s in family.members}
-    a_views = {t: _role_view(node, t, u_a, Advice.A_RESTRICTED, n, k) for t in a_projections}
-    b_views = {t: _role_view(node, t, u_b, Advice.B_RESTRICTED, n, k) for t in b_projections}
+    def partition(keyspace: str, keys: Iterable[Member], hub: int, advice: Advice) -> MessagePartition:
+        return MessagePartition(
+            keyspace,
+            {
+                key: protocol.encode(_role_view(node, key, hub, advice, n, k), EMPTY_RANDOMNESS)
+                for key in keys
+            },
+        )
 
     return (
-        _group(protocol, "sigma", sigma_views),
-        _group(protocol, "a_projection", a_views),
-        _group(protocol, "b_projection", b_views),
+        partition("sigma", family.members, u_a, Advice.SIGMA),
+        partition("a_projection", a_projections, u_a, Advice.A_RESTRICTED),
+        partition("b_projection", b_projections, u_b, Advice.B_RESTRICTED),
     )
 
 
@@ -243,26 +257,20 @@ def common_block(
     p_sigma: MessagePartition,
     p_a: MessagePartition,
     p_b: MessagePartition,
-    family: SetFamily,
+    projections: Projections,
 ) -> tuple[Member, ...]:
     """Largest subset of the family sharing one block in all three partitions.
 
-    The projection partitions are lifted back to whole neighborhoods through
-    the projection preimages; members are grouped by their message triple and
-    the largest group wins, ties broken by the lexicographically smallest
-    triple.  Pigeonhole floor: the result has at least |S| / 2^(3L) members.
+    Each member is lifted to its message triple through its own sigma message
+    and the messages of its two projections under the split; members are
+    grouped by triple and the largest group wins, ties broken by the
+    lexicographically smallest triple.  Pigeonhole floor: the result has at
+    least |S| / 2^(3L) members.
     """
-    msg_sigma = {key: bits for bits, keys in p_sigma.blocks.items() for key in keys}
-    msg_a = {key: bits for bits, keys in p_a.blocks.items() for key in keys}
-    msg_b = {key: bits for bits, keys in p_b.blocks.items() for key in keys}
-
-    a_ground = {w for key in msg_a for w in key}
+    msg_sigma, msg_a, msg_b = p_sigma.messages, p_a.messages, p_b.messages
     groups: dict[tuple[Bits, Bits, Bits], list[Member]] = {}
-    for s in family.members:
-        proj_a = tuple(w for w in s if w in a_ground)
-        proj_b = tuple(w for w in s if w not in a_ground)
-        triple = (msg_sigma[s], msg_a[proj_a], msg_b[proj_b])
-        groups.setdefault(triple, []).append(s)
+    for s, (proj_a, proj_b) in projections.items():
+        groups.setdefault((msg_sigma[s], msg_a[proj_a], msg_b[proj_b]), []).append(s)
     best_triple = min(groups, key=lambda t: (-len(groups[t]), t))
     return tuple(groups[best_triple])
 
@@ -412,6 +420,20 @@ def _derive_nodes(w_ids: tuple[int, ...]) -> tuple[range, int]:
     return range(1, v_count + 1), n
 
 
+def _sample_split(
+    w_sorted: tuple[int, ...], k: int, seed: int, trial: int
+) -> tuple[frozenset[int], frozenset[int]]:
+    """One trial's uniform W-split, resampled until both sides reach size k."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+    for _ in range(1000):
+        mask = rng.random(len(w_sorted)) < 0.5
+        a_side = frozenset(w for w, pick in zip(w_sorted, mask) if pick)
+        b_side = frozenset(w_sorted) - a_side
+        if len(a_side) >= k and len(b_side) >= k:
+            return a_side, b_side
+    raise ValueError("could not sample a partition with both sides of size >= k")
+
+
 def choose_partition(
     protocol: SketchProtocol,
     family: SetFamily,
@@ -423,9 +445,12 @@ def choose_partition(
     """Sample W-partitions and keep the one giving the most pinned nodes.
 
     Each trial assigns W-members to A or B uniformly (resampling until both
-    sides reach size k), derives per-node message partitions, and records an
-    indistinguishable separated pair wherever the common block contains both
-    kinds.  Trial seeds are derived by counter, so the result is a pure
+    sides reach size k).  All trials' splits and every member's projections
+    under them are fixed first; then each node encodes its sigma-role views
+    once and each distinct projection view once across all trials, and per
+    trial records an indistinguishable separated pair wherever the common
+    block contains both kinds.  The first trial with the most pinned nodes
+    wins.  Trial seeds are derived by counter, so the result is a pure
     function of the inputs.
     """
     w_sorted = tuple(sorted(w_ids))
@@ -435,42 +460,36 @@ def choose_partition(
     if not protocol.deterministic:
         raise DeterminismRequired(f"protocol {protocol.name!r} is randomized")
 
-    best: Optional[PartitionContext] = None
-    for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
-        for _ in range(1000):
-            mask = rng.random(len(w_sorted)) < 0.5
-            a_side = frozenset(w for w, pick in zip(w_sorted, mask) if pick)
-            b_side = frozenset(w_sorted) - a_side
-            if len(a_side) >= k and len(b_side) >= k:
-                break
-        else:
-            raise ValueError("could not sample a partition with both sides of size >= k")
-
-        good: dict[int, SeparatedPairRecord] = {}
-        for node in v_ids:
-            p_sigma, p_a, p_b = message_partitions(protocol, node, family, a_side, b_side, n, k)
-            block = common_block(p_sigma, p_a, p_b, family)
+    splits = [_sample_split(w_sorted, k, seed, trial) for trial in range(trials)]
+    projections = [split_projections(family, a_side, b_side) for a_side, b_side in splits]
+    a_keys = sorted({proj_a for proj in projections for proj_a, _ in proj.values()})
+    b_keys = sorted({proj_b for proj in projections for _, proj_b in proj.values()})
+    goods: list[dict[int, SeparatedPairRecord]] = [{} for _ in splits]
+    for node in v_ids:
+        p_sigma, p_a, p_b = message_partitions(protocol, node, family, a_keys, b_keys, n, k)
+        for (a_side, b_side), proj, good in zip(splits, projections, goods):
+            block = common_block(p_sigma, p_a, p_b, proj)
             pair = find_separated_pair(block, a_side, b_side, k)
             if pair is None:
                 continue
             s0, s1 = pair
+            proj_a, proj_b = proj[s0]
             record = SeparatedPairRecord(
                 node=node,
                 s0=s0,
                 s1=s1,
-                message_sigma=p_sigma.message_of(s0),
-                message_a=p_a.message_of(tuple(w for w in s0 if w in a_side)),
-                message_b=p_b.message_of(tuple(w for w in s0 if w in b_side)),
+                message_sigma=p_sigma.messages[s0],
+                message_a=p_a.messages[proj_a],
+                message_b=p_b.messages[proj_b],
             )
             if not verify_record(record, protocol, a_side, b_side, n, k):
                 raise BrokenPairRecord(f"record of node {node} fails re-verification: {record}")
             good[node] = record
-        if best is None or len(good) > len(best.good):
-            best = PartitionContext(a_side=a_side, b_side=b_side, family=family, good=good)
 
-    if best is None or not best.good:
+    if not any(goods):
         raise NoGoodPartition(
             f"no node acquired an indistinguishable pair in {trials} trials"
         )
-    return best
+    best = max(range(trials), key=lambda trial: len(goods[trial]))  # first of the largest
+    a_side, b_side = splits[best]
+    return PartitionContext(a_side=a_side, b_side=b_side, family=family, good=goods[best])

@@ -15,7 +15,7 @@ from sketchbench.agm import (
 from sketchbench.cli import binomial_allowance
 from sketchbench.lbgraph import Condition, build_lb_graph, random_spec
 from sketchbench.mincut import is_k_edge_connected
-from sketchbench.model import Decision, MultiGraph, SharedRandomness, execute, node_view
+from sketchbench.model import Decision, MultiGraph, NodeView, SharedRandomness, execute, node_view
 
 SEEDS = SharedRandomness(99)
 
@@ -49,9 +49,30 @@ def test_budget_exact_and_scaling():
     bits = agm_encode(node_view(g, 1, None, 1), SEEDS, 1, 0.1)
     assert len(bits) == budget_bits(8, 1, 0.1)
     # stays within a fixed multiple of k * log^3 n across the supported range
-    for n in (16, 256, 4096, 65536):
+    for n in (16, 256, 4096, 32768):
         for k in (1, 4, 16):
             assert budget_bits(n, k, 0.05) <= 2000 * k * math.log2(n) ** 3
+    with pytest.raises(ValueError):
+        budget_bits(65536, 1, 0.05)
+
+
+def test_node_count_limited_by_field():
+    # The largest slot n(n-1) must stay below PRIME: 46,341 is the last n.
+    assert agm.slot_of(46340, 46341, 46341) < agm.PRIME <= agm.slot_of(46341, 46342, 46342)
+    assert SketchConfig.make(46341, 1, 0.1).n == 46341
+    for build in (SketchConfig.make, budget_bits, make_agm_protocol):
+        with pytest.raises(ValueError, match="field"):
+            build(46342, 1, 0.1)
+
+
+def test_largest_slot_roundtrips():
+    n = 46341
+    view = NodeView(id=n - 1, neighbors=((n, 1),), advice=None, n=n, k=1)
+    cells = agm.node_sketch(view, SEEDS, 1, 0.1)
+    _, base = agm._config_tables(SEEDS, SketchConfig.make(n, 1, 0.1))
+    slot = agm.slot_of(n - 1, n, n)
+    assert agm.extract_edge(cells[0, 0], base, n) == slot
+    assert agm.pair_of_slot(slot, n) == (n - 1, n)
 
 
 def test_pair_recovery_roundtrip():

@@ -1,10 +1,11 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from sketchbench.lbgraph import layout
 from sketchbench.mincut import is_k_edge_connected
-from sketchbench.model import Advice, EMPTY_RANDOMNESS, execute
+from sketchbench.model import Advice, Decision, EMPTY_RANDOMNESS, execute
 from sketchbench.overlap import OverlapInstance, answer, enumerate_valid_instances, vector_on
 from sketchbench.protocols import constant, full_information, toy_two_bit
 from sketchbench.reduction import (
@@ -78,14 +79,28 @@ def test_alice_messages_match_compatible_graph(toy_ctx):
 
 def test_alice_invariant_under_projection_equal_flip(toy_ctx):
     # Flipping a coordinate whose pair has identical A-projections leaves
-    # Alice's wiring unchanged.
+    # Alice's wiring unchanged.  The partition search never pins such a pair
+    # (its members split on A by size), so one is put in place by hand: two
+    # family members that differ only on B.
     proto = toy_two_bit(2)
-    for i in range(1, 7):
-        s0, s1 = toy_ctx.pair_of(i)
-        if set(s0) & toy_ctx.a_side == set(s1) & toy_ctx.a_side:
-            break
-    else:
-        pytest.skip("no coordinate with matching A-projections in this context")
+    x = next(enumerate_valid_instances(6, 3)).x
+    i = x.support[0]
+    flipped = vector_on(6, {j: 1 - x[j] if j == i else x[j] for j in x.support})
+
+    def a_projection(member):
+        return tuple(w for w in member if w in toy_ctx.a_side)
+
+    s0, s1 = next(
+        (s, t)
+        for s, t in itertools.combinations(toy_ctx.family.members, 2)
+        if a_projection(s) == a_projection(t)
+    )
+    good = dict(toy_ctx.partition.good)
+    good[toy_ctx.node_of(i)] = replace(good[toy_ctx.node_of(i)], s0=s0, s1=s1)
+    shared = replace(toy_ctx, partition=replace(toy_ctx.partition, good=good))
+    assert alice_messages(flipped, shared, proto) == alice_messages(x, shared, proto)
+    # The pinned pair's A-projections differ, so there the same flip is seen.
+    assert alice_messages(flipped, toy_ctx, proto) != alice_messages(x, toy_ctx, proto)
 
 
 def test_bob_mirror_symmetry(toy_ctx):
@@ -153,7 +168,6 @@ def test_fidelity_subsample(toy_ctx):
 
 def test_fidelity_names_mutated_node(toy_ctx):
     import copy
-    from dataclasses import replace
 
     proto = toy_two_bit(2)
     inst = next(enumerate_valid_instances(6, 3))
@@ -272,3 +286,22 @@ def test_toy_protocol_fails_somewhere(toy_ctx):
         if got != answer(inst):
             return
     pytest.fail("short-sketch protocol decided every instance correctly")
+
+
+def test_simulate_builds_charlie_messages_once(toy_ctx, monkeypatch):
+    import sketchbench.reduction as reduction
+
+    calls = []
+    honest = reduction.charlie_messages
+
+    def counted(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(reduction, "charlie_messages", counted)
+    proto = toy_two_bit(2)
+    inst = next(enumerate_valid_instances(6, 3))
+    verdict, assembled = simulate(inst, toy_ctx, proto)
+    assert len(calls) == 1
+    assert len(assembled) == toy_ctx.n
+    assert verdict == (proto.decode(tuple(assembled), EMPTY_RANDOMNESS) is Decision.CONNECTED)

@@ -1,9 +1,22 @@
+import hashlib
 import math
+from collections import Counter
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from sketchbench.lbgraph import layout
-from sketchbench.protocols import constant, full_information, parity, toy_two_bit, truncation
+from sketchbench.model import EMPTY_RANDOMNESS, Advice, NodeView
+from sketchbench.protocols import (
+    constant,
+    full_information,
+    make_protocol,
+    parity,
+    toy_two_bit,
+    truncation,
+)
+from sketchbench.reduction import build_context
 from sketchbench.setfam import (
     BrokenPairRecord,
     DeterminismRequired,
@@ -19,6 +32,8 @@ from sketchbench.setfam import (
     sample_family,
     verify_record,
     PartitionContext,
+    SeparatedPairRecord,
+    split_projections,
 )
 
 N16 = 256  # canonical node count carrying a 16-element W
@@ -27,6 +42,14 @@ V16, W16, _, _ = layout(N16)
 
 def fam40(seed=11) -> SetFamily:
     return random_family(W16, 3, 40, seed=seed)
+
+
+def partitions_of_split(proto, node, fam, a_side, b_side):
+    """The node's three role partitions under one split, plus that split's projections."""
+    proj = split_projections(fam, a_side, b_side)
+    a_keys = sorted({proj_a for proj_a, _ in proj.values()})
+    b_keys = sorted({proj_b for _, proj_b in proj.values()})
+    return (*message_partitions(proto, node, fam, a_keys, b_keys, N16, 2), proj)
 
 
 def test_sampler_disjoint_triples():
@@ -74,26 +97,26 @@ def test_partitions_full_information_singletons():
     fam = fam40()
     a_side = frozenset(list(W16)[:8])
     b_side = frozenset(W16) - a_side
-    ps, pa, pb = message_partitions(full_information(N16, 2), 5, fam, a_side, b_side, N16, 2)
+    ps, pa, pb, proj = partitions_of_split(full_information(N16, 2), 5, fam, a_side, b_side)
     assert all(len(block) == 1 for block in ps.blocks.values())
     assert all(len(block) == 1 for block in pa.blocks.values())
-    assert len(common_block(ps, pa, pb, fam)) == 1
+    assert len(common_block(ps, pa, pb, proj)) == 1
 
 
 def test_partitions_constant_single_block():
     fam = fam40()
     a_side = frozenset(list(W16)[:8])
     b_side = frozenset(W16) - a_side
-    ps, pa, pb = message_partitions(constant(2), 5, fam, a_side, b_side, N16, 2)
+    ps, pa, pb, proj = partitions_of_split(constant(2), 5, fam, a_side, b_side)
     assert ps.block_count() == pa.block_count() == pb.block_count() == 1
-    assert set(common_block(ps, pa, pb, fam)) == set(fam.members)
+    assert set(common_block(ps, pa, pb, proj)) == set(fam.members)
 
 
 def test_partitions_truncation_block_budget():
     fam = fam40()
     a_side = frozenset(list(W16)[:8])
     b_side = frozenset(W16) - a_side
-    ps, pa, pb = message_partitions(truncation(2, N16, 2), 5, fam, a_side, b_side, N16, 2)
+    ps, pa, pb, _ = partitions_of_split(truncation(2, N16, 2), 5, fam, a_side, b_side)
     for part, keys in ((ps, fam.members), (pa, None), (pb, None)):
         assert part.block_count() <= 4
         covered = sum(len(block) for block in part.blocks.values())
@@ -107,8 +130,8 @@ def test_pigeonhole_floor_parity():
     a_side = frozenset(list(W16)[:8])
     b_side = frozenset(W16) - a_side
     proto = parity(2)
-    ps, pa, pb = message_partitions(proto, 5, fam, a_side, b_side, N16, 2)
-    block = common_block(ps, pa, pb, fam)
+    ps, pa, pb, proj = partitions_of_split(proto, 5, fam, a_side, b_side)
+    block = common_block(ps, pa, pb, proj)
     floor = math.ceil(len(fam.members) / 2 ** (3 * proto.max_bits))
     assert len(block) >= floor == 5
 
@@ -119,21 +142,17 @@ def test_partitions_require_determinism():
     fam = fam40()
     a_side = frozenset(list(W16)[:8])
     with pytest.raises(DeterminismRequired):
-        message_partitions(
-            make_agm_protocol(N16, 2, 0.1), 5, fam, a_side, frozenset(W16) - a_side, N16, 2
-        )
+        partitions_of_split(make_agm_protocol(N16, 2, 0.1), 5, fam, a_side, frozenset(W16) - a_side)
 
 
 def test_blocks_are_message_consistent():
-    from sketchbench.model import EMPTY_RANDOMNESS
     from sketchbench.setfam import _role_view
-    from sketchbench.model import Advice
 
     fam = fam40()
     a_side = frozenset(list(W16)[:8])
     b_side = frozenset(W16) - a_side
     proto = truncation(3, N16, 2)
-    ps, pa, pb = message_partitions(proto, 9, fam, a_side, b_side, N16, 2)
+    ps, pa, pb, _ = partitions_of_split(proto, 9, fam, a_side, b_side)
     _, _, u_a, u_b = layout(N16)
     for bits, members in ps.blocks.items():
         for member in members:
@@ -168,16 +187,14 @@ def test_find_separated_pair_rejects_shared_projection():
 def test_choose_partition_raises_on_corrupted_record(monkeypatch):
     # A record whose sigma message disagrees with a fresh encode is refused
     # by a named error, not an assert that python -O would strip.
-    from dataclasses import replace
-
     import sketchbench.setfam as setfam
 
     honest = setfam.message_partitions
 
     def corrupted(*args):
         p_sigma, p_a, p_b = honest(*args)
-        flipped = {("1" if b[0] == "0" else "0") + b[1:]: keys for b, keys in p_sigma.blocks.items()}
-        return replace(p_sigma, blocks=flipped), p_a, p_b
+        flipped = {key: ("1" if b[0] == "0" else "0") + b[1:] for key, b in p_sigma.messages.items()}
+        return replace(p_sigma, messages=flipped), p_a, p_b
 
     monkeypatch.setattr(setfam, "message_partitions", corrupted)
     with pytest.raises(BrokenPairRecord, match="re-verification"):
@@ -237,8 +254,6 @@ def test_record_mutation_fails_reverify():
     proto = toy_two_bit(2)
     ctx = choose_partition(proto, fam, W16, 2, trials=8, seed=5)
     node, rec = next(iter(ctx.good.items()))
-    from dataclasses import replace
-
     broken = replace(rec, message_sigma=("1" if rec.message_sigma[0] == "0" else "0") + rec.message_sigma[1:])
     assert not verify_record(broken, proto, ctx.a_side, ctx.b_side, N16, 2)
 
@@ -257,3 +272,104 @@ def test_complete_family():
     fam = complete_family(range(11, 15), 3)
     assert len(fam.members) == 4
     fam.verify()
+
+
+def reference_choose_partition(protocol, family, w_ids, k, trials, seed):
+    """The partition search written out trial by trial, every role view encoded afresh."""
+    w_sorted = tuple(sorted(w_ids))
+    v_count = w_sorted[0] - 1
+    n = v_count + len(w_sorted) + 2
+    u_a, u_b = n - 1, n
+
+    def enc(node, neighbors, hub, advice):
+        entries = tuple(sorted([(w, 1) for w in neighbors] + [(hub, k)]))
+        return protocol.encode(NodeView(node, entries, advice, n, k), EMPTY_RANDOMNESS)
+
+    best = None
+    for trial in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+        while True:
+            mask = rng.random(len(w_sorted)) < 0.5
+            a_side = frozenset(w for w, pick in zip(w_sorted, mask) if pick)
+            b_side = frozenset(w_sorted) - a_side
+            if len(a_side) >= k and len(b_side) >= k:
+                break
+        good = {}
+        for node in range(1, v_count + 1):
+            proj = {
+                s: (tuple(w for w in s if w in a_side), tuple(w for w in s if w in b_side))
+                for s in family.members
+            }
+            msg_s = {s: enc(node, s, u_a, Advice.SIGMA) for s in family.members}
+            msg_a = {pa: enc(node, pa, u_a, Advice.A_RESTRICTED) for pa, _ in proj.values()}
+            msg_b = {pb: enc(node, pb, u_b, Advice.B_RESTRICTED) for _, pb in proj.values()}
+            groups = {}
+            for s, (pa, pb) in proj.items():
+                groups.setdefault((msg_s[s], msg_a[pa], msg_b[pb]), []).append(s)
+            triple = min(groups, key=lambda t: (-len(groups[t]), t))
+            pair = find_separated_pair(groups[triple], a_side, b_side, k)
+            if pair is not None:
+                good[node] = SeparatedPairRecord(node, *pair, *triple)
+        if best is None or len(good) > len(best.good):
+            best = PartitionContext(a_side=a_side, b_side=b_side, family=family, good=good)
+    return best
+
+
+@pytest.mark.parametrize("n", [N16, 100])
+@pytest.mark.parametrize("name", ["const", "parity", "toy2", "trunc:2"])
+def test_choose_partition_matches_per_trial_reference(name, n):
+    _, w_ids, _, _ = layout(n)
+    proto = make_protocol(name, n, 2)
+    for fam_seed, seed, trials in ((11, 5, 1), (12, 9, 2), (13, 21, 3)):
+        fam = random_family(w_ids, 3, 24, seed=fam_seed)
+        expect = reference_choose_partition(proto, fam, w_ids, 2, trials, seed)
+        if not expect.good:
+            with pytest.raises(NoGoodPartition):
+                choose_partition(proto, fam, w_ids, 2, trials, seed)
+            continue
+        got = choose_partition(proto, fam, w_ids, 2, trials, seed)
+        assert got.to_json() == expect.to_json()
+
+
+@pytest.mark.parametrize(
+    "seed, prefix",
+    [
+        (33007519, "b1ae03beb51e2ed1"),
+        (532733673, "e03130cdf94a76bf"),
+        (1359935555, "20e4f07c998a0047"),
+    ],
+)
+def test_build_context_golden(seed, prefix):
+    # Digests of the contexts the per-trial search produced before the role
+    # messages were shared across trials.
+    ctx = build_context(make_protocol("toy2", 256, 2), 96, 48, 2, seed, trials=4)
+    assert hashlib.sha256(ctx.to_json().encode()).hexdigest()[:16] == prefix
+
+
+def test_choose_partition_encodes_each_view_once(monkeypatch):
+    import sketchbench.setfam as setfam
+
+    proto = toy_two_bit(2)
+    outside = Counter()
+    inside = []
+    verify = setfam.verify_record
+
+    def counting_encode(view, rand):
+        if not inside:
+            outside[(view.id, view.advice, view.neighbors)] += 1
+        return proto.encode(view, rand)
+
+    def counting_verify(*args):
+        inside.append(True)
+        try:
+            return verify(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(setfam, "verify_record", counting_verify)
+    fam = fam40()
+    ctx = choose_partition(replace(proto, encode=counting_encode), fam, W16, 2, trials=4, seed=5)
+    assert ctx.good
+    assert max(outside.values()) == 1
+    sigma_views = sum(advice is Advice.SIGMA for _, advice, _ in outside)
+    assert sigma_views == len(V16) * len(fam.members)
