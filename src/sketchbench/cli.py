@@ -34,6 +34,7 @@ from .mincut import crossing_value, global_min_cut, is_k_edge_connected
 from .model import Decision, MultiGraph, SharedRandomness, execute, load_graph, save_graph
 from .overlap import (
     OverlapInstance,
+    TernaryVector,
     answer,
     attack,
     enumerate_valid_instances,
@@ -277,8 +278,6 @@ def cmd_overlap_attack(args, report: RunReport) -> None:
         report.results["counterexample"] = None
     else:
         for x_str, y_str in counterexample.wrong:
-            from .overlap import TernaryVector
-
             inst = OverlapInstance.make(
                 TernaryVector.from_string(x_str),
                 TernaryVector.from_string(y_str),

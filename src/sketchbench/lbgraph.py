@@ -11,6 +11,7 @@ A and B.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -37,11 +38,12 @@ class Condition(Enum):
     C1 = "C1"  # at least k land in B: k-edge connected
 
 
+@functools.cache
 def layout(n: int) -> tuple[range, range, int, int]:
     """Canonical id layout: (V ids, W ids, u_A, u_B).
 
     V occupies 1..n-|W|-2, W the next |W| = isqrt(n) ids, and the hubs are
-    n-1 and n.
+    n-1 and n.  Cached: encoders look it up once per node view.
     """
     w = math.isqrt(n)
     v_count = n - w - 2
@@ -173,10 +175,6 @@ def verify_dichotomy(spec: LBGraphSpec) -> bool:
     """Oracle check: the graph is k-edge connected exactly when C1 holds."""
     graph, _ = build_lb_graph(spec)
     return is_k_edge_connected(graph, spec.k) == (condition_of(spec) is Condition.C1)
-
-
-# Name used by the operation map.
-verify_lemma_lb = verify_dichotomy
 
 
 def random_spec(

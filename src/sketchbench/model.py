@@ -95,10 +95,6 @@ class MultiGraph:
         self._adj[u][v] = self._adj[u].get(v, 0) + mult
         self._adj[v][u] = self._adj[v].get(u, 0) + mult
 
-    @property
-    def node_count(self) -> int:
-        return self.n
-
     def multiplicity(self, u: int, v: int) -> int:
         self._check_node(u)
         self._check_node(v)
@@ -123,9 +119,6 @@ class MultiGraph:
 
     def edge_slot_count(self) -> int:
         return len(self._edges)
-
-    def total_multiplicity(self) -> int:
-        return sum(self._edges.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiGraph):

@@ -8,6 +8,11 @@ provides the instance model, a deterministic protocol that gets away with s-1
 bits per party whenever s exceeds a third of m, and an exhaustive attack that
 hunts for message collisions breaking any given one-way protocol at small
 scale.
+
+A vector stores its support and its support bits, fixed when it is built, so
+the encoders read them without re-scanning the m entries.  The exhaustive
+sweep builds the 2^s fills of each support once and pairs those shared
+vectors into instances.
 """
 
 from __future__ import annotations
@@ -15,14 +20,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from .model import Bits
 
 
 class InvalidInstance(ValueError):
-    """Instance violates a promise; ``name`` is the violated property."""
+    """Instance violates a promise or is malformed; ``name`` is the violated property."""
 
     def __init__(self, name: str, message: str):
         super().__init__(f"[{name}] {message}")
@@ -37,53 +42,86 @@ class BlockPropertyViolated(RuntimeError):
     """Both parties dropped the shared index; unreachable for a sound block map."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TernaryVector:
-    """Length-m vector over {0, 1, unset}; unset entries are None."""
+    """Length-m vector over {0, 1, unset}, held as its support and support bits.
 
-    entries: tuple[Optional[int], ...]
+    ``support`` is the ascending tuple of 1-based set indices and ``bits`` the
+    '0'/'1' string of their bits in support order.  Both are fixed at
+    construction, which rejects an inconsistent triple with
+    ``InvalidInstance("format", ...)``; ``x[i]`` is an O(1) lookup that reads
+    None off the support.  Equality and hashing compare (length, support, bits).
+    """
+
+    length: int
+    support: tuple[int, ...]
+    bits: str
+    _bit_at: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        support, bits = self.support, self.bits
+        if not (
+            _is_int(self.length)
+            and isinstance(support, tuple)
+            and isinstance(bits, str)
+            and len(bits) == len(support)
+            and bits.count("0") + bits.count("1") == len(bits)
+            and all(_is_int(i) and 1 <= i <= self.length for i in support)
+            and all(a < b for a, b in zip(support, support[1:]))
+        ):
+            raise InvalidInstance(
+                "format", f"not a ternary vector: length={self.length!r}, support={support!r}, bits={bits!r}"
+            )
+        object.__setattr__(self, "_bit_at", dict(zip(support, map(int, bits))))
 
     @classmethod
     def from_string(cls, text: str) -> "TernaryVector":
-        mapping = {"0": 0, "1": 1, "*": None}
-        try:
-            return cls(tuple(mapping[ch] for ch in text))
-        except KeyError as exc:
-            raise ValueError(f"vector characters must be 0, 1 or *: {text!r}") from exc
+        """Parse one character per index: '0', '1' or '*' (unset)."""
+        if not isinstance(text, str) or text.count("0") + text.count("1") + text.count("*") != len(text):
+            raise InvalidInstance("format", f"vector characters must be 0, 1 or *: {text!r}")
+        support = tuple(i for i, ch in enumerate(text, 1) if ch != "*")
+        return cls(len(text), support, text.replace("*", ""))
 
     def to_string(self) -> str:
-        return "".join("*" if e is None else str(e) for e in self.entries)
-
-    @property
-    def length(self) -> int:
-        return len(self.entries)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """1-based indices of set entries, ascending."""
-        return tuple(i + 1 for i, e in enumerate(self.entries) if e is not None)
+        chars = ["*"] * self.length
+        for i, bit in zip(self.support, self.bits):
+            chars[i - 1] = bit
+        return "".join(chars)
 
     def support_bits(self) -> str:
         """The set bits read off in support order."""
-        return "".join(str(e) for e in self.entries if e is not None)
+        return self.bits
 
     def __getitem__(self, index: int) -> Optional[int]:
-        """1-based entry access."""
-        return self.entries[index - 1]
+        """1-based entry access; None off the support."""
+        bit = self._bit_at.get(index)
+        if bit is None and not 1 <= index <= self.length:
+            raise IndexError(f"index {index!r} outside 1..{self.length}")
+        return bit
 
 
 def vector_on(m: int, assignment: dict[int, int]) -> TernaryVector:
     """Build a vector with the given {1-based index: bit} entries set."""
-    entries: list[Optional[int]] = [None] * m
-    for i, bit in assignment.items():
-        entries[i - 1] = bit
-    return TernaryVector(tuple(entries))
+    support = tuple(sorted(assignment))
+    return TernaryVector(m, support, "".join(str(assignment[i]) for i in support))
+
+
+def fills(m: int, support: tuple[int, ...]) -> tuple[TernaryVector, ...]:
+    """The 2^s vectors on ``support``, in ``itertools.product((0, 1), repeat=s)`` order."""
+    return tuple(
+        TernaryVector(m, support, "".join(bits))
+        for bits in itertools.product("01", repeat=len(support))
+    )
 
 
 def validate_instance(x: TernaryVector, y: TernaryVector, m: int, s: int) -> int:
     """Check the promises and return the unique shared index."""
-    if s > math.ceil(m / 2):
-        raise ValueError(f"support size s={s} must not exceed ceil(m/2)={math.ceil(m / 2)}")
+    if s > (m + 1) // 2:
+        raise InvalidInstance("parameters", f"support size s={s} must not exceed ceil(m/2)={(m + 1) // 2}")
     if x.length != m or y.length != m:
         raise InvalidInstance("support", f"vectors must have length {m}")
     if len(x.support) != s or len(y.support) != s:
@@ -99,6 +137,14 @@ def validate_instance(x: TernaryVector, y: TernaryVector, m: int, s: int) -> int
     if x[sigma] == y[sigma]:
         raise InvalidInstance("P1", f"bits at shared index {sigma} must differ")
     return sigma
+
+
+def shared_index(supp_x: tuple[int, ...], supp_y: tuple[int, ...]) -> int:
+    """Charlie's view of the promise: the one index both supports hold, else P2."""
+    common = set(supp_x).intersection(supp_y)
+    if len(common) != 1:
+        raise InvalidInstance("P2", f"supports share {len(common)} indices")
+    return common.pop()
 
 
 @dataclass(frozen=True)
@@ -124,7 +170,18 @@ class OverlapInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "OverlapInstance":
-        obj = json.loads(text)
+        """Parse and validate; malformed input raises ``InvalidInstance("format", ...)``."""
+        try:
+            obj = json.loads(text)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInstance("format", f"instance is not JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise InvalidInstance("format", f"instance must be a JSON object, got {type(obj).__name__}")
+        missing = [key for key in ("m", "s", "X", "Y") if key not in obj]
+        if missing:
+            raise InvalidInstance("format", f"instance lacks {missing}")
+        if not (_is_int(obj["m"]) and _is_int(obj["s"])):
+            raise InvalidInstance("format", f"m and s must be integers: {obj['m']!r}, {obj['s']!r}")
         return cls.make(
             TernaryVector.from_string(obj["X"]),
             TernaryVector.from_string(obj["Y"]),
@@ -195,16 +252,48 @@ def build_blocks(m: int, s: int) -> dict[tuple[int, ...], int]:
     return assignment
 
 
-def drop_position(support: tuple[int, ...], index: int) -> int:
-    return support.index(index)
+def appb_encode(
+    vector: TernaryVector,
+    blocks: dict[tuple[int, ...], int],
+    positions: Optional[dict[tuple[int, ...], int]] = None,
+) -> Bits:
+    """Support bits in ascending index order, with the assigned bit dropped.
 
-
-def appb_encode(vector: TernaryVector, blocks: dict[tuple[int, ...], int]) -> Bits:
-    """Support bits in ascending index order, with the assigned bit dropped."""
+    ``positions`` maps each support to where its dropped index sits in it, as
+    ``appb_protocol`` precomputes once; without it the position is searched.
+    """
     support = vector.support
-    bits = vector.support_bits()
-    pos = drop_position(support, blocks[support])
+    pos = support.index(blocks[support]) if positions is None else positions[support]
+    bits = vector.bits
     return bits[:pos] + bits[pos + 1 :]
+
+
+def _drop_entry(support: tuple[int, ...], blocks: dict[tuple[int, ...], int]) -> tuple[int, int]:
+    """(bit mask of the support, position of its dropped index in it)."""
+    return sum(1 << i for i in support), support.index(blocks[support])
+
+
+def _read_shared(
+    supp_x: tuple[int, ...],
+    supp_y: tuple[int, ...],
+    msg_a: Bits,
+    msg_b: Bits,
+    entry_a: tuple[int, int],
+    entry_b: tuple[int, int],
+) -> bool:
+    """Decode from each support's ``_drop_entry``; see ``appb_decode``."""
+    (mask_a, drop_a), (mask_b, drop_b) = entry_a, entry_b
+    common = mask_a & mask_b
+    if not common or common & (common - 1):
+        raise InvalidInstance("P2", f"supports share {common.bit_count()} indices")
+    sigma = common.bit_length() - 1
+    pos = supp_x.index(sigma)
+    if pos != drop_a:
+        return int(msg_a[pos if pos < drop_a else pos - 1]) == 0  # Bob's bit is the other one
+    pos = supp_y.index(sigma)
+    if pos == drop_b:
+        raise BlockPropertyViolated("both parties dropped the shared index")
+    return int(msg_b[pos if pos < drop_b else pos - 1]) == 1
 
 
 def appb_decode(
@@ -220,27 +309,9 @@ def appb_decode(
     so its bit is read from the other message and the partner's bit follows
     from the differing-bits promise.
     """
-    common = set(supp_x) & set(supp_y)
-    if len(common) != 1:
-        raise InvalidInstance("P2", f"supports share {len(common)} indices")
-    sigma = common.pop()
-    drop_a = blocks[supp_x]
-    drop_b = blocks[supp_y]
-    if drop_a == sigma and drop_b == sigma:
-        raise BlockPropertyViolated("both parties dropped the shared index")
-
-    def read(support: tuple[int, ...], message: Bits, dropped: int) -> int:
-        pos = support.index(sigma)
-        skip = support.index(dropped)
-        return int(message[pos if pos < skip else pos - 1])
-
-    if drop_a != sigma:
-        x_bit = read(supp_x, msg_a, drop_a)
-        y_bit = 1 - x_bit
-    else:
-        y_bit = read(supp_y, msg_b, drop_b)
-        x_bit = 1 - y_bit
-    return x_bit == 0 and y_bit == 1
+    return _read_shared(
+        supp_x, supp_y, msg_a, msg_b, _drop_entry(supp_x, blocks), _drop_entry(supp_y, blocks)
+    )
 
 
 @dataclass(frozen=True)
@@ -259,14 +330,24 @@ class OneWayProtocol:
 
 
 def appb_protocol(m: int, s: int) -> OneWayProtocol:
-    """The drop-one-bit protocol: s-1 bits per party, correct for s > ceil(m/3)."""
+    """The drop-one-bit protocol: s-1 bits per party, correct for s > ceil(m/3).
+
+    Each support's drop position is found once here; encoding is then a slice
+    and decoding reads the shared index's bit by position.
+    """
     blocks = build_blocks(m, s)
+    entries = {support: _drop_entry(support, blocks) for support in blocks}
+    positions = {support: drop for support, (_, drop) in entries.items()}
 
     def encode(vector: TernaryVector) -> Bits:
-        return appb_encode(vector, blocks)
+        return appb_encode(vector, blocks, positions)
 
     def decode(supp_x, supp_y, msg_a, msg_b) -> bool:
-        return appb_decode(supp_x, supp_y, msg_a, msg_b, blocks)
+        try:
+            entry_a, entry_b = entries[supp_x], entries[supp_y]
+        except KeyError as exc:
+            raise InvalidInstance("support", f"not an s={s} subset of [1..{m}]: {exc.args[0]!r}") from exc
+        return _read_shared(supp_x, supp_y, msg_a, msg_b, entry_a, entry_b)
 
     return OneWayProtocol(
         name=f"appb(m={m},s={s})",
@@ -284,11 +365,10 @@ def truncated_protocol(m: int, s: int, keep: Optional[int] = None) -> OneWayProt
         raise ValueError(f"keep must lie in [0, s), got {keep}")
 
     def encode(vector: TernaryVector) -> Bits:
-        return vector.support_bits()[:keep]
+        return vector.bits[:keep]
 
     def decode(supp_x, supp_y, msg_a, msg_b) -> bool:
-        common = set(supp_x) & set(supp_y)
-        sigma = common.pop()
+        sigma = shared_index(supp_x, supp_y)
         pos = supp_x.index(sigma)
         if pos < keep:
             x_bit = int(msg_a[pos])
@@ -312,11 +392,10 @@ def full_support_protocol(m: int, s: int) -> OneWayProtocol:
     """Sends all s support bits; trivially correct, collision-free."""
 
     def encode(vector: TernaryVector) -> Bits:
-        return vector.support_bits()
+        return vector.bits
 
     def decode(supp_x, supp_y, msg_a, msg_b) -> bool:
-        common = set(supp_x) & set(supp_y)
-        sigma = common.pop()
+        sigma = shared_index(supp_x, supp_y)
         return int(msg_a[supp_x.index(sigma)]) == 0 and int(msg_b[supp_y.index(sigma)]) == 1
 
     return OneWayProtocol(
@@ -339,21 +418,31 @@ def make_overlap_protocol(name: str, m: int, s: int) -> OneWayProtocol:
 
 
 def enumerate_valid_instances(m: int, s: int) -> Iterator[OverlapInstance]:
-    """All valid instances: ordered support pairs sharing one index, all bit fills."""
+    """All valid instances: ordered support pairs sharing one index, all bit fills.
+
+    The order is Alice's support, the shared index in it, Bob's other indices,
+    Alice's fill, then Bob's fill of his other indices.  Each support's 2^s
+    fills are built once and shared by every instance that uses them.
+    """
     supports = list(itertools.combinations(range(1, m + 1), s))
+    vectors = {support: fills(m, support) for support in supports}
+    # Bob's fills split by the bit at each position: by_bit[support][pos][bit].
+    by_bit = {
+        support: tuple(
+            tuple(tuple(v for v in vs if v.bits[pos] == bit) for bit in "01")
+            for pos in range(s)
+        )
+        for support, vs in vectors.items()
+    }
     for supp_x in supports:
         rest = [i for i in range(1, m + 1) if i not in supp_x]
-        for sigma in supp_x:
+        for pos_x, sigma in enumerate(supp_x):
             for others in itertools.combinations(rest, s - 1):
                 supp_y = tuple(sorted(others + (sigma,)))
-                for x_bits in itertools.product((0, 1), repeat=s):
-                    x = vector_on(m, dict(zip(supp_x, x_bits)))
-                    y_free = [j for j in supp_y if j != sigma]
-                    for y_bits in itertools.product((0, 1), repeat=s - 1):
-                        assign = dict(zip(y_free, y_bits))
-                        assign[sigma] = 1 - x[sigma]
-                        y = vector_on(m, assign)
-                        yield OverlapInstance(x=x, y=y, sigma=sigma)
+                y_fills = by_bit[supp_y][supp_y.index(sigma)]
+                for x in vectors[supp_x]:
+                    for y in y_fills[x.bits[pos_x] == "0"]:  # Bob's bit at sigma differs
+                        yield OverlapInstance(x, y, sigma)
 
 
 @dataclass(frozen=True)
@@ -376,8 +465,7 @@ def _flip_classes(
     encode: Callable[[TernaryVector], Bits], m: int, support: tuple[int, ...]
 ) -> dict[Bits, list[TernaryVector]]:
     classes: dict[Bits, list[TernaryVector]] = {}
-    for bits in itertools.product((0, 1), repeat=len(support)):
-        vec = vector_on(m, dict(zip(support, bits)))
+    for vec in fills(m, support):
         classes.setdefault(encode(vec), []).append(vec)
     return classes
 

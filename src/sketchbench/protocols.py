@@ -8,10 +8,10 @@ hub-range neighbor (so role partitions collapse predictably).
 
 from __future__ import annotations
 
-import math
 from hashlib import blake2b
 from typing import Optional
 
+from .lbgraph import layout
 from .mincut import global_min_cut
 from .model import (
     Advice,
@@ -21,14 +21,6 @@ from .model import (
     NodeView,
     SketchProtocol,
 )
-
-
-def hub_layout(n: int) -> tuple[int, int, int, int]:
-    """Canonical id layout: returns (w_lo, w_hi, u_a, u_b) for an n-node graph."""
-    w = math.isqrt(n)
-    w_lo = n - w - 1
-    w_hi = n - 2
-    return w_lo, w_hi, n - 1, n
 
 
 def view_payload(view: NodeView) -> str:
@@ -155,8 +147,8 @@ def toy_two_bit(k: int) -> SketchProtocol:
     def encode(view: NodeView, _rand) -> Bits:
         if view.advice is None:
             return hash_bits(2, "raw", view.id, view.neighbors)
-        w_lo, w_hi, _, _ = hub_layout(view.n)
-        w_neighbors = [v for v, _ in view.neighbors if w_lo <= v <= w_hi]
+        w_ids = layout(view.n)[1]
+        w_neighbors = [v for v, _ in view.neighbors if w_ids.start <= v < w_ids.stop]
         return hash_bits(2, "role", view.id, view.advice.value, min(w_neighbors, default=0))
 
     def decode(messages, _rand) -> Decision:

@@ -30,7 +30,7 @@ from .model import (
     execute,
     node_view,
 )
-from .overlap import InvalidInstance, OverlapInstance
+from .overlap import InvalidInstance, OverlapInstance, shared_index
 from .setfam import (
     NoGoodPartition,
     PartitionContext,
@@ -218,13 +218,6 @@ def bob_messages(
     ]
 
 
-def _shared_coordinate(ctx: ReductionContext, supp_x, supp_y) -> int:
-    common = set(supp_x) & set(supp_y)
-    if len(common) != 1:
-        raise InvalidInstance("P2", f"supports share {len(common)} indices")
-    return next(iter(common))
-
-
 def charlie_messages(
     supp_x: tuple[int, ...],
     supp_y: tuple[int, ...],
@@ -232,7 +225,7 @@ def charlie_messages(
     protocol: SketchProtocol,
 ) -> list[tuple[int, Bits]]:
     """Sketches for both hubs and every V-node, from supports and witnesses only."""
-    sigma = _shared_coordinate(ctx, supp_x, supp_y)
+    sigma = shared_index(supp_x, supp_y)
     v_ids, _, u_a, u_b = layout(ctx.n)
     coord_of = {ctx.node_of(i): i for i in range(1, ctx.m + 1)}
     b_nodes = {ctx.node_of(j) for j in supp_y if j != sigma}

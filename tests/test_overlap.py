@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import pytest
@@ -18,6 +20,7 @@ from sketchbench.overlap import (
     attack,
     build_blocks,
     enumerate_valid_instances,
+    fills,
     full_support_protocol,
     truncated_protocol,
     validate_instance,
@@ -193,3 +196,170 @@ def test_instance_json_roundtrip():
     )
     again = OverlapInstance.from_json(inst.to_json())
     assert again == inst
+
+
+def test_instance_json_rejects_malformed_input():
+    good = {"m": 8, "s": 3, "X": "00**1***", "Y": "****0*10"}
+    cases = {
+        "not json": "{",
+        "not an object": "[8, 3]",
+        "missing key": json.dumps({k: v for k, v in good.items() if k != "Y"}),
+        "string m": json.dumps({**good, "m": "8"}),
+        "bool s": json.dumps({**good, "s": True}),
+        "non-string vector": json.dumps({**good, "X": [0, 0, 1]}),
+        "bad character": json.dumps({**good, "X": "00**2***"}),
+    }
+    for label, text in cases.items():
+        with pytest.raises(InvalidInstance) as err:
+            OverlapInstance.from_json(text)
+        assert err.value.name == "format", label
+    for short in ("00**1**", "001"):
+        with pytest.raises(InvalidInstance) as err:
+            OverlapInstance.from_json(json.dumps({**good, "X": short}))
+        assert err.value.name == "support"
+    with pytest.raises(InvalidInstance) as err:
+        OverlapInstance.from_json(json.dumps({**good, "s": 5}))
+    assert err.value.name == "parameters"
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=3), children, max_size=4),
+    max_leaves=8,
+)
+_field = st.one_of(_json_values, st.integers(-3, 12), st.text(alphabet="01*", max_size=12))
+_instance_objects = st.fixed_dictionaries({}, optional={"m": _field, "s": _field, "X": _field, "Y": _field})
+
+
+@given(st.one_of(_instance_objects.map(json.dumps), _json_values.map(json.dumps), st.text(max_size=40)))
+@settings(max_examples=150, deadline=None)
+def test_instance_json_fuzz_raises_only_named_errors(text):
+    try:
+        inst = OverlapInstance.from_json(text)
+    except InvalidInstance as err:
+        assert err.name in {"format", "parameters", "support", "P1", "P2"}
+    else:
+        assert OverlapInstance.from_json(inst.to_json()) == inst
+
+
+@given(st.one_of(st.text(alphabet="01*", max_size=12), st.text(max_size=12), _json_values))
+@settings(max_examples=150, deadline=None)
+def test_vector_string_fuzz_raises_only_named_errors(value):
+    try:
+        vector = TernaryVector.from_string(value)
+    except InvalidInstance as err:
+        assert err.name == "format"
+    else:
+        assert vector.to_string() == value
+
+
+@pytest.mark.parametrize(
+    "length,support,bits",
+    [
+        (3, (1, 2), "0"),
+        (3, (2, 1), "01"),
+        (3, (1, 4), "01"),
+        (3, (0, 1), "01"),
+        (3, (1,), "2"),
+        (3, [1], "0"),
+        ("3", (1,), "0"),
+    ],
+)
+def test_vector_rejects_inconsistent_fields(length, support, bits):
+    with pytest.raises(InvalidInstance) as err:
+        TernaryVector(length, support, bits)
+    assert err.value.name == "format"
+
+
+@given(st.text(alphabet="01*", max_size=12), st.data())
+@settings(max_examples=200, deadline=None)
+def test_vector_matches_per_character_reference(text, data):
+    ref = [None if ch == "*" else int(ch) for ch in text]
+    v = TernaryVector.from_string(text)
+    assert v.length == len(text)
+    assert v.to_string() == text
+    assert v.support == tuple(i + 1 for i, e in enumerate(ref) if e is not None)
+    assert v.support_bits() == "".join(str(e) for e in ref if e is not None)
+    assert [v[i] for i in range(1, len(text) + 1)] == ref
+    for outside in (0, len(text) + 1):
+        with pytest.raises(IndexError):
+            v[outside]
+    assigned = vector_on(len(text), {i + 1: e for i, e in enumerate(ref) if e is not None})
+    assert assigned == v and hash(assigned) == hash(v)
+    other = data.draw(st.one_of(st.just(text), st.text(alphabet="01*", max_size=12)))
+    w = TernaryVector.from_string(other)
+    assert (v == w) == (text == other)
+    if v == w:
+        assert hash(v) == hash(w)
+
+
+@pytest.mark.parametrize(
+    "m,s,count,digest",
+    [
+        (7, 4, 17_920, "bdd2cc0acfd90760"),
+        (8, 4, 143_360, "85a7423f87de86bf"),
+        (9, 4, 645_120, "1fdf01beb7de5cce"),
+    ],
+)
+def test_enumeration_golden(m, s, count, digest):
+    """Order and contents of the sweep, pinned to the per-instance construction it replaced."""
+    h = hashlib.sha256()
+    seen = 0
+    for inst in enumerate_valid_instances(m, s):
+        h.update(f"{inst.x.to_string()} {inst.y.to_string()} {inst.sigma}\n".encode())
+        seen += 1
+    assert (seen, h.hexdigest()[:16]) == (count, digest)
+
+
+def test_enumeration_shares_fills():
+    instances = list(enumerate_valid_instances(7, 4))
+    vectors = {id(inst.x) for inst in instances} | {id(inst.y) for inst in instances}
+    assert len(vectors) == math.comb(7, 4) * 2**4
+    assert len({id(inst) for inst in instances}) == len(instances)
+
+
+def test_fills_in_product_order():
+    support = (2, 5, 7)
+    assert fills(8, support) == tuple(
+        vector_on(8, dict(zip(support, bits))) for bits in itertools.product((0, 1), repeat=3)
+    )
+
+
+def test_appb_protocol_encode_matches_searched_position():
+    blocks = build_blocks(9, 4)
+    proto = appb_protocol(9, 4)
+    for support in blocks:
+        for v in fills(9, support):
+            assert proto.alice_encode(v) == appb_encode(v, blocks)
+
+
+def test_attack_truncation_golden():
+    cex = attack(truncated_protocol(9, 4), 9, 4)
+    assert (cex.sigma, cex.supp_x, cex.supp_y) == (6, (1, 2, 3, 6), (4, 5, 6, 7))
+    assert [v.to_string() for v in (cex.x, cex.x_hat, cex.y, cex.y_hat)] == [
+        "000**0***",
+        "000**1***",
+        "***0000**",
+        "***0010**",
+    ]
+    assert (cex.msg_a, cex.msg_b) == ("00", "00")
+    assert cex.wrong == (("000**0***", "***0010**"),)
+
+
+@pytest.mark.parametrize("make", [appb_protocol, truncated_protocol, full_support_protocol])
+@pytest.mark.parametrize("supp_y", [(5, 6, 7, 8), (3, 4, 7, 8)])
+def test_decoders_reject_broken_overlap(make, supp_y):
+    """Disjoint supports and supports sharing two indices are named, not decoded."""
+    proto = make(9, 4)
+    msg = "0" * proto.max_bits
+    with pytest.raises(InvalidInstance) as err:
+        proto.charlie_decode((1, 2, 3, 4), supp_y, msg, msg)
+    assert err.value.name == "P2"
+
+
+def test_appb_decoder_rejects_unknown_support():
+    proto = appb_protocol(9, 4)
+    with pytest.raises(InvalidInstance) as err:
+        proto.charlie_decode((1, 2, 3), (3, 4, 5, 6), "000", "000")
+    assert err.value.name == "support"
