@@ -68,7 +68,6 @@ from .overlap import (
     OverlapInstance,
     TernaryVector,
     answer,
-    appb_decode,
     appb_encode,
     appb_protocol,
     attack,

@@ -26,6 +26,7 @@ from .lbgraph import (
     Condition,
     build_lb_graph,
     condition_of,
+    layout,
     random_spec,
     sigma_neighborhood_sweep,
     verify_dichotomy,
@@ -47,12 +48,11 @@ from .reduction import (
     bob_messages,
     build_compatible_graph,
     build_context,
+    charlie_decide,
+    mismatched_nodes,
     reduction_size,
-    simulate,
-    verify_fidelity,
 )
 from .setfam import complete_family, random_family, sample_family, choose_partition, verify_record
-from .lbgraph import layout
 
 
 @dataclass
@@ -183,10 +183,7 @@ def cmd_agm_run(args, report: RunReport) -> None:
     for graph, k in graphs:
         proto = agm_mod.make_agm_protocol(graph.n, k, delta)
         transcript = execute(
-            proto,
-            graph,
-            randomness=SharedRandomness(int(rng.integers(0, 2**31))),
-            threads=args.threads,
+            proto, graph, randomness=SharedRandomness(int(rng.integers(0, 2**31)))
         )
         budget = agm_mod.budget_bits(graph.n, k, delta)
         report.record("sketch_budget", all(len(b) == budget for _, b in transcript.messages))
@@ -229,7 +226,7 @@ def cmd_choose_partition(args, report: RunReport) -> None:
         family = complete_family(w_ids, d)
     else:
         family = random_family(w_ids, d, 40, args.seed)
-    ctx = choose_partition(protocol, family, w_ids, args.k, args.trials, args.seed)
+    ctx = choose_partition(protocol, family, args.n, args.k, args.trials, args.seed)
     for record in ctx.good.values():
         report.record(
             "record_reverified",
@@ -300,21 +297,26 @@ def cmd_overlap_attack(args, report: RunReport) -> None:
         }
 
 
-def _reduction_checks(instance, ctx, protocol, report: RunReport) -> None:
-    report.record("fidelity", verify_fidelity(instance, ctx, protocol))
-    graph, _ = build_compatible_graph(instance, ctx)
+def _reduction_checks(instance, ctx, protocol, report: RunReport) -> bool:
+    """Run the three parties once, check the run; return the referee's verdict."""
+    msgs_a = alice_messages(instance.x, ctx, protocol)
+    msgs_b = bob_messages(instance.y, ctx, protocol)
+    verdict, assembled = charlie_decide(
+        instance.x.support, instance.y.support, msgs_a, msgs_b, ctx, protocol
+    )
+    graph, advice = build_compatible_graph(instance, ctx)
+    honest = execute(protocol, graph, advice).messages
+    report.record("fidelity", not mismatched_nodes(assembled, honest))
     report.record(
         "semantic_correspondence",
         is_k_edge_connected(graph, ctx.k) == answer(instance),
     )
-    msgs_a = alice_messages(instance.x, ctx, protocol)
-    msgs_b = bob_messages(instance.y, ctx, protocol)
-    bits = alice_bob_bits(msgs_a, msgs_b)
     w_count = len(ctx.a_side | ctx.b_side)
     report.record(
         "communication_accounting",
-        bits == w_count * protocol.max_bits and bits <= w_count * protocol.max_bits,
+        alice_bob_bits(msgs_a, msgs_b) == w_count * protocol.max_bits,
     )
+    return verdict
 
 
 def cmd_reduce(args, report: RunReport) -> None:
@@ -325,8 +327,7 @@ def cmd_reduce(args, report: RunReport) -> None:
         report.input_hashes[str(args.instance)] = blob_hash(args.instance)
     else:
         instance = next(enumerate_valid_instances(args.m, args.s))
-    verdict, _ = simulate(instance, ctx, protocol)
-    _reduction_checks(instance, ctx, protocol, report)
+    verdict = _reduction_checks(instance, ctx, protocol, report)
     report.results["answer"] = "yes" if verdict else "no"
     report.results["truth"] = "yes" if answer(instance) else "no"
     report.results["good_ids"] = list(ctx.good_ids)
@@ -356,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=None, help="default: $SKETCHBENCH_SEED or 0")
         p.add_argument("--out", type=str, default=None, help="write the JSON report here")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("gen-lb", help="generate one member of the hard graph family")
     p.add_argument("--n", type=int, required=True)

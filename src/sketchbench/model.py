@@ -9,7 +9,6 @@ execution is a pure function of (protocol, graph, advice, shared randomness).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from hashlib import blake2b
@@ -147,9 +146,6 @@ class NodeView:
     n: int
     k: int
 
-    def neighbor_ids(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.neighbors)
-
     def degree(self) -> int:
         return sum(m for _, m in self.neighbors)
 
@@ -250,33 +246,25 @@ def execute(
     graph: MultiGraph,
     advice_map: Optional[Mapping[int, Optional[Advice]]] = None,
     randomness: Optional[SharedRandomness] = None,
-    threads: int = 1,
 ) -> Transcript:
     """Run one round of the sketching model and return the transcript.
 
-    Nodes encode independently (optionally on a thread pool); the referee
-    decodes the canonically sorted message list.  Re-running with identical
-    inputs yields a byte-identical transcript, for any ``threads``.
+    Every node encodes its own view, in id order; the referee decodes the
+    sorted message list.  Re-running with identical inputs yields a
+    byte-identical transcript.
     """
     randomness = randomness if randomness is not None else EMPTY_RANDOMNESS
     advice_map = advice_map or {}
 
-    def encode_one(node: int) -> tuple[int, Bits]:
+    messages = []
+    for node in range(1, graph.n + 1):
         view = node_view(graph, node, advice_map.get(node), protocol.k)
         bits = check_bits(protocol.encode(view, randomness))
         if len(bits) > protocol.max_bits:
             raise EncodingOverflow(
                 f"node {node} emitted {len(bits)} bits, budget {protocol.max_bits}"
             )
-        return node, bits
-
-    nodes = range(1, graph.n + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            messages = list(pool.map(encode_one, nodes))
-    else:
-        messages = [encode_one(node) for node in nodes]
-    messages.sort()
+        messages.append((node, bits))
     decision = protocol.decode(tuple(messages), randomness)
     return Transcript(
         protocol=protocol.name,

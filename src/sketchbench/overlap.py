@@ -281,7 +281,13 @@ def _read_shared(
     entry_a: tuple[int, int],
     entry_b: tuple[int, int],
 ) -> bool:
-    """Decode from each support's ``_drop_entry``; see ``appb_decode``."""
+    """Reconstruct the shared bits from whichever message kept them.
+
+    ``entry_a`` and ``entry_b`` are the supports' ``_drop_entry`` values.  At
+    most one party dropped the shared index (the block map guarantees it), so
+    its bit is read from the other message and the partner's bit follows from
+    the differing-bits promise.
+    """
     (mask_a, drop_a), (mask_b, drop_b) = entry_a, entry_b
     common = mask_a & mask_b
     if not common or common & (common - 1):
@@ -294,24 +300,6 @@ def _read_shared(
     if pos == drop_b:
         raise BlockPropertyViolated("both parties dropped the shared index")
     return int(msg_b[pos if pos < drop_b else pos - 1]) == 1
-
-
-def appb_decode(
-    supp_x: tuple[int, ...],
-    supp_y: tuple[int, ...],
-    msg_a: Bits,
-    msg_b: Bits,
-    blocks: dict[tuple[int, ...], int],
-) -> bool:
-    """Reconstruct the shared bits from whichever message kept them.
-
-    At most one party dropped the shared index (the block map guarantees it),
-    so its bit is read from the other message and the partner's bit follows
-    from the differing-bits promise.
-    """
-    return _read_shared(
-        supp_x, supp_y, msg_a, msg_b, _drop_entry(supp_x, blocks), _drop_entry(supp_y, blocks)
-    )
 
 
 @dataclass(frozen=True)
@@ -525,10 +513,11 @@ def attack(protocol: OneWayProtocol, m: int, s: int) -> Optional[Counterexample]
                 combos = [(x, y), (x_hat, y_hat)]
             else:
                 combos = [(x, y_hat), (x_hat, y)]
+            # Every combination sends the same two messages, so one decode covers them.
+            decoded = protocol.charlie_decode(supp_x, supp_y, msg_a, msg_b)
             wrong = []
             for cx, cy in combos:
                 inst = OverlapInstance.make(cx, cy, m, s)
-                decoded = protocol.charlie_decode(supp_x, supp_y, msg_a, msg_b)
                 if decoded != answer(inst):
                     wrong.append((cx.to_string(), cy.to_string()))
             if not wrong:

@@ -107,8 +107,9 @@ def constant(k: int) -> SketchProtocol:
 def truncation(bits: int, n: int, k: int) -> SketchProtocol:
     """Last ``bits`` bits of the full-information payload, zero-padded to length.
 
-    The tail of the payload varies with the neighborhood, so truncated
-    messages still depend on the node's view.
+    The tail encodes the view's last entry, that of its largest neighbor.  On
+    every lower-bound role view that neighbor is a hub with multiplicity k, so
+    up to that entry's length the message is one constant for all of them.
     """
 
     def encode(view: NodeView, _rand) -> Bits:

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import combinations, zip_longest
-from typing import Optional
+from typing import Optional, Sequence
 
 from .lbgraph import LBGraphSpec, build_lb_graph, layout
 from .model import (
@@ -144,7 +144,7 @@ def build_context(
             raise ValueError("complete family too large here; pass an explicit family")
         family = complete_family(w_ids, d)
     try:
-        partition = choose_partition(protocol, family, w_ids, k, trials, seed)
+        partition = choose_partition(protocol, family, n, k, trials, seed)
     except NoGoodPartition:
         raise NotEnoughGoodNodes(0, m) from None
     good_sorted = sorted(partition.good)
@@ -161,61 +161,58 @@ def build_context(
     )
 
 
-def _wire_pair_side(
-    graph: MultiGraph, node: int, chosen: Member, side: frozenset[int]
-) -> None:
-    for w in chosen:
-        if w in side:
-            graph.add_edge(node, w, 1)
+def _pair_ends(ctx: ReductionContext, vector, coordinate: int, alice: bool) -> list[int]:
+    """W-ends of the pair edges one party wires for a coordinate, on its own side.
+
+    Alice's bit 0 selects S1 and her bit 1 selects S0; Bob's bits select the
+    other way round.
+    """
+    s0, s1 = ctx.pair_of(coordinate)
+    chosen = s1 if (vector[coordinate] == 0) == alice else s0
+    side = ctx.a_side if alice else ctx.b_side
+    return [w for w in chosen if w in side]
+
+
+def _party_messages(
+    vector, ctx: ReductionContext, protocol: SketchProtocol, alice: bool
+) -> list[tuple[int, Bits]]:
+    """Sketches of one side's W-nodes, computed from that party's local wiring.
+
+    The party's graph holds its side's clique, the hub edge for every node of
+    the side, and for each coordinate in its support the pair edges into the
+    side.
+    """
+    _, _, u_a, u_b = layout(ctx.n)
+    party, side, hub = ("Alice", ctx.a_side, u_a) if alice else ("Bob", ctx.b_side, u_b)
+    if len(vector.support) != ctx.s:
+        raise InvalidInstance("support", f"{party}'s support must have size {ctx.s}")
+    graph = MultiGraph(ctx.n)
+    ordered = sorted(side)
+    for w1, w2 in combinations(ordered, 2):
+        graph.add_edge(w1, w2, 1)
+    for w in ordered:
+        graph.add_edge(hub, w, 1)
+    for i in vector.support:
+        for w in _pair_ends(ctx, vector, i, alice):
+            graph.add_edge(ctx.node_of(i), w, 1)
+    return [
+        (w, protocol.encode(node_view(graph, w, None, ctx.k), EMPTY_RANDOMNESS))
+        for w in ordered
+    ]
 
 
 def alice_messages(
     x, ctx: ReductionContext, protocol: SketchProtocol
 ) -> list[tuple[int, Bits]]:
-    """Sketches of the A-side nodes, computed from Alice's local wiring.
-
-    Her graph holds the A-clique, the hub edge for every A-node, and for each
-    coordinate in her support the pair edges into A: bit 0 selects S1, bit 1
-    selects S0.
-    """
-    if len(x.support) != ctx.s:
-        raise InvalidInstance("support", f"Alice's support must have size {ctx.s}")
-    _, _, u_a, _ = layout(ctx.n)
-    graph = MultiGraph(ctx.n)
-    a_sorted = sorted(ctx.a_side)
-    for w1, w2 in combinations(a_sorted, 2):
-        graph.add_edge(w1, w2, 1)
-    for w in a_sorted:
-        graph.add_edge(u_a, w, 1)
-    for i in x.support:
-        s0, s1 = ctx.pair_of(i)
-        _wire_pair_side(graph, ctx.node_of(i), s1 if x[i] == 0 else s0, ctx.a_side)
-    return [
-        (w, protocol.encode(node_view(graph, w, None, ctx.k), EMPTY_RANDOMNESS))
-        for w in a_sorted
-    ]
+    """Sketches of the A-side nodes, computed from Alice's local wiring."""
+    return _party_messages(x, ctx, protocol, alice=True)
 
 
 def bob_messages(
     y, ctx: ReductionContext, protocol: SketchProtocol
 ) -> list[tuple[int, Bits]]:
-    """Mirror of Alice on the B-side: bit 0 selects S0, bit 1 selects S1."""
-    if len(y.support) != ctx.s:
-        raise InvalidInstance("support", f"Bob's support must have size {ctx.s}")
-    _, _, _, u_b = layout(ctx.n)
-    graph = MultiGraph(ctx.n)
-    b_sorted = sorted(ctx.b_side)
-    for w1, w2 in combinations(b_sorted, 2):
-        graph.add_edge(w1, w2, 1)
-    for w in b_sorted:
-        graph.add_edge(u_b, w, 1)
-    for j in y.support:
-        s0, s1 = ctx.pair_of(j)
-        _wire_pair_side(graph, ctx.node_of(j), s0 if y[j] == 0 else s1, ctx.b_side)
-    return [
-        (w, protocol.encode(node_view(graph, w, None, ctx.k), EMPTY_RANDOMNESS))
-        for w in b_sorted
-    ]
+    """Mirror of Alice on the B-side."""
+    return _party_messages(y, ctx, protocol, alice=False)
 
 
 def charlie_messages(
@@ -313,14 +310,11 @@ def build_compatible_graph(
         if coordinate is None:
             w_neighbors[v] = frozenset()
             continue
-        s0, s1 = ctx.pair_of(coordinate)
-        chosen: set[int] = set()
+        chosen: list[int] = []
         if coordinate in supp_x:
-            x_bit = instance.x[coordinate]
-            chosen |= set(s1 if x_bit == 0 else s0) & ctx.a_side
+            chosen += _pair_ends(ctx, instance.x, coordinate, alice=True)
         if coordinate in supp_y:
-            y_bit = instance.y[coordinate]
-            chosen |= set(s0 if y_bit == 0 else s1) & ctx.b_side
+            chosen += _pair_ends(ctx, instance.y, coordinate, alice=False)
         w_neighbors[v] = frozenset(chosen)
 
     spec = LBGraphSpec(
@@ -338,14 +332,20 @@ def build_compatible_graph(
 def fidelity_mismatches(
     instance: OverlapInstance, ctx: ReductionContext, protocol: SketchProtocol
 ) -> list[int]:
-    """Node ids whose simulated message differs from the honest execution.
+    """Node ids whose simulated message differs from the honest execution."""
+    _, assembled = simulate(instance, ctx, protocol)
+    graph, advice = build_compatible_graph(instance, ctx)
+    return mismatched_nodes(assembled, execute(protocol, graph, advice).messages)
+
+
+def mismatched_nodes(
+    assembled: Sequence[tuple[int, Bits]], honest: Sequence[tuple[int, Bits]]
+) -> list[int]:
+    """Node ids where two message lists differ.
 
     Messages are compared position by position, ids included; a node that one
     list has and the other lacks counts as a mismatch.
     """
-    _, assembled = simulate(instance, ctx, protocol)
-    graph, advice = build_compatible_graph(instance, ctx)
-    honest = execute(protocol, graph, advice).messages
     return [
         real_node if node is None else node
         for (node, sim_bits), (real_node, real_bits) in zip_longest(

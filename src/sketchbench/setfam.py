@@ -408,27 +408,15 @@ class PartitionContext:
         )
 
 
-def _derive_nodes(w_ids: tuple[int, ...]) -> tuple[range, int]:
-    """Recover V and n from canonical W ids (contiguous, followed by the hubs)."""
-    lo, hi = min(w_ids), max(w_ids)
-    if set(w_ids) != set(range(lo, hi + 1)):
-        raise ValueError("W ids must be a contiguous range in the canonical layout")
-    v_count = lo - 1
-    n = v_count + len(w_ids) + 2
-    if math.isqrt(n) != len(w_ids):
-        raise ValueError(f"|W|={len(w_ids)} inconsistent with n={n} in the canonical layout")
-    return range(1, v_count + 1), n
-
-
 def _sample_split(
-    w_sorted: tuple[int, ...], k: int, seed: int, trial: int
+    w_ids: Sequence[int], k: int, seed: int, trial: int
 ) -> tuple[frozenset[int], frozenset[int]]:
     """One trial's uniform W-split, resampled until both sides reach size k."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
     for _ in range(1000):
-        mask = rng.random(len(w_sorted)) < 0.5
-        a_side = frozenset(w for w, pick in zip(w_sorted, mask) if pick)
-        b_side = frozenset(w_sorted) - a_side
+        mask = rng.random(len(w_ids)) < 0.5
+        a_side = frozenset(w for w, pick in zip(w_ids, mask) if pick)
+        b_side = frozenset(w_ids) - a_side
         if len(a_side) >= k and len(b_side) >= k:
             return a_side, b_side
     raise ValueError("could not sample a partition with both sides of size >= k")
@@ -437,30 +425,30 @@ def _sample_split(
 def choose_partition(
     protocol: SketchProtocol,
     family: SetFamily,
-    w_ids: Iterable[int],
+    n: int,
     k: int,
     trials: int,
     seed: int,
 ) -> PartitionContext:
     """Sample W-partitions and keep the one giving the most pinned nodes.
 
-    Each trial assigns W-members to A or B uniformly (resampling until both
-    sides reach size k).  All trials' splits and every member's projections
-    under them are fixed first; then each node encodes its sigma-role views
-    once and each distinct projection view once across all trials, and per
-    trial records an indistinguishable separated pair wherever the common
-    block contains both kinds.  The first trial with the most pinned nodes
-    wins.  Trial seeds are derived by counter, so the result is a pure
-    function of the inputs.
+    V and W are the ``lbgraph.layout`` ids of an n-node family member.  Each
+    trial assigns W-members to A or B uniformly (resampling until both sides
+    reach size k).  All trials' splits and every member's projections under
+    them are fixed first; then each node encodes its sigma-role views once and
+    each distinct projection view once across all trials, and per trial
+    records an indistinguishable separated pair wherever the common block
+    contains both kinds.  The first trial with the most pinned nodes wins.
+    Trial seeds are derived by counter, so the result is a pure function of
+    the inputs.
     """
-    w_sorted = tuple(sorted(w_ids))
-    v_ids, n = _derive_nodes(w_sorted)
-    if len(w_sorted) < 2 * k:
-        raise ValueError(f"|W|={len(w_sorted)} cannot host two sides of size {k}")
+    v_ids, w_ids, _, _ = layout(n)
+    if len(w_ids) < 2 * k:
+        raise ValueError(f"|W|={len(w_ids)} cannot host two sides of size {k}")
     if not protocol.deterministic:
         raise DeterminismRequired(f"protocol {protocol.name!r} is randomized")
 
-    splits = [_sample_split(w_sorted, k, seed, trial) for trial in range(trials)]
+    splits = [_sample_split(w_ids, k, seed, trial) for trial in range(trials)]
     projections = [split_projections(family, a_side, b_side) for a_side, b_side in splits]
     a_keys = sorted({proj_a for proj in projections for proj_a, _ in proj.values()})
     b_keys = sorted({proj_b for proj in projections for _, proj_b in proj.values()})

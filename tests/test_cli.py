@@ -1,0 +1,172 @@
+import json
+from collections import Counter
+
+import pytest
+
+import sketchbench.cli as cli
+import sketchbench.reduction as reduction
+from sketchbench.overlap import enumerate_valid_instances
+from sketchbench.protocols import make_protocol
+
+
+def run(capsys, *argv):
+    """Run one subcommand; return (exit code, parsed JSON report)."""
+    code = cli.main([str(a) for a in argv])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def assert_clean(code, report):
+    assert code == 0
+    assert report["outcomes"]["completed"] == {"pass": 1, "fail": 0}
+    assert not any(entry["fail"] for entry in report["outcomes"].values())
+
+
+def passes(report, invariant):
+    assert report["outcomes"][invariant]["fail"] == 0
+    return report["outcomes"][invariant]["pass"]
+
+
+def test_gen_lb_feeds_kconn(tmp_path, capsys):
+    code, report = run(capsys, "gen-lb", "--n", 36, "--k", 2, "--condition", "C1", "--out", tmp_path / "g")
+    assert_clean(code, report)
+    spec_path, graph_path = report["artifacts"]
+    assert spec_path.endswith("g.spec.json") and graph_path.endswith("g.graph.txt")
+    assert report["results"]["condition"] == "C1"
+    assert report["results"]["nodes"] == 36
+
+    code, report = run(capsys, "kconn", "--graph", graph_path, "--k", 2)
+    assert_clean(code, report)
+    assert passes(report, "cut_certificate") == 1
+    assert report["results"]["k_edge_connected"] is True
+    assert list(report["input_hashes"]) == [graph_path]
+
+    code, report = run(capsys, "agm-run", "--graph", graph_path, "--k", 2)
+    assert_clean(code, report)
+    assert passes(report, "oracle_agreement") == 1
+
+
+@pytest.mark.parametrize("sweep, expect", [("random", 3), ("exhaustive", 20)])
+def test_verify_lb(capsys, sweep, expect):
+    code, report = run(capsys, "verify-lb", "--n", 36, "--k", 2, "--sweep", sweep, "--count", 3)
+    assert_clean(code, report)
+    assert passes(report, "dichotomy") == expect
+
+
+def test_agm_run_random_graphs(capsys):
+    code, report = run(capsys, "agm-run", "--count", 4, "--max-n", 10, "--k", 2)
+    assert_clean(code, report)
+    assert passes(report, "sketch_budget") == 4
+    assert report["results"]["total"] == 4
+
+
+def test_sample_family(tmp_path, capsys):
+    code, report = run(
+        capsys, "sample-family", "--w-size", 16, "--d", 3, "--epsilon", 0.7, "--target", 5,
+        "--out", tmp_path / "f",
+    )
+    assert_clean(code, report)
+    assert report["results"]["size"] == 5
+    (family_path,) = report["artifacts"]
+    assert len(json.loads(open(family_path, encoding="utf-8").read())["members"]) == 5
+
+
+def test_choose_partition(tmp_path, capsys):
+    code, report = run(
+        capsys, "choose-partition", "--n", 36, "--k", 2, "--protocol", "toy2", "--trials", 2,
+        "--out", tmp_path / "p",
+    )
+    assert_clean(code, report)
+    assert passes(report, "record_reverified") == report["results"]["good_nodes"] > 0
+    (context_path,) = report["artifacts"]
+    assert context_path.endswith("p.partition.json")
+
+
+def test_overlap_solve(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"m": 5, "s": 3, "X": "01*1*", "Y": "**001"}), encoding="utf-8")
+    code, report = run(capsys, "overlap-solve", "--instance", path)
+    assert_clean(code, report)
+    assert report["results"] == {"sigma": 4, "truth": "no", "decoded": "no"}
+
+
+def test_overlap_enum(capsys):
+    code, report = run(capsys, "overlap-enum", "--m", 5, "--s", 3)
+    assert_clean(code, report)
+    assert passes(report, "decode_matches_answer") == 960
+    assert passes(report, "message_budget") == 960
+
+
+def test_overlap_attack(capsys):
+    code, report = run(capsys, "overlap-attack", "--m", 5, "--s", 3, "--protocol", "trunc")
+    assert_clean(code, report)
+    assert passes(report, "replay_soundness") >= 1
+    assert report["results"]["counterexample"] is not None
+
+    code, report = run(capsys, "overlap-attack", "--m", 5, "--s", 3)
+    assert_clean(code, report)
+    assert report["results"]["counterexample"] is None
+
+
+def test_reduce(tmp_path, capsys):
+    code, report = run(capsys, "reduce", "--m", 9, "--s", 4, "--k", 2, "--out", tmp_path / "r")
+    assert_clean(code, report)
+    assert report["results"] == {"answer": "no", "truth": "yes", "good_ids": list(range(1, 10))}
+    for invariant in ("fidelity", "semantic_correspondence", "communication_accounting"):
+        assert passes(report, invariant) == 1
+    (context_path,) = report["artifacts"]
+    assert context_path.endswith("r.context.json")
+
+
+def test_reduce_reports_unfaithful_simulation(capsys, monkeypatch):
+    honest = reduction.charlie_messages
+
+    def flipped_hub(*args):
+        (hub, bits), *rest = honest(*args)
+        return [(hub, ("1" if bits[0] == "0" else "0") + bits[1:]), *rest]
+
+    monkeypatch.setattr(reduction, "charlie_messages", flipped_hub)
+    code, report = run(capsys, "reduce", "--m", 9, "--s", 4, "--k", 2)
+    assert code == 1
+    assert report["outcomes"]["fidelity"] == {"pass": 0, "fail": 1}
+    assert passes(report, "semantic_correspondence") == 1
+
+
+def test_verify_fidelity(capsys):
+    code, report = run(capsys, "verify-fidelity", "--m", 6, "--s", 2, "--k", 2)
+    assert_clean(code, report)
+    for invariant in ("fidelity", "semantic_correspondence", "communication_accounting"):
+        assert passes(report, invariant) == 960
+
+
+def test_threads_option_is_gone(capsys):
+    assert cli.main(["agm-run", "--count", "1", "--threads", "2"]) == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_reduction_checks_run_each_party_once(monkeypatch):
+    # Counted wherever the name is looked up, so a second route through
+    # reduction.simulate or verify_fidelity would show up as a second call.
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    names = ("alice_messages", "bob_messages", "charlie_messages", "build_compatible_graph", "execute")
+    for module in (cli, reduction):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+
+    protocol = make_protocol("toy2", reduction.reduction_size(6), 2)
+    ctx = reduction.build_context(protocol, 6, 2, 2, seed=0, trials=32)
+    instance = next(enumerate_valid_instances(6, 2))
+    report = cli.RunReport(command="reduce", parameters={}, seed=0)
+    verdict = cli._reduction_checks(instance, ctx, protocol, report)
+
+    assert calls == Counter({name: 1 for name in names})
+    assert not report.failed and len(report.outcomes) == 3
+    assert verdict == reduction.simulate(instance, ctx, protocol)[0]

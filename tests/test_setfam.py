@@ -116,13 +116,17 @@ def test_partitions_truncation_block_budget():
     fam = fam40()
     a_side = frozenset(list(W16)[:8])
     b_side = frozenset(W16) - a_side
-    ps, pa, pb, _ = partitions_of_split(truncation(2, N16, 2), 5, fam, a_side, b_side)
+    ps, pa, pb, _ = partitions_of_split(toy_two_bit(2), 5, fam, a_side, b_side)
     for part, keys in ((ps, fam.members), (pa, None), (pb, None)):
-        assert part.block_count() <= 4
+        assert 1 < part.block_count() <= 4
         covered = sum(len(block) for block in part.blocks.values())
         expect = len(keys) if keys is not None else len({k for b in part.blocks.values() for k in b})
         assert covered == expect
     assert sum(len(b) for b in ps.blocks.values()) == len(fam.members)
+    # Truncation keeps only the tail of each role view, which is its hub's
+    # entry, so it puts every member in one block.
+    ps, pa, pb, _ = partitions_of_split(truncation(2, N16, 2), 5, fam, a_side, b_side)
+    assert ps.block_count() == pa.block_count() == pb.block_count() == 1
 
 
 def test_pigeonhole_floor_parity():
@@ -151,8 +155,9 @@ def test_blocks_are_message_consistent():
     fam = fam40()
     a_side = frozenset(list(W16)[:8])
     b_side = frozenset(W16) - a_side
-    proto = truncation(3, N16, 2)
+    proto = toy_two_bit(2)
     ps, pa, pb, _ = partitions_of_split(proto, 9, fam, a_side, b_side)
+    assert ps.block_count() > 1 and pb.block_count() > 1
     _, _, u_a, u_b = layout(N16)
     for bits, members in ps.blocks.items():
         for member in members:
@@ -198,7 +203,7 @@ def test_choose_partition_raises_on_corrupted_record(monkeypatch):
 
     monkeypatch.setattr(setfam, "message_partitions", corrupted)
     with pytest.raises(BrokenPairRecord, match="re-verification"):
-        choose_partition(constant(2), fam40(), W16, 2, trials=1, seed=5)
+        choose_partition(constant(2), fam40(), N16, 2, trials=1, seed=5)
 
 
 def test_find_separated_pair_classification_sweep():
@@ -220,20 +225,20 @@ def test_find_separated_pair_classification_sweep():
 
 def test_choose_partition_constant_all_good():
     fam = fam40()
-    ctx = choose_partition(constant(2), fam, W16, 2, trials=2, seed=5)
+    ctx = choose_partition(constant(2), fam, N16, 2, trials=2, seed=5)
     assert len(ctx.good) == len(V16)
 
 
 def test_choose_partition_full_information_fails():
     fam = fam40()
     with pytest.raises(NoGoodPartition):
-        choose_partition(full_information(N16, 2), fam, W16, 2, trials=2, seed=5)
+        choose_partition(full_information(N16, 2), fam, N16, 2, trials=2, seed=5)
 
 
 def test_choose_partition_toy_records_reverify():
     fam = fam40()
     proto = toy_two_bit(2)
-    ctx = choose_partition(proto, fam, W16, 2, trials=32, seed=5)
+    ctx = choose_partition(proto, fam, N16, 2, trials=32, seed=5)
     assert len(ctx.good) >= 1
     assert all(
         verify_record(rec, proto, ctx.a_side, ctx.b_side, N16, 2)
@@ -244,15 +249,15 @@ def test_choose_partition_toy_records_reverify():
 def test_choose_partition_deterministic():
     fam = fam40()
     proto = toy_two_bit(2)
-    a = choose_partition(proto, fam, W16, 2, trials=4, seed=9)
-    b = choose_partition(proto, fam, W16, 2, trials=4, seed=9)
+    a = choose_partition(proto, fam, N16, 2, trials=4, seed=9)
+    b = choose_partition(proto, fam, N16, 2, trials=4, seed=9)
     assert a.a_side == b.a_side and a.good.keys() == b.good.keys()
 
 
 def test_record_mutation_fails_reverify():
     fam = fam40()
     proto = toy_two_bit(2)
-    ctx = choose_partition(proto, fam, W16, 2, trials=8, seed=5)
+    ctx = choose_partition(proto, fam, N16, 2, trials=8, seed=5)
     node, rec = next(iter(ctx.good.items()))
     broken = replace(rec, message_sigma=("1" if rec.message_sigma[0] == "0" else "0") + rec.message_sigma[1:])
     assert not verify_record(broken, proto, ctx.a_side, ctx.b_side, N16, 2)
@@ -261,7 +266,7 @@ def test_record_mutation_fails_reverify():
 def test_partition_context_json_roundtrip():
     fam = fam40()
     proto = toy_two_bit(2)
-    ctx = choose_partition(proto, fam, W16, 2, trials=4, seed=9)
+    ctx = choose_partition(proto, fam, N16, 2, trials=4, seed=9)
     again = PartitionContext.from_json(ctx.to_json())
     assert again.a_side == ctx.a_side
     assert again.family.members == ctx.family.members
@@ -325,9 +330,9 @@ def test_choose_partition_matches_per_trial_reference(name, n):
         expect = reference_choose_partition(proto, fam, w_ids, 2, trials, seed)
         if not expect.good:
             with pytest.raises(NoGoodPartition):
-                choose_partition(proto, fam, w_ids, 2, trials, seed)
+                choose_partition(proto, fam, n, 2, trials, seed)
             continue
-        got = choose_partition(proto, fam, w_ids, 2, trials, seed)
+        got = choose_partition(proto, fam, n, 2, trials, seed)
         assert got.to_json() == expect.to_json()
 
 
@@ -368,7 +373,7 @@ def test_choose_partition_encodes_each_view_once(monkeypatch):
 
     monkeypatch.setattr(setfam, "verify_record", counting_verify)
     fam = fam40()
-    ctx = choose_partition(replace(proto, encode=counting_encode), fam, W16, 2, trials=4, seed=5)
+    ctx = choose_partition(replace(proto, encode=counting_encode), fam, N16, 2, trials=4, seed=5)
     assert ctx.good
     assert max(outside.values()) == 1
     sigma_views = sum(advice is Advice.SIGMA for _, advice, _ in outside)
