@@ -54,6 +54,7 @@ from .setfam import (
     complete_family,
     find_separated_pair,
     message_partitions,
+    neighborhood_family,
     sample_family,
     split_projections,
     verify_record,

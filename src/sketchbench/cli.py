@@ -3,7 +3,10 @@
 Every pipeline is a subcommand producing a self-describing JSON report:
 parameters, seed, pass/fail counts per asserted invariant, artifact paths,
 and git-style content hashes of any input files.  All subcommands are
-deterministic under a fixed --seed (overridable via SKETCHBENCH_SEED).
+deterministic under a fixed --seed (default 0).  The nine subcommands are
+gen-lb, verify-lb, kconn, agm-run, sample-family, choose-partition,
+overlap-enum, overlap-attack and verify-fidelity; overlap-enum and
+verify-fidelity sweep every valid (m, s) instance, or check one with --instance.
 Exit codes: 0 all invariants passed, 1 invariant failure, 2 usage error.
 """
 
@@ -13,7 +16,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -34,6 +36,8 @@ from .lbgraph import (
 from .mincut import crossing_value, global_min_cut, is_k_edge_connected
 from .model import Decision, MultiGraph, SharedRandomness, execute, load_graph, save_graph
 from .overlap import (
+    OVERLAP_PROTOCOLS,
+    InvalidInstance,
     OverlapInstance,
     TernaryVector,
     answer,
@@ -41,7 +45,7 @@ from .overlap import (
     enumerate_valid_instances,
     make_overlap_protocol,
 )
-from .protocols import make_protocol
+from .protocols import PROTOCOLS, make_protocol, protocol_name
 from .reduction import (
     alice_bob_bits,
     alice_messages,
@@ -52,14 +56,14 @@ from .reduction import (
     mismatched_nodes,
     reduction_size,
 )
-from .setfam import complete_family, random_family, sample_family, choose_partition, verify_record
+from .setfam import choose_partition, neighborhood_family, sample_family, verify_record
 
 
 @dataclass
 class RunReport:
     command: str
     parameters: dict
-    seed: int | None
+    seed: int
     outcomes: dict = field(default_factory=dict)  # name -> {"pass": int, "fail": int}
     results: dict = field(default_factory=dict)
     artifacts: list = field(default_factory=list)
@@ -105,11 +109,6 @@ def binomial_allowance(n: int, p: float, confidence: float) -> int:
         if acc >= confidence:
             return x
     return n
-
-
-def _default_seed() -> int:
-    env = os.environ.get("SKETCHBENCH_SEED")
-    return int(env) if env else 0
 
 
 def _random_multigraph(rng: np.random.Generator, n: int, max_mult: int = 3) -> MultiGraph:
@@ -218,14 +217,7 @@ def cmd_sample_family(args, report: RunReport) -> None:
 
 def cmd_choose_partition(args, report: RunReport) -> None:
     protocol = make_protocol(args.protocol, args.n, args.k)
-    _, w_ids, _, _ = layout(args.n)
-    d = 2 * args.k - 1
-    if args.family_size:
-        family = random_family(w_ids, d, args.family_size, args.seed)
-    elif math.comb(len(w_ids), d) <= 4096:
-        family = complete_family(w_ids, d)
-    else:
-        family = random_family(w_ids, d, 40, args.seed)
+    family = neighborhood_family(layout(args.n)[1], args.k, args.family_size, args.seed)
     ctx = choose_partition(protocol, family, args.n, args.k, args.trials, args.seed)
     for record in ctx.good.values():
         report.record(
@@ -241,31 +233,39 @@ def cmd_choose_partition(args, report: RunReport) -> None:
         report.artifacts.append(ctx_path)
 
 
-def cmd_overlap_solve(args, report: RunReport) -> None:
+def _instances(args, report: RunReport):
+    """The --instance file as the only instance, else every valid (m, s) instance."""
+    if args.instance is None:
+        return enumerate_valid_instances(args.m, args.s)
     instance = OverlapInstance.from_json(Path(args.instance).read_text("utf-8"))
     report.input_hashes[str(args.instance)] = blob_hash(args.instance)
     m, s = instance.x.length, len(instance.x.support)
-    protocol = make_overlap_protocol(args.protocol, m, s)
+    if (m, s) != (args.m, args.s):
+        raise InvalidInstance("parameters", f"instance has m={m}, s={s}, not {args.m}, {args.s}")
+    return [instance]
+
+
+def _run_overlap(protocol, instance):
+    """Both parties encode, then Charlie decodes: (Alice's message, Bob's, verdict)."""
     msg_a = protocol.alice_encode(instance.x)
     msg_b = protocol.bob_encode(instance.y)
-    report.record("message_budget", len(msg_a) <= protocol.max_bits and len(msg_b) <= protocol.max_bits)
-    decoded = protocol.charlie_decode(instance.x.support, instance.y.support, msg_a, msg_b)
-    report.results["sigma"] = instance.sigma
-    report.results["truth"] = "yes" if answer(instance) else "no"
-    report.results["decoded"] = "yes" if decoded else "no"
+    return msg_a, msg_b, protocol.charlie_decode(instance.x.support, instance.y.support, msg_a, msg_b)
 
 
 def cmd_overlap_enum(args, report: RunReport) -> None:
     protocol = make_overlap_protocol(args.protocol, args.m, args.s)
-    for instance in enumerate_valid_instances(args.m, args.s):
-        msg_a = protocol.alice_encode(instance.x)
-        msg_b = protocol.bob_encode(instance.y)
+    for instance in _instances(args, report):
+        msg_a, msg_b, decoded = _run_overlap(protocol, instance)
+        truth = answer(instance)
         report.record(
             "message_budget",
             len(msg_a) <= protocol.max_bits and len(msg_b) <= protocol.max_bits,
         )
-        decoded = protocol.charlie_decode(instance.x.support, instance.y.support, msg_a, msg_b)
-        report.record("decode_matches_answer", decoded == answer(instance))
+        report.record("decode_matches_answer", decoded == truth)
+    if args.instance:
+        report.results["sigma"] = instance.sigma
+        report.results["truth"] = "yes" if truth else "no"
+        report.results["decoded"] = "yes" if decoded else "no"
 
 
 def cmd_overlap_attack(args, report: RunReport) -> None:
@@ -281,9 +281,7 @@ def cmd_overlap_attack(args, report: RunReport) -> None:
                 args.m,
                 args.s,
             )
-            msg_a = protocol.alice_encode(inst.x)
-            msg_b = protocol.bob_encode(inst.y)
-            replay = protocol.charlie_decode(inst.x.support, inst.y.support, msg_a, msg_b)
+            _, _, replay = _run_overlap(protocol, inst)
             report.record("replay_soundness", replay != answer(inst))
         report.results["counterexample"] = {
             "sigma": counterexample.sigma,
@@ -319,29 +317,20 @@ def _reduction_checks(instance, ctx, protocol, report: RunReport) -> bool:
     return verdict
 
 
-def cmd_reduce(args, report: RunReport) -> None:
+def cmd_verify_fidelity(args, report: RunReport) -> None:
     protocol = make_protocol(args.protocol, reduction_size(args.m), args.k)
+    instances = _instances(args, report)
     ctx = build_context(protocol, args.m, args.s, args.k, args.seed, trials=args.trials)
+    for instance in instances:
+        verdict = _reduction_checks(instance, ctx, protocol, report)
     if args.instance:
-        instance = OverlapInstance.from_json(Path(args.instance).read_text("utf-8"))
-        report.input_hashes[str(args.instance)] = blob_hash(args.instance)
-    else:
-        instance = next(enumerate_valid_instances(args.m, args.s))
-    verdict = _reduction_checks(instance, ctx, protocol, report)
-    report.results["answer"] = "yes" if verdict else "no"
-    report.results["truth"] = "yes" if answer(instance) else "no"
+        report.results["answer"] = "yes" if verdict else "no"
+        report.results["truth"] = "yes" if answer(instance) else "no"
     report.results["good_ids"] = list(ctx.good_ids)
     if args.out:
         ctx_path = Path(args.out).with_suffix("").as_posix() + ".context.json"
         Path(ctx_path).write_text(ctx.to_json() + "\n", "utf-8")
         report.artifacts.append(ctx_path)
-
-
-def cmd_verify_fidelity(args, report: RunReport) -> None:
-    protocol = make_protocol(args.protocol, reduction_size(args.m), args.k)
-    ctx = build_context(protocol, args.m, args.s, args.k, args.seed, trials=args.trials)
-    for instance in enumerate_valid_instances(args.m, args.s):
-        _reduction_checks(instance, ctx, protocol, report)
 
 
 # ------------------------------------------------------------------- plumbing
@@ -353,9 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic experiment driver for the sketching toolkit.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    sketch_protocols = f"{', '.join(PROTOCOLS)} or trunc:<bits>"
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None, help="default: $SKETCHBENCH_SEED or 0")
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default=None, help="write the JSON report here")
 
     p = sub.add_parser("gen-lb", help="generate one member of the hard graph family")
@@ -400,48 +390,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("choose-partition", help="extract indistinguishable pairs for a protocol")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--protocol", type=str, required=True)
+    p.add_argument("--protocol", type=protocol_name, required=True, help=sketch_protocols)
     p.add_argument("--trials", type=int, default=32)
-    p.add_argument("--family-size", type=int, default=None)
+    p.add_argument("--family-size", type=int, default=None, help="default: the complete family")
     common(p)
     p.set_defaults(func=cmd_choose_partition)
-
-    p = sub.add_parser("overlap-solve", help="solve one instance from a JSON file")
-    p.add_argument("--instance", type=str, required=True)
-    p.add_argument("--protocol", type=str, default="appb")
-    common(p)
-    p.set_defaults(func=cmd_overlap_solve)
 
     p = sub.add_parser("overlap-enum", help="exhaustive correctness sweep of a protocol")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--protocol", type=str, default="appb")
+    p.add_argument("--protocol", choices=OVERLAP_PROTOCOLS, default="appb")
+    p.add_argument("--instance", type=str, default=None, help="check only this instance file")
     common(p)
     p.set_defaults(func=cmd_overlap_enum)
 
     p = sub.add_parser("overlap-attack", help="hunt for a protocol counterexample")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--protocol", type=str, default="appb")
+    p.add_argument("--protocol", choices=OVERLAP_PROTOCOLS, default="appb")
     common(p)
     p.set_defaults(func=cmd_overlap_attack)
-
-    p = sub.add_parser("reduce", help="run the three-party simulation on one instance")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--protocol", type=str, default="toy2")
-    p.add_argument("--trials", type=int, default=32)
-    p.add_argument("--instance", type=str, default=None)
-    common(p)
-    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("verify-fidelity", help="sweep the simulation against honest execution")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--protocol", type=str, default="toy2")
+    p.add_argument("--protocol", type=protocol_name, default="toy2", help=sketch_protocols)
     p.add_argument("--trials", type=int, default=32)
+    p.add_argument("--instance", type=str, default=None, help="check only this instance file")
     common(p)
     p.set_defaults(func=cmd_verify_fidelity)
 
@@ -454,8 +430,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.seed is None:
-        args.seed = _default_seed()
 
     parameters = {
         key: value

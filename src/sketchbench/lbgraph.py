@@ -25,6 +25,10 @@ from .mincut import is_k_edge_connected
 from .model import Advice, MultiGraph
 
 
+#: Largest k / sqrt(n) in the family: then |W| = isqrt(n) >= 2k holds two sides of size k.
+GAMMA = 0.5
+
+
 class SpecError(ValueError):
     """A graph description violates one of the family rules."""
 
@@ -90,14 +94,14 @@ class LBGraphSpec:
         )
 
 
-def validate(spec: LBGraphSpec, gamma: float = 0.5) -> None:
+def validate(spec: LBGraphSpec) -> None:
     """Check every family rule; raise SpecError naming the violated one."""
     n, k = spec.n, spec.k
     v_ids, w_ids, _, _ = layout(n)
     w_set = frozenset(w_ids)
 
-    if not 2 <= k <= gamma * math.sqrt(n):
-        raise SpecError("sizes", f"need 2 <= k <= {gamma}*sqrt(n); got k={k}, n={n}")
+    if not 2 <= k <= GAMMA * math.sqrt(n):
+        raise SpecError("sizes", f"need 2 <= k <= {GAMMA}*sqrt(n); got k={k}, n={n}")
     if len(v_ids) < 1:
         raise SpecError("sizes", f"empty V for n={n}")
     if spec.a_side | spec.b_side != w_set or spec.a_side & spec.b_side:
@@ -140,9 +144,9 @@ def condition_of(spec: LBGraphSpec) -> Condition:
     return Condition.C1 if in_b >= spec.k else Condition.C0
 
 
-def build_lb_graph(spec: LBGraphSpec, gamma: float = 0.5) -> tuple[MultiGraph, dict[int, Optional[Advice]]]:
+def build_lb_graph(spec: LBGraphSpec) -> tuple[MultiGraph, dict[int, Optional[Advice]]]:
     """Materialize the spec as a multigraph plus the per-node advice map."""
-    validate(spec, gamma=gamma)
+    validate(spec)
     n, k = spec.n, spec.k
     v_ids, _, u_a, u_b = layout(n)
     graph = MultiGraph(n)
@@ -177,13 +181,7 @@ def verify_dichotomy(spec: LBGraphSpec) -> bool:
     return is_k_edge_connected(graph, spec.k) == (condition_of(spec) is Condition.C1)
 
 
-def random_spec(
-    n: int,
-    k: int,
-    seed: int,
-    condition: Optional[Condition] = None,
-    a_size: Optional[int] = None,
-) -> LBGraphSpec:
+def random_spec(n: int, k: int, seed: int, condition: Optional[Condition] = None) -> LBGraphSpec:
     """Sample a valid spec; optionally force the side of the dichotomy."""
     rng = np.random.default_rng(seed)
     v_ids, w_ids, _, _ = layout(n)
@@ -191,10 +189,9 @@ def random_spec(
     w_count = len(w_sorted)
     if w_count < 2 * k:
         raise SpecError("sizes", f"|W|={w_count} cannot fit two sides of size {k}")
-    if a_size is None:
-        a_size = int(rng.integers(k, w_count - k + 1))
-    a_side = frozenset(w_sorted[:a_size])
-    b_side = frozenset(w_sorted[a_size:])
+    split = int(rng.integers(k, w_count - k + 1))
+    a_side = frozenset(w_sorted[:split])
+    b_side = frozenset(w_sorted[split:])
 
     sigma = int(rng.integers(1, len(v_ids) + 1))
     restrictions: dict[int, Advice] = {}

@@ -63,13 +63,12 @@ class MultiGraph:
     ``multiplicity(v, u)``.
     """
 
-    __slots__ = ("n", "_edges", "_adj")
+    __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: EdgeInput = ()):
         if n < 1:
             raise ValueError(f"node count must be positive, got {n}")
         self.n = n
-        self._edges: dict[tuple[int, int], int] = {}
         self._adj: dict[int, dict[int, int]] = {i: {} for i in range(1, n + 1)}
         if isinstance(edges, Mapping):
             items = [(u, v, m) for (u, v), m in edges.items()]
@@ -89,16 +88,13 @@ class MultiGraph:
             raise ValueError(f"self-loop at node {u}")
         if mult < 1:
             raise ValueError(f"multiplicity must be >= 1, got {mult}")
-        key = (u, v) if u < v else (v, u)
-        self._edges[key] = self._edges.get(key, 0) + mult
         self._adj[u][v] = self._adj[u].get(v, 0) + mult
         self._adj[v][u] = self._adj[v].get(u, 0) + mult
 
     def multiplicity(self, u: int, v: int) -> int:
         self._check_node(u)
         self._check_node(v)
-        key = (u, v) if u < v else (v, u)
-        return self._edges.get(key, 0)
+        return self._adj[u].get(v, 0)
 
     def neighborhood(self, node: int) -> dict[int, int]:
         """Neighbor multiset of ``node`` as {neighbor: multiplicity}, ascending ids."""
@@ -113,19 +109,20 @@ class MultiGraph:
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """All edges as (u, v, mult) with u < v, ascending."""
-        for u, v in sorted(self._edges):
-            yield u, v, self._edges[(u, v)]
+        for u, adj in self._adj.items():
+            for v in sorted(w for w in adj if w > u):
+                yield u, v, adj[v]
 
     def edge_slot_count(self) -> int:
-        return len(self._edges)
+        return sum(map(len, self._adj.values())) // 2
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiGraph):
             return NotImplemented
-        return self.n == other.n and self._edges == other._edges
+        return self.n == other.n and self._adj == other._adj
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted(self._edges.items()))))
+        return hash((self.n, tuple(self.edges())))
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, edges={self.edge_slot_count()})"

@@ -395,14 +395,18 @@ def full_support_protocol(m: int, s: int) -> OneWayProtocol:
     )
 
 
+#: Overlap protocols by name, each built from (m, s).
+OVERLAP_PROTOCOLS = {
+    "appb": appb_protocol,
+    "trunc": truncated_protocol,
+    "full": full_support_protocol,
+}
+
+
 def make_overlap_protocol(name: str, m: int, s: int) -> OneWayProtocol:
-    if name == "appb":
-        return appb_protocol(m, s)
-    if name == "trunc":
-        return truncated_protocol(m, s)
-    if name == "full":
-        return full_support_protocol(m, s)
-    raise ValueError(f"unknown overlap protocol {name!r}")
+    if name not in OVERLAP_PROTOCOLS:
+        raise ValueError(f"unknown overlap protocol {name!r}")
+    return OVERLAP_PROTOCOLS[name](m, s)
 
 
 def enumerate_valid_instances(m: int, s: int) -> Iterator[OverlapInstance]:

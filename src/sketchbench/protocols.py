@@ -158,16 +158,25 @@ def toy_two_bit(k: int) -> SketchProtocol:
     return SketchProtocol(name="toy2", k=k, max_bits=2, encode=encode, decode=decode)
 
 
+#: Sketch protocols by name, built from (n, k); ``trunc:<bits>`` is parsed apart.
+PROTOCOLS = {
+    "const": lambda n, k: constant(k),
+    "full": full_information,
+    "parity": lambda n, k: parity(k),
+    "toy2": lambda n, k: toy_two_bit(k),
+}
+
+
+def protocol_name(name: str) -> str:
+    """Return ``name`` if ``make_protocol`` builds it; raise ValueError otherwise."""
+    prefix, _, bits = name.partition(":")
+    if name in PROTOCOLS or (prefix == "trunc" and bits.isdecimal() and int(bits) >= 1):
+        return name
+    raise ValueError(f"unknown protocol {name!r}; known: {', '.join(PROTOCOLS)}, trunc:<bits>")
+
+
 def make_protocol(name: str, n: int, k: int) -> SketchProtocol:
-    """Build a named protocol: const, full, parity, toy2, or trunc:<bits>."""
-    if name == "const":
-        return constant(k)
-    if name == "full":
-        return full_information(n, k)
-    if name == "parity":
-        return parity(k)
-    if name == "toy2":
-        return toy_two_bit(k)
-    if name.startswith("trunc:"):
-        return truncation(int(name.split(":", 1)[1]), n, k)
-    raise ValueError(f"unknown protocol {name!r}")
+    """Build a named protocol: a key of ``PROTOCOLS``, or trunc:<bits>."""
+    if protocol_name(name) in PROTOCOLS:
+        return PROTOCOLS[name](n, k)
+    return truncation(int(name.partition(":")[2]), n, k)

@@ -36,7 +36,7 @@ from .setfam import (
     PartitionContext,
     SetFamily,
     choose_partition,
-    complete_family,
+    neighborhood_family,
 )
 
 Member = tuple[int, ...]
@@ -139,10 +139,7 @@ def build_context(
     if len(v_ids) < m:
         raise ValueError(f"|V|={len(v_ids)} cannot host {m} coordinates")
     if family is None:
-        d = 2 * k - 1
-        if math.comb(len(w_ids), d) > 4096:
-            raise ValueError("complete family too large here; pass an explicit family")
-        family = complete_family(w_ids, d)
+        family = neighborhood_family(w_ids, k)
     try:
         partition = choose_partition(protocol, family, n, k, trials, seed)
     except NoGoodPartition:

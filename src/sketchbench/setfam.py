@@ -119,8 +119,8 @@ def complete_family(w_ids: Iterable[int], d: int) -> SetFamily:
 def random_family(w_ids: Iterable[int], d: int, size: int, seed: int) -> SetFamily:
     """``size`` distinct random d-subsets, with the vacuous overlap bound d-1."""
     ground = tuple(sorted(w_ids))
-    if math.comb(len(ground), d) < size:
-        raise ValueError(f"only {math.comb(len(ground), d)} distinct d-subsets exist")
+    if not 1 <= size <= math.comb(len(ground), d):
+        raise ValueError(f"size {size} outside 1..{math.comb(len(ground), d)}, the d-subsets of W")
     rng = np.random.default_rng(seed)
     kept: set[Member] = set()
     while len(kept) < size:
@@ -130,6 +130,21 @@ def random_family(w_ids: Iterable[int], d: int, size: int, seed: int) -> SetFami
     )
     family.verify()
     return family
+
+
+def neighborhood_family(
+    w_ids: Iterable[int], k: int, size: Optional[int] = None, seed: int = 0
+) -> SetFamily:
+    """Candidate sigma neighborhoods, the (2k-1)-subsets of W.
+
+    ``size`` random ones if given, else all of them, refused above 4,096.
+    """
+    ground, d = tuple(w_ids), 2 * k - 1
+    if size is not None:
+        return random_family(ground, d, size, seed)
+    if math.comb(len(ground), d) > 4096:
+        raise ValueError(f"over 4096 {d}-subsets of W; sample a family with --family-size")
+    return complete_family(ground, d)
 
 
 def sample_family(

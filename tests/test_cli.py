@@ -81,12 +81,38 @@ def test_choose_partition(tmp_path, capsys):
     assert context_path.endswith("p.partition.json")
 
 
+def test_choose_partition_family_rule(tmp_path, capsys):
+    code, report = run(
+        capsys, "choose-partition", "--n", 36, "--k", 2, "--protocol", "toy2", "--trials", 2,
+        "--family-size", 5, "--out", tmp_path / "p",
+    )
+    assert_clean(code, report)
+    (context_path,) = report["artifacts"]
+    assert len(json.loads(open(context_path, encoding="utf-8").read())["family"]["members"]) == 5
+
+    code, report = run(capsys, "choose-partition", "--n", 36, "--k", 2, "--protocol", "toy2", "--family-size", 0)
+    assert code == 1
+    assert report["results"]["error"] == "ValueError: size 0 outside 1..20, the d-subsets of W"
+
+    # |W| = 32, so the complete family has C(32, 5) = 201,376 members: refused, not replaced.
+    code, report = run(capsys, "choose-partition", "--n", 1024, "--k", 3, "--protocol", "toy2")
+    assert code == 1
+    assert report["results"]["error"].startswith("ValueError") and "--family-size" in report["results"]["error"]
+
+
+def write_instance(path, instance):
+    path.write_text(instance.to_json(), encoding="utf-8")
+    return path
+
+
 def test_overlap_solve(tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({"m": 5, "s": 3, "X": "01*1*", "Y": "**001"}), encoding="utf-8")
-    code, report = run(capsys, "overlap-solve", "--instance", path)
+    code, report = run(capsys, "overlap-enum", "--m", 5, "--s", 3, "--instance", path)
     assert_clean(code, report)
     assert report["results"] == {"sigma": 4, "truth": "no", "decoded": "no"}
+    assert passes(report, "message_budget") == passes(report, "decode_matches_answer") == 1
+    assert list(report["input_hashes"]) == [str(path)]
 
 
 def test_overlap_enum(capsys):
@@ -108,7 +134,11 @@ def test_overlap_attack(capsys):
 
 
 def test_reduce(tmp_path, capsys):
-    code, report = run(capsys, "reduce", "--m", 9, "--s", 4, "--k", 2, "--out", tmp_path / "r")
+    path = write_instance(tmp_path / "first.json", next(enumerate_valid_instances(9, 4)))
+    code, report = run(
+        capsys, "verify-fidelity", "--m", 9, "--s", 4, "--k", 2, "--instance", path,
+        "--out", tmp_path / "r",
+    )
     assert_clean(code, report)
     assert report["results"] == {"answer": "no", "truth": "yes", "good_ids": list(range(1, 10))}
     for invariant in ("fidelity", "semantic_correspondence", "communication_accounting"):
@@ -117,7 +147,7 @@ def test_reduce(tmp_path, capsys):
     assert context_path.endswith("r.context.json")
 
 
-def test_reduce_reports_unfaithful_simulation(capsys, monkeypatch):
+def test_reduce_reports_unfaithful_simulation(tmp_path, capsys, monkeypatch):
     honest = reduction.charlie_messages
 
     def flipped_hub(*args):
@@ -125,10 +155,27 @@ def test_reduce_reports_unfaithful_simulation(capsys, monkeypatch):
         return [(hub, ("1" if bits[0] == "0" else "0") + bits[1:]), *rest]
 
     monkeypatch.setattr(reduction, "charlie_messages", flipped_hub)
-    code, report = run(capsys, "reduce", "--m", 9, "--s", 4, "--k", 2)
+    path = write_instance(tmp_path / "first.json", next(enumerate_valid_instances(9, 4)))
+    code, report = run(capsys, "verify-fidelity", "--m", 9, "--s", 4, "--k", 2, "--instance", path)
     assert code == 1
     assert report["outcomes"]["fidelity"] == {"pass": 0, "fail": 1}
     assert passes(report, "semantic_correspondence") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("overlap-enum", "--m", 5, "--s", 3),
+        ("verify-fidelity", "--m", 9, "--s", 4, "--k", 2),
+    ],
+)
+def test_instance_must_fit_m_and_s(tmp_path, capsys, argv):
+    # A valid instance of another size: m=7, s=4 fits neither (5, 3) nor (9, 4).
+    path = write_instance(tmp_path / "m7.json", next(enumerate_valid_instances(7, 4)))
+    code, report = run(capsys, *argv, "--instance", path)
+    assert code == 1
+    assert report["outcomes"]["completed"] == {"pass": 0, "fail": 1}
+    assert report["results"]["error"].startswith("InvalidInstance: [parameters]")
 
 
 def test_verify_fidelity(capsys):
@@ -136,11 +183,27 @@ def test_verify_fidelity(capsys):
     assert_clean(code, report)
     for invariant in ("fidelity", "semantic_correspondence", "communication_accounting"):
         assert passes(report, invariant) == 960
+    assert list(report["results"]) == ["good_ids"]
 
 
 def test_threads_option_is_gone(capsys):
     assert cli.main(["agm-run", "--count", "1", "--threads", "2"]) == 2
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("overlap-enum", "--m", 5, "--s", 3, "--protocol", "bogus"),
+        ("choose-partition", "--n", 36, "--k", 2, "--protocol", "nope"),
+        ("choose-partition", "--n", 36, "--k", 2, "--protocol", "trunc:x"),
+        ("overlap-solve", "--instance", "inst.json"),
+        ("reduce", "--m", 9, "--s", 4, "--k", 2),
+    ],
+)
+def test_usage_errors_exit_2(capsys, argv):
+    assert cli.main([str(a) for a in argv]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_reduction_checks_run_each_party_once(monkeypatch):
@@ -164,7 +227,7 @@ def test_reduction_checks_run_each_party_once(monkeypatch):
     protocol = make_protocol("toy2", reduction.reduction_size(6), 2)
     ctx = reduction.build_context(protocol, 6, 2, 2, seed=0, trials=32)
     instance = next(enumerate_valid_instances(6, 2))
-    report = cli.RunReport(command="reduce", parameters={}, seed=0)
+    report = cli.RunReport(command="verify-fidelity", parameters={}, seed=0)
     verdict = cli._reduction_checks(instance, ctx, protocol, report)
 
     assert calls == Counter({name: 1 for name in names})

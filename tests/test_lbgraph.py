@@ -144,7 +144,7 @@ def test_spec_errors_name_rules():
     assert err.value.rule == "sizes"
 
     with pytest.raises(SpecError) as err:
-        random_spec(36, 4, seed=1)  # k above gamma*sqrt(n)
+        random_spec(36, 4, seed=1)  # k above GAMMA*sqrt(n)
     assert err.value.rule == "sizes"
 
 

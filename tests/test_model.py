@@ -72,6 +72,17 @@ def test_symmetric_access(g):
         assert neighborhood(g, v)[u] == m
 
 
+@given(multigraphs())
+@settings(max_examples=50, deadline=None)
+def test_edges_match_pairwise_multiplicities(g):
+    pairs = [(u, v, g.multiplicity(u, v)) for u in range(1, g.n + 1) for v in range(u + 1, g.n + 1)]
+    expected = [edge for edge in pairs if edge[2]]
+    assert list(g.edges()) == expected
+    assert g.edge_slot_count() == len(expected)
+    rebuilt = MultiGraph(g.n, reversed(expected))
+    assert rebuilt == g and hash(rebuilt) == hash(g)
+
+
 def test_lb_neighborhood_of_hub():
     # Hub u_A sees every A-node once plus k copies of each A-restricted node and sigma.
     spec = random_spec(49, 3, seed=5)
