@@ -62,7 +62,6 @@ from .setfam import (
 from .overlap import (
     BlockPropertyViolated,
     Counterexample,
-    CyclePartition,
     HypothesisViolated,
     InvalidInstance,
     OneWayProtocol,
@@ -73,6 +72,7 @@ from .overlap import (
     appb_protocol,
     attack,
     build_blocks,
+    cycle_successors,
     enumerate_valid_instances,
     full_support_protocol,
     truncated_protocol,

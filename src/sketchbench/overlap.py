@@ -3,11 +3,16 @@
 Alice and Bob hold ternary vectors of length m whose supports (size s each)
 share exactly one index, and the two bits at that index differ.  Charlie knows
 both supports but neither vector; after one simultaneous message from each
-party he must say whether the shared index carries (0, 1).  This module
-provides the instance model, a deterministic protocol that gets away with s-1
-bits per party whenever s exceeds a third of m, and an exhaustive attack that
-hunts for message collisions breaking any given one-way protocol at small
-scale.
+party he must say whether the shared index carries (0, 1).
+
+Every protocol here is a kept-index map: for each support S a party sends its
+bits on a kept set K(S) of S, and Charlie reads the shared index's bit from
+whichever message kept it.  Such a protocol is correct iff the cover condition
+σ ∈ K(S) ∪ K(T) holds whenever S ∩ T = {σ}.  ``appb`` keeps S minus one index
+chosen by a block map and so sends s-1 bits whenever s exceeds a third of m;
+``trunc`` keeps the first s-2 positions and ``full`` all of S.  An exhaustive
+attack hunts for message collisions breaking any given one-way protocol at
+small scale.
 
 A vector stores its support and its support bits, fixed when it is built, so
 the encoders read them without re-scanning the m entries.  The exhaustive
@@ -20,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -39,11 +45,20 @@ class HypothesisViolated(ValueError):
 
 
 class BlockPropertyViolated(RuntimeError):
-    """Both parties dropped the shared index; unreachable for a sound block map."""
+    """A block-map or attack invariant broke: no cycle pair, a fixed point, a failed replay."""
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_support(support, m: int) -> bool:
+    """True iff ``support`` is an ascending tuple of integers in 1..m."""
+    return (
+        isinstance(support, tuple)
+        and all(_is_int(i) and 1 <= i <= m for i in support)
+        and all(a < b for a, b in zip(support, support[1:]))
+    )
 
 
 @dataclass(frozen=True)
@@ -66,12 +81,10 @@ class TernaryVector:
         support, bits = self.support, self.bits
         if not (
             _is_int(self.length)
-            and isinstance(support, tuple)
+            and _is_support(support, self.length)
             and isinstance(bits, str)
             and len(bits) == len(support)
             and bits.count("0") + bits.count("1") == len(bits)
-            and all(_is_int(i) and 1 <= i <= self.length for i in support)
-            and all(a < b for a, b in zip(support, support[1:]))
         ):
             raise InvalidInstance(
                 "format", f"not a ternary vector: length={self.length!r}, support={support!r}, bits={bits!r}"
@@ -147,7 +160,7 @@ def shared_index(supp_x: tuple[int, ...], supp_y: tuple[int, ...]) -> int:
     return common.pop()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OverlapInstance:
     x: TernaryVector
     y: TernaryVector
@@ -195,36 +208,21 @@ def answer(instance: OverlapInstance) -> bool:
     return instance.x[instance.sigma] == 0 and instance.y[instance.sigma] == 1
 
 
-@dataclass(frozen=True)
-class CyclePartition:
-    """[1..m] cut into length-3 intervals (last one may be shorter), cycled.
+def cycle_successors(m: int) -> dict[int, int]:
+    """The successor map phi on 1..m, cut into length-3 intervals and cycled.
 
-    The successor map walks each interval cyclically; a length-1 tail maps to
-    index 1 so that no element is its own successor.
+    The last interval may be shorter; a length-1 tail maps to index 1 so that
+    no element is its own successor.
     """
-
-    m: int
-    intervals: tuple[tuple[int, ...], ...]
-    successors: dict[int, int]
-
-    @classmethod
-    def build(cls, m: int) -> "CyclePartition":
-        if m < 2:
-            raise ValueError(f"need m >= 2, got {m}")
-        intervals = []
-        successors: dict[int, int] = {}
-        for start in range(1, m + 1, 3):
-            block = tuple(range(start, min(start + 3, m + 1)))
-            intervals.append(block)
-            if len(block) == 1:
-                successors[block[0]] = 1
-            else:
-                for pos, b in enumerate(block):
-                    successors[b] = block[(pos + 1) % len(block)]
-        return cls(m=m, intervals=tuple(intervals), successors=successors)
-
-    def phi(self, b: int) -> int:
-        return self.successors[b]
+    if m < 2:
+        raise ValueError(f"need m >= 2, got {m}")
+    successors: dict[int, int] = {}
+    for start in range(1, m + 1, 3):
+        block = tuple(range(start, min(start + 3, m + 1)))
+        successors.update(zip(block, block[1:] + block[:1]))
+    if len(block) == 1:
+        successors[block[0]] = 1
+    return successors
 
 
 def build_blocks(m: int, s: int) -> dict[tuple[int, ...], int]:
@@ -233,73 +231,33 @@ def build_blocks(m: int, s: int) -> dict[tuple[int, ...], int]:
     The assignment is total whenever s exceeds ceil(m/3): some cycle then holds
     two subset elements, one of which is the other's successor.  Overlaps are
     repaired by always assigning the smallest qualifying i, so subsets meeting
-    in a single element always drop different indices.
+    in a single element σ always drop different indices: were both to drop σ,
+    phi(σ) would lie in both.  That needs phi(i) != i, which is checked here.
     """
     if s <= math.ceil(m / 3):
         raise HypothesisViolated(
             f"need s > ceil(m/3); got s={s}, ceil(m/3)={math.ceil(m / 3)}"
         )
-    cycles = CyclePartition.build(m)
+    phi = cycle_successors(m)
     assignment: dict[tuple[int, ...], int] = {}
     for subset in itertools.combinations(range(1, m + 1), s):
         inside = set(subset)
-        chosen = next(
-            (i for i in subset if cycles.phi(i) in inside), None
-        )
+        chosen = next((i for i in subset if phi[i] in inside), None)
         if chosen is None:
             raise BlockPropertyViolated(f"no cycle pair inside subset {subset}")
+        if phi[chosen] == chosen:
+            raise BlockPropertyViolated(f"phi fixes {chosen}, chosen for subset {subset}")
         assignment[subset] = chosen
     return assignment
 
 
-def appb_encode(
-    vector: TernaryVector,
-    blocks: dict[tuple[int, ...], int],
-    positions: Optional[dict[tuple[int, ...], int]] = None,
-) -> Bits:
-    """Support bits in ascending index order, with the assigned bit dropped.
+def appb_encode(vector: TernaryVector, pickers: dict[tuple[int, ...], Callable[[str], str]]) -> Bits:
+    """The vector's bits at its support's kept positions, in message order.
 
-    ``positions`` maps each support to where its dropped index sits in it, as
-    ``appb_protocol`` precomputes once; without it the position is searched.
+    ``pickers`` maps each support to the getter of those positions; every
+    protocol here encodes through this one function.
     """
-    support = vector.support
-    pos = support.index(blocks[support]) if positions is None else positions[support]
-    bits = vector.bits
-    return bits[:pos] + bits[pos + 1 :]
-
-
-def _drop_entry(support: tuple[int, ...], blocks: dict[tuple[int, ...], int]) -> tuple[int, int]:
-    """(bit mask of the support, position of its dropped index in it)."""
-    return sum(1 << i for i in support), support.index(blocks[support])
-
-
-def _read_shared(
-    supp_x: tuple[int, ...],
-    supp_y: tuple[int, ...],
-    msg_a: Bits,
-    msg_b: Bits,
-    entry_a: tuple[int, int],
-    entry_b: tuple[int, int],
-) -> bool:
-    """Reconstruct the shared bits from whichever message kept them.
-
-    ``entry_a`` and ``entry_b`` are the supports' ``_drop_entry`` values.  At
-    most one party dropped the shared index (the block map guarantees it), so
-    its bit is read from the other message and the partner's bit follows from
-    the differing-bits promise.
-    """
-    (mask_a, drop_a), (mask_b, drop_b) = entry_a, entry_b
-    common = mask_a & mask_b
-    if not common or common & (common - 1):
-        raise InvalidInstance("P2", f"supports share {common.bit_count()} indices")
-    sigma = common.bit_length() - 1
-    pos = supp_x.index(sigma)
-    if pos != drop_a:
-        return int(msg_a[pos if pos < drop_a else pos - 1]) == 0  # Bob's bit is the other one
-    pos = supp_y.index(sigma)
-    if pos == drop_b:
-        raise BlockPropertyViolated("both parties dropped the shared index")
-    return int(msg_b[pos if pos < drop_b else pos - 1]) == 1
+    return "".join(pickers[vector.support](vector.bits))
 
 
 @dataclass(frozen=True)
@@ -317,82 +275,81 @@ class OneWayProtocol:
     charlie_decode: Callable[[tuple[int, ...], tuple[int, ...], Bits, Bits], bool]
 
 
-def appb_protocol(m: int, s: int) -> OneWayProtocol:
-    """The drop-one-bit protocol: s-1 bits per party, correct for s > ceil(m/3).
+class _PerSupport(dict):
+    """Support -> ``make(support)``, built on first use for ascending s-subsets of [1..m]."""
 
-    Each support's drop position is found once here; encoding is then a slice
-    and decoding reads the shared index's bit by position.
+    def __init__(self, m: int, s: int, make: Callable[[tuple[int, ...]], object]):
+        super().__init__()
+        self.m, self.s, self.make = m, s, make
+
+    def __missing__(self, support):
+        if not (_is_support(support, self.m) and len(support) == self.s):
+            raise InvalidInstance("support", f"not an s={self.s} subset of [1..{self.m}]: {support!r}")
+        value = self[support] = self.make(support)
+        return value
+
+
+def _kept_index_protocol(
+    name: str, m: int, s: int, max_bits: int, kept: Callable[[tuple[int, ...]], tuple[int, ...]]
+) -> OneWayProtocol:
+    """Both parties send their bits at ``kept(support)``, positions in message order.
+
+    Charlie reads the shared index's bit from the message that kept it: Alice's
+    0 or Bob's 1 means yes, and a shared index neither message kept means no.
     """
+
+    def picker(support):
+        # appb_encode joins what one position (a str) or several (a tuple) pick.
+        positions = kept(support)
+        return operator.itemgetter(*positions) if positions else lambda bits: ""
+
+    def entry(support):
+        """(bit mask of the support, {kept index: its position in the message})."""
+        return sum(1 << i for i in support), {support[p]: j for j, p in enumerate(kept(support))}
+
+    pickers, entries = _PerSupport(m, s, picker), _PerSupport(m, s, entry)
+
+    def encode(vector: TernaryVector) -> Bits:
+        return appb_encode(vector, pickers)
+
+    def decode(supp_x, supp_y, msg_a, msg_b) -> bool:
+        (mask_a, at_a), (mask_b, at_b) = entries[supp_x], entries[supp_y]
+        common = mask_a & mask_b
+        if not common or common & (common - 1):
+            raise InvalidInstance("P2", f"supports share {common.bit_count()} indices")
+        sigma = common.bit_length() - 1
+        if sigma in at_a:
+            return msg_a[at_a[sigma]] == "0"  # Bob's bit is the other one
+        return sigma in at_b and msg_b[at_b[sigma]] == "1"
+
+    return OneWayProtocol(
+        name=name, max_bits=max_bits, alice_encode=encode, bob_encode=encode, charlie_decode=decode
+    )
+
+
+def appb_protocol(m: int, s: int) -> OneWayProtocol:
+    """The drop-one-bit protocol: s-1 bits per party, correct for s > ceil(m/3)."""
     blocks = build_blocks(m, s)
-    entries = {support: _drop_entry(support, blocks) for support in blocks}
-    positions = {support: drop for support, (_, drop) in entries.items()}
 
-    def encode(vector: TernaryVector) -> Bits:
-        return appb_encode(vector, blocks, positions)
+    def kept(support):
+        drop = support.index(blocks[support])
+        return tuple(p for p in range(s) if p != drop)
 
-    def decode(supp_x, supp_y, msg_a, msg_b) -> bool:
-        try:
-            entry_a, entry_b = entries[supp_x], entries[supp_y]
-        except KeyError as exc:
-            raise InvalidInstance("support", f"not an s={s} subset of [1..{m}]: {exc.args[0]!r}") from exc
-        return _read_shared(supp_x, supp_y, msg_a, msg_b, entry_a, entry_b)
-
-    return OneWayProtocol(
-        name=f"appb(m={m},s={s})",
-        max_bits=s - 1,
-        alice_encode=encode,
-        bob_encode=encode,
-        charlie_decode=decode,
-    )
+    return _kept_index_protocol(f"appb(m={m},s={s})", m, s, s - 1, kept)
 
 
-def truncated_protocol(m: int, s: int, keep: Optional[int] = None) -> OneWayProtocol:
-    """Sends only the first ``keep`` (default s-2) support bits; undershoots the budget."""
-    keep = s - 2 if keep is None else keep
-    if not 0 <= keep < s:
-        raise ValueError(f"keep must lie in [0, s), got {keep}")
-
-    def encode(vector: TernaryVector) -> Bits:
-        return vector.bits[:keep]
-
-    def decode(supp_x, supp_y, msg_a, msg_b) -> bool:
-        sigma = shared_index(supp_x, supp_y)
-        pos = supp_x.index(sigma)
-        if pos < keep:
-            x_bit = int(msg_a[pos])
-            return x_bit == 0
-        pos = supp_y.index(sigma)
-        if pos < keep:
-            y_bit = int(msg_b[pos])
-            return y_bit == 1
-        return False  # blind guess once both bits are truncated away
-
-    return OneWayProtocol(
-        name=f"trunc(m={m},s={s},keep={keep})",
-        max_bits=keep,
-        alice_encode=encode,
-        bob_encode=encode,
-        charlie_decode=decode,
-    )
+def truncated_protocol(m: int, s: int) -> OneWayProtocol:
+    """Sends only the first s-2 support bits; undershoots the budget."""
+    if s < 2:
+        raise ValueError(f"need s >= 2, got {s}")
+    positions = tuple(range(s - 2))
+    return _kept_index_protocol(f"trunc(m={m},s={s})", m, s, s - 2, lambda support: positions)
 
 
 def full_support_protocol(m: int, s: int) -> OneWayProtocol:
     """Sends all s support bits; trivially correct, collision-free."""
-
-    def encode(vector: TernaryVector) -> Bits:
-        return vector.bits
-
-    def decode(supp_x, supp_y, msg_a, msg_b) -> bool:
-        sigma = shared_index(supp_x, supp_y)
-        return int(msg_a[supp_x.index(sigma)]) == 0 and int(msg_b[supp_y.index(sigma)]) == 1
-
-    return OneWayProtocol(
-        name=f"full(m={m},s={s})",
-        max_bits=s,
-        alice_encode=encode,
-        bob_encode=encode,
-        charlie_decode=decode,
-    )
+    positions = tuple(range(s))
+    return _kept_index_protocol(f"full(m={m},s={s})", m, s, s, lambda support: positions)
 
 
 #: Overlap protocols by name, each built from (m, s).
@@ -467,13 +424,8 @@ def _flipped_indices(classes: dict[Bits, list[TernaryVector]], support) -> dict[
     flipped: dict[int, Bits] = {}
     for message in sorted(classes):
         members = classes[message]
-        if len(members) < 2:
-            continue
         for i in support:
-            if i in flipped:
-                continue
-            seen = {v[i] for v in members}
-            if len(seen) > 1:
+            if i not in flipped and len({v[i] for v in members}) > 1:
                 flipped[i] = message
     return flipped
 
@@ -490,15 +442,10 @@ def attack(protocol: OneWayProtocol, m: int, s: int) -> Optional[Counterexample]
     if math.comb(m, s) * (2 ** s) > 2_000_000:
         raise ValueError(f"(m={m}, s={s}) too large for exhaustive enumeration")
     supports = list(itertools.combinations(range(1, m + 1), s))
-    alice_flips: dict[tuple[int, ...], dict[int, Bits]] = {}
-    alice_classes = {}
-    bob_flips: dict[tuple[int, ...], dict[int, Bits]] = {}
-    bob_classes = {}
-    for supp in supports:
-        alice_classes[supp] = _flip_classes(protocol.alice_encode, m, supp)
-        alice_flips[supp] = _flipped_indices(alice_classes[supp], supp)
-        bob_classes[supp] = _flip_classes(protocol.bob_encode, m, supp)
-        bob_flips[supp] = _flipped_indices(bob_classes[supp], supp)
+    alice_classes = {supp: _flip_classes(protocol.alice_encode, m, supp) for supp in supports}
+    bob_classes = {supp: _flip_classes(protocol.bob_encode, m, supp) for supp in supports}
+    alice_flips = {supp: _flipped_indices(classes, supp) for supp, classes in alice_classes.items()}
+    bob_flips = {supp: _flipped_indices(classes, supp) for supp, classes in bob_classes.items()}
 
     for supp_x in supports:
         set_x = set(supp_x)

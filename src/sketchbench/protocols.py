@@ -84,7 +84,7 @@ def full_information(n: int, k: int) -> SketchProtocol:
         )
 
     return SketchProtocol(
-        name="full-info",
+        name="full",
         k=k,
         max_bits=8 * (32 + 16 * n),
         encode=encode,
@@ -121,7 +121,7 @@ def truncation(bits: int, n: int, k: int) -> SketchProtocol:
         return _parity_decision(messages)
 
     return SketchProtocol(
-        name=f"trunc{bits}", k=k, max_bits=bits, encode=encode, decode=decode
+        name=f"trunc:{bits}", k=k, max_bits=bits, encode=encode, decode=decode
     )
 
 

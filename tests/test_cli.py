@@ -105,7 +105,7 @@ def write_instance(path, instance):
     return path
 
 
-def test_overlap_solve(tmp_path, capsys):
+def test_overlap_enum_instance(tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({"m": 5, "s": 3, "X": "01*1*", "Y": "**001"}), encoding="utf-8")
     code, report = run(capsys, "overlap-enum", "--m", 5, "--s", 3, "--instance", path)
@@ -133,7 +133,7 @@ def test_overlap_attack(capsys):
     assert report["results"]["counterexample"] is None
 
 
-def test_reduce(tmp_path, capsys):
+def test_verify_fidelity_instance(tmp_path, capsys):
     path = write_instance(tmp_path / "first.json", next(enumerate_valid_instances(9, 4)))
     code, report = run(
         capsys, "verify-fidelity", "--m", 9, "--s", 4, "--k", 2, "--instance", path,
@@ -147,7 +147,7 @@ def test_reduce(tmp_path, capsys):
     assert context_path.endswith("r.context.json")
 
 
-def test_reduce_reports_unfaithful_simulation(tmp_path, capsys, monkeypatch):
+def test_verify_fidelity_instance_reports_unfaithful_simulation(tmp_path, capsys, monkeypatch):
     honest = reduction.charlie_messages
 
     def flipped_hub(*args):

@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import json
 import math
+import operator
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 
 from sketchbench.overlap import (
     BlockPropertyViolated,
-    CyclePartition,
     HypothesisViolated,
     InvalidInstance,
     OverlapInstance,
@@ -19,6 +20,7 @@ from sketchbench.overlap import (
     appb_protocol,
     attack,
     build_blocks,
+    cycle_successors,
     enumerate_valid_instances,
     fills,
     full_support_protocol,
@@ -75,26 +77,36 @@ def test_vector_string_roundtrip():
 
 
 def test_cycle_partition_m8():
-    cp = CyclePartition.build(8)
-    assert cp.intervals == ((1, 2, 3), (4, 5, 6), (7, 8))
-    assert cp.phi(1) == 2 and cp.phi(2) == 3 and cp.phi(3) == 1
-    assert cp.phi(7) == 8 and cp.phi(8) == 7
+    # Intervals (1, 2, 3), (4, 5, 6), (7, 8), each walked as a cycle.
+    phi = cycle_successors(8)
+    assert phi == {1: 2, 2: 3, 3: 1, 4: 5, 5: 6, 6: 4, 7: 8, 8: 7}
+    for start in (1, 4):
+        assert phi[phi[phi[start]]] == start
 
 
 def test_cycle_partition_tail_singleton():
-    cp = CyclePartition.build(7)
-    assert cp.intervals[-1] == (7,)
-    assert cp.phi(7) == 1
-    for b, succ in cp.successors.items():
+    phi = cycle_successors(7)
+    assert sorted(phi) == list(range(1, 8))
+    assert phi[7] == 1
+    for b, succ in phi.items():
         assert succ != b
 
 
 def test_build_blocks_total_m9():
     blocks = build_blocks(9, 4)
     assert len(blocks) == math.comb(9, 4)
-    cp = CyclePartition.build(9)
+    phi = cycle_successors(9)
     for subset, i in blocks.items():
-        assert i in subset and cp.phi(i) in subset
+        assert i in subset and phi[i] in subset
+
+
+def test_build_blocks_rejects_fixed_point(monkeypatch):
+    # Subsets meeting only at 1 would both drop 1 if phi fixed it.
+    import sketchbench.overlap as overlap
+
+    monkeypatch.setattr(overlap, "cycle_successors", lambda m: {i: i for i in range(1, m + 1)})
+    with pytest.raises(BlockPropertyViolated, match="fixes 1"):
+        build_blocks(9, 4)
 
 
 def test_build_blocks_property_b():
@@ -112,33 +124,25 @@ def test_build_blocks_hypothesis_violated():
 
 def test_appb_encode_drop_mechanics():
     v = vector_on(9, {1: 1, 2: 0, 3: 1})
-    assert appb_encode(v, {(1, 2, 3): 1}) == "01"
+    assert appb_encode(v, {(1, 2, 3): operator.itemgetter(1, 2)}) == "01"
+    assert appb_encode(v, {(1, 2, 3): operator.itemgetter(2)}) == "1"
     zero = vector_on(9, {1: 0, 2: 0, 3: 0})
-    assert appb_encode(zero, {(1, 2, 3): 2}) == "00"
+    assert appb_encode(zero, {(1, 2, 3): operator.itemgetter(0, 2)}) == "00"
+    # s = 2 truncates to nothing; s < 2 leaves no protocol to build.
+    assert truncated_protocol(9, 2).alice_encode(vector_on(9, {4: 1, 6: 0})) == ""
+    with pytest.raises(ValueError):
+        truncated_protocol(9, 1)
 
 
 def test_appb_encode_collisions_two_per_message():
-    blocks = build_blocks(9, 4)
+    proto = appb_protocol(9, 4)
     support = (1, 2, 3, 4)
     seen = {}
     for bits in itertools.product((0, 1), repeat=4):
-        msg = appb_encode(vector_on(9, dict(zip(support, bits))), blocks)
+        msg = proto.alice_encode(vector_on(9, dict(zip(support, bits))))
         seen.setdefault(msg, []).append(bits)
     assert len(seen) == 8
     assert all(len(v) == 2 for v in seen.values())
-
-
-@pytest.mark.parametrize("m,s", [(7, 4), (8, 4), (9, 4)])
-def test_appb_exhaustive_correctness(m, s):
-    proto = appb_protocol(m, s)
-    count = 0
-    for inst in enumerate_valid_instances(m, s):
-        count += 1
-        msg_a = proto.alice_encode(inst.x)
-        msg_b = proto.bob_encode(inst.y)
-        assert len(msg_a) == s - 1 and len(msg_b) == s - 1
-        assert proto.charlie_decode(inst.x.support, inst.y.support, msg_a, msg_b) == answer(inst)
-    assert count > 0
 
 
 def test_appb_role_swap_flips_answer():
@@ -157,12 +161,12 @@ def test_appb_role_swap_flips_answer():
 @settings(max_examples=40, deadline=None)
 def test_appb_message_length_property(m, data):
     s = data.draw(st.integers(min_value=math.ceil(m / 3) + 1, max_value=math.ceil(m / 2)))
-    blocks = build_blocks(m, s)
+    proto = appb_protocol(m, s)
     support = tuple(sorted(data.draw(
         st.sets(st.integers(min_value=1, max_value=m), min_size=s, max_size=s)
     )))
     bits = data.draw(st.tuples(*([st.integers(0, 1)] * s)))
-    msg = appb_encode(vector_on(m, dict(zip(support, bits))), blocks)
+    msg = proto.alice_encode(vector_on(m, dict(zip(support, bits))))
     assert len(msg) == s - 1
 
 
@@ -303,12 +307,18 @@ def test_vector_matches_per_character_reference(text, data):
     ],
 )
 def test_enumeration_golden(m, s, count, digest):
-    """Order and contents of the sweep, pinned to the per-instance construction it replaced."""
+    """Order and contents of the sweep, pinned to the per-instance construction it
+    replaced; the same pass checks that appb sends s-1 bits and decodes every instance."""
+    proto = appb_protocol(m, s)
     h = hashlib.sha256()
     seen = 0
     for inst in enumerate_valid_instances(m, s):
         h.update(f"{inst.x.to_string()} {inst.y.to_string()} {inst.sigma}\n".encode())
         seen += 1
+        msg_a = proto.alice_encode(inst.x)
+        msg_b = proto.bob_encode(inst.y)
+        assert len(msg_a) == s - 1 and len(msg_b) == s - 1
+        assert proto.charlie_decode(inst.x.support, inst.y.support, msg_a, msg_b) == answer(inst)
     assert (seen, h.hexdigest()[:16]) == (count, digest)
 
 
@@ -330,8 +340,30 @@ def test_appb_protocol_encode_matches_searched_position():
     blocks = build_blocks(9, 4)
     proto = appb_protocol(9, 4)
     for support in blocks:
+        pos = support.index(blocks[support])
         for v in fills(9, support):
-            assert proto.alice_encode(v) == appb_encode(v, blocks)
+            assert proto.alice_encode(v) == v.bits[:pos] + v.bits[pos + 1 :]
+
+
+@pytest.mark.parametrize(
+    "make,m,s,digest",
+    [
+        (appb_protocol, 9, 4, "d0ca8c126206"),
+        (truncated_protocol, 9, 4, "43d91885f90b"),
+        (full_support_protocol, 9, 4, "621d86ac5d22"),
+        (appb_protocol, 10, 5, "90cc8cce745a"),
+        (truncated_protocol, 10, 5, "e6e13eb22bdf"),
+        (full_support_protocol, 10, 5, "bc5e1a50d7d5"),
+    ],
+)
+def test_protocol_messages_golden(make, m, s, digest):
+    """Every message of every fill, pinned to the per-protocol encoders they replaced."""
+    proto = make(m, s)
+    h = hashlib.sha256()
+    for support in itertools.combinations(range(1, m + 1), s):
+        for v in fills(m, support):
+            h.update((proto.alice_encode(v) + "|" + proto.bob_encode(v) + "\n").encode())
+    assert h.hexdigest()[:12] == digest
 
 
 def test_attack_truncation_golden():
@@ -359,7 +391,24 @@ def test_decoders_reject_broken_overlap(make, supp_y):
 
 
 def test_appb_decoder_rejects_unknown_support():
-    proto = appb_protocol(9, 4)
-    with pytest.raises(InvalidInstance) as err:
-        proto.charlie_decode((1, 2, 3), (3, 4, 5, 6), "000", "000")
-    assert err.value.name == "support"
+    for make in (appb_protocol, truncated_protocol, full_support_protocol):
+        proto = make(9, 4)
+        for bad in ((1, 2, 3), (1, 2, 3, 10), (2, 1, 3, 4), (0, 1, 2, 3)):
+            with pytest.raises(InvalidInstance) as err:
+                proto.charlie_decode(bad, (3, 4, 5, 6), "000", "000")
+            assert err.value.name == "support", (make.__name__, bad)
+        with pytest.raises(InvalidInstance) as err:
+            proto.alice_encode(vector_on(9, {1: 0, 2: 1, 3: 0}))
+        assert err.value.name == "support", make.__name__
+
+
+def test_full_support_protocol_builds_supports_on_first_use():
+    # C(40, 20) supports: building each up front would take far longer than this.
+    start = time.perf_counter()
+    proto = full_support_protocol(40, 20)
+    x = vector_on(40, {i: 0 for i in range(1, 21)})
+    y = vector_on(40, {i: 1 for i in range(20, 40)})
+    inst = OverlapInstance.make(x, y, 40, 20)
+    decoded = proto.charlie_decode(x.support, y.support, proto.alice_encode(x), proto.bob_encode(y))
+    assert decoded is True and answer(inst) is True
+    assert time.perf_counter() - start < 0.5

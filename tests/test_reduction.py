@@ -7,7 +7,7 @@ from sketchbench.lbgraph import layout
 from sketchbench.mincut import is_k_edge_connected
 from sketchbench.model import Advice, Decision, EMPTY_RANDOMNESS, execute
 from sketchbench.overlap import OverlapInstance, answer, enumerate_valid_instances, vector_on
-from sketchbench.protocols import constant, full_information, toy_two_bit
+from sketchbench.protocols import constant, full_information, make_protocol, toy_two_bit
 from sketchbench.reduction import (
     NotEnoughGoodNodes,
     ReductionContext,
@@ -62,6 +62,12 @@ def test_context_json_roundtrip(toy_ctx):
     assert again.good_ids == toy_ctx.good_ids
     assert again.partition.good == toy_ctx.partition.good
     assert again.a_side == toy_ctx.a_side
+
+
+@pytest.mark.parametrize("name", ["const", "full", "parity", "toy2", "trunc:3"])
+def test_protocol_name_is_its_registry_key(name):
+    # The name recorded in a context or transcript rebuilds the protocol.
+    assert make_protocol(name, 16, 2).name == name
 
 
 def test_alice_messages_match_compatible_graph(toy_ctx):
