@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -298,6 +299,36 @@ def test_vector_matches_per_character_reference(text, data):
         assert hash(v) == hash(w)
 
 
+@functools.cache
+def _sweep(m, s):
+    """One pass over the (m, s) enumeration: its count, the SHA-256 prefix of its order
+    and contents, how many instances appb sends other than s-1 bits for or misdecodes,
+    and the first such instance."""
+    proto = appb_protocol(m, s)
+    h = hashlib.sha256()
+    count = wrong_length = misdecoded = 0
+    first_wrong = None
+    for inst in enumerate_valid_instances(m, s):
+        h.update(f"{inst.x.to_string()} {inst.y.to_string()} {inst.sigma}\n".encode())
+        count += 1
+        msg_a = proto.alice_encode(inst.x)
+        msg_b = proto.bob_encode(inst.y)
+        bad_length = len(msg_a) != s - 1 or len(msg_b) != s - 1
+        bad_decode = proto.charlie_decode(inst.x.support, inst.y.support, msg_a, msg_b) != answer(inst)
+        wrong_length += bad_length
+        misdecoded += bad_decode
+        if (bad_length or bad_decode) and first_wrong is None:
+            first_wrong = inst.to_json()
+    return count, h.hexdigest()[:16], wrong_length, misdecoded, first_wrong
+
+
+@pytest.mark.parametrize("m,s", [(7, 4), (8, 4), (9, 4)])
+def test_appb_exhaustive_correctness(m, s):
+    count, _, wrong_length, misdecoded, first_wrong = _sweep(m, s)
+    assert count > 0
+    assert (wrong_length, misdecoded, first_wrong) == (0, 0, None)
+
+
 @pytest.mark.parametrize(
     "m,s,count,digest",
     [
@@ -307,19 +338,9 @@ def test_vector_matches_per_character_reference(text, data):
     ],
 )
 def test_enumeration_golden(m, s, count, digest):
-    """Order and contents of the sweep, pinned to the per-instance construction it
-    replaced; the same pass checks that appb sends s-1 bits and decodes every instance."""
-    proto = appb_protocol(m, s)
-    h = hashlib.sha256()
-    seen = 0
-    for inst in enumerate_valid_instances(m, s):
-        h.update(f"{inst.x.to_string()} {inst.y.to_string()} {inst.sigma}\n".encode())
-        seen += 1
-        msg_a = proto.alice_encode(inst.x)
-        msg_b = proto.bob_encode(inst.y)
-        assert len(msg_a) == s - 1 and len(msg_b) == s - 1
-        assert proto.charlie_decode(inst.x.support, inst.y.support, msg_a, msg_b) == answer(inst)
-    assert (seen, h.hexdigest()[:16]) == (count, digest)
+    """Order and contents of the sweep, pinned to the per-instance construction it replaced."""
+    seen, got, *_ = _sweep(m, s)
+    assert (seen, got) == (count, digest)
 
 
 def test_enumeration_shares_fills():
