@@ -37,6 +37,7 @@ from .lbgraph import (
     condition_of,
     layout,
     random_spec,
+    role_view,
     sigma_neighborhood_sweep,
     verify_dichotomy,
 )
@@ -44,7 +45,6 @@ from .setfam import (
     BrokenPairRecord,
     DeterminismRequired,
     FamilyTooSparse,
-    MessagePartition,
     NoGoodPartition,
     PartitionContext,
     SeparatedPairRecord,

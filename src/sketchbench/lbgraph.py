@@ -7,6 +7,11 @@ W-edge into B plus k parallel hub-B edges), or the determining node sigma,
 which has exactly 2k-1 W-edges and k parallel hub-A edges.  Whether the graph
 is k-edge connected is decided entirely by how sigma's W-edges split between
 A and B.
+
+``role_view`` is the one rule for the view a V-node has in a given role; the
+set-family search, its record checks and Charlie's simulation all build V-node
+views with it.  ``build_lb_graph`` wires the same rule as edges, independently,
+so that fidelity checks compare the simulation with an honest graph.
 """
 
 from __future__ import annotations
@@ -17,12 +22,12 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .mincut import is_k_edge_connected
-from .model import Advice, MultiGraph
+from .model import Advice, MultiGraph, NodeView
 
 
 #: Largest k / sqrt(n) in the family: then |W| = isqrt(n) >= 2k holds two sides of size k.
@@ -52,6 +57,21 @@ def layout(n: int) -> tuple[range, range, int, int]:
     w = math.isqrt(n)
     v_count = n - w - 2
     return range(1, v_count + 1), range(v_count + 1, v_count + w + 1), n - 1, n
+
+
+def role_view(
+    node: int, w_neighbors: Iterable[int], advice: Optional[Advice], n: int, k: int
+) -> NodeView:
+    """The view of V-node ``node`` in a family member, given its W-edges and role.
+
+    One edge to each W-neighbor, then k parallel edges to the role's hub: u_B
+    for a B-restricted node, u_A for sigma and A-restricted ones.  The hubs
+    have the largest ids, so the hub entry comes last.
+    """
+    _, _, u_a, u_b = layout(n)
+    entries = [(w, 1) for w in sorted(w_neighbors)]
+    entries.append((u_b if advice is Advice.B_RESTRICTED else u_a, k))
+    return NodeView(node, tuple(entries), advice, n, k)
 
 
 @dataclass

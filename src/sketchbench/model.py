@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from hashlib import blake2b
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -50,12 +50,6 @@ def check_bits(bits: Bits) -> Bits:
     return bits
 
 
-EdgeInput = Union[
-    Mapping[tuple[int, int], int],
-    Iterable[tuple[int, int, int]],
-]
-
-
 class MultiGraph:
     """Undirected multigraph on node ids 1..n with positive edge multiplicities.
 
@@ -65,16 +59,12 @@ class MultiGraph:
 
     __slots__ = ("n", "_adj")
 
-    def __init__(self, n: int, edges: EdgeInput = ()):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int, int]] = ()):
         if n < 1:
             raise ValueError(f"node count must be positive, got {n}")
         self.n = n
         self._adj: dict[int, dict[int, int]] = {i: {} for i in range(1, n + 1)}
-        if isinstance(edges, Mapping):
-            items = [(u, v, m) for (u, v), m in edges.items()]
-        else:
-            items = list(edges)
-        for u, v, m in items:
+        for u, v, m in edges:
             self.add_edge(u, v, m)
 
     def _check_node(self, u: int) -> None:
@@ -148,7 +138,7 @@ class NodeView:
 
 
 def node_view(graph: MultiGraph, node: int, advice: Optional[Advice], k: int) -> NodeView:
-    nbrs = tuple(sorted(graph.neighborhood(node).items()))
+    nbrs = tuple(graph.neighborhood(node).items())
     return NodeView(id=node, neighbors=nbrs, advice=advice, n=graph.n, k=k)
 
 

@@ -3,8 +3,9 @@
 A valid unique-overlap instance is translated into a member of the family:
 Alice wires the A-side of the partition according to her vector, Bob the
 B-side, and Charlie produces sketches for the hubs and every V-node without
-ever reading a vector entry - pinned nodes reuse pre-computed witness
-messages, the rest are encoded directly from their k parallel hub edges.  The
+ever reading a vector entry - pinned nodes reuse the witness messages of
+their pair record, the rest are encoded from ``lbgraph.role_view`` with no
+W-edges, that is from their k parallel hub-A edges alone.  The
 referee's decision on the assembled messages answers the instance, and the
 assembly is bit-identical to honestly executing the protocol on the
 compatible graph.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations, zip_longest
 from typing import Optional, Sequence
 
-from .lbgraph import LBGraphSpec, build_lb_graph, layout
+from .lbgraph import LBGraphSpec, build_lb_graph, layout, role_view
 from .model import (
     Advice,
     Bits,
@@ -34,12 +35,11 @@ from .overlap import InvalidInstance, OverlapInstance, shared_index
 from .setfam import (
     NoGoodPartition,
     PartitionContext,
+    SeparatedPairRecord,
     SetFamily,
     choose_partition,
     neighborhood_family,
 )
-
-Member = tuple[int, ...]
 
 
 class NotEnoughGoodNodes(RuntimeError):
@@ -81,12 +81,9 @@ class ReductionContext:
     def node_of(self, coordinate: int) -> int:
         return self.good_ids[coordinate - 1]
 
-    def pair_of(self, coordinate: int) -> tuple[Member, Member]:
-        rec = self.partition.good[self.node_of(coordinate)]
-        return rec.s0, rec.s1
-
-    def witnesses_of(self, coordinate: int) -> tuple[Bits, Bits, Bits]:
-        return self.partition.good[self.node_of(coordinate)].witness_messages()
+    def record_of(self, coordinate: int) -> SeparatedPairRecord:
+        """The pair record of the node hosting ``coordinate``: S0, S1 and witnesses."""
+        return self.partition.good[self.node_of(coordinate)]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -164,8 +161,8 @@ def _pair_ends(ctx: ReductionContext, vector, coordinate: int, alice: bool) -> l
     Alice's bit 0 selects S1 and her bit 1 selects S0; Bob's bits select the
     other way round.
     """
-    s0, s1 = ctx.pair_of(coordinate)
-    chosen = s1 if (vector[coordinate] == 0) == alice else s0
+    record = ctx.record_of(coordinate)
+    chosen = record.s1 if (vector[coordinate] == 0) == alice else record.s0
     side = ctx.a_side if alice else ctx.b_side
     return [w for w in chosen if w in side]
 
@@ -224,41 +221,28 @@ def charlie_messages(
     coord_of = {ctx.node_of(i): i for i in range(1, ctx.m + 1)}
     b_nodes = {ctx.node_of(j) for j in supp_y if j != sigma}
 
-    hub_a: list[tuple[int, int]] = [(w, 1) for w in sorted(ctx.a_side)]
-    hub_b: list[tuple[int, int]] = [(w, 1) for w in sorted(ctx.b_side)]
-    for v in v_ids:
-        if v in b_nodes:
-            hub_b.append((v, ctx.k))
-        else:
-            hub_a.append((v, ctx.k))
-
-    def encode_view(node: int, neighbors, advice) -> Bits:
-        view = NodeView(
-            id=node,
-            neighbors=tuple(sorted(neighbors)),
-            advice=advice,
-            n=ctx.n,
-            k=ctx.k,
-        )
-        return protocol.encode(view, EMPTY_RANDOMNESS)
+    def encode_hub(hub: int, attached: list[int], side: frozenset[int]) -> Bits:
+        # V ids precede W ids, so the entries come out ascending.
+        neighbors = tuple((v, ctx.k) for v in attached) + tuple((w, 1) for w in sorted(side))
+        return protocol.encode(NodeView(hub, neighbors, None, ctx.n, ctx.k), EMPTY_RANDOMNESS)
 
     messages = [
-        (u_a, encode_view(u_a, hub_a, None)),
-        (u_b, encode_view(u_b, hub_b, None)),
+        (u_a, encode_hub(u_a, [v for v in v_ids if v not in b_nodes], ctx.a_side)),
+        (u_b, encode_hub(u_b, [v for v in v_ids if v in b_nodes], ctx.b_side)),
     ]
-    direct_view = ((u_a, ctx.k),)
     for v in v_ids:
         coordinate = coord_of.get(v)
         if coordinate is None or (coordinate not in supp_x and coordinate not in supp_y):
-            messages.append((v, encode_view(v, direct_view, Advice.A_RESTRICTED)))
+            idle = role_view(v, (), Advice.A_RESTRICTED, ctx.n, ctx.k)
+            messages.append((v, protocol.encode(idle, EMPTY_RANDOMNESS)))
             continue
-        w_sigma, w_a, w_b = ctx.witnesses_of(coordinate)
+        record = ctx.record_of(coordinate)
         if coordinate == sigma:
-            messages.append((v, w_sigma))
+            messages.append((v, record.message_sigma))
         elif coordinate in supp_x:
-            messages.append((v, w_a))
+            messages.append((v, record.message_a))
         else:
-            messages.append((v, w_b))
+            messages.append((v, record.message_b))
     return messages
 
 

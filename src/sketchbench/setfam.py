@@ -2,17 +2,19 @@
 
 Given a deterministic protocol, each candidate W-neighborhood of a V-node
 induces a message in each of the node's three possible roles (sigma,
-A-restricted on the A-projection, B-restricted on the B-projection).  Grouping
-neighborhoods by message yields three partitions; neighborhoods sharing a
-block in all three simultaneously are indistinguishable to the referee.  A
-separated pair inside such a common block pins the node: one neighborhood
-forces the graph disconnected below k, the other forces it k-edge connected,
-yet the node's messages cannot tell them apart.
+A-restricted on the A-projection, B-restricted on the B-projection), encoded
+from ``lbgraph.role_view``.  Each role gives a plain map from input to
+message; neighborhoods whose three messages all agree form a common block and
+are indistinguishable to the referee.  A separated pair inside such a block
+pins the node: one neighborhood forces the graph disconnected below k, the
+other forces it k-edge connected, yet the node's messages cannot tell them
+apart.
 
 The search samples several A/B splits of W.  Sigma-role messages do not
 depend on the split, so each node computes them once for all trials, and each
 distinct A- or B-projection view is encoded at most once per node across all
-trials.  Only the final re-verification of a record encodes from scratch.
+trials.  Only the returned trial's records are re-verified, each encoding its
+views from scratch; the records of losing trials are dropped unchecked.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .lbgraph import layout
-from .model import Advice, Bits, NodeView, EMPTY_RANDOMNESS, SketchProtocol
+from .lbgraph import layout, role_view
+from .model import Advice, Bits, EMPTY_RANDOMNESS, SketchProtocol
 
 Member = tuple[int, ...]  # a W-neighborhood, ascending ids
 
@@ -194,32 +196,6 @@ def sample_family(
 Projections = dict[Member, tuple[Member, Member]]  # member -> (A-projection, B-projection)
 
 
-@dataclass(frozen=True)
-class MessagePartition:
-    """Inputs of one role, each mapped to the message the node would send on it."""
-
-    keyspace: str  # "sigma" | "a_projection" | "b_projection"
-    messages: dict[Member, Bits]
-
-    @property
-    def blocks(self) -> dict[Bits, tuple[Member, ...]]:
-        """The inputs grouped by message, each block in canonical order."""
-        grouped: dict[Bits, list[Member]] = {}
-        for key in sorted(self.messages):
-            grouped.setdefault(self.messages[key], []).append(key)
-        return {bits: tuple(keys) for bits, keys in grouped.items()}
-
-    def block_count(self) -> int:
-        return len(set(self.messages.values()))
-
-
-def _role_view(node: int, neighbors: Member, hub: int, advice: Advice, n: int, k: int) -> NodeView:
-    entries = [(w, 1) for w in neighbors]
-    entries.append((hub, k))
-    entries.sort()
-    return NodeView(id=node, neighbors=tuple(entries), advice=advice, n=n, k=k)
-
-
 def split_projections(
     family: SetFamily, a_side: frozenset[int], b_side: frozenset[int]
 ) -> Projections:
@@ -238,43 +214,38 @@ def message_partitions(
     b_projections: Iterable[Member],
     n: int,
     k: int,
-) -> tuple[MessagePartition, MessagePartition, MessagePartition]:
-    """The three per-role partitions a deterministic protocol induces at one node.
+) -> tuple[dict[Member, Bits], dict[Member, Bits], dict[Member, Bits]]:
+    """The node's message on every input of each role: sigma, A-, B-projection.
 
-    Sigma role: neighborhoods are whole family members plus k parallel hub-A
-    edges.  A-restricted role: the given A-projections plus hub-A.
-    B-restricted role: the given B-projections plus hub-B.  The sigma role does
-    not depend on the split, and the projections passed in are the distinct
-    ones of every split under consideration, so one call serves all of a
-    node's trials and encodes each distinct view once.
+    The sigma role reads whole family members, the restricted roles the given
+    projections.  The sigma role does not depend on the split, and the
+    projections passed in are the distinct ones of every split under
+    consideration, so one call serves all of a node's trials and encodes each
+    distinct view once.
     """
     if not protocol.deterministic:
         raise DeterminismRequired(f"protocol {protocol.name!r} is randomized")
-    _, _, u_a, u_b = layout(n)
 
-    def partition(keyspace: str, keys: Iterable[Member], hub: int, advice: Advice) -> MessagePartition:
-        return MessagePartition(
-            keyspace,
-            {
-                key: protocol.encode(_role_view(node, key, hub, advice, n, k), EMPTY_RANDOMNESS)
-                for key in keys
-            },
-        )
+    def messages(keys: Iterable[Member], advice: Advice) -> dict[Member, Bits]:
+        return {
+            key: protocol.encode(role_view(node, key, advice, n, k), EMPTY_RANDOMNESS)
+            for key in keys
+        }
 
     return (
-        partition("sigma", family.members, u_a, Advice.SIGMA),
-        partition("a_projection", a_projections, u_a, Advice.A_RESTRICTED),
-        partition("b_projection", b_projections, u_b, Advice.B_RESTRICTED),
+        messages(family.members, Advice.SIGMA),
+        messages(a_projections, Advice.A_RESTRICTED),
+        messages(b_projections, Advice.B_RESTRICTED),
     )
 
 
 def common_block(
-    p_sigma: MessagePartition,
-    p_a: MessagePartition,
-    p_b: MessagePartition,
+    msg_sigma: dict[Member, Bits],
+    msg_a: dict[Member, Bits],
+    msg_b: dict[Member, Bits],
     projections: Projections,
 ) -> tuple[Member, ...]:
-    """Largest subset of the family sharing one block in all three partitions.
+    """Largest subset of the family on which all three role messages agree.
 
     Each member is lifted to its message triple through its own sigma message
     and the messages of its two projections under the split; members are
@@ -282,7 +253,6 @@ def common_block(
     lexicographically smallest triple.  Pigeonhole floor: the result has at
     least |S| / 2^(3L) members.
     """
-    msg_sigma, msg_a, msg_b = p_sigma.messages, p_a.messages, p_b.messages
     groups: dict[tuple[Bits, Bits, Bits], list[Member]] = {}
     for s, (proj_a, proj_b) in projections.items():
         groups.setdefault((msg_sigma[s], msg_a[proj_a], msg_b[proj_b]), []).append(s)
@@ -328,9 +298,6 @@ class SeparatedPairRecord:
     message_a: Bits
     message_b: Bits
 
-    def witness_messages(self) -> tuple[Bits, Bits, Bits]:
-        return self.message_sigma, self.message_a, self.message_b
-
 
 def verify_record(
     record: SeparatedPairRecord,
@@ -341,34 +308,25 @@ def verify_record(
     k: int,
 ) -> bool:
     """Recompute all four pair properties from scratch; nothing cached is trusted."""
-    _, _, u_a, u_b = layout(n)
     s0, s1 = set(record.s0), set(record.s1)
     if not (len(s0 & a_side) >= k and len(s0 & b_side) <= k - 1):
         return False
     if not (len(s1 & a_side) <= k - 1 and len(s1 & b_side) >= k):
         return False
-
-    def enc(neighbors: Iterable[int], hub: int, advice: Advice) -> Bits:
-        view = _role_view(record.node, tuple(sorted(neighbors)), hub, advice, n, k)
-        return protocol.encode(view, EMPTY_RANDOMNESS)
-
-    if enc(record.s0, u_a, Advice.SIGMA) != record.message_sigma:
+    if s0 & a_side == s1 & a_side or s0 & b_side == s1 & b_side:
         return False
-    if enc(record.s1, u_a, Advice.SIGMA) != record.message_sigma:
-        return False
-    pa0, pa1 = sorted(s0 & a_side), sorted(s1 & a_side)
-    pb0, pb1 = sorted(s0 & b_side), sorted(s1 & b_side)
-    if pa0 == pa1 or pb0 == pb1:
-        return False
-    if enc(pa0, u_a, Advice.A_RESTRICTED) != record.message_a:
-        return False
-    if enc(pa1, u_a, Advice.A_RESTRICTED) != record.message_a:
-        return False
-    if enc(pb0, u_b, Advice.B_RESTRICTED) != record.message_b:
-        return False
-    if enc(pb1, u_b, Advice.B_RESTRICTED) != record.message_b:
-        return False
-    return True
+    witnessed = (
+        (s0, Advice.SIGMA, record.message_sigma),
+        (s1, Advice.SIGMA, record.message_sigma),
+        (s0 & a_side, Advice.A_RESTRICTED, record.message_a),
+        (s1 & a_side, Advice.A_RESTRICTED, record.message_a),
+        (s0 & b_side, Advice.B_RESTRICTED, record.message_b),
+        (s1 & b_side, Advice.B_RESTRICTED, record.message_b),
+    )
+    return all(
+        protocol.encode(role_view(record.node, nbrs, advice, n, k), EMPTY_RANDOMNESS) == message
+        for nbrs, advice, message in witnessed
+    )
 
 
 @dataclass
@@ -453,9 +411,10 @@ def choose_partition(
     them are fixed first; then each node encodes its sigma-role views once and
     each distinct projection view once across all trials, and per trial
     records an indistinguishable separated pair wherever the common block
-    contains both kinds.  The first trial with the most pinned nodes wins.
-    Trial seeds are derived by counter, so the result is a pure function of
-    the inputs.
+    contains both kinds.  The first trial with the most pinned nodes wins, and
+    each of its records is re-verified from scratch; a failure raises
+    BrokenPairRecord.  Trial seeds are derived by counter, so the result is a
+    pure function of the inputs.
     """
     v_ids, w_ids, _, _ = layout(n)
     if len(w_ids) < 2 * k:
@@ -469,25 +428,22 @@ def choose_partition(
     b_keys = sorted({proj_b for proj in projections for _, proj_b in proj.values()})
     goods: list[dict[int, SeparatedPairRecord]] = [{} for _ in splits]
     for node in v_ids:
-        p_sigma, p_a, p_b = message_partitions(protocol, node, family, a_keys, b_keys, n, k)
+        msg_sigma, msg_a, msg_b = message_partitions(protocol, node, family, a_keys, b_keys, n, k)
         for (a_side, b_side), proj, good in zip(splits, projections, goods):
-            block = common_block(p_sigma, p_a, p_b, proj)
+            block = common_block(msg_sigma, msg_a, msg_b, proj)
             pair = find_separated_pair(block, a_side, b_side, k)
             if pair is None:
                 continue
             s0, s1 = pair
             proj_a, proj_b = proj[s0]
-            record = SeparatedPairRecord(
+            good[node] = SeparatedPairRecord(
                 node=node,
                 s0=s0,
                 s1=s1,
-                message_sigma=p_sigma.messages[s0],
-                message_a=p_a.messages[proj_a],
-                message_b=p_b.messages[proj_b],
+                message_sigma=msg_sigma[s0],
+                message_a=msg_a[proj_a],
+                message_b=msg_b[proj_b],
             )
-            if not verify_record(record, protocol, a_side, b_side, n, k):
-                raise BrokenPairRecord(f"record of node {node} fails re-verification: {record}")
-            good[node] = record
 
     if not any(goods):
         raise NoGoodPartition(
@@ -495,4 +451,7 @@ def choose_partition(
         )
     best = max(range(trials), key=lambda trial: len(goods[trial]))  # first of the largest
     a_side, b_side = splits[best]
+    for node, record in goods[best].items():
+        if not verify_record(record, protocol, a_side, b_side, n, k):
+            raise BrokenPairRecord(f"record of node {node} fails re-verification: {record}")
     return PartitionContext(a_side=a_side, b_side=b_side, family=family, good=goods[best])

@@ -1,3 +1,4 @@
+import argparse
 import json
 from collections import Counter
 
@@ -5,6 +6,7 @@ import pytest
 
 import sketchbench.cli as cli
 import sketchbench.reduction as reduction
+import sketchbench.setfam as setfam
 from sketchbench.overlap import enumerate_valid_instances
 from sketchbench.protocols import make_protocol
 
@@ -39,6 +41,7 @@ def test_gen_lb_feeds_kconn(tmp_path, capsys):
     assert passes(report, "cut_certificate") == 1
     assert report["results"]["k_edge_connected"] is True
     assert list(report["input_hashes"]) == [graph_path]
+    assert report["seed"] is None and "seed" not in report["parameters"]
 
     code, report = run(capsys, "agm-run", "--graph", graph_path, "--k", 2)
     assert_clean(code, report)
@@ -76,9 +79,27 @@ def test_choose_partition(tmp_path, capsys):
         "--out", tmp_path / "p",
     )
     assert_clean(code, report)
-    assert passes(report, "record_reverified") == report["results"]["good_nodes"] > 0
+    assert report["results"]["good_nodes"] > 0
+    assert set(report["outcomes"]) == {"completed"}
     (context_path,) = report["artifacts"]
     assert context_path.endswith("p.partition.json")
+
+
+def test_choose_partition_reports_broken_record(capsys, monkeypatch):
+    # choose_partition re-verifies the records it returns; a corrupted sigma
+    # message makes the run fail with the named error.
+    honest = setfam.message_partitions
+
+    def corrupted(*args):
+        msg_sigma, msg_a, msg_b = honest(*args)
+        flipped = {key: ("1" if b[0] == "0" else "0") + b[1:] for key, b in msg_sigma.items()}
+        return flipped, msg_a, msg_b
+
+    monkeypatch.setattr(setfam, "message_partitions", corrupted)
+    code, report = run(capsys, "choose-partition", "--n", 36, "--k", 2, "--protocol", "const", "--trials", 1)
+    assert code == 1
+    assert report["outcomes"]["completed"] == {"pass": 0, "fail": 1}
+    assert report["results"]["error"].startswith("BrokenPairRecord")
 
 
 def test_choose_partition_family_rule(tmp_path, capsys):
@@ -131,6 +152,7 @@ def test_overlap_attack(capsys):
     code, report = run(capsys, "overlap-attack", "--m", 5, "--s", 3)
     assert_clean(code, report)
     assert report["results"]["counterexample"] is None
+    assert report["seed"] is None
 
 
 def test_verify_fidelity_instance(tmp_path, capsys):
@@ -199,11 +221,30 @@ def test_threads_option_is_gone(capsys):
         ("choose-partition", "--n", 36, "--k", 2, "--protocol", "trunc:x"),
         ("overlap-solve", "--instance", "inst.json"),
         ("reduce", "--m", 9, "--s", 4, "--k", 2),
+        ("kconn", "--graph", "g.txt", "--k", 2, "--seed", 1),
+        ("overlap-enum", "--m", 5, "--s", 3, "--seed", 1),
+        ("overlap-attack", "--m", 5, "--s", 3, "--seed", 1),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
     assert cli.main([str(a) for a in argv]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_parser_settable_values():
+    # Every option of every subcommand counts; a new flag needs this edit.
+    (subparsers,) = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    settable = [
+        action
+        for parser in subparsers.choices.values()
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+    ]
+    assert len(subparsers.choices) == 9
+    assert len(settable) == 52
 
 
 def test_reduction_checks_run_each_party_once(monkeypatch):

@@ -10,11 +10,12 @@ from sketchbench.lbgraph import (
     condition_of,
     layout,
     random_spec,
+    role_view,
     sigma_neighborhood_sweep,
     verify_dichotomy,
 )
 from sketchbench.mincut import is_k_edge_connected
-from sketchbench.model import Advice
+from sketchbench.model import Advice, node_view
 
 
 def make_spec_49(sigma_in_a: int) -> LBGraphSpec:
@@ -167,3 +168,19 @@ def test_random_specs_valid_and_dichotomy():
     for seed in range(30):
         spec = random_spec(49, 3, seed=seed)
         assert verify_dichotomy(spec)
+
+
+@pytest.mark.parametrize("n, k", [(36, 2), (64, 3), (100, 4)])
+def test_role_view_matches_built_graph(n, k):
+    # The role rule the set-family search and Charlie use agrees with the
+    # honest graph on every V-node, sigma included, on both sides of the
+    # dichotomy.
+    v_ids, _, _, _ = layout(n)
+    for seed in range(4):
+        for condition in (Condition.C0, Condition.C1):
+            spec = random_spec(n, k, seed, condition=condition)
+            graph, advice = build_lb_graph(spec)
+            for v in v_ids:
+                assert node_view(graph, v, advice[v], k) == role_view(
+                    v, spec.w_neighbors[v], advice[v], n, k
+                )

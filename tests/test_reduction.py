@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from sketchbench.lbgraph import layout
+from sketchbench.lbgraph import layout, role_view
 from sketchbench.mincut import is_k_edge_connected
 from sketchbench.model import Advice, Decision, EMPTY_RANDOMNESS, execute
 from sketchbench.overlap import OverlapInstance, answer, enumerate_valid_instances, vector_on
@@ -22,7 +22,7 @@ from sketchbench.reduction import (
     simulate,
     verify_fidelity,
 )
-from sketchbench.setfam import PartitionContext, SeparatedPairRecord, SetFamily, verify_record, _role_view
+from sketchbench.setfam import PartitionContext, SeparatedPairRecord, SetFamily, verify_record
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +125,7 @@ def test_bob_mirror_symmetry(toy_ctx):
         assert msgs[w] == proto.encode(view, EMPTY_RANDOMNESS)
     # Y=1 at sigma wires the connected-side neighborhood into B
     if y_jb[inst.sigma] == 1:
-        s0, s1 = toy_ctx.pair_of(inst.sigma)
+        s1 = toy_ctx.record_of(inst.sigma).s1
         node = toy_ctx.node_of(inst.sigma)
         for w in set(s1) & toy_ctx.b_side:
             assert graph.multiplicity(node, w) == 1
@@ -147,7 +147,7 @@ def test_compatible_graph_rules(toy_ctx):
         assert graph.multiplicity(toy_ctx.node_of(j), u_b) == 2
         assert graph.multiplicity(toy_ctx.node_of(j), u_a) == 0
     # answer yes instance: sigma wired with its connected-side neighborhood
-    s0, s1 = toy_ctx.pair_of(3)
+    s1 = toy_ctx.record_of(3).s1
     assert answer(inst)
     assert set(w for w in graph.neighborhood(sigma_node) if w != u_a) == set(s1)
     assert is_k_edge_connected(graph, 2)
@@ -160,7 +160,7 @@ def test_compatible_graph_no_instance(toy_ctx):
     graph, _ = build_compatible_graph(inst, toy_ctx)
     assert not answer(inst)
     assert not is_k_edge_connected(graph, 2)
-    s0, _ = toy_ctx.pair_of(3)
+    s0 = toy_ctx.record_of(3).s0
     from sketchbench.mincut import global_min_cut
 
     assert global_min_cut(graph).value == len(set(s0) & toy_ctx.b_side) <= 1
@@ -248,7 +248,7 @@ def test_forced_full_information_context_decides_correctly():
     # simulated decision still matches the instance answer on every input.
     m, s, k = 6, 3, 2
     n = reduction_size(m)
-    _, w_ids, u_a, u_b = layout(n)
+    _, w_ids, _, _ = layout(n)
     w = sorted(w_ids)
     a_side, b_side = frozenset(w[:2]), frozenset(w[2:])
     s0 = tuple(sorted(list(a_side) + [w[2]]))
@@ -256,18 +256,17 @@ def test_forced_full_information_context_decides_correctly():
     family = SetFamily(ground=tuple(w), d=3, epsilon=4 / 3, members=tuple(sorted((s0, s1))))
     proto = full_information(n, k)
 
-    def enc(node, nbrs, hub, advice):
-        view = _role_view(node, tuple(sorted(nbrs)), hub, advice, n, k)
-        return proto.encode(view, EMPTY_RANDOMNESS)
+    def enc(node, nbrs, advice):
+        return proto.encode(role_view(node, nbrs, advice, n, k), EMPTY_RANDOMNESS)
 
     records = {
         v: SeparatedPairRecord(
             node=v,
             s0=s0,
             s1=s1,
-            message_sigma=enc(v, s0, u_a, Advice.SIGMA),
-            message_a=enc(v, [x for x in s0 if x in a_side], u_a, Advice.A_RESTRICTED),
-            message_b=enc(v, [x for x in s0 if x in b_side], u_b, Advice.B_RESTRICTED),
+            message_sigma=enc(v, s0, Advice.SIGMA),
+            message_a=enc(v, [x for x in s0 if x in a_side], Advice.A_RESTRICTED),
+            message_b=enc(v, [x for x in s0 if x in b_side], Advice.B_RESTRICTED),
         )
         for v in range(1, m + 1)
     }

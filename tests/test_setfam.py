@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sketchbench.lbgraph import layout
+from sketchbench.lbgraph import layout, role_view
 from sketchbench.model import EMPTY_RANDOMNESS, Advice, NodeView
 from sketchbench.protocols import (
     constant,
@@ -50,6 +50,14 @@ def partitions_of_split(proto, node, fam, a_side, b_side):
     a_keys = sorted({proj_a for proj_a, _ in proj.values()})
     b_keys = sorted({proj_b for _, proj_b in proj.values()})
     return (*message_partitions(proto, node, fam, a_keys, b_keys, N16, 2), proj)
+
+
+def blocks(messages):
+    """One role's inputs grouped by message, each block in canonical order."""
+    grouped = {}
+    for key in sorted(messages):
+        grouped.setdefault(messages[key], []).append(key)
+    return {bits: tuple(keys) for bits, keys in grouped.items()}
 
 
 def test_sampler_disjoint_triples():
@@ -98,8 +106,8 @@ def test_partitions_full_information_singletons():
     a_side = frozenset(list(W16)[:8])
     b_side = frozenset(W16) - a_side
     ps, pa, pb, proj = partitions_of_split(full_information(N16, 2), 5, fam, a_side, b_side)
-    assert all(len(block) == 1 for block in ps.blocks.values())
-    assert all(len(block) == 1 for block in pa.blocks.values())
+    assert all(len(block) == 1 for block in blocks(ps).values())
+    assert all(len(block) == 1 for block in blocks(pa).values())
     assert len(common_block(ps, pa, pb, proj)) == 1
 
 
@@ -108,7 +116,7 @@ def test_partitions_constant_single_block():
     a_side = frozenset(list(W16)[:8])
     b_side = frozenset(W16) - a_side
     ps, pa, pb, proj = partitions_of_split(constant(2), 5, fam, a_side, b_side)
-    assert ps.block_count() == pa.block_count() == pb.block_count() == 1
+    assert len(blocks(ps)) == len(blocks(pa)) == len(blocks(pb)) == 1
     assert set(common_block(ps, pa, pb, proj)) == set(fam.members)
 
 
@@ -118,15 +126,15 @@ def test_partitions_truncation_block_budget():
     b_side = frozenset(W16) - a_side
     ps, pa, pb, _ = partitions_of_split(toy_two_bit(2), 5, fam, a_side, b_side)
     for part, keys in ((ps, fam.members), (pa, None), (pb, None)):
-        assert 1 < part.block_count() <= 4
-        covered = sum(len(block) for block in part.blocks.values())
-        expect = len(keys) if keys is not None else len({k for b in part.blocks.values() for k in b})
+        assert 1 < len(blocks(part)) <= 4
+        covered = sum(len(block) for block in blocks(part).values())
+        expect = len(keys) if keys is not None else len({k for b in blocks(part).values() for k in b})
         assert covered == expect
-    assert sum(len(b) for b in ps.blocks.values()) == len(fam.members)
+    assert sum(len(b) for b in blocks(ps).values()) == len(fam.members)
     # Truncation keeps only the tail of each role view, which is its hub's
     # entry, so it puts every member in one block.
     ps, pa, pb, _ = partitions_of_split(truncation(2, N16, 2), 5, fam, a_side, b_side)
-    assert ps.block_count() == pa.block_count() == pb.block_count() == 1
+    assert len(blocks(ps)) == len(blocks(pa)) == len(blocks(pb)) == 1
 
 
 def test_pigeonhole_floor_parity():
@@ -150,22 +158,19 @@ def test_partitions_require_determinism():
 
 
 def test_blocks_are_message_consistent():
-    from sketchbench.setfam import _role_view
-
     fam = fam40()
     a_side = frozenset(list(W16)[:8])
     b_side = frozenset(W16) - a_side
     proto = toy_two_bit(2)
     ps, pa, pb, _ = partitions_of_split(proto, 9, fam, a_side, b_side)
-    assert ps.block_count() > 1 and pb.block_count() > 1
-    _, _, u_a, u_b = layout(N16)
-    for bits, members in ps.blocks.items():
+    assert len(blocks(ps)) > 1 and len(blocks(pb)) > 1
+    for bits, members in blocks(ps).items():
         for member in members:
-            view = _role_view(9, member, u_a, Advice.SIGMA, N16, 2)
+            view = role_view(9, member, Advice.SIGMA, N16, 2)
             assert proto.encode(view, EMPTY_RANDOMNESS) == bits
-    for bits, keys in pb.blocks.items():
+    for bits, keys in blocks(pb).items():
         for key in keys:
-            view = _role_view(9, key, u_b, Advice.B_RESTRICTED, N16, 2)
+            view = role_view(9, key, Advice.B_RESTRICTED, N16, 2)
             assert proto.encode(view, EMPTY_RANDOMNESS) == bits
 
 
@@ -197,13 +202,32 @@ def test_choose_partition_raises_on_corrupted_record(monkeypatch):
     honest = setfam.message_partitions
 
     def corrupted(*args):
-        p_sigma, p_a, p_b = honest(*args)
-        flipped = {key: ("1" if b[0] == "0" else "0") + b[1:] for key, b in p_sigma.messages.items()}
-        return replace(p_sigma, messages=flipped), p_a, p_b
+        msg_sigma, msg_a, msg_b = honest(*args)
+        flipped = {key: ("1" if b[0] == "0" else "0") + b[1:] for key, b in msg_sigma.items()}
+        return flipped, msg_a, msg_b
 
     monkeypatch.setattr(setfam, "message_partitions", corrupted)
     with pytest.raises(BrokenPairRecord, match="re-verification"):
         choose_partition(constant(2), fam40(), N16, 2, trials=1, seed=5)
+
+
+def test_choose_partition_verifies_returned_records_once(monkeypatch):
+    # Records of the trials that lose are dropped unchecked; each record of
+    # the returned trial is verified exactly once.
+    import sketchbench.setfam as setfam
+
+    verified = []
+    honest = setfam.verify_record
+
+    def counting(record, *args):
+        verified.append(record.node)
+        return honest(record, *args)
+
+    monkeypatch.setattr(setfam, "verify_record", counting)
+    ctx = choose_partition(toy_two_bit(2), fam40(), N16, 2, trials=8, seed=5)
+    assert ctx.good
+    assert len(verified) == len(ctx.good)
+    assert sorted(verified) == sorted(ctx.good)
 
 
 def test_find_separated_pair_classification_sweep():
