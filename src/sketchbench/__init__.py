@@ -23,7 +23,6 @@ from .model import (
     execute,
     load_graph,
     load_transcript,
-    neighborhood,
     node_view,
     save_graph,
     save_transcript,
@@ -35,6 +34,7 @@ from .lbgraph import (
     SpecError,
     build_lb_graph,
     condition_of,
+    hub_of,
     layout,
     random_spec,
     role_view,

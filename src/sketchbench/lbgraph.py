@@ -8,10 +8,12 @@ which has exactly 2k-1 W-edges and k parallel hub-A edges.  Whether the graph
 is k-edge connected is decided entirely by how sigma's W-edges split between
 A and B.
 
-``role_view`` is the one rule for the view a V-node has in a given role; the
+``hub_of`` is the one rule for the hub a V-node's k parallel edges go to, and
+``role_view`` the one rule for the view a V-node has in a given role; the
 set-family search, its record checks and Charlie's simulation all build V-node
-views with it.  ``build_lb_graph`` wires the same rule as edges, independently,
-so that fidelity checks compare the simulation with an honest graph.
+views and hub views with them.  ``build_lb_graph`` wires the same rules as
+edges, independently, so that fidelity checks compare the simulation with an
+honest graph.
 """
 
 from __future__ import annotations
@@ -59,18 +61,22 @@ def layout(n: int) -> tuple[range, range, int, int]:
     return range(1, v_count + 1), range(v_count + 1, v_count + w + 1), n - 1, n
 
 
+def hub_of(advice: Optional[Advice], n: int) -> int:
+    """The hub a V-node with this advice attaches to: u_B if B-restricted, else u_A."""
+    _, _, u_a, u_b = layout(n)
+    return u_b if advice is Advice.B_RESTRICTED else u_a
+
+
 def role_view(
     node: int, w_neighbors: Iterable[int], advice: Optional[Advice], n: int, k: int
 ) -> NodeView:
     """The view of V-node ``node`` in a family member, given its W-edges and role.
 
-    One edge to each W-neighbor, then k parallel edges to the role's hub: u_B
-    for a B-restricted node, u_A for sigma and A-restricted ones.  The hubs
-    have the largest ids, so the hub entry comes last.
+    One edge to each W-neighbor, then k parallel edges to ``hub_of(advice)``.
+    The hubs have the largest ids, so the hub entry comes last.
     """
-    _, _, u_a, u_b = layout(n)
     entries = [(w, 1) for w in sorted(w_neighbors)]
-    entries.append((u_b if advice is Advice.B_RESTRICTED else u_a, k))
+    entries.append((hub_of(advice, n), k))
     return NodeView(node, tuple(entries), advice, n, k)
 
 

@@ -118,11 +118,6 @@ class MultiGraph:
         return f"MultiGraph(n={self.n}, edges={self.edge_slot_count()})"
 
 
-def neighborhood(graph: MultiGraph, node: int) -> dict[int, int]:
-    """Neighbor multiset of ``node``; multiplicity of v equals that of edge (node, v)."""
-    return graph.neighborhood(node)
-
-
 @dataclass(frozen=True)
 class NodeView:
     """Everything a node knows when it encodes: its id, 1-hop multiset, advice, (n, k)."""
@@ -132,9 +127,6 @@ class NodeView:
     advice: Optional[Advice]
     n: int
     k: int
-
-    def degree(self) -> int:
-        return sum(m for _, m in self.neighbors)
 
 
 def node_view(graph: MultiGraph, node: int, advice: Optional[Advice], k: int) -> NodeView:

@@ -105,10 +105,6 @@ class TernaryVector:
             chars[i - 1] = bit
         return "".join(chars)
 
-    def support_bits(self) -> str:
-        """The set bits read off in support order."""
-        return self.bits
-
     def __getitem__(self, index: int) -> Optional[int]:
         """1-based entry access; None off the support."""
         bit = self._bit_at.get(index)

@@ -3,12 +3,12 @@
 A valid unique-overlap instance is translated into a member of the family:
 Alice wires the A-side of the partition according to her vector, Bob the
 B-side, and Charlie produces sketches for the hubs and every V-node without
-ever reading a vector entry - pinned nodes reuse the witness messages of
-their pair record, the rest are encoded from ``lbgraph.role_view`` with no
-W-edges, that is from their k parallel hub-A edges alone.  The
-referee's decision on the assembled messages answers the instance, and the
-assembly is bit-identical to honestly executing the protocol on the
-compatible graph.
+ever reading a vector entry.  One role map read off the two supports gives
+each V-node its advice and, at a support host, its pair record's witness;
+Charlie wires the hubs by ``lbgraph.hub_of`` and encodes the other V-nodes
+from ``lbgraph.role_view``, and ``build_compatible_graph`` takes its roles
+from the same map.  The referee's decision on the assembled messages answers
+the instance, and the assembly is bit-identical to the honest execution.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import combinations, zip_longest
+from operator import attrgetter
 from typing import Optional, Sequence
 
-from .lbgraph import LBGraphSpec, build_lb_graph, layout, role_view
+from .lbgraph import LBGraphSpec, build_lb_graph, hub_of, layout, role_view
 from .model import (
     Advice,
     Bits,
@@ -101,14 +102,19 @@ class ReductionContext:
 
     @classmethod
     def from_json(cls, text: str) -> "ReductionContext":
+        """Parse a context; ``good_ids`` must be m ascending nodes with records, else ValueError."""
         obj = json.loads(text)
+        partition = PartitionContext.from_json(json.dumps(obj["partition"]))
+        good_ids = tuple(obj["good_ids"])
+        if len(good_ids) != obj["m"] or good_ids != tuple(sorted(partition.good.keys() & set(good_ids))):
+            raise ValueError(f"good_ids: need {obj['m']} ascending nodes with records, got {good_ids}")
         return cls(
             m=obj["m"],
             s=obj["s"],
             k=obj["k"],
             n=obj["n"],
-            partition=PartitionContext.from_json(json.dumps(obj["partition"])),
-            good_ids=tuple(obj["good_ids"]),
+            partition=partition,
+            good_ids=good_ids,
             protocol_name=obj["protocol"],
         )
 
@@ -131,8 +137,6 @@ def build_context(
         raise ValueError(f"need s <= ceil(m/2); got s={s}, m={m}")
     n = reduction_size(m)
     v_ids, w_ids, _, _ = layout(n)
-    if len(w_ids) < 2 * k:
-        raise ValueError(f"|W|={len(w_ids)} too small for two sides of size k={k}")
     if len(v_ids) < m:
         raise ValueError(f"|V|={len(v_ids)} cannot host {m} coordinates")
     if family is None:
@@ -209,6 +213,26 @@ def bob_messages(
     return _party_messages(y, ctx, protocol, alice=False)
 
 
+def _roles(
+    supp_x: tuple[int, ...], supp_y: tuple[int, ...], ctx: ReductionContext
+) -> dict[int, tuple[Advice, Optional[Bits]]]:
+    """Every V-node's advice and, at a support host, its witness message; ascending ids.
+
+    Read off the supports alone: the shared index's host is sigma, the hosts
+    of Bob's other indices are B-restricted, every other V-node A-restricted.
+    """
+    sigma = shared_index(supp_x, supp_y)
+    roles = dict.fromkeys(layout(ctx.n)[0], (Advice.A_RESTRICTED, None))
+    for advice, support, witness in (
+        (Advice.A_RESTRICTED, supp_x, attrgetter("message_a")),
+        (Advice.B_RESTRICTED, supp_y, attrgetter("message_b")),
+        (Advice.SIGMA, (sigma,), attrgetter("message_sigma")),
+    ):
+        for i in support:
+            roles[ctx.node_of(i)] = (advice, witness(ctx.record_of(i)))
+    return roles
+
+
 def charlie_messages(
     supp_x: tuple[int, ...],
     supp_y: tuple[int, ...],
@@ -216,33 +240,19 @@ def charlie_messages(
     protocol: SketchProtocol,
 ) -> list[tuple[int, Bits]]:
     """Sketches for both hubs and every V-node, from supports and witnesses only."""
-    sigma = shared_index(supp_x, supp_y)
-    v_ids, _, u_a, u_b = layout(ctx.n)
-    coord_of = {ctx.node_of(i): i for i in range(1, ctx.m + 1)}
-    b_nodes = {ctx.node_of(j) for j in supp_y if j != sigma}
+    roles = _roles(supp_x, supp_y, ctx)
+    _, _, u_a, u_b = layout(ctx.n)
 
-    def encode_hub(hub: int, attached: list[int], side: frozenset[int]) -> Bits:
+    messages = []
+    for hub, side in ((u_a, ctx.a_side), (u_b, ctx.b_side)):
         # V ids precede W ids, so the entries come out ascending.
-        neighbors = tuple((v, ctx.k) for v in attached) + tuple((w, 1) for w in sorted(side))
-        return protocol.encode(NodeView(hub, neighbors, None, ctx.n, ctx.k), EMPTY_RANDOMNESS)
-
-    messages = [
-        (u_a, encode_hub(u_a, [v for v in v_ids if v not in b_nodes], ctx.a_side)),
-        (u_b, encode_hub(u_b, [v for v in v_ids if v in b_nodes], ctx.b_side)),
-    ]
-    for v in v_ids:
-        coordinate = coord_of.get(v)
-        if coordinate is None or (coordinate not in supp_x and coordinate not in supp_y):
-            idle = role_view(v, (), Advice.A_RESTRICTED, ctx.n, ctx.k)
-            messages.append((v, protocol.encode(idle, EMPTY_RANDOMNESS)))
-            continue
-        record = ctx.record_of(coordinate)
-        if coordinate == sigma:
-            messages.append((v, record.message_sigma))
-        elif coordinate in supp_x:
-            messages.append((v, record.message_a))
-        else:
-            messages.append((v, record.message_b))
+        attached = [(v, ctx.k) for v, (advice, _) in roles.items() if hub_of(advice, ctx.n) == hub]
+        view = NodeView(hub, tuple(attached + [(w, 1) for w in sorted(side)]), None, ctx.n, ctx.k)
+        messages.append((hub, protocol.encode(view, EMPTY_RANDOMNESS)))
+    for v, (advice, witness) in roles.items():
+        if witness is None:
+            witness = protocol.encode(role_view(v, (), advice, ctx.n, ctx.k), EMPTY_RANDOMNESS)
+        messages.append((v, witness))
     return messages
 
 
@@ -276,27 +286,14 @@ def build_compatible_graph(
     instance: OverlapInstance, ctx: ReductionContext
 ) -> tuple[MultiGraph, dict[int, Optional[Advice]]]:
     """The family member determined by the instance through the stored pairs."""
-    v_ids, _, _, _ = layout(ctx.n)
-    sigma_node = ctx.node_of(instance.sigma)
-    supp_x, supp_y = set(instance.x.support), set(instance.y.support)
-
-    restrictions: dict[int, Advice] = {}
+    roles = _roles(instance.x.support, instance.y.support, ctx)
+    restrictions = {v: advice for v, (advice, _) in roles.items() if advice is not Advice.SIGMA}
+    (sigma_node,) = roles.keys() - restrictions.keys()
     w_neighbors: dict[int, frozenset[int]] = {}
-    coord_of = {ctx.node_of(i): i for i in range(1, ctx.m + 1)}
-    for v in v_ids:
-        coordinate = coord_of.get(v)
-        if v != sigma_node:
-            in_b = coordinate is not None and coordinate in supp_y and coordinate != instance.sigma
-            restrictions[v] = Advice.B_RESTRICTED if in_b else Advice.A_RESTRICTED
-        if coordinate is None:
-            w_neighbors[v] = frozenset()
-            continue
-        chosen: list[int] = []
-        if coordinate in supp_x:
-            chosen += _pair_ends(ctx, instance.x, coordinate, alice=True)
-        if coordinate in supp_y:
-            chosen += _pair_ends(ctx, instance.y, coordinate, alice=False)
-        w_neighbors[v] = frozenset(chosen)
+    for vector, alice in ((instance.x, True), (instance.y, False)):
+        for i in vector.support:
+            v = ctx.node_of(i)
+            w_neighbors[v] = w_neighbors.get(v, frozenset()).union(_pair_ends(ctx, vector, i, alice))
 
     spec = LBGraphSpec(
         n=ctx.n,

@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .lbgraph import layout, role_view
-from .model import Advice, Bits, EMPTY_RANDOMNESS, SketchProtocol
+from .model import Advice, Bits, EMPTY_RANDOMNESS, SketchProtocol, check_bits
 
 Member = tuple[int, ...]  # a W-neighborhood, ascending ids
 
@@ -362,16 +362,23 @@ class PartitionContext:
 
     @classmethod
     def from_json(cls, text: str) -> "PartitionContext":
+        """Parse a context; a witness that is not a bit string raises ValueError naming it."""
         obj = json.loads(text)
         good = {}
         for node, rec in obj["records"].items():
+            witness = rec["witness"]
+            for role in ("sigma", "a", "b"):
+                try:
+                    check_bits(witness[role])
+                except ValueError as exc:
+                    raise ValueError(f"records[{node}].witness.{role}: {exc}") from None
             good[int(node)] = SeparatedPairRecord(
                 node=int(node),
                 s0=tuple(rec["S0"]),
                 s1=tuple(rec["S1"]),
-                message_sigma=rec["witness"]["sigma"],
-                message_a=rec["witness"]["a"],
-                message_b=rec["witness"]["b"],
+                message_sigma=witness["sigma"],
+                message_a=witness["a"],
+                message_b=witness["b"],
             )
         return cls(
             a_side=frozenset(obj["A"]),
@@ -414,13 +421,16 @@ def choose_partition(
     contains both kinds.  The first trial with the most pinned nodes wins, and
     each of its records is re-verified from scratch; a failure raises
     BrokenPairRecord.  Trial seeds are derived by counter, so the result is a
-    pure function of the inputs.
+    pure function of the inputs.  ``family`` must hold (2k-1)-subsets of W,
+    the candidate sigma neighborhoods, else ValueError.
     """
     v_ids, w_ids, _, _ = layout(n)
     if len(w_ids) < 2 * k:
         raise ValueError(f"|W|={len(w_ids)} cannot host two sides of size {k}")
     if not protocol.deterministic:
         raise DeterminismRequired(f"protocol {protocol.name!r} is randomized")
+    if any(len(member) != 2 * k - 1 for member in family.members):
+        raise ValueError(f"family members must be sigma neighborhoods of size 2k-1 = {2 * k - 1}")
 
     splits = [_sample_split(w_ids, k, seed, trial) for trial in range(trials)]
     projections = [split_projections(family, a_side, b_side) for a_side, b_side in splits]

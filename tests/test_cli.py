@@ -68,9 +68,16 @@ def test_sample_family(tmp_path, capsys):
         "--out", tmp_path / "f",
     )
     assert_clean(code, report)
+    assert set(report["outcomes"]) == {"completed"}
     assert report["results"]["size"] == 5
     (family_path,) = report["artifacts"]
     assert len(json.loads(open(family_path, encoding="utf-8").read())["members"]) == 5
+
+    # With overlap bound 0, a 6-element ground set holds at most two disjoint 3-subsets.
+    code, report = run(capsys, "sample-family", "--w-size", 6, "--d", 3, "--epsilon", 0.5, "--target", 50)
+    assert code == 1
+    assert report["outcomes"] == {"completed": {"pass": 0, "fail": 1}}
+    assert report["results"]["error"].startswith("FamilyTooSparse")
 
 
 def test_choose_partition(tmp_path, capsys):

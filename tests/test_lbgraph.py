@@ -8,6 +8,7 @@ from sketchbench.lbgraph import (
     SpecError,
     build_lb_graph,
     condition_of,
+    hub_of,
     layout,
     random_spec,
     role_view,
@@ -184,3 +185,18 @@ def test_role_view_matches_built_graph(n, k):
                 assert node_view(graph, v, advice[v], k) == role_view(
                     v, spec.w_neighbors[v], advice[v], n, k
                 )
+
+
+@pytest.mark.parametrize("n, k", [(36, 2), (64, 3), (100, 4)])
+def test_hub_of_matches_built_graph(n, k):
+    # Every V-node's k parallel edges go to hub_of its advice, and it has no
+    # edge to the other hub.
+    v_ids, _, u_a, u_b = layout(n)
+    for seed in range(4):
+        for condition in (Condition.C0, Condition.C1):
+            spec = random_spec(n, k, seed, condition=condition)
+            graph, advice = build_lb_graph(spec)
+            for v in v_ids:
+                hub = hub_of(advice[v], n)
+                other = u_b if hub == u_a else u_a
+                assert (graph.multiplicity(v, hub), graph.multiplicity(v, other)) == (k, 0)

@@ -15,7 +15,6 @@ from sketchbench.model import (
     UnknownNode,
     execute,
     load_graph,
-    neighborhood,
     node_view,
     save_graph,
 )
@@ -29,13 +28,13 @@ def triangle():
 def test_multigraph_basics():
     g = triangle()
     assert g.multiplicity(1, 2) == g.multiplicity(2, 1) == 1
-    assert neighborhood(g, 1) == {2: 1, 3: 1}
+    assert g.neighborhood(1) == {2: 1, 3: 1}
     assert g.degree(1) == 2
 
 
 def test_parallel_edge_neighborhood():
     g = MultiGraph(2, [(1, 2, 3)])
-    assert neighborhood(g, 1) == {2: 3}
+    assert g.neighborhood(1) == {2: 3}
     assert g.degree(1) == 3
 
 
@@ -68,8 +67,8 @@ def multigraphs(draw):
 def test_symmetric_access(g):
     for u, v, m in g.edges():
         assert g.multiplicity(u, v) == g.multiplicity(v, u) == m
-        assert neighborhood(g, u)[v] == m
-        assert neighborhood(g, v)[u] == m
+        assert g.neighborhood(u)[v] == m
+        assert g.neighborhood(v)[u] == m
 
 
 @given(multigraphs())
@@ -88,7 +87,7 @@ def test_lb_neighborhood_of_hub():
     spec = random_spec(49, 3, seed=5)
     graph, _ = build_lb_graph(spec)
     _, _, u_a, _ = layout(49)
-    nbrs = neighborhood(graph, u_a)
+    nbrs = graph.neighborhood(u_a)
     a_restricted = [v for v, role in spec.restrictions.items() if role is Advice.A_RESTRICTED]
     assert {w: nbrs[w] for w in sorted(spec.a_side)} == {w: 1 for w in sorted(spec.a_side)}
     for v in a_restricted + [spec.sigma]:

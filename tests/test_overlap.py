@@ -74,7 +74,7 @@ def test_vector_string_roundtrip():
     v = TernaryVector.from_string("10**1***")
     assert v.to_string() == "10**1***"
     assert v.support == (1, 2, 5)
-    assert v.support_bits() == "101"
+    assert v.bits == "101"
 
 
 def test_cycle_partition_m8():
@@ -285,7 +285,7 @@ def test_vector_matches_per_character_reference(text, data):
     assert v.length == len(text)
     assert v.to_string() == text
     assert v.support == tuple(i + 1 for i, e in enumerate(ref) if e is not None)
-    assert v.support_bits() == "".join(str(e) for e in ref if e is not None)
+    assert v.bits == "".join(str(e) for e in ref if e is not None)
     assert [v[i] for i in range(1, len(text) + 1)] == ref
     for outside in (0, len(text) + 1):
         with pytest.raises(IndexError):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from dataclasses import replace
 
 import pytest
@@ -17,6 +19,7 @@ from sketchbench.reduction import (
     build_compatible_graph,
     build_context,
     charlie_decide,
+    charlie_messages,
     fidelity_mismatches,
     reduction_size,
     simulate,
@@ -62,6 +65,51 @@ def test_context_json_roundtrip(toy_ctx):
     assert again.good_ids == toy_ctx.good_ids
     assert again.partition.good == toy_ctx.partition.good
     assert again.a_side == toy_ctx.a_side
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda ids, n: ids[:-1],  # fewer than m
+        lambda ids, n: ids[:-1] + ids[-2:-1],  # a repeated node
+        lambda ids, n: ids[:-2] + [ids[-1], ids[-2]],  # not ascending
+        lambda ids, n: ids[:-1] + [n],  # u_B holds no record
+    ],
+    ids=["short", "repeated", "descending", "no-record"],
+)
+def test_context_rejects_bad_good_ids(toy_ctx, mutate):
+    # A bad id fails at load, naming the field, not later as a KeyError.
+    obj = json.loads(toy_ctx.to_json())
+    obj["good_ids"] = mutate(obj["good_ids"], toy_ctx.n)
+    with pytest.raises(ValueError, match="^good_ids: need 6 ascending nodes with records"):
+        ReductionContext.from_json(json.dumps(obj))
+
+
+def test_charlie_messages_golden(toy_ctx):
+    # Charlie's messages for the first instance of each of the 180 support
+    # pairs, pinned before the role map replaced the per-function role rules.
+    proto = toy_two_bit(2)
+    digest, seen = hashlib.sha256(), set()
+    for inst in enumerate_valid_instances(6, 3):
+        supports = (inst.x.support, inst.y.support)
+        if supports not in seen:
+            seen.add(supports)
+            digest.update(repr(charlie_messages(*supports, toy_ctx, proto)).encode())
+    assert len(seen) == 180
+    assert digest.hexdigest()[:16] == "8e45c579305ff9bf"
+
+
+def test_compatible_graph_golden(toy_ctx):
+    # Edges and advice of the compatible graph of all 5,760 instances, pinned
+    # before the role map replaced the per-function role rules.
+    digest, count = hashlib.sha256(), 0
+    for inst in enumerate_valid_instances(6, 3):
+        graph, advice = build_compatible_graph(inst, toy_ctx)
+        roles = sorted((v, a.value) for v, a in advice.items() if a)
+        digest.update(repr((list(graph.edges()), roles)).encode())
+        count += 1
+    assert count == 5760
+    assert digest.hexdigest()[:16] == "2f551d95d1dc4f43"
 
 
 @pytest.mark.parametrize("name", ["const", "full", "parity", "toy2", "trunc:3"])
@@ -224,8 +272,6 @@ def test_charlie_reads_only_supports(toy_ctx):
     proto = toy_two_bit(2)
     a = OverlapInstance.make(vector_on(6, {1: 0, 2: 0, 3: 0}), vector_on(6, {3: 1, 4: 0, 6: 0}), 6, 3)
     b = OverlapInstance.make(vector_on(6, {1: 1, 2: 1, 3: 0}), vector_on(6, {3: 1, 4: 1, 6: 1}), 6, 3)
-    from sketchbench.reduction import charlie_messages
-
     assert charlie_messages(a.x.support, a.y.support, toy_ctx, proto) == charlie_messages(
         b.x.support, b.y.support, toy_ctx, proto
     )

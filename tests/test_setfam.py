@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from collections import Counter
 from dataclasses import replace
@@ -16,7 +17,7 @@ from sketchbench.protocols import (
     toy_two_bit,
     truncation,
 )
-from sketchbench.reduction import build_context
+from sketchbench.reduction import build_context, reduction_size
 from sketchbench.setfam import (
     BrokenPairRecord,
     DeterminismRequired,
@@ -295,6 +296,37 @@ def test_partition_context_json_roundtrip():
     assert again.a_side == ctx.a_side
     assert again.family.members == ctx.family.members
     assert again.good == ctx.good
+
+
+@pytest.mark.parametrize("role", ["sigma", "a", "b"])
+@pytest.mark.parametrize("bad", ["2x", "0 1", 3, None])
+def test_partition_context_rejects_malformed_witness(role, bad):
+    # A witness that is not a bit string fails at load, naming its field,
+    # instead of reaching the referee.
+    record = SeparatedPairRecord(
+        node=1, s0=(11, 12, 13), s1=(12, 13, 14), message_sigma="01", message_a="10", message_b="11"
+    )
+    ctx = PartitionContext(
+        a_side=frozenset({11, 12}), b_side=frozenset({13, 14}),
+        family=complete_family(range(11, 15), 3), good={1: record},
+    )
+    assert PartitionContext.from_json(ctx.to_json()).good == ctx.good
+    obj = json.loads(ctx.to_json())
+    obj["records"]["1"]["witness"][role] = bad
+    with pytest.raises(ValueError, match=rf"records\[1\]\.witness\.{role}: not a bit string"):
+        PartitionContext.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_choose_partition_rejects_wrong_member_size(d):
+    # At (m, s, k) = (30, 3, 2), sigma neighborhoods have 2k-1 = 3 members;
+    # a complete family of larger members is refused at entry.
+    n = reduction_size(30)
+    family = complete_family(layout(n)[1], d)
+    with pytest.raises(ValueError, match="size 2k-1 = 3"):
+        choose_partition(toy_two_bit(2), family, n, 2, 2, seed=1)
+    with pytest.raises(ValueError, match="size 2k-1 = 3"):
+        build_context(toy_two_bit(2), 30, 3, 2, seed=1, trials=2, family=family)
 
 
 def test_complete_family():
