@@ -49,16 +49,7 @@ from .overlap import (
     make_overlap_protocol,
 )
 from .protocols import PROTOCOLS, make_protocol, protocol_name
-from .reduction import (
-    alice_bob_bits,
-    alice_messages,
-    bob_messages,
-    build_compatible_graph,
-    build_context,
-    charlie_decide,
-    mismatched_nodes,
-    reduction_size,
-)
+from .reduction import build_compatible_graph, build_context, mismatched_nodes, reduction_size, simulate
 from .setfam import choose_partition, neighborhood_family, sample_family
 
 
@@ -187,8 +178,7 @@ def cmd_agm_run(args, report: RunReport) -> None:
         transcript = execute(
             proto, graph, randomness=SharedRandomness(int(rng.integers(0, 2**31)))
         )
-        budget = agm_mod.budget_bits(graph.n, k, delta)
-        report.record("sketch_budget", all(len(b) == budget for _, b in transcript.messages))
+        report.record("sketch_budget", all(len(b) == proto.max_bits for _, b in transcript.messages))
         truth = is_k_edge_connected(graph, k)
         got = transcript.decision is Decision.CONNECTED
         agree += got == truth
@@ -292,11 +282,7 @@ def cmd_overlap_attack(args, report: RunReport) -> None:
 
 def _reduction_checks(instance, ctx, protocol, report: RunReport) -> bool:
     """Run the three parties once, check the run; return the referee's verdict."""
-    msgs_a = alice_messages(instance.x, ctx, protocol)
-    msgs_b = bob_messages(instance.y, ctx, protocol)
-    verdict, assembled = charlie_decide(
-        instance.x.support, instance.y.support, msgs_a, msgs_b, ctx, protocol
-    )
+    verdict, assembled = simulate(instance, ctx, protocol)
     graph, advice = build_compatible_graph(instance, ctx)
     honest = execute(protocol, graph, advice).messages
     report.record("fidelity", not mismatched_nodes(assembled, honest))
@@ -304,11 +290,10 @@ def _reduction_checks(instance, ctx, protocol, report: RunReport) -> bool:
         "semantic_correspondence",
         is_k_edge_connected(graph, ctx.k) == answer(instance),
     )
-    w_count = len(ctx.a_side | ctx.b_side)
-    report.record(
-        "communication_accounting",
-        alice_bob_bits(msgs_a, msgs_b) == w_count * protocol.max_bits,
-    )
+    # Only Alice and Bob send for W-nodes.
+    w_nodes = ctx.a_side | ctx.b_side
+    w_bits = sum(len(bits) for node, bits in assembled if node in w_nodes)
+    report.record("communication_accounting", w_bits == len(w_nodes) * protocol.max_bits)
     return verdict
 
 

@@ -92,11 +92,6 @@ class MultiGraph:
         adj = self._adj[node]
         return {v: adj[v] for v in sorted(adj)}
 
-    def degree(self, node: int) -> int:
-        """Number of incident edges counted with multiplicity."""
-        self._check_node(node)
-        return sum(self._adj[node].values())
-
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """All edges as (u, v, mult) with u < v, ascending."""
         for u, adj in self._adj.items():
@@ -110,9 +105,6 @@ class MultiGraph:
         if not isinstance(other, MultiGraph):
             return NotImplemented
         return self.n == other.n and self._adj == other._adj
-
-    def __hash__(self):
-        return hash((self.n, tuple(self.edges())))
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, edges={self.edge_slot_count()})"
@@ -191,12 +183,6 @@ class Transcript:
     seed: Optional[int]
     messages: tuple[tuple[int, Bits], ...]
     decision: Decision
-
-    def message_of(self, node: int) -> Bits:
-        for i, bits in self.messages:
-            if i == node:
-                return bits
-        raise UnknownNode(node)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -281,13 +267,3 @@ def load_graph(path) -> MultiGraph:
         prev = (u, v)
         graph.add_edge(u, v, m)
     return graph
-
-
-def save_transcript(transcript: Transcript, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(transcript.to_json() + "\n")
-
-
-def load_transcript(path) -> Transcript:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Transcript.from_json(fh.read())

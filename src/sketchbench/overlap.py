@@ -61,6 +61,12 @@ def _is_support(support, m: int) -> bool:
     )
 
 
+def check_support(support, m: int, s: int) -> None:
+    """Raise ``InvalidInstance("support")`` unless ``support`` is an ascending s-subset of 1..m."""
+    if not (_is_support(support, m) and len(support) == s):
+        raise InvalidInstance("support", f"not an s={s} subset of [1..{m}]: {support!r}")
+
+
 @dataclass(frozen=True)
 class TernaryVector:
     """Length-m vector over {0, 1, unset}, held as its support and support bits.
@@ -279,8 +285,7 @@ class _PerSupport(dict):
         self.m, self.s, self.make = m, s, make
 
     def __missing__(self, support):
-        if not (_is_support(support, self.m) and len(support) == self.s):
-            raise InvalidInstance("support", f"not an s={self.s} subset of [1..{self.m}]: {support!r}")
+        check_support(support, self.m, self.s)
         value = self[support] = self.make(support)
         return value
 

@@ -32,7 +32,7 @@ from .model import (
     execute,
     node_view,
 )
-from .overlap import InvalidInstance, OverlapInstance, shared_index
+from .overlap import OverlapInstance, check_support, shared_index
 from .setfam import (
     NoGoodPartition,
     PartitionContext,
@@ -181,9 +181,8 @@ def _party_messages(
     side.
     """
     _, _, u_a, u_b = layout(ctx.n)
-    party, side, hub = ("Alice", ctx.a_side, u_a) if alice else ("Bob", ctx.b_side, u_b)
-    if len(vector.support) != ctx.s:
-        raise InvalidInstance("support", f"{party}'s support must have size {ctx.s}")
+    side, hub = (ctx.a_side, u_a) if alice else (ctx.b_side, u_b)
+    check_support(vector.support, ctx.m, ctx.s)
     graph = MultiGraph(ctx.n)
     ordered = sorted(side)
     for w1, w2 in combinations(ordered, 2):
@@ -220,7 +219,10 @@ def _roles(
 
     Read off the supports alone: the shared index's host is sigma, the hosts
     of Bob's other indices are B-restricted, every other V-node A-restricted.
+    Each support must be an ascending s-subset of 1..m, else InvalidInstance.
     """
+    for support in (supp_x, supp_y):
+        check_support(support, ctx.m, ctx.s)
     sigma = shared_index(supp_x, supp_y)
     roles = dict.fromkeys(layout(ctx.n)[0], (Advice.A_RESTRICTED, None))
     for advice, support, witness in (

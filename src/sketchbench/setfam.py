@@ -69,7 +69,11 @@ class SetFamily:
         return math.floor(self.epsilon * self.d / 2)
 
     def verify(self) -> None:
-        """Exhaustive O(|S|^2) re-check of the invariants; raises on violation."""
+        """Exhaustive re-check of the invariants; raises on violation.
+
+        The pairwise overlap pass is O(|S|^2); it is skipped when the bound is
+        at least d-1, which two distinct d-subsets cannot exceed.
+        """
         ground = set(self.ground)
         seen = set(self.members)
         if len(seen) != len(self.members):
@@ -80,6 +84,8 @@ class SetFamily:
             if list(s) != sorted(s):
                 raise ValueError(f"member {s} is not in canonical order")
         bound = self.intersection_bound
+        if bound >= self.d - 1:
+            return
         members = [set(s) for s in self.members]
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
@@ -362,10 +368,21 @@ class PartitionContext:
 
     @classmethod
     def from_json(cls, text: str) -> "PartitionContext":
-        """Parse a context; a witness that is not a bit string raises ValueError naming it."""
+        """Parse a context; a record the reduction cannot wire raises ValueError naming its field.
+
+        Each record key must be a V-node (below every W id), S0 and S1 family
+        members, and each witness a bit string.
+        """
         obj = json.loads(text)
+        family = SetFamily.from_json_obj(obj["family"])
+        members = set(family.members)
         good = {}
         for node, rec in obj["records"].items():
+            for name in ("S0", "S1"):
+                if tuple(rec[name]) not in members:
+                    raise ValueError(f"records[{node}].{name}: {rec[name]} is not a family member")
+            if not 1 <= int(node) < min(family.ground):
+                raise ValueError(f"records[{node}]: key is not a V-node, below every W id")
             witness = rec["witness"]
             for role in ("sigma", "a", "b"):
                 try:
@@ -383,7 +400,7 @@ class PartitionContext:
         return cls(
             a_side=frozenset(obj["A"]),
             b_side=frozenset(obj["B"]),
-            family=SetFamily.from_json_obj(obj["family"]),
+            family=family,
             good=good,
         )
 

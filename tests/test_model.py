@@ -29,13 +29,13 @@ def test_multigraph_basics():
     g = triangle()
     assert g.multiplicity(1, 2) == g.multiplicity(2, 1) == 1
     assert g.neighborhood(1) == {2: 1, 3: 1}
-    assert g.degree(1) == 2
+    assert sum(g.neighborhood(1).values()) == 2
 
 
 def test_parallel_edge_neighborhood():
     g = MultiGraph(2, [(1, 2, 3)])
     assert g.neighborhood(1) == {2: 3}
-    assert g.degree(1) == 3
+    assert sum(g.neighborhood(1).values()) == 3
 
 
 def test_multigraph_rejects_bad_input():
@@ -79,7 +79,7 @@ def test_edges_match_pairwise_multiplicities(g):
     assert list(g.edges()) == expected
     assert g.edge_slot_count() == len(expected)
     rebuilt = MultiGraph(g.n, reversed(expected))
-    assert rebuilt == g and hash(rebuilt) == hash(g)
+    assert rebuilt == g
 
 
 def test_lb_neighborhood_of_hub():
@@ -138,10 +138,10 @@ def test_truncation_transcript_matches_standalone_encodes():
     spec = random_spec(36, 3, seed=11)
     graph, advice = build_lb_graph(spec)
     proto = truncation(5, 36, 3)
-    t = execute(proto, graph, advice)
+    messages = dict(execute(proto, graph, advice).messages)
     for node in range(1, 37):
         view = node_view(graph, node, advice.get(node), 3)
-        assert t.message_of(node) == proto.encode(view, EMPTY_RANDOMNESS)
+        assert messages[node] == proto.encode(view, EMPTY_RANDOMNESS)
 
 
 def test_execute_deterministic():

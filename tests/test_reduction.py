@@ -2,13 +2,14 @@ import hashlib
 import itertools
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from sketchbench.lbgraph import layout, role_view
 from sketchbench.mincut import is_k_edge_connected
 from sketchbench.model import Advice, Decision, EMPTY_RANDOMNESS, execute
-from sketchbench.overlap import OverlapInstance, answer, enumerate_valid_instances, vector_on
+from sketchbench.overlap import InvalidInstance, OverlapInstance, answer, enumerate_valid_instances, vector_on
 from sketchbench.protocols import constant, full_information, make_protocol, toy_two_bit
 from sketchbench.reduction import (
     NotEnoughGoodNodes,
@@ -82,6 +83,30 @@ def test_context_rejects_bad_good_ids(toy_ctx, mutate):
     obj = json.loads(toy_ctx.to_json())
     obj["good_ids"] = mutate(obj["good_ids"], toy_ctx.n)
     with pytest.raises(ValueError, match="^good_ids: need 6 ascending nodes with records"):
+        ReductionContext.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "changes, field",
+    [({"S0": [99], "S1": []}, "S0"), ({"S1": [99]}, "S1")],
+    ids=["S0", "S1"],
+)
+def test_context_rejects_pair_outside_family(toy_ctx, changes, field):
+    # A pair that is not a family member must fail at load: the parties would
+    # silently drop its ids outside their sides and run on a different pair.
+    obj = json.loads(toy_ctx.to_json())
+    node = str(toy_ctx.good_ids[0])
+    obj["partition"]["records"][node].update(changes)
+    with pytest.raises(ValueError, match=rf"^records\[{node}\]\.{field}: "):
+        ReductionContext.from_json(json.dumps(obj))
+
+
+def test_context_rejects_record_key_inside_w(toy_ctx):
+    obj = json.loads(toy_ctx.to_json())
+    records = obj["partition"]["records"]
+    w = min(toy_ctx.family.ground)
+    records[str(w)] = records.pop(str(toy_ctx.good_ids[0]))
+    with pytest.raises(ValueError, match=rf"^records\[{w}\]: key is not a V-node"):
         ReductionContext.from_json(json.dumps(obj))
 
 
@@ -260,10 +285,26 @@ def test_constant_protocol_trivially_faithful():
 
 def test_charlie_rejects_bad_supports(toy_ctx):
     proto = toy_two_bit(2)
-    from sketchbench.overlap import InvalidInstance
-
     with pytest.raises(InvalidInstance):
         charlie_decide((1, 2, 3), (1, 2, 6), [], [], toy_ctx, proto)
+
+
+@pytest.mark.parametrize(
+    "supp_x, supp_y", [((0, 1, 2), (2, 3, 4)), ((1, 2, 7), (3, 4, 7))], ids=["index-0", "index-m+1"]
+)
+def test_charlie_rejects_support_outside_1_to_m(toy_ctx, supp_x, supp_y):
+    # Index 0 would wrap to the host of coordinate m through a negative list
+    # index, and m+1 lies past good_ids.  No ternary vector holds such an
+    # index, so build_compatible_graph gets a stand-in carrying the supports.
+    proto = toy_two_bit(2)
+    instance = SimpleNamespace(x=SimpleNamespace(support=supp_x), y=SimpleNamespace(support=supp_y))
+    for call in (
+        lambda: charlie_messages(supp_x, supp_y, toy_ctx, proto),
+        lambda: charlie_decide(supp_x, supp_y, [], [], toy_ctx, proto),
+        lambda: build_compatible_graph(instance, toy_ctx),
+    ):
+        with pytest.raises(InvalidInstance, match=r"^\[support\] not an s=3 subset of \[1\.\.6\]"):
+            call()
 
 
 def test_charlie_reads_only_supports(toy_ctx):

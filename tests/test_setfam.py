@@ -102,6 +102,25 @@ def test_family_verify_catches_violation():
         bad.verify()
 
 
+@pytest.mark.parametrize(
+    "extra, problem",
+    [
+        ((11, 12, 13), "distinct"),
+        ((11, 12), "not a 3-subset"),
+        ((15, 13, 12), "canonical order"),
+        ((11, 12, 99), "not a 3-subset"),
+    ],
+    ids=["repeated", "wrong-size", "unsorted", "outside-ground"],
+)
+def test_vacuous_bound_family_still_checks_members(extra, problem):
+    # With the bound at d-1 the pairwise pass is skipped; the per-member
+    # checks must still run.
+    fam = complete_family(range(11, 16), 3)
+    assert fam.intersection_bound == fam.d - 1
+    with pytest.raises(ValueError, match=problem):
+        replace(fam, members=fam.members + (extra,)).verify()
+
+
 def test_partitions_full_information_singletons():
     fam = fam40()
     a_side = frozenset(list(W16)[:8])
