@@ -102,17 +102,30 @@ class ReductionContext:
 
     @classmethod
     def from_json(cls, text: str) -> "ReductionContext":
-        """Parse a context; ``good_ids`` must be m ascending nodes with records, else ValueError."""
+        """Parse a context; a field the parties cannot run on raises ValueError naming it.
+
+        ``n`` must lay out W as the family's ground set, members must have
+        2k-1 elements, each side at least k, and ``good_ids`` must be m
+        ascending nodes with records.
+        """
         obj = json.loads(text)
         partition = PartitionContext.from_json(json.dumps(obj["partition"]))
+        n, k, family = obj["n"], obj["k"], partition.family
+        if not isinstance(n, int) or n < 1 or family.ground != tuple(layout(n)[1]):
+            raise ValueError(f"n: {n!r} does not lay out W as the family's ground set")
+        if not isinstance(k, int) or family.d != 2 * k - 1:
+            raise ValueError(f"k: {k!r} needs members of 2k-1 elements, the family's have {family.d}")
+        for name, side in (("A", partition.a_side), ("B", partition.b_side)):
+            if len(side) < k:
+                raise ValueError(f"{name}: {len(side)} members, fewer than k = {k}")
         good_ids = tuple(obj["good_ids"])
         if len(good_ids) != obj["m"] or good_ids != tuple(sorted(partition.good.keys() & set(good_ids))):
             raise ValueError(f"good_ids: need {obj['m']} ascending nodes with records, got {good_ids}")
         return cls(
             m=obj["m"],
             s=obj["s"],
-            k=obj["k"],
-            n=obj["n"],
+            k=k,
+            n=n,
             partition=partition,
             good_ids=good_ids,
             protocol_name=obj["protocol"],

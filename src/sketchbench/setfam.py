@@ -274,17 +274,17 @@ def find_separated_pair(
 ) -> Optional[tuple[Member, Member]]:
     """Pick one neighborhood of each kind from ``members``, if both exist.
 
-    S0 must have at least k elements in A (forcing the disconnected case), S1
-    at most k-1 (forcing the connected case); each is the first candidate in
-    canonical order, except that S0 candidates keeping a nonempty B-projection
-    win first, since a B-restricted node wired by S0 needs at least one B-edge.
+    S0 must have at least k elements in A (forcing the disconnected case) and
+    at least one in B, since a B-restricted node wired by S0 needs a B-edge; S1
+    must have at most k-1 elements in A (forcing the connected case).  Each is
+    the first such candidate in canonical order.  A block whose every
+    candidate for S0 lies wholly in A pins nothing: None.
     """
-    c0 = [s for s in sorted(members) if len(set(s) & a_side) >= k]
+    c0 = [s for s in sorted(members) if len(set(s) & a_side) >= k and set(s) & b_side]
     c1 = [s for s in sorted(members) if len(set(s) & a_side) <= k - 1]
     if not c0 or not c1:
         return None
-    s0 = next((s for s in c0 if set(s) & b_side), c0[0])
-    s1 = c1[0]
+    s0, s1 = c0[0], c1[0]
     # Distinctness of both projections is implied by the size split for
     # same-size members; checked anyway, since the referee relies on it.
     for side in (a_side, b_side):
@@ -368,25 +368,38 @@ class PartitionContext:
 
     @classmethod
     def from_json(cls, text: str) -> "PartitionContext":
-        """Parse a context; a record the reduction cannot wire raises ValueError naming its field.
+        """Parse a context; a side or record it cannot wire raises ValueError naming its field.
 
-        Each record key must be a V-node (below every W id), S0 and S1 family
-        members, and each witness a bit string.
+        A and B must split the family's ground set.  Each record must be an
+        object whose key is a V-node (below every W id), whose S0 and S1 are
+        family members, and whose witness is an object of three bit strings.
         """
         obj = json.loads(text)
         family = SetFamily.from_json_obj(obj["family"])
+        a_side, b_side = frozenset(obj["A"]), frozenset(obj["B"])
+        if a_side & b_side:
+            raise ValueError(f"A: {sorted(a_side & b_side)} also in B")
+        if a_side | b_side != set(family.ground):
+            stray = sorted((a_side | b_side) ^ set(family.ground))
+            raise ValueError(f"A, B: together differ from the family's ground set at {stray}")
         members = set(family.members)
         good = {}
         for node, rec in obj["records"].items():
+            if not isinstance(rec, dict):
+                raise ValueError(f"records[{node}]: {rec!r} is not an object")
             for name in ("S0", "S1"):
-                if tuple(rec[name]) not in members:
-                    raise ValueError(f"records[{node}].{name}: {rec[name]} is not a family member")
-            if not 1 <= int(node) < min(family.ground):
+                member = rec.get(name)
+                ints = isinstance(member, list) and all(isinstance(w, int) for w in member)
+                if not ints or tuple(member) not in members:
+                    raise ValueError(f"records[{node}].{name}: {member!r} is not a family member")
+            if not node.isdecimal() or not 1 <= int(node) < min(family.ground):
                 raise ValueError(f"records[{node}]: key is not a V-node, below every W id")
-            witness = rec["witness"]
+            witness = rec.get("witness")
+            if not isinstance(witness, dict):
+                raise ValueError(f"records[{node}].witness: {witness!r} is not an object")
             for role in ("sigma", "a", "b"):
                 try:
-                    check_bits(witness[role])
+                    check_bits(witness.get(role))
                 except ValueError as exc:
                     raise ValueError(f"records[{node}].witness.{role}: {exc}") from None
             good[int(node)] = SeparatedPairRecord(
@@ -397,12 +410,7 @@ class PartitionContext:
                 message_a=witness["a"],
                 message_b=witness["b"],
             )
-        return cls(
-            a_side=frozenset(obj["A"]),
-            b_side=frozenset(obj["B"]),
-            family=family,
-            good=good,
-        )
+        return cls(a_side=a_side, b_side=b_side, family=family, good=good)
 
 
 def _sample_split(

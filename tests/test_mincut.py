@@ -121,3 +121,60 @@ def test_agreement_with_networkx(g):
     else:
         assert res.value == 0
     assert crossing_value(g, res.side) == res.value
+
+
+def networkx_min_cut(g: MultiGraph) -> int:
+    """Second implementation: networkx's Stoer-Wagner, 0 on a disconnected graph."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(1, g.n + 1))
+    h.add_weighted_edges_from(g.edges())
+    return nx.stoer_wagner(h)[0] if nx.is_connected(h) else 0
+
+
+def assert_matches_networkx(g: MultiGraph) -> None:
+    res = global_min_cut(g)
+    assert res.value == networkx_min_cut(g)
+    assert crossing_value(g, res.side) == res.value
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_multigraphs_agree_with_networkx(seed):
+    # A random spanning tree plus up to 2n extra edges, multiplicities 1-3.
+    rng = np.random.default_rng(seed)
+    for _ in range(15):
+        n = int(rng.integers(20, 121))
+        g = MultiGraph(n)
+        for v in range(2, n + 1):
+            g.add_edge(v, int(rng.integers(1, v)), int(rng.integers(1, 4)))
+        for _ in range(int(rng.integers(0, 2 * n + 1))):
+            u, v = (int(x) for x in rng.integers(1, n + 1, size=2))
+            if u != v:
+                g.add_edge(u, v, int(rng.integers(1, 4)))
+        assert_matches_networkx(g)
+
+
+@pytest.mark.parametrize("n", [100, 256])
+@pytest.mark.parametrize("condition", [Condition.C0, Condition.C1])
+def test_hard_family_agrees_with_networkx(n, condition):
+    # Seeds whose C0 members are connected (lambda 1-2), so contraction runs
+    # rather than the disconnected-graph path.
+    for seed in (1, 2):
+        graph, _ = build_lb_graph(random_spec(n, 3, seed=seed, condition=condition))
+        assert_matches_networkx(graph)
+
+
+@pytest.mark.parametrize(
+    "edges, value",
+    [
+        ([(i, i % 256 + 1, 1) for i in range(1, 257)], 2),
+        ([(i, i + 1, 3) for i in range(1, 256)] + [(256, 1, 1)], 4),
+    ],
+    ids=["cycle", "heavy-path"],
+)
+def test_no_contraction_worst_case(edges, value):
+    # Every MA label but the last stays below the best cut, so each phase
+    # contracts one pair and the loop runs all n-1 phases.
+    g = MultiGraph(256, edges)
+    assert global_min_cut(g).value == value
+    assert_matches_networkx(g)

@@ -101,6 +101,27 @@ def test_context_rejects_pair_outside_family(toy_ctx, changes, field):
         ReductionContext.from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda obj: obj.update(n=99), "n"),
+        (lambda obj: obj.update(k=3), "k"),
+        (lambda obj: obj["partition"]["A"].append(obj["partition"]["B"][0]), "A"),
+        (lambda obj: obj["partition"]["A"].append(99), "A, B"),
+        (lambda obj: obj["partition"]["A"].append(obj["partition"]["B"].pop()), "B"),
+    ],
+    ids=["n", "k", "B-id-in-A", "A-id-outside-W", "B-below-k"],
+)
+def test_context_rejects_fields_off_the_family(toy_ctx, mutate, field):
+    # Each mutation puts the context off its family: it must fail at load,
+    # naming the field, not run ``simulate`` on a graph outside the family or
+    # fail later as UnknownNode.
+    obj = json.loads(toy_ctx.to_json())
+    mutate(obj)
+    with pytest.raises(ValueError, match=rf"^{field}: "):
+        ReductionContext.from_json(json.dumps(obj))
+
+
 def test_context_rejects_record_key_inside_w(toy_ctx):
     obj = json.loads(toy_ctx.to_json())
     records = obj["partition"]["records"]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -207,6 +208,15 @@ def test_find_separated_pair_cases():
     assert pair == ((2, 3, 4), (1, 4, 5))
 
 
+def test_find_separated_pair_pins_no_s0_without_b_edge():
+    # Every candidate with >= k members in A lies wholly in A: a B-restricted
+    # node wired by it would have no B-edge, so the block pins nothing.
+    a_side, b_side = frozenset({1, 2, 3, 4}), frozenset({5, 6, 7})
+    block = [(1, 2, 3), (1, 2, 4), (2, 3, 4), (1, 5, 6), (4, 6, 7)]
+    assert find_separated_pair(block, a_side, b_side, 2) is None
+    assert find_separated_pair(block + [(3, 4, 7)], a_side, b_side, 2) == ((3, 4, 7), (1, 5, 6))
+
+
 def test_find_separated_pair_rejects_shared_projection():
     # Members of unequal size can split on A yet share their B-projection.
     a_side, b_side = frozenset({1, 2, 3}), frozenset({4, 5, 6})
@@ -258,7 +268,7 @@ def test_find_separated_pair_classification_sweep():
     members = list(itertools.combinations(range(1, 8), 3))
     for size in (1, 2, 3):
         for chosen in itertools.combinations(members, size):
-            has_c0 = any(len(set(s) & a_side) >= 2 for s in chosen)
+            has_c0 = any(len(set(s) & a_side) >= 2 and set(s) & b_side for s in chosen)
             has_c1 = any(len(set(s) & a_side) <= 1 for s in chosen)
             pair = find_separated_pair(chosen, a_side, b_side, 2)
             assert (pair is not None) == (has_c0 and has_c1)
@@ -315,6 +325,27 @@ def test_partition_context_json_roundtrip():
     assert again.a_side == ctx.a_side
     assert again.family.members == ctx.family.members
     assert again.good == ctx.good
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda records, node: records[node].update(S0=3), ".S0"),
+        (lambda records, node: records[node].update(S1=[[11, 12, 13]]), ".S1"),
+        (lambda records, node: records[node].pop("witness"), ".witness"),
+        (lambda records, node: records[node].update(witness="01"), ".witness"),
+        (lambda records, node: records.update({node: [1, 2]}), ""),
+    ],
+    ids=["S0-int", "S1-nested", "no-witness", "witness-string", "record-list"],
+)
+def test_partition_context_rejects_badly_typed_record(mutate, field):
+    # A badly typed record fails at load with a ValueError naming its field,
+    # not a bare TypeError or KeyError.
+    obj = json.loads(choose_partition(toy_two_bit(2), fam40(), N16, 2, trials=4, seed=9).to_json())
+    node = next(iter(obj["records"]))
+    mutate(obj["records"], node)
+    with pytest.raises(ValueError, match=rf"^records\[{node}\]{re.escape(field)}: "):
+        PartitionContext.from_json(json.dumps(obj))
 
 
 @pytest.mark.parametrize("role", ["sigma", "a", "b"])
