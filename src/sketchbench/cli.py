@@ -64,9 +64,15 @@ class RunReport:
     input_hashes: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
 
-    def record(self, invariant: str, ok: bool, count: int = 1) -> None:
+    def record(self, invariant: str, ok: bool) -> None:
         entry = self.outcomes.setdefault(invariant, {"pass": 0, "fail": 0})
-        entry["pass" if ok else "fail"] += count
+        entry["pass" if ok else "fail"] += 1
+
+    def artifact(self, out: str, suffix: str, text: str) -> None:
+        """Write ``text`` and a newline to ``<stem of out><suffix>`` and list that file."""
+        path = Path(out).with_suffix("").as_posix() + suffix
+        Path(path).write_text(text + "\n", encoding="utf-8")
+        self.artifacts.append(path)
 
     @property
     def failed(self) -> bool:
@@ -126,12 +132,10 @@ def cmd_gen_lb(args, report: RunReport) -> None:
     graph, _ = build_lb_graph(spec)
     report.record("dichotomy", verify_dichotomy(spec))
     if args.out:
-        stem = Path(args.out).with_suffix("")
-        spec_path = Path(f"{stem}.spec.json")
-        graph_path = Path(f"{stem}.graph.txt")
-        spec_path.write_text(spec.to_json() + "\n", encoding="utf-8")
+        report.artifact(args.out, ".spec.json", spec.to_json())
+        graph_path = Path(args.out).with_suffix("").as_posix() + ".graph.txt"
         save_graph(graph, graph_path)
-        report.artifacts.extend([str(spec_path), str(graph_path)])
+        report.artifacts.append(graph_path)
     report.results["condition"] = condition_of(spec).value
     report.results["nodes"] = graph.n
     report.results["edge_slots"] = graph.edge_slot_count()
@@ -200,9 +204,7 @@ def cmd_sample_family(args, report: RunReport) -> None:
     report.results["size"] = len(family.members)
     report.results["bound"] = family.intersection_bound
     if args.out:
-        fam_path = Path(args.out).with_suffix("").as_posix() + ".family.json"
-        Path(fam_path).write_text(json.dumps(family.to_json_obj(), indent=2) + "\n", "utf-8")
-        report.artifacts.append(fam_path)
+        report.artifact(args.out, ".family.json", json.dumps(family.to_json_obj(), indent=2))
 
 
 def cmd_choose_partition(args, report: RunReport) -> None:
@@ -213,9 +215,7 @@ def cmd_choose_partition(args, report: RunReport) -> None:
     report.results["A"] = sorted(ctx.a_side)
     report.results["B"] = sorted(ctx.b_side)
     if args.out:
-        ctx_path = Path(args.out).with_suffix("").as_posix() + ".partition.json"
-        Path(ctx_path).write_text(ctx.to_json() + "\n", "utf-8")
-        report.artifacts.append(ctx_path)
+        report.artifact(args.out, ".partition.json", ctx.to_json())
 
 
 def _instances(args, report: RunReport):
@@ -308,9 +308,7 @@ def cmd_verify_fidelity(args, report: RunReport) -> None:
         report.results["truth"] = "yes" if answer(instance) else "no"
     report.results["good_ids"] = list(ctx.good_ids)
     if args.out:
-        ctx_path = Path(args.out).with_suffix("").as_posix() + ".context.json"
-        Path(ctx_path).write_text(ctx.to_json() + "\n", "utf-8")
-        report.artifacts.append(ctx_path)
+        report.artifact(args.out, ".context.json", ctx.to_json())
 
 
 # ------------------------------------------------------------------- plumbing

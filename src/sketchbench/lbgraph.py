@@ -8,7 +8,8 @@ which has exactly 2k-1 W-edges and k parallel hub-A edges.  Whether the graph
 is k-edge connected is decided entirely by how sigma's W-edges split between
 A and B.
 
-``hub_of`` is the one rule for the hub a V-node's k parallel edges go to, and
+``check_sizes`` is the one rule for the (n, k) at which the family exists,
+``hub_of`` the one rule for the hub a V-node's k parallel edges go to, and
 ``role_view`` the one rule for the view a V-node has in a given role; the
 set-family search, its record checks and Charlie's simulation all build V-node
 views and hub views with them.  ``build_lb_graph`` wires the same rules as
@@ -30,10 +31,6 @@ import numpy as np
 
 from .mincut import is_k_edge_connected
 from .model import Advice, MultiGraph, NodeView
-
-
-#: Largest k / sqrt(n) in the family: then |W| = isqrt(n) >= 2k holds two sides of size k.
-GAMMA = 0.5
 
 
 class SpecError(ValueError):
@@ -59,6 +56,12 @@ def layout(n: int) -> tuple[range, range, int, int]:
     w = math.isqrt(n)
     v_count = n - w - 2
     return range(1, v_count + 1), range(v_count + 1, v_count + w + 1), n - 1, n
+
+
+def check_sizes(n: int, k: int) -> None:
+    """Raise ``SpecError("sizes")`` unless 2 <= k and |W| = isqrt(n) >= 2k, room for two k-sides."""
+    if not (2 <= k and 2 * k <= math.isqrt(max(n, 0))):
+        raise SpecError("sizes", f"need 2 <= k and 2k <= isqrt(n); got k={k}, n={n}")
 
 
 def hub_of(advice: Optional[Advice], n: int) -> int:
@@ -123,13 +126,10 @@ class LBGraphSpec:
 def validate(spec: LBGraphSpec) -> None:
     """Check every family rule; raise SpecError naming the violated one."""
     n, k = spec.n, spec.k
+    check_sizes(n, k)  # then |V| = n - isqrt(n) - 2 >= 10
     v_ids, w_ids, _, _ = layout(n)
     w_set = frozenset(w_ids)
 
-    if not 2 <= k <= GAMMA * math.sqrt(n):
-        raise SpecError("sizes", f"need 2 <= k <= {GAMMA}*sqrt(n); got k={k}, n={n}")
-    if len(v_ids) < 1:
-        raise SpecError("sizes", f"empty V for n={n}")
     if spec.a_side | spec.b_side != w_set or spec.a_side & spec.b_side:
         raise SpecError("sizes", "A and B must partition W")
     if len(spec.a_side) < k or len(spec.b_side) < k:
@@ -209,13 +209,11 @@ def verify_dichotomy(spec: LBGraphSpec) -> bool:
 
 def random_spec(n: int, k: int, seed: int, condition: Optional[Condition] = None) -> LBGraphSpec:
     """Sample a valid spec; optionally force the side of the dichotomy."""
+    check_sizes(n, k)
     rng = np.random.default_rng(seed)
     v_ids, w_ids, _, _ = layout(n)
     w_sorted = list(w_ids)
-    w_count = len(w_sorted)
-    if w_count < 2 * k:
-        raise SpecError("sizes", f"|W|={w_count} cannot fit two sides of size {k}")
-    split = int(rng.integers(k, w_count - k + 1))
+    split = int(rng.integers(k, len(w_sorted) - k + 1))
     a_side = frozenset(w_sorted[:split])
     b_side = frozenset(w_sorted[split:])
 

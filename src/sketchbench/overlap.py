@@ -14,10 +14,10 @@ chosen by a block map and so sends s-1 bits whenever s exceeds a third of m;
 attack hunts for message collisions breaking any given one-way protocol at
 small scale.
 
-A vector stores its support and its support bits, fixed when it is built, so
-the encoders read them without re-scanning the m entries.  The exhaustive
-sweep builds the 2^s fills of each support once and pairs those shared
-vectors into instances.
+Each promise has one rule, which every builder, sweep, attack and loader
+calls: ``check_parameters`` for (m, s), ``check_support`` for a support and
+``shared_index`` for the overlap.  Vectors fix their support and support bits
+when built, and the sweep shares each support's 2^s fills among instances.
 """
 
 from __future__ import annotations
@@ -133,32 +133,30 @@ def fills(m: int, support: tuple[int, ...]) -> tuple[TernaryVector, ...]:
     )
 
 
+def check_parameters(m, s) -> None:
+    """Raise ``InvalidInstance("parameters")`` unless two s-subsets of [m] can share just one index."""
+    if not (_is_int(m) and _is_int(s) and 1 <= s <= (m + 1) // 2):
+        raise InvalidInstance("parameters", f"need integers 1 <= s <= ceil(m/2); got m={m!r}, s={s!r}")
+
+
 def validate_instance(x: TernaryVector, y: TernaryVector, m: int, s: int) -> int:
     """Check the promises and return the unique shared index."""
-    if s > (m + 1) // 2:
-        raise InvalidInstance("parameters", f"support size s={s} must not exceed ceil(m/2)={(m + 1) // 2}")
+    check_parameters(m, s)
     if x.length != m or y.length != m:
         raise InvalidInstance("support", f"vectors must have length {m}")
-    if len(x.support) != s or len(y.support) != s:
-        raise InvalidInstance(
-            "support", f"supports must have size {s}, got {len(x.support)} and {len(y.support)}"
-        )
-    common = set(x.support) & set(y.support)
-    if len(common) > 1:
-        raise InvalidInstance("P2", f"supports share {len(common)} indices: {sorted(common)}")
-    if not common:
-        raise InvalidInstance("P1", "supports share no index")
-    sigma = common.pop()
+    for vector in (x, y):
+        check_support(vector.support, m, s)
+    sigma = shared_index(x.support, y.support)
     if x[sigma] == y[sigma]:
         raise InvalidInstance("P1", f"bits at shared index {sigma} must differ")
     return sigma
 
 
 def shared_index(supp_x: tuple[int, ...], supp_y: tuple[int, ...]) -> int:
-    """Charlie's view of the promise: the one index both supports hold, else P2."""
+    """The one index both supports hold; none shared is P1, several P2."""
     common = set(supp_x).intersection(supp_y)
     if len(common) != 1:
-        raise InvalidInstance("P2", f"supports share {len(common)} indices")
+        raise InvalidInstance("P2" if common else "P1", f"supports share {sorted(common)}, not one index")
     return common.pop()
 
 
@@ -364,6 +362,7 @@ OVERLAP_PROTOCOLS = {
 def make_overlap_protocol(name: str, m: int, s: int) -> OneWayProtocol:
     if name not in OVERLAP_PROTOCOLS:
         raise ValueError(f"unknown overlap protocol {name!r}")
+    check_parameters(m, s)
     return OVERLAP_PROTOCOLS[name](m, s)
 
 
@@ -373,7 +372,9 @@ def enumerate_valid_instances(m: int, s: int) -> Iterator[OverlapInstance]:
     The order is Alice's support, the shared index in it, Bob's other indices,
     Alice's fill, then Bob's fill of his other indices.  Each support's 2^s
     fills are built once and shared by every instance that uses them.
+    Infeasible (m, s) raises at the first ``next()``, by ``check_parameters``.
     """
+    check_parameters(m, s)
     supports = list(itertools.combinations(range(1, m + 1), s))
     vectors = {support: fills(m, support) for support in supports}
     # Bob's fills split by the bit at each position: by_bit[support][pos][bit].
@@ -440,6 +441,7 @@ def attack(protocol: OneWayProtocol, m: int, s: int) -> Optional[Counterexample]
     messages but opposite answers, so the decoder must be wrong on one; the
     failing combination is verified by direct execution before returning.
     """
+    check_parameters(m, s)
     if math.comb(m, s) * (2 ** s) > 2_000_000:
         raise ValueError(f"(m={m}, s={s}) too large for exhaustive enumeration")
     supports = list(itertools.combinations(range(1, m + 1), s))

@@ -169,10 +169,11 @@ PROTOCOLS = {
 
 def protocol_name(name: str) -> str:
     """Return ``name`` if ``make_protocol`` builds it; raise ValueError otherwise."""
-    prefix, _, bits = name.partition(":")
-    if name in PROTOCOLS or (prefix == "trunc" and bits.isdecimal() and int(bits) >= 1):
-        return name
-    raise ValueError(f"unknown protocol {name!r}; known: {', '.join(PROTOCOLS)}, trunc:<bits>")
+    if isinstance(name, str):
+        prefix, _, bits = name.partition(":")
+        if name in PROTOCOLS or (prefix == "trunc" and bits.isdecimal() and int(bits) >= 1):
+            return name
+    raise ValueError(f"protocol: {name!r} is unknown; known: {', '.join(PROTOCOLS)}, trunc:<bits>")
 
 
 def make_protocol(name: str, n: int, k: int) -> SketchProtocol:

@@ -9,6 +9,8 @@ Charlie wires the hubs by ``lbgraph.hub_of`` and encodes the other V-nodes
 from ``lbgraph.role_view``, and ``build_compatible_graph`` takes its roles
 from the same map.  The referee's decision on the assembled messages answers
 the instance, and the assembly is bit-identical to the honest execution.
+Building or loading a context checks (m, s) with ``overlap.check_parameters``;
+loading also checks the protocol with ``protocols.protocol_name``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from .model import (
     execute,
     node_view,
 )
-from .overlap import OverlapInstance, check_support, shared_index
+from .overlap import OverlapInstance, check_parameters, check_support, shared_index
+from .protocols import protocol_name
 from .setfam import (
     NoGoodPartition,
     PartitionContext,
@@ -104,32 +107,29 @@ class ReductionContext:
     def from_json(cls, text: str) -> "ReductionContext":
         """Parse a context; a field the parties cannot run on raises ValueError naming it.
 
-        ``n`` must lay out W as the family's ground set, members must have
-        2k-1 elements, each side at least k, and ``good_ids`` must be m
-        ascending nodes with records.
+        (m, s) must pass ``overlap.check_parameters``, ``protocol`` must be a
+        ``protocols.protocol_name``, ``n`` must lay out W as the family's
+        ground set, members must have 2k-1 elements, and ``good_ids`` must
+        be m ascending nodes with records.
         """
         obj = json.loads(text)
-        partition = PartitionContext.from_json(json.dumps(obj["partition"]))
-        n, k, family = obj["n"], obj["k"], partition.family
-        if not isinstance(n, int) or n < 1 or family.ground != tuple(layout(n)[1]):
+        if not isinstance(obj, dict):
+            raise ValueError(f"context: {obj!r} is not an object")
+        m, s = obj.get("m"), obj.get("s")
+        check_parameters(m, s)
+        protocol = protocol_name(obj.get("protocol"))
+        partition = PartitionContext.from_json(json.dumps(obj.get("partition")))
+        n, k, family = obj.get("n"), obj.get("k"), partition.family
+        sized = isinstance(n, int) and n >= 1 and math.isqrt(n) == len(family.ground)
+        if not sized or family.ground != tuple(layout(n)[1]):
             raise ValueError(f"n: {n!r} does not lay out W as the family's ground set")
         if not isinstance(k, int) or family.d != 2 * k - 1:
             raise ValueError(f"k: {k!r} needs members of 2k-1 elements, the family's have {family.d}")
-        for name, side in (("A", partition.a_side), ("B", partition.b_side)):
-            if len(side) < k:
-                raise ValueError(f"{name}: {len(side)} members, fewer than k = {k}")
-        good_ids = tuple(obj["good_ids"])
-        if len(good_ids) != obj["m"] or good_ids != tuple(sorted(partition.good.keys() & set(good_ids))):
-            raise ValueError(f"good_ids: need {obj['m']} ascending nodes with records, got {good_ids}")
-        return cls(
-            m=obj["m"],
-            s=obj["s"],
-            k=k,
-            n=n,
-            partition=partition,
-            good_ids=good_ids,
-            protocol_name=obj["protocol"],
-        )
+        good_ids = obj.get("good_ids")
+        listed = isinstance(good_ids, list) and all(isinstance(v, int) for v in good_ids)
+        if not listed or len(good_ids) != m or good_ids != sorted(partition.good.keys() & set(good_ids)):
+            raise ValueError(f"good_ids: need {m} ascending nodes with records, got {good_ids!r}")
+        return cls(m=m, s=s, k=k, n=n, partition=partition, good_ids=tuple(good_ids), protocol_name=protocol)
 
 
 def build_context(
@@ -142,18 +142,12 @@ def build_context(
     family: Optional[SetFamily] = None,
 ) -> ReductionContext:
     """Choose the partition and pin the first m nodes carrying pairs."""
-    if not protocol.deterministic:
-        raise ValueError("the simulation is defined for deterministic protocols")
+    check_parameters(m, s)
     if protocol.k != k:
         raise ValueError(f"protocol decides k={protocol.k}, context asked for k={k}")
-    if s > math.ceil(m / 2):
-        raise ValueError(f"need s <= ceil(m/2); got s={s}, m={m}")
     n = reduction_size(m)
-    v_ids, w_ids, _, _ = layout(n)
-    if len(v_ids) < m:
-        raise ValueError(f"|V|={len(v_ids)} cannot host {m} coordinates")
     if family is None:
-        family = neighborhood_family(w_ids, k)
+        family = neighborhood_family(layout(n)[1], k)
     try:
         partition = choose_partition(protocol, family, n, k, trials, seed)
     except NoGoodPartition:

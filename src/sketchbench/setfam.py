@@ -10,11 +10,11 @@ pins the node: one neighborhood forces the graph disconnected below k, the
 other forces it k-edge connected, yet the node's messages cannot tell them
 apart.
 
-The search samples several A/B splits of W.  Sigma-role messages do not
-depend on the split, so each node computes them once for all trials, and each
-distinct A- or B-projection view is encoded at most once per node across all
-trials.  Only the returned trial's records are re-verified, each encoding its
-views from scratch; the records of losing trials are dropped unchecked.
+Splits of W are sampled once (``lbgraph.check_sizes`` vets (n, k)); each node
+encodes its sigma views and each distinct projection view once across trials,
+and ``message_partitions`` alone refuses randomized protocols.  Only the
+winning trial's records are re-verified from scratch; ``is_separated_pair`` is
+the one pair-shape check of ``verify_record`` and of context loads.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .lbgraph import layout, role_view
+from .lbgraph import check_sizes, layout, role_view
 from .model import Advice, Bits, EMPTY_RANDOMNESS, SketchProtocol, check_bits
 
 Member = tuple[int, ...]  # a W-neighborhood, ascending ids
@@ -293,6 +293,17 @@ def find_separated_pair(
     return s0, s1
 
 
+def is_separated_pair(s0, s1, a_side: frozenset[int], b_side: frozenset[int], k: int) -> bool:
+    """True iff |S0∩A| >= k, 1 <= |S0∩B| <= k-1, |S1∩A| <= k-1 and |S1∩B| >= k.
+
+    S0 then forces the disconnected case yet gives a B-restricted node a
+    B-edge, S1 forces the connected case, and the counts make S0 and S1
+    differ on both projections.
+    """
+    a0, b0, a1, b1 = (len(set(s) & side) for s in (s0, s1) for side in (a_side, b_side))
+    return a0 >= k and 1 <= b0 <= k - 1 and a1 <= k - 1 and b1 >= k
+
+
 @dataclass(frozen=True)
 class SeparatedPairRecord:
     """An indistinguishable separated pair for one node, with its witness messages."""
@@ -313,14 +324,8 @@ def verify_record(
     n: int,
     k: int,
 ) -> bool:
-    """Recompute all four pair properties from scratch; nothing cached is trusted."""
+    """Recheck the pair's shape, then re-encode every witness; nothing cached is trusted."""
     s0, s1 = set(record.s0), set(record.s1)
-    if not (len(s0 & a_side) >= k and len(s0 & b_side) <= k - 1):
-        return False
-    if not (len(s1 & a_side) <= k - 1 and len(s1 & b_side) >= k):
-        return False
-    if s0 & a_side == s1 & a_side or s0 & b_side == s1 & b_side:
-        return False
     witnessed = (
         (s0, Advice.SIGMA, record.message_sigma),
         (s1, Advice.SIGMA, record.message_sigma),
@@ -329,7 +334,7 @@ def verify_record(
         (s0 & b_side, Advice.B_RESTRICTED, record.message_b),
         (s1 & b_side, Advice.B_RESTRICTED, record.message_b),
     )
-    return all(
+    return is_separated_pair(s0, s1, a_side, b_side, k) and all(
         protocol.encode(role_view(record.node, nbrs, advice, n, k), EMPTY_RANDOMNESS) == message
         for nbrs, advice, message in witnessed
     )
@@ -368,23 +373,41 @@ class PartitionContext:
 
     @classmethod
     def from_json(cls, text: str) -> "PartitionContext":
-        """Parse a context; a side or record it cannot wire raises ValueError naming its field.
+        """Parse a context; a field it cannot wire raises ValueError naming the field.
 
-        A and B must split the family's ground set.  Each record must be an
-        object whose key is a V-node (below every W id), whose S0 and S1 are
-        family members, and whose witness is an object of three bit strings.
+        A and B must be lists of at least k ids splitting the ground set of
+        a family of (2k-1)-sets.  Each record needs a V-node key (below every
+        W id), family members S0 and S1 passing ``is_separated_pair``, and a
+        witness object of three bit strings.
         """
         obj = json.loads(text)
-        family = SetFamily.from_json_obj(obj["family"])
+        if not isinstance(obj, dict):
+            raise ValueError(f"partition: {obj!r} is not an object")
+        try:
+            family = SetFamily.from_json_obj(obj["family"])
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise ValueError(f"family: not a set family: {exc!r}") from None
+        k = (family.d + 1) // 2
+        if family.d != 2 * k - 1:
+            raise ValueError(f"family: members of size {family.d!r}, not an odd 2k-1")
+        for name in ("A", "B"):
+            if not (isinstance(obj.get(name), list) and all(isinstance(w, int) for w in obj[name])):
+                raise ValueError(f"{name}: {obj.get(name)!r} is not a list of ids")
         a_side, b_side = frozenset(obj["A"]), frozenset(obj["B"])
         if a_side & b_side:
             raise ValueError(f"A: {sorted(a_side & b_side)} also in B")
         if a_side | b_side != set(family.ground):
             stray = sorted((a_side | b_side) ^ set(family.ground))
             raise ValueError(f"A, B: together differ from the family's ground set at {stray}")
+        for name, side in (("A", a_side), ("B", b_side)):
+            if len(side) < k:
+                raise ValueError(f"{name}: {len(side)} members, fewer than k = {k}")
+        records = obj.get("records")
+        if not isinstance(records, dict):
+            raise ValueError(f"records: {records!r} is not an object")
         members = set(family.members)
         good = {}
-        for node, rec in obj["records"].items():
+        for node, rec in records.items():
             if not isinstance(rec, dict):
                 raise ValueError(f"records[{node}]: {rec!r} is not an object")
             for name in ("S0", "S1"):
@@ -402,6 +425,8 @@ class PartitionContext:
                     check_bits(witness.get(role))
                 except ValueError as exc:
                     raise ValueError(f"records[{node}].witness.{role}: {exc}") from None
+            if not is_separated_pair(rec["S0"], rec["S1"], a_side, b_side, k):
+                raise ValueError(f"records[{node}]: S0, S1 are not a separated pair under A, B")
             good[int(node)] = SeparatedPairRecord(
                 node=int(node),
                 s0=tuple(rec["S0"]),
@@ -449,11 +474,8 @@ def choose_partition(
     pure function of the inputs.  ``family`` must hold (2k-1)-subsets of W,
     the candidate sigma neighborhoods, else ValueError.
     """
+    check_sizes(n, k)
     v_ids, w_ids, _, _ = layout(n)
-    if len(w_ids) < 2 * k:
-        raise ValueError(f"|W|={len(w_ids)} cannot host two sides of size {k}")
-    if not protocol.deterministic:
-        raise DeterminismRequired(f"protocol {protocol.name!r} is randomized")
     if any(len(member) != 2 * k - 1 for member in family.members):
         raise ValueError(f"family members must be sigma neighborhoods of size 2k-1 = {2 * k - 1}")
 

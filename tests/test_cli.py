@@ -281,3 +281,28 @@ def test_reduction_checks_run_each_party_once(monkeypatch):
     assert calls == Counter({name: 1 for name in names})
     assert not report.failed and len(report.outcomes) == 3
     assert verdict == reduction.simulate(instance, ctx, protocol)[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("overlap-enum", "--m", 5, "--s", 4),
+        ("overlap-attack", "--m", 5, "--s", 4),
+        ("verify-fidelity", "--m", 6, "--s", 0, "--k", 2),
+    ],
+)
+def test_infeasible_sweeps_exit_1(capsys, argv):
+    # No two supports meet in exactly one index: a sweep that ran would pass
+    # after checking nothing, and the attack would report no counterexample.
+    code, report = run(capsys, *argv)
+    assert code == 1
+    assert report["outcomes"] == {"completed": {"pass": 0, "fail": 1}}
+    assert report["results"]["error"].startswith("InvalidInstance: [parameters]")
+
+
+def test_report_artifact_writes_stem_and_suffix(tmp_path):
+    report = cli.RunReport(command="x", parameters={}, seed=None)
+    report.artifact(str(tmp_path / "run.json"), ".side.json", "{}")
+    path = tmp_path / "run.side.json"
+    assert report.artifacts == [path.as_posix()]
+    assert path.read_bytes() == b"{}\n"

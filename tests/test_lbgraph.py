@@ -7,6 +7,7 @@ from sketchbench.lbgraph import (
     LBGraphSpec,
     SpecError,
     build_lb_graph,
+    check_sizes,
     condition_of,
     hub_of,
     layout,
@@ -200,3 +201,16 @@ def test_hub_of_matches_built_graph(n, k):
                 hub = hub_of(advice[v], n)
                 other = u_b if hub == u_a else u_a
                 assert (graph.multiplicity(v, hub), graph.multiplicity(v, other)) == (k, 0)
+
+
+def test_check_sizes_is_the_float_rule_on_integers():
+    # 2k <= isqrt(n) admits the same integer (n, k) as 2 <= k <= sqrt(n)/2.
+    for n in range(0, 1100):
+        for k in range(-1, 20):
+            try:
+                check_sizes(n, k)
+            except SpecError as err:
+                assert err.rule == "sizes"
+                assert not 2 <= k <= 0.5 * n**0.5, (n, k)
+            else:
+                assert 2 <= k <= 0.5 * n**0.5, (n, k)

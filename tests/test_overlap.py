@@ -21,10 +21,12 @@ from sketchbench.overlap import (
     appb_protocol,
     attack,
     build_blocks,
+    check_parameters,
     cycle_successors,
     enumerate_valid_instances,
     fills,
     full_support_protocol,
+    shared_index,
     truncated_protocol,
     validate_instance,
     vector_on,
@@ -433,3 +435,32 @@ def test_full_support_protocol_builds_supports_on_first_use():
     decoded = proto.charlie_decode(x.support, y.support, proto.alice_encode(x), proto.bob_encode(y))
     assert decoded is True and answer(inst) is True
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("m, s", [(1, 1), (5, 3), (6, 3), (9, 5)])
+def test_check_parameters_accepts_feasible(m, s):
+    check_parameters(m, s)
+
+
+@pytest.mark.parametrize("m, s", [(5, 4), (6, 4), (6, 0), (0, 1), (6, -1), (6, True), (6.0, 3), ("6", 3)])
+def test_check_parameters_refuses_infeasible(m, s):
+    # Two s-subsets of [m] share exactly one index only when 1 <= s <= ceil(m/2).
+    with pytest.raises(InvalidInstance, match=r"^\[parameters\]"):
+        check_parameters(m, s)
+
+
+def test_sweep_and_attack_refuse_infeasible_parameters():
+    # At (5, 4) no two supports meet in exactly one index, so a sweep would
+    # check nothing and an attack returning None would read as "correct".
+    with pytest.raises(InvalidInstance, match=r"^\[parameters\]"):
+        next(enumerate_valid_instances(5, 4))
+    with pytest.raises(InvalidInstance, match=r"^\[parameters\]"):
+        attack(full_support_protocol(5, 4), 5, 4)
+
+
+@pytest.mark.parametrize("supp_y, name", [((4, 5, 6), "P1"), ((1, 2, 6), "P2")])
+def test_shared_index_names_the_broken_promise(supp_y, name):
+    assert shared_index((1, 2, 3), (3, 5, 6)) == 3
+    with pytest.raises(InvalidInstance) as err:
+        shared_index((1, 2, 3), supp_y)
+    assert err.value.name == name

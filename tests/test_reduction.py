@@ -5,6 +5,8 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sketchbench.lbgraph import layout, role_view
 from sketchbench.mincut import is_k_edge_connected
@@ -418,3 +420,75 @@ def test_simulate_builds_charlie_messages_once(toy_ctx, monkeypatch):
     assert len(calls) == 1
     assert len(assembled) == toy_ctx.n
     assert verdict == (proto.decode(tuple(assembled), EMPTY_RANDOMNESS) is Decision.CONNECTED)
+
+
+def test_build_context_refuses_infeasible_parameters():
+    # At s = 0 no instance exists, so a context would serve an empty sweep.
+    with pytest.raises(InvalidInstance, match=r"^\[parameters\]"):
+        build_context(toy_two_bit(2), m=6, s=0, k=2, seed=42)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("s", 0, r"^\[parameters\]"), ("s", 99, r"^\[parameters\]"), ("protocol", "zzz", "^protocol: ")],
+    ids=["s-0", "s-99", "protocol"],
+)
+def test_context_rejects_parameters_and_protocol(toy_ctx, field, value, message):
+    obj = json.loads(toy_ctx.to_json())
+    obj[field] = value
+    with pytest.raises(ValueError, match=message):
+        ReductionContext.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda obj: obj["partition"].update(A=5), "A"),
+        (lambda obj: obj.update(good_ids=5), "good_ids"),
+        (lambda obj: obj["partition"].update(family={}), "family"),
+        (lambda obj: obj["partition"].pop("records"), "records"),
+        (lambda obj: obj.update(partition=[]), "partition"),
+    ],
+    ids=["A-int", "good_ids-int", "family-empty", "no-records", "partition-list"],
+)
+def test_context_names_badly_typed_field(toy_ctx, mutate, field):
+    # Each must fail at load with a ValueError naming the field, not a bare
+    # TypeError or KeyError.
+    obj = json.loads(toy_ctx.to_json())
+    mutate(obj)
+    with pytest.raises(ValueError, match=rf"^{field}: "):
+        ReductionContext.from_json(json.dumps(obj))
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=3), children, max_size=4),
+    max_leaves=8,
+)
+# Paths into the context JSON; None stands for the first record's key.
+_context_fields = (
+    [(key,) for key in ("m", "s", "k", "n", "good_ids", "protocol", "partition")]
+    + [("partition", key) for key in ("A", "B", "family", "records")]
+    + [("partition", "family", key) for key in ("ground", "d", "epsilon", "members")]
+    + [("partition", "records", None, key) for key in ("S0", "S1", "witness")]
+)
+
+
+@given(st.sampled_from(_context_fields), _json_values)
+@settings(max_examples=200, deadline=None)
+def test_context_loaders_fuzz_raise_only_value_errors(toy_ctx, path, value):
+    obj = json.loads(toy_ctx.to_json())
+    target = obj
+    for key in path[:-1]:
+        target = target[key] if key is not None else next(iter(target.values()))
+    target[path[-1]] = value
+    for load, text in (
+        (ReductionContext.from_json, json.dumps(obj)),
+        (PartitionContext.from_json, json.dumps(obj["partition"])),
+    ):
+        try:
+            loaded = load(text)
+        except ValueError:
+            continue
+        assert load(loaded.to_json()).to_json() == loaded.to_json()

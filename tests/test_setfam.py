@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sketchbench.lbgraph import layout, role_view
+from sketchbench.lbgraph import SpecError, layout, role_view
 from sketchbench.model import EMPTY_RANDOMNESS, Advice, NodeView
 from sketchbench.protocols import (
     constant,
@@ -484,3 +484,42 @@ def test_choose_partition_encodes_each_view_once(monkeypatch):
     assert max(outside.values()) == 1
     sigma_views = sum(advice is Advice.SIGMA for _, advice, _ in outside)
     assert sigma_views == len(V16) * len(fam.members)
+
+
+def test_record_without_b_edge_fails_check_and_load():
+    # S0 = (29, 30, 31) lies wholly in A, so a B-restricted node wired by it
+    # would have no B-edge.  find_separated_pair never builds such a record;
+    # the checker and the loader refuse it too, and accept S0 = (29, 30, 32).
+    n, k = 36, 2
+    w_ids = layout(n)[1]
+    a_side = frozenset({29, 30, 31})
+    b_side = frozenset(w_ids) - a_side
+    family = complete_family(w_ids, 2 * k - 1)
+    for s0, shaped in (((29, 30, 31), False), ((29, 30, 32), True)):
+        record = SeparatedPairRecord(
+            node=1, s0=s0, s1=(29, 32, 33), message_sigma="0", message_a="0", message_b="0"
+        )
+        assert verify_record(record, constant(2), a_side, b_side, n, k) is shaped
+        text = PartitionContext(a_side=a_side, b_side=b_side, family=family, good={1: record}).to_json()
+        if shaped:
+            assert PartitionContext.from_json(text).good == {1: record}
+        else:
+            with pytest.raises(ValueError, match=r"^records\[1\]: S0, S1 are not a separated pair"):
+                PartitionContext.from_json(text)
+
+
+def test_choose_partition_refuses_k_below_2():
+    with pytest.raises(SpecError) as err:
+        choose_partition(constant(1), complete_family(W16, 1), N16, 1, trials=1, seed=0)
+    assert err.value.rule == "sizes"
+
+
+def test_randomized_protocol_refused_by_message_partitions():
+    # The one determinism check sits in message_partitions, which every
+    # builder reaches before it makes a record.
+    from sketchbench.agm import make_agm_protocol
+
+    with pytest.raises(DeterminismRequired):
+        choose_partition(make_agm_protocol(N16, 2, 0.1), fam40(), N16, 2, trials=1, seed=0)
+    with pytest.raises(DeterminismRequired):
+        build_context(make_agm_protocol(reduction_size(6), 2, 0.1), m=6, s=3, k=2, seed=0)
