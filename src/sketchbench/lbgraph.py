@@ -59,15 +59,38 @@ def layout(n: int) -> tuple[range, range, int, int]:
 
 
 def check_sizes(n: int, k: int) -> None:
-    """Raise ``SpecError("sizes")`` unless 2 <= k and |W| = isqrt(n) >= 2k, room for two k-sides."""
-    if not (2 <= k and 2 * k <= math.isqrt(max(n, 0))):
-        raise SpecError("sizes", f"need 2 <= k and 2k <= isqrt(n); got k={k}, n={n}")
+    """Raise ``SpecError("sizes")`` unless n, k are integers, 2 <= k and |W| = isqrt(n) >= 2k."""
+    if not (isinstance(n, int) and isinstance(k, int) and 2 <= k and 2 * k <= math.isqrt(max(n, 0))):
+        raise SpecError("sizes", f"need integers 2 <= k and 2k <= isqrt(n); got k={k!r}, n={n!r}")
 
 
 def hub_of(advice: Optional[Advice], n: int) -> int:
     """The hub a V-node with this advice attaches to: u_B if B-restricted, else u_A."""
     _, _, u_a, u_b = layout(n)
     return u_b if advice is Advice.B_RESTRICTED else u_a
+
+
+def _node_id(value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a node id")
+    return value
+
+
+def _id_set(value) -> frozenset[int]:
+    if not isinstance(value, list):
+        raise ValueError(f"{value!r} is not a list of node ids")
+    return frozenset(map(_node_id, value))
+
+
+def _by_node(convert):
+    """Parser of a JSON object keyed by decimal node ids, its values read by ``convert``."""
+
+    def parse(value) -> dict:
+        if not (isinstance(value, dict) and all(key.isdecimal() for key in value)):
+            raise ValueError(f"{value!r} is not an object keyed by node ids")
+        return {int(key): convert(entry) for key, entry in value.items()}
+
+    return parse
 
 
 def role_view(
@@ -111,15 +134,28 @@ class LBGraphSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "LBGraphSpec":
+        """Parse a spec; a field of the wrong shape raises ValueError naming it.
+
+        n and k are left to ``validate``, whose ``check_sizes`` refuses non-integers.
+        """
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"spec: {obj!r} is not an object")
+
+        def field(name, convert):
+            try:
+                return convert(obj.get(name))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+
         return cls(
-            n=obj["n"],
-            k=obj["k"],
-            sigma=obj["sigma"],
-            a_side=frozenset(obj["A"]),
-            b_side=frozenset(obj["B"]),
-            restrictions={int(v): Advice(adv) for v, adv in obj["restrictions"].items()},
-            w_neighbors={int(v): frozenset(s) for v, s in obj["w_neighbors"].items()},
+            n=obj.get("n"),
+            k=obj.get("k"),
+            sigma=field("sigma", _node_id),
+            a_side=field("A", _id_set),
+            b_side=field("B", _id_set),
+            restrictions=field("restrictions", _by_node(Advice)),
+            w_neighbors=field("w_neighbors", _by_node(_id_set)),
         )
 
 
@@ -128,9 +164,10 @@ def validate(spec: LBGraphSpec) -> None:
     n, k = spec.n, spec.k
     check_sizes(n, k)  # then |V| = n - isqrt(n) - 2 >= 10
     v_ids, w_ids, _, _ = layout(n)
-    w_set = frozenset(w_ids)
+    w_set = spec.a_side | spec.b_side
 
-    if spec.a_side | spec.b_side != w_set or spec.a_side & spec.b_side:
+    # Sizes are compared before sets are built, so a huge n is never laid out.
+    if len(spec.a_side) + len(spec.b_side) != len(w_ids) or w_set != set(w_ids):
         raise SpecError("sizes", "A and B must partition W")
     if len(spec.a_side) < k or len(spec.b_side) < k:
         raise SpecError("sizes", f"|A| and |B| must both be >= k={k}")

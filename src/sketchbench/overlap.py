@@ -10,9 +10,13 @@ bits on a kept set K(S) of S, and Charlie reads the shared index's bit from
 whichever message kept it.  Such a protocol is correct iff the cover condition
 σ ∈ K(S) ∪ K(T) holds whenever S ∩ T = {σ}.  ``appb`` keeps S minus one index
 chosen by a block map and so sends s-1 bits whenever s exceeds a third of m;
-``trunc`` keeps the first s-2 positions and ``full`` all of S.  An exhaustive
-attack hunts for message collisions breaking any given one-way protocol at
-small scale.
+``trunc`` keeps the first s-2 positions and ``full`` all of S.
+
+An exhaustive attack breaks any one-way protocol at small scale wherever the
+cover condition fails.  It groups each support's fills by message once; an
+index outside K(S) is one where two fills of a class disagree, and two
+supports meeting in an index outside both kept sets give two instances with
+the same messages but opposite answers.
 
 Each promise has one rule, which every builder, sweep, attack and loader
 calls: ``check_parameters`` for (m, s), ``check_support`` for a support and
@@ -328,6 +332,7 @@ def _kept_index_protocol(
 
 def appb_protocol(m: int, s: int) -> OneWayProtocol:
     """The drop-one-bit protocol: s-1 bits per party, correct for s > ceil(m/3)."""
+    check_parameters(m, s)
     blocks = build_blocks(m, s)
 
     def kept(support):
@@ -339,6 +344,7 @@ def appb_protocol(m: int, s: int) -> OneWayProtocol:
 
 def truncated_protocol(m: int, s: int) -> OneWayProtocol:
     """Sends only the first s-2 support bits; undershoots the budget."""
+    check_parameters(m, s)
     if s < 2:
         raise ValueError(f"need s >= 2, got {s}")
     positions = tuple(range(s - 2))
@@ -347,6 +353,7 @@ def truncated_protocol(m: int, s: int) -> OneWayProtocol:
 
 def full_support_protocol(m: int, s: int) -> OneWayProtocol:
     """Sends all s support bits; trivially correct, collision-free."""
+    check_parameters(m, s)
     positions = tuple(range(s))
     return _kept_index_protocol(f"full(m={m},s={s})", m, s, s, lambda support: positions)
 
@@ -362,7 +369,6 @@ OVERLAP_PROTOCOLS = {
 def make_overlap_protocol(name: str, m: int, s: int) -> OneWayProtocol:
     if name not in OVERLAP_PROTOCOLS:
         raise ValueError(f"unknown overlap protocol {name!r}")
-    check_parameters(m, s)
     return OVERLAP_PROTOCOLS[name](m, s)
 
 
@@ -412,43 +418,44 @@ class Counterexample:
     wrong: tuple[tuple[str, str], ...]  # (X string, Y string) combos answered wrongly
 
 
-def _flip_classes(
+def _unkept(
     encode: Callable[[TernaryVector], Bits], m: int, support: tuple[int, ...]
-) -> dict[Bits, list[TernaryVector]]:
+) -> dict[int, tuple[Bits, TernaryVector, TernaryVector]]:
+    """Each index of S outside K(S), mapped to (message, x, x_hat) differing there.
+
+    The fills are grouped by message once.  An index is unkept when some class
+    disagrees there: the first such class in message order gives the message,
+    its first fill x and the first later fill x_hat that differs from x at the
+    index.  Fills come in ``to_string`` order, and so does each class.
+    """
     classes: dict[Bits, list[TernaryVector]] = {}
     for vec in fills(m, support):
         classes.setdefault(encode(vec), []).append(vec)
-    return classes
-
-
-def _flipped_indices(classes: dict[Bits, list[TernaryVector]], support) -> dict[int, Bits]:
-    """Map each index that flips inside some message class to that message."""
-    flipped: dict[int, Bits] = {}
+    unkept: dict[int, tuple[Bits, TernaryVector, TernaryVector]] = {}
     for message in sorted(classes):
-        members = classes[message]
-        for i in support:
-            if i not in flipped and len({v[i] for v in members}) > 1:
-                flipped[i] = message
-    return flipped
+        first, *rest = classes[message]
+        for other in rest:
+            for i in support:
+                if i not in unkept and other[i] != first[i]:
+                    unkept[i] = (message, first, other)
+    return unkept
 
 
 def attack(protocol: OneWayProtocol, m: int, s: int) -> Optional[Counterexample]:
     """Exhaustive collision hunt; any returned counterexample replays to a failure.
 
-    For each support the inputs are grouped by message; an index is flipped
-    when two same-message inputs disagree there.  Supports meeting exactly in
-    an index flipped on both sides yield two valid instances with identical
-    messages but opposite answers, so the decoder must be wrong on one; the
-    failing combination is verified by direct execution before returning.
+    Each party's unkept indices are read per support from ``_unkept``.
+    Supports meeting exactly in an index unkept on both sides yield two valid
+    instances with identical messages but opposite answers, so the decoder
+    must be wrong on one; the failing combination is verified by direct
+    execution before returning.
     """
     check_parameters(m, s)
     if math.comb(m, s) * (2 ** s) > 2_000_000:
         raise ValueError(f"(m={m}, s={s}) too large for exhaustive enumeration")
     supports = list(itertools.combinations(range(1, m + 1), s))
-    alice_classes = {supp: _flip_classes(protocol.alice_encode, m, supp) for supp in supports}
-    bob_classes = {supp: _flip_classes(protocol.bob_encode, m, supp) for supp in supports}
-    alice_flips = {supp: _flipped_indices(classes, supp) for supp, classes in alice_classes.items()}
-    bob_flips = {supp: _flipped_indices(classes, supp) for supp, classes in bob_classes.items()}
+    alice_unkept = {supp: _unkept(protocol.alice_encode, m, supp) for supp in supports}
+    bob_unkept = {supp: _unkept(protocol.bob_encode, m, supp) for supp in supports}
 
     for supp_x in supports:
         set_x = set(supp_x)
@@ -457,12 +464,10 @@ def attack(protocol: OneWayProtocol, m: int, s: int) -> Optional[Counterexample]
             if len(common) != 1:
                 continue
             sigma = next(iter(common))
-            if sigma not in alice_flips[supp_x] or sigma not in bob_flips[supp_y]:
+            if sigma not in alice_unkept[supp_x] or sigma not in bob_unkept[supp_y]:
                 continue
-            msg_a = alice_flips[supp_x][sigma]
-            msg_b = bob_flips[supp_y][sigma]
-            x, x_hat = _pair_differing_at(alice_classes[supp_x][msg_a], sigma)
-            y, y_hat = _pair_differing_at(bob_classes[supp_y][msg_b], sigma)
+            msg_a, x, x_hat = alice_unkept[supp_x][sigma]
+            msg_b, y, y_hat = bob_unkept[supp_y][sigma]
             if x[sigma] ^ y[sigma] == 1:
                 combos = [(x, y), (x_hat, y_hat)]
             else:
@@ -492,10 +497,3 @@ def attack(protocol: OneWayProtocol, m: int, s: int) -> Optional[Counterexample]
             )
     return None
 
-
-def _pair_differing_at(members: list[TernaryVector], index: int) -> tuple[TernaryVector, TernaryVector]:
-    ordered = sorted(members, key=lambda v: v.to_string())
-    for a, b in itertools.combinations(ordered, 2):
-        if a[index] != b[index]:
-            return a, b
-    raise BlockPropertyViolated(f"no pair differs at flipped index {index}")

@@ -98,7 +98,7 @@ class ReductionContext:
                 "n": self.n,
                 "good_ids": list(self.good_ids),
                 "protocol": self.protocol_name,
-                "partition": json.loads(self.partition.to_json()),
+                "partition": self.partition.to_json_obj(),
             },
             indent=2,
         )
@@ -118,7 +118,7 @@ class ReductionContext:
         m, s = obj.get("m"), obj.get("s")
         check_parameters(m, s)
         protocol = protocol_name(obj.get("protocol"))
-        partition = PartitionContext.from_json(json.dumps(obj.get("partition")))
+        partition = PartitionContext.from_json_obj(obj.get("partition"))
         n, k, family = obj.get("n"), obj.get("k"), partition.family
         sized = isinstance(n, int) and n >= 1 and math.isqrt(n) == len(family.ground)
         if not sized or family.ground != tuple(layout(n)[1]):

@@ -10,11 +10,17 @@ pins the node: one neighborhood forces the graph disconnected below k, the
 other forces it k-edge connected, yet the node's messages cannot tell them
 apart.
 
+The pair rule has two halves: ``forces_disconnected`` wants S0 to have at
+least k ids in A and 1 to k-1 in B, so that a B-restricted node wired by it
+keeps a B-edge; ``forces_connected`` wants S1 to have at most k-1 in A and at
+least k in B.  ``find_separated_pair`` takes the first member in canonical
+order passing each half, and their conjunction ``is_separated_pair`` is the
+one pair-shape check of ``verify_record`` and of context loads.
+
 Splits of W are sampled once (``lbgraph.check_sizes`` vets (n, k)); each node
 encodes its sigma views and each distinct projection view once across trials,
 and ``message_partitions`` alone refuses randomized protocols.  Only the
-winning trial's records are re-verified from scratch; ``is_separated_pair`` is
-the one pair-shape check of ``verify_record`` and of context loads.
+winning trial's records are re-verified from scratch.
 """
 
 from __future__ import annotations
@@ -266,42 +272,33 @@ def common_block(
     return tuple(groups[best_triple])
 
 
-def find_separated_pair(
-    members: Sequence[Member],
-    a_side: frozenset[int],
-    b_side: frozenset[int],
-    k: int,
-) -> Optional[tuple[Member, Member]]:
-    """Pick one neighborhood of each kind from ``members``, if both exist.
+def forces_disconnected(s, a_side: frozenset[int], b_side: frozenset[int], k: int) -> bool:
+    """S0's half of the pair rule: |S∩A| >= k, and 1 <= |S∩B| <= k-1 keeps a B-edge."""
+    return len(a_side.intersection(s)) >= k and 1 <= len(b_side.intersection(s)) <= k - 1
 
-    S0 must have at least k elements in A (forcing the disconnected case) and
-    at least one in B, since a B-restricted node wired by S0 needs a B-edge; S1
-    must have at most k-1 elements in A (forcing the connected case).  Each is
-    the first such candidate in canonical order.  A block whose every
-    candidate for S0 lies wholly in A pins nothing: None.
-    """
-    c0 = [s for s in sorted(members) if len(set(s) & a_side) >= k and set(s) & b_side]
-    c1 = [s for s in sorted(members) if len(set(s) & a_side) <= k - 1]
-    if not c0 or not c1:
-        return None
-    s0, s1 = c0[0], c1[0]
-    # Distinctness of both projections is implied by the size split for
-    # same-size members; checked anyway, since the referee relies on it.
-    for side in (a_side, b_side):
-        if tuple(w for w in s0 if w in side) == tuple(w for w in s1 if w in side):
-            raise BrokenPairRecord(f"{s0} and {s1} share their projection on {sorted(side)}")
-    return s0, s1
+
+def forces_connected(s, a_side: frozenset[int], b_side: frozenset[int], k: int) -> bool:
+    """S1's half of the pair rule: |S∩A| <= k-1 and |S∩B| >= k."""
+    return len(a_side.intersection(s)) <= k - 1 and len(b_side.intersection(s)) >= k
 
 
 def is_separated_pair(s0, s1, a_side: frozenset[int], b_side: frozenset[int], k: int) -> bool:
-    """True iff |S0∩A| >= k, 1 <= |S0∩B| <= k-1, |S1∩A| <= k-1 and |S1∩B| >= k.
+    """Both halves of the pair rule; the counts make S0 and S1 differ on both projections."""
+    return forces_disconnected(s0, a_side, b_side, k) and forces_connected(s1, a_side, b_side, k)
 
-    S0 then forces the disconnected case yet gives a B-restricted node a
-    B-edge, S1 forces the connected case, and the counts make S0 and S1
-    differ on both projections.
+
+def find_separated_pair(
+    members: Sequence[Member], a_side: frozenset[int], b_side: frozenset[int], k: int
+) -> Optional[tuple[Member, Member]]:
+    """The first member in canonical order passing each half of the pair rule, if both exist.
+
+    S0 passes ``forces_disconnected`` and S1 ``forces_connected``.  A block
+    whose every candidate for S0 lies wholly in A pins nothing: None.
     """
-    a0, b0, a1, b1 = (len(set(s) & side) for s in (s0, s1) for side in (a_side, b_side))
-    return a0 >= k and 1 <= b0 <= k - 1 and a1 <= k - 1 and b1 >= k
+    ordered = sorted(members)
+    s0 = next((s for s in ordered if forces_disconnected(s, a_side, b_side, k)), None)
+    s1 = next((s for s in ordered if forces_connected(s, a_side, b_side, k)), None)
+    return None if s0 is None or s1 is None else (s0, s1)
 
 
 @dataclass(frozen=True)
@@ -349,38 +346,37 @@ class PartitionContext:
     family: SetFamily
     good: dict[int, SeparatedPairRecord] = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "A": sorted(self.a_side),
-                "B": sorted(self.b_side),
-                "family": self.family.to_json_obj(),
-                "records": {
-                    str(node): {
-                        "S0": list(rec.s0),
-                        "S1": list(rec.s1),
-                        "witness": {
-                            "sigma": rec.message_sigma,
-                            "a": rec.message_a,
-                            "b": rec.message_b,
-                        },
-                    }
-                    for node, rec in sorted(self.good.items())
-                },
+    def to_json_obj(self) -> dict:
+        return {
+            "A": sorted(self.a_side),
+            "B": sorted(self.b_side),
+            "family": self.family.to_json_obj(),
+            "records": {
+                str(node): {
+                    "S0": list(rec.s0),
+                    "S1": list(rec.s1),
+                    "witness": {"sigma": rec.message_sigma, "a": rec.message_a, "b": rec.message_b},
+                }
+                for node, rec in sorted(self.good.items())
             },
-            indent=2,
-        )
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_obj(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "PartitionContext":
-        """Parse a context; a field it cannot wire raises ValueError naming the field.
+        return cls.from_json_obj(json.loads(text))
+
+    @classmethod
+    def from_json_obj(cls, obj) -> "PartitionContext":
+        """Load a parsed context; a field it cannot wire raises ValueError naming the field.
 
         A and B must be lists of at least k ids splitting the ground set of
         a family of (2k-1)-sets.  Each record needs a V-node key (below every
         W id), family members S0 and S1 passing ``is_separated_pair``, and a
         witness object of three bit strings.
         """
-        obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError(f"partition: {obj!r} is not an object")
         try:

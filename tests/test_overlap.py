@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sketchbench import overlap
 from sketchbench.overlap import (
     BlockPropertyViolated,
     HypothesisViolated,
@@ -455,7 +456,37 @@ def test_sweep_and_attack_refuse_infeasible_parameters():
     with pytest.raises(InvalidInstance, match=r"^\[parameters\]"):
         next(enumerate_valid_instances(5, 4))
     with pytest.raises(InvalidInstance, match=r"^\[parameters\]"):
-        attack(full_support_protocol(5, 4), 5, 4)
+        attack(full_support_protocol(9, 4), 5, 4)
+
+
+@pytest.mark.parametrize("m, s", [(5, 4), (12, 8)])
+@pytest.mark.parametrize("make", [appb_protocol, truncated_protocol, full_support_protocol])
+def test_builders_check_parameters_first(monkeypatch, make, m, s):
+    # Refused before any work of size C(m, s), such as the block map.
+    def unreachable(*args):
+        raise AssertionError("build_blocks reached")
+
+    monkeypatch.setattr(overlap, "build_blocks", unreachable)
+    with pytest.raises(InvalidInstance, match=r"^\[parameters\]"):
+        make(m, s)
+
+
+@pytest.mark.parametrize(
+    "make, m, s, dropped",
+    [
+        (appb_protocol, 7, 4, lambda support, blocks: {blocks[support]}),
+        (appb_protocol, 9, 4, lambda support, blocks: {blocks[support]}),
+        (truncated_protocol, 9, 4, lambda support, blocks: set(support[-2:])),
+        (full_support_protocol, 8, 4, lambda support, blocks: set()),
+    ],
+)
+def test_unkept_is_support_minus_kept_set(make, m, s, dropped):
+    # The indices the attack may flip are exactly S minus K(S): appb drops
+    # its block index, trunc all but the first s-2 positions, full nothing.
+    proto, blocks = make(m, s), build_blocks(m, s)
+    for support in itertools.combinations(range(1, m + 1), s):
+        for encode in (proto.alice_encode, proto.bob_encode):
+            assert set(overlap._unkept(encode, m, support)) == dropped(support, blocks), support
 
 
 @pytest.mark.parametrize("supp_y, name", [((4, 5, 6), "P1"), ((1, 2, 6), "P2")])

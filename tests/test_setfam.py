@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sketchbench.lbgraph import SpecError, layout, role_view
 from sketchbench.model import EMPTY_RANDOMNESS, Advice, NodeView
@@ -29,6 +31,9 @@ from sketchbench.setfam import (
     common_block,
     complete_family,
     find_separated_pair,
+    forces_connected,
+    forces_disconnected,
+    is_separated_pair,
     message_partitions,
     random_family,
     sample_family,
@@ -217,11 +222,38 @@ def test_find_separated_pair_pins_no_s0_without_b_edge():
     assert find_separated_pair(block + [(3, 4, 7)], a_side, b_side, 2) == ((3, 4, 7), (1, 5, 6))
 
 
-def test_find_separated_pair_rejects_shared_projection():
-    # Members of unequal size can split on A yet share their B-projection.
+def test_find_separated_pair_unequal_sizes_pin_nothing():
+    # (1, 4) has at most k-1 ids in A yet fewer than k in B, so it fails the
+    # S1 half; choose_partition refuses such members before any search.
     a_side, b_side = frozenset({1, 2, 3}), frozenset({4, 5, 6})
-    with pytest.raises(BrokenPairRecord):
-        find_separated_pair([(1, 2, 4), (1, 4)], a_side, b_side, 2)
+    assert find_separated_pair([(1, 2, 4), (1, 4)], a_side, b_side, 2) is None
+
+
+@st.composite
+def split_blocks(draw):
+    """(block of (2k-1)-subsets, A, B, k) for a random split of a random ground set."""
+    k = draw(st.integers(2, 4))
+    ground = range(1, 2 * k + draw(st.integers(0, 4)) + 1)
+    a_side = frozenset(draw(st.sets(st.sampled_from(ground), min_size=k, max_size=len(ground) - k)))
+    member = st.sets(st.sampled_from(ground), min_size=2 * k - 1, max_size=2 * k - 1)
+    block = draw(st.lists(member.map(lambda s: tuple(sorted(s))), unique=True, max_size=10))
+    return block, a_side, frozenset(ground) - a_side, k
+
+
+@given(split_blocks())
+@settings(max_examples=300, deadline=None)
+def test_find_separated_pair_takes_the_first_of_each_half(case):
+    block, a_side, b_side, k = case
+    c0 = sorted(s for s in block if forces_disconnected(s, a_side, b_side, k))
+    c1 = sorted(s for s in block if forces_connected(s, a_side, b_side, k))
+    pair = find_separated_pair(block, a_side, b_side, k)
+    assert (pair is not None) == bool(c0 and c1)
+    if pair is not None:
+        assert pair == (c0[0], c1[0]) and is_separated_pair(*pair, a_side, b_side, k)
+    # On (2k-1)-subsets the halves are the earlier counts: >= k in A with a
+    # B-edge, and at most k-1 in A.
+    assert c0 == sorted(s for s in block if len(a_side.intersection(s)) >= k and b_side.intersection(s))
+    assert c1 == sorted(s for s in block if len(a_side.intersection(s)) <= k - 1)
 
 
 def test_choose_partition_raises_on_corrupted_record(monkeypatch):
