@@ -9,6 +9,11 @@ nine subcommands are
 gen-lb, verify-lb, kconn, agm-run, sample-family, choose-partition,
 overlap-enum, overlap-attack and verify-fidelity; overlap-enum and
 verify-fidelity sweep every valid (m, s) instance, or check one with --instance.
+The CLI reads two input formats: graph files (``model.save_graph``'s text,
+for kconn and agm-run --graph) and Overlap instance files
+(``OverlapInstance.to_json``, for --instance).  The .spec.json, .family.json,
+.partition.json and .context.json side files that --out adds are write-only
+reports; nothing reads them back.
 Exit codes: 0 all invariants passed, 1 invariant failure, 2 usage error.
 """
 

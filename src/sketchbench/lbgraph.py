@@ -70,29 +70,6 @@ def hub_of(advice: Optional[Advice], n: int) -> int:
     return u_b if advice is Advice.B_RESTRICTED else u_a
 
 
-def _node_id(value) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{value!r} is not a node id")
-    return value
-
-
-def _id_set(value) -> frozenset[int]:
-    if not isinstance(value, list):
-        raise ValueError(f"{value!r} is not a list of node ids")
-    return frozenset(map(_node_id, value))
-
-
-def _by_node(convert):
-    """Parser of a JSON object keyed by decimal node ids, its values read by ``convert``."""
-
-    def parse(value) -> dict:
-        if not (isinstance(value, dict) and all(key.isdecimal() for key in value)):
-            raise ValueError(f"{value!r} is not an object keyed by node ids")
-        return {int(key): convert(entry) for key, entry in value.items()}
-
-    return parse
-
-
 def role_view(
     node: int, w_neighbors: Iterable[int], advice: Optional[Advice], n: int, k: int
 ) -> NodeView:
@@ -130,32 +107,6 @@ class LBGraphSpec:
                 "w_neighbors": {str(v): sorted(s) for v, s in sorted(self.w_neighbors.items())},
             },
             indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "LBGraphSpec":
-        """Parse a spec; a field of the wrong shape raises ValueError naming it.
-
-        n and k are left to ``validate``, whose ``check_sizes`` refuses non-integers.
-        """
-        obj = json.loads(text)
-        if not isinstance(obj, dict):
-            raise ValueError(f"spec: {obj!r} is not an object")
-
-        def field(name, convert):
-            try:
-                return convert(obj.get(name))
-            except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from None
-
-        return cls(
-            n=obj.get("n"),
-            k=obj.get("k"),
-            sigma=field("sigma", _node_id),
-            a_side=field("A", _id_set),
-            b_side=field("B", _id_set),
-            restrictions=field("restrictions", _by_node(Advice)),
-            w_neighbors=field("w_neighbors", _by_node(_id_set)),
         )
 
 

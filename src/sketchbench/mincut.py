@@ -43,7 +43,8 @@ class CutResult:
 def crossing_value(graph: MultiGraph, side) -> int:
     """Total multiplicity of edges with exactly one endpoint in ``side``."""
     side = frozenset(side)
-    if not side or side >= {i for i in range(1, graph.n + 1)}:
+    # Stops at the first node outside ``side``, so never counts past |side| + 1.
+    if not side or all(u in side for u in range(1, graph.n + 1)):
         raise ValueError("side must be a nonempty proper subset of the nodes")
     total = 0
     for u, v, m in graph.edges():
@@ -78,19 +79,24 @@ def global_min_cut(graph: MultiGraph) -> CutResult:
     if len(component) < n:
         return CutResult(0, component)
 
-    # Weighted adjacency; rows/cols are contracted in place.
-    weights = np.zeros((n, n), dtype=np.int64)
-    for u, v, m in graph.edges():
-        weights[u - 1, v - 1] = m
-        weights[v - 1, u - 1] = m
-
-    rows = list(weights)  # row views: a list lookup is cheaper than ``weights[i, :]``
-    groups = [frozenset({i + 1}) for i in range(n)]
-    active = np.ones(n, dtype=bool)
     # Attachment of grown and contracted vertices: no sum of edge weights lifts
     # it back above an unpicked vertex's, which is never negative.  It sits on
     # the diagonal, so adding a vertex's row as it joins the grown set retires it.
     taken = np.iinfo(np.int64).min // 2
+    # Weighted adjacency; rows/cols are contracted in place.  A degree, an
+    # attachment or a grown vertex's excess over ``taken`` is at most the total
+    # weight, so a total below -taken = 2**62 keeps every sum inside int64.
+    us, vs, mults = zip(*graph.edges())  # connected, so at least one edge
+    if sum(mults) >= -taken:
+        raise ValueError("total edge multiplicity reaches 2**62, past the oracle's int64 range")
+    weights = np.zeros((n, n), dtype=np.int64)
+    heads, tails = np.array(us) - 1, np.array(vs) - 1
+    weights[heads, tails] = mults
+    weights[tails, heads] = mults
+
+    rows = list(weights)  # row views: a list lookup is cheaper than ``weights[i, :]``
+    groups = [frozenset({i + 1}) for i in range(n)]
+    active = np.ones(n, dtype=bool)
     degrees = weights.sum(axis=1)
     best = CutResult(int(degrees.min()), groups[degrees.argmin()])
     np.fill_diagonal(weights, taken)

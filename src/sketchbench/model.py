@@ -8,7 +8,7 @@ execution is a pure function of (protocol, graph, advice, shared randomness).
 
 from __future__ import annotations
 
-import json
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from hashlib import blake2b
@@ -50,11 +50,15 @@ def check_bits(bits: Bits) -> Bits:
     return bits
 
 
+_NO_NEIGHBORS: dict[int, int] = {}
+
+
 class MultiGraph:
     """Undirected multigraph on node ids 1..n with positive edge multiplicities.
 
     No self-loops.  Edge access is symmetric: ``multiplicity(u, v)`` equals
-    ``multiplicity(v, u)``.
+    ``multiplicity(v, u)``.  Adjacency is kept only for nodes with an edge, so
+    a graph costs memory in its edges, not in n.
     """
 
     __slots__ = ("n", "_adj")
@@ -63,7 +67,9 @@ class MultiGraph:
         if n < 1:
             raise ValueError(f"node count must be positive, got {n}")
         self.n = n
-        self._adj: dict[int, dict[int, int]] = {i: {} for i in range(1, n + 1)}
+        # Written through ``[]``, which adds a node's row at its first edge;
+        # read through ``get``, which adds nothing.
+        self._adj: defaultdict[int, dict[int, int]] = defaultdict(dict)
         for u, v, m in edges:
             self.add_edge(u, v, m)
 
@@ -84,17 +90,18 @@ class MultiGraph:
     def multiplicity(self, u: int, v: int) -> int:
         self._check_node(u)
         self._check_node(v)
-        return self._adj[u].get(v, 0)
+        return self._adj.get(u, _NO_NEIGHBORS).get(v, 0)
 
     def neighborhood(self, node: int) -> dict[int, int]:
         """Neighbor multiset of ``node`` as {neighbor: multiplicity}, ascending ids."""
         self._check_node(node)
-        adj = self._adj[node]
+        adj = self._adj.get(node, _NO_NEIGHBORS)
         return {v: adj[v] for v in sorted(adj)}
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """All edges as (u, v, mult) with u < v, ascending."""
-        for u, adj in self._adj.items():
+        for u in sorted(self._adj):
+            adj = self._adj[u]
             for v in sorted(w for w in adj if w > u):
                 yield u, v, adj[v]
 
@@ -184,27 +191,6 @@ class Transcript:
     messages: tuple[tuple[int, Bits], ...]
     decision: Decision
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "protocol": self.protocol,
-                "seed": self.seed,
-                "messages": [{"id": i, "bits": b} for i, b in self.messages],
-                "decision": self.decision.value,
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Transcript":
-        obj = json.loads(text)
-        return cls(
-            protocol=obj["protocol"],
-            seed=obj["seed"],
-            messages=tuple((int(m["id"]), check_bits(m["bits"])) for m in obj["messages"]),
-            decision=Decision(obj["decision"]),
-        )
-
 
 def execute(
     protocol: SketchProtocol,
@@ -248,12 +234,13 @@ def save_graph(graph: MultiGraph, path) -> None:
 
 
 def load_graph(path) -> MultiGraph:
+    """Read the ``save_graph`` format; a malformed file raises ValueError or UnknownNode."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("n "):
+    header = lines[0].split() if lines else []
+    if len(header) != 2 or header[0] != "n":
         raise ValueError("graph file must start with a 'n <count>' header")
-    n = int(lines[0].split()[1])
-    graph = MultiGraph(n)
+    graph = MultiGraph(int(header[1]))
     prev = None
     for ln in lines[1:]:
         parts = ln.split()

@@ -9,18 +9,10 @@ hub-range neighbor (so role partitions collapse predictably).
 from __future__ import annotations
 
 from hashlib import blake2b
-from typing import Optional
 
 from .lbgraph import layout
 from .mincut import global_min_cut
-from .model import (
-    Advice,
-    Bits,
-    Decision,
-    MultiGraph,
-    NodeView,
-    SketchProtocol,
-)
+from .model import Bits, Decision, MultiGraph, NodeView, SketchProtocol
 
 
 def view_payload(view: NodeView) -> str:

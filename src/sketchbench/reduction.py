@@ -9,8 +9,8 @@ Charlie wires the hubs by ``lbgraph.hub_of`` and encodes the other V-nodes
 from ``lbgraph.role_view``, and ``build_compatible_graph`` takes its roles
 from the same map.  The referee's decision on the assembled messages answers
 the instance, and the assembly is bit-identical to the honest execution.
-Building or loading a context checks (m, s) with ``overlap.check_parameters``;
-loading also checks the protocol with ``protocols.protocol_name``.
+Building a context checks (m, s) with ``overlap.check_parameters``; its JSON
+is a report, written and never read back.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .model import (
     node_view,
 )
 from .overlap import OverlapInstance, check_parameters, check_support, shared_index
-from .protocols import protocol_name
 from .setfam import (
     NoGoodPartition,
     PartitionContext,
@@ -102,34 +101,6 @@ class ReductionContext:
             },
             indent=2,
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReductionContext":
-        """Parse a context; a field the parties cannot run on raises ValueError naming it.
-
-        (m, s) must pass ``overlap.check_parameters``, ``protocol`` must be a
-        ``protocols.protocol_name``, ``n`` must lay out W as the family's
-        ground set, members must have 2k-1 elements, and ``good_ids`` must
-        be m ascending nodes with records.
-        """
-        obj = json.loads(text)
-        if not isinstance(obj, dict):
-            raise ValueError(f"context: {obj!r} is not an object")
-        m, s = obj.get("m"), obj.get("s")
-        check_parameters(m, s)
-        protocol = protocol_name(obj.get("protocol"))
-        partition = PartitionContext.from_json_obj(obj.get("partition"))
-        n, k, family = obj.get("n"), obj.get("k"), partition.family
-        sized = isinstance(n, int) and n >= 1 and math.isqrt(n) == len(family.ground)
-        if not sized or family.ground != tuple(layout(n)[1]):
-            raise ValueError(f"n: {n!r} does not lay out W as the family's ground set")
-        if not isinstance(k, int) or family.d != 2 * k - 1:
-            raise ValueError(f"k: {k!r} needs members of 2k-1 elements, the family's have {family.d}")
-        good_ids = obj.get("good_ids")
-        listed = isinstance(good_ids, list) and all(isinstance(v, int) for v in good_ids)
-        if not listed or len(good_ids) != m or good_ids != sorted(partition.good.keys() & set(good_ids)):
-            raise ValueError(f"good_ids: need {m} ascending nodes with records, got {good_ids!r}")
-        return cls(m=m, s=s, k=k, n=n, partition=partition, good_ids=tuple(good_ids), protocol_name=protocol)
 
 
 def build_context(

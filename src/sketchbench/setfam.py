@@ -15,7 +15,7 @@ least k ids in A and 1 to k-1 in B, so that a B-restricted node wired by it
 keeps a B-edge; ``forces_connected`` wants S1 to have at most k-1 in A and at
 least k in B.  ``find_separated_pair`` takes the first member in canonical
 order passing each half, and their conjunction ``is_separated_pair`` is the
-one pair-shape check of ``verify_record`` and of context loads.
+pair-shape check of ``verify_record``.
 
 Splits of W are sampled once (``lbgraph.check_sizes`` vets (n, k)); each node
 encodes its sigma views and each distinct projection view once across trials,
@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .lbgraph import check_sizes, layout, role_view
-from .model import Advice, Bits, EMPTY_RANDOMNESS, SketchProtocol, check_bits
+from .model import Advice, Bits, EMPTY_RANDOMNESS, SketchProtocol
 
 Member = tuple[int, ...]  # a W-neighborhood, ascending ids
 
@@ -108,17 +108,6 @@ class SetFamily:
             "epsilon": self.epsilon,
             "members": [list(s) for s in self.members],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "SetFamily":
-        fam = cls(
-            ground=tuple(obj["ground"]),
-            d=obj["d"],
-            epsilon=obj["epsilon"],
-            members=tuple(tuple(s) for s in obj["members"]),
-        )
-        fam.verify()
-        return fam
 
 
 def complete_family(w_ids: Iterable[int], d: int) -> SetFamily:
@@ -363,75 +352,6 @@ class PartitionContext:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PartitionContext":
-        return cls.from_json_obj(json.loads(text))
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "PartitionContext":
-        """Load a parsed context; a field it cannot wire raises ValueError naming the field.
-
-        A and B must be lists of at least k ids splitting the ground set of
-        a family of (2k-1)-sets.  Each record needs a V-node key (below every
-        W id), family members S0 and S1 passing ``is_separated_pair``, and a
-        witness object of three bit strings.
-        """
-        if not isinstance(obj, dict):
-            raise ValueError(f"partition: {obj!r} is not an object")
-        try:
-            family = SetFamily.from_json_obj(obj["family"])
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise ValueError(f"family: not a set family: {exc!r}") from None
-        k = (family.d + 1) // 2
-        if family.d != 2 * k - 1:
-            raise ValueError(f"family: members of size {family.d!r}, not an odd 2k-1")
-        for name in ("A", "B"):
-            if not (isinstance(obj.get(name), list) and all(isinstance(w, int) for w in obj[name])):
-                raise ValueError(f"{name}: {obj.get(name)!r} is not a list of ids")
-        a_side, b_side = frozenset(obj["A"]), frozenset(obj["B"])
-        if a_side & b_side:
-            raise ValueError(f"A: {sorted(a_side & b_side)} also in B")
-        if a_side | b_side != set(family.ground):
-            stray = sorted((a_side | b_side) ^ set(family.ground))
-            raise ValueError(f"A, B: together differ from the family's ground set at {stray}")
-        for name, side in (("A", a_side), ("B", b_side)):
-            if len(side) < k:
-                raise ValueError(f"{name}: {len(side)} members, fewer than k = {k}")
-        records = obj.get("records")
-        if not isinstance(records, dict):
-            raise ValueError(f"records: {records!r} is not an object")
-        members = set(family.members)
-        good = {}
-        for node, rec in records.items():
-            if not isinstance(rec, dict):
-                raise ValueError(f"records[{node}]: {rec!r} is not an object")
-            for name in ("S0", "S1"):
-                member = rec.get(name)
-                ints = isinstance(member, list) and all(isinstance(w, int) for w in member)
-                if not ints or tuple(member) not in members:
-                    raise ValueError(f"records[{node}].{name}: {member!r} is not a family member")
-            if not node.isdecimal() or not 1 <= int(node) < min(family.ground):
-                raise ValueError(f"records[{node}]: key is not a V-node, below every W id")
-            witness = rec.get("witness")
-            if not isinstance(witness, dict):
-                raise ValueError(f"records[{node}].witness: {witness!r} is not an object")
-            for role in ("sigma", "a", "b"):
-                try:
-                    check_bits(witness.get(role))
-                except ValueError as exc:
-                    raise ValueError(f"records[{node}].witness.{role}: {exc}") from None
-            if not is_separated_pair(rec["S0"], rec["S1"], a_side, b_side, k):
-                raise ValueError(f"records[{node}]: S0, S1 are not a separated pair under A, B")
-            good[int(node)] = SeparatedPairRecord(
-                node=int(node),
-                s0=tuple(rec["S0"]),
-                s1=tuple(rec["S1"]),
-                message_sigma=witness["sigma"],
-                message_a=witness["a"],
-                message_b=witness["b"],
-            )
-        return cls(a_side=a_side, b_side=b_side, family=family, good=good)
 
 
 def _sample_split(

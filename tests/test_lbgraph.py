@@ -1,9 +1,7 @@
+import dataclasses
 import itertools
-import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sketchbench.lbgraph import (
     Condition,
@@ -155,69 +153,12 @@ def test_spec_errors_name_rules():
     assert err.value.rule == "sizes"
 
 
-def test_spec_json_roundtrip():
-    spec = make_spec_49(sigma_in_a=2)
-    again = LBGraphSpec.from_json(spec.to_json())
-    assert again == spec
-
-
-@pytest.mark.parametrize(
-    "field, value, message",
-    [
-        ("A", 5, "A: 5 is not a list of node ids"),
-        ("B", [30, "31"], "B: '31' is not a node id"),
-        ("sigma", None, "sigma: None is not a node id"),
-        ("restrictions", {"x": "a_restricted"}, "restrictions: {'x': 'a_restricted'} is not an object"),
-        ("restrictions", {"1": "hub"}, "restrictions: 'hub' is not a valid Advice"),
-        ("w_neighbors", {"1": [[29]]}, "w_neighbors: [29] is not a node id"),
-    ],
-)
-def test_spec_loader_names_the_bad_field(field, value, message):
-    obj = json.loads(random_spec(36, 2, seed=1).to_json())
-    obj[field] = value
-    if value is None:  # a missing field
-        del obj[field]
-    with pytest.raises(ValueError) as err:
-        LBGraphSpec.from_json(json.dumps(obj))
-    assert str(err.value).startswith(message)
-
-
 @pytest.mark.parametrize("field, value", [("n", "36"), ("n", 36.0), ("k", None), ("k", 2.0)])
 def test_spec_sizes_refused_by_check_sizes(field, value):
-    obj = json.loads(random_spec(36, 2, seed=1).to_json())
-    obj[field] = value
+    spec = dataclasses.replace(random_spec(36, 2, seed=1), **{field: value})
     with pytest.raises(SpecError) as err:
-        validate(LBGraphSpec.from_json(json.dumps(obj)))
-    assert err.value.rule == "sizes"
-
-
-# Integers stay below 2**40: an unguarded huge n would lay out W and V as
-# sets of isqrt(n) and n ids.
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-(2**40), 2**40) | st.floats() | st.text(max_size=12),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=3), children, max_size=4),
-    max_leaves=8,
-)
-# Paths into the spec JSON; None stands for the first node's key.
-_spec_fields = [(key,) for key in ("n", "k", "sigma", "A", "B", "restrictions", "w_neighbors")] + [
-    ("restrictions", None),
-    ("w_neighbors", None),
-]
-
-
-@given(st.sampled_from(_spec_fields), _json_values)
-@settings(max_examples=200, deadline=None)
-def test_spec_loader_fuzz_raises_only_value_errors(path, value):
-    obj = json.loads(random_spec(36, 2, seed=1).to_json())
-    target = obj if len(path) == 1 else obj[path[0]]
-    target[path[-1] if path[-1] is not None else next(iter(target))] = value
-    try:
-        spec = LBGraphSpec.from_json(json.dumps(obj))
         validate(spec)
-    except ValueError:
-        return
-    assert LBGraphSpec.from_json(spec.to_json()) == spec
+    assert err.value.rule == "sizes"
 
 
 def test_exhaustive_sweep_36_2():

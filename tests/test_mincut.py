@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,3 +180,46 @@ def test_no_contraction_worst_case(edges, value):
     g = MultiGraph(256, edges)
     assert global_min_cut(g).value == value
     assert_matches_networkx(g)
+
+
+def python_min_cut(g: MultiGraph) -> int:
+    """Brute force in Python integers: every side that holds node 1 and misses another."""
+    rest = range(2, g.n + 1)
+    return min(
+        crossing_value(g, {1, *others})
+        for size in range(g.n - 1)
+        for others in itertools.combinations(rest, size)
+    )
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(1, 2, 2**62), (1, 3, 2**62), (2, 3, 2**62)],  # once reported -2**63
+        [(1, 2, 2**61), (2, 3, 2**61)],  # total exactly 2**62
+        [(1, 2, 2**63), (2, 3, 1)],  # once a bare OverflowError
+    ],
+    ids=["triangle-2^62", "total-2^62", "edge-2^63"],
+)
+def test_oracle_refuses_total_weight_past_int64(edges):
+    g = MultiGraph(3, edges)
+    for check in (global_min_cut, lambda graph: is_k_edge_connected(graph, 2)):
+        with pytest.raises(ValueError, match=r"2\*\*62"):
+            check(g)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_near_int64_bound_matches_python_brute_force(seed):
+    # Random connected multiplicities scaled to a total of 2**62 - 1, the
+    # largest the oracle takes; Python integers give the reference.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 7))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if v == u + 1 or rng.random() < 0.5]
+    shares = [int(x) for x in rng.integers(1, 1000, size=len(pairs))]
+    limit = 2**62 - 1
+    mults = [limit * share // sum(shares) for share in shares]
+    mults[0] += limit - sum(mults)
+    g = MultiGraph(n, [(u, v, m) for (u, v), m in zip(pairs, mults)])
+    res = global_min_cut(g)
+    assert res.value == python_min_cut(g)
+    assert crossing_value(g, res.side) == res.value

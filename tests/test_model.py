@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,6 @@ from sketchbench.model import (
     MultiGraph,
     SharedRandomness,
     SketchProtocol,
-    Transcript,
     UnknownNode,
     execute,
     load_graph,
@@ -116,6 +117,72 @@ def test_graph_file_rejects_malformed(tmp_path):
     path.write_text("n 3\n1 3 1\n1 2 1\n")
     with pytest.raises(ValueError):
         load_graph(path)
+    # The header is exactly "n <count>": "n 3 7" once loaded as n=3.
+    for header in ("n 3 7", "n 3 x", "n", "n3", "m 3"):
+        path.write_text(f"{header}\n1 2 1\n")
+        with pytest.raises(ValueError, match="header"):
+            load_graph(path)
+
+
+def test_load_graph_allocates_for_edges_not_header(tmp_path):
+    # A header alone costs no memory per node: adjacency is kept only for
+    # nodes with an edge.  Building a row per node peaked near 131 MB here.
+    path = tmp_path / "wide.txt"
+    path.write_text("n 1000000\n")
+    tracemalloc.start()
+    try:
+        graph = load_graph(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.n == 1_000_000 and graph.edge_slot_count() == 0
+    assert graph.neighborhood(1_000_000) == {}
+    assert peak < 2**20, peak
+
+
+_GRAPH_LINES = ["n 5", "1 2 2", "1 3 5", "2 4 1", "4 5 3"]
+_tokens = st.sampled_from(["n", "0", "1", "2", "5", "6", "-1", "+3", "1.5", "x", "9" * 25]) | st.text(max_size=4)
+
+
+@st.composite
+def mutated_graph_files(draw):
+    """A valid graph file with a few tokens or lines replaced, added, dropped or swapped."""
+    lines = [line.split() for line in _GRAPH_LINES]
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["replace", "insert", "drop-token", "drop-line", "copy-line", "swap"]))
+        if kind == "replace" and lines[i]:
+            lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(_tokens)
+        elif kind == "insert":
+            lines[i].insert(draw(st.integers(0, len(lines[i]))), draw(_tokens))
+        elif kind == "drop-token" and lines[i]:
+            del lines[i][draw(st.integers(0, len(lines[i]) - 1))]
+        elif kind == "drop-line":
+            del lines[i]
+        elif kind == "copy-line":
+            lines.insert(draw(st.integers(0, len(lines))), list(lines[i]))
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+
+
+@given(mutated_graph_files() | st.text(max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_load_graph_fuzz_raises_only_named_errors(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    try:
+        graph = load_graph(path)
+    except (ValueError, UnknownNode):
+        return
+    # A file that loads is decoded whole: its header is n and nothing else,
+    # and its edge lines are the graph's edges.
+    header, *lines = [line.split() for line in path.read_text(encoding="utf-8").split("\n") if line.strip()]
+    assert len(header) == 2 and header[0] == "n" and int(header[1]) == graph.n
+    assert [tuple(map(int, line)) for line in lines] == list(graph.edges())
 
 
 def test_full_information_two_node_parallel():
@@ -173,11 +240,6 @@ def test_referee_never_sees_graph():
     b = execute(proto, MultiGraph(3, [(1, 2, 4)]))
     assert a.messages == b.messages
     assert a.decision == b.decision
-
-
-def test_transcript_json_roundtrip():
-    t = execute(constant(2), triangle())
-    assert Transcript.from_json(t.to_json()) == t
 
 
 def test_shared_randomness_streams():

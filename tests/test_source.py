@@ -54,3 +54,22 @@ def test_private_helpers_are_referenced(qualified):
     # A private helper that nothing in the package reads is dead code a
     # refactor left behind.
     assert qualified.split(".")[1] in LOADED, f"{qualified} is defined but never read"
+
+
+def test_imports_are_read():
+    # A module-level import that its module never reads is a dependency
+    # left behind by a deletion.
+    unread = []
+    for module, tree in TREES.items():
+        loaded = {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in loaded:
+                        unread.append(f"{module}.{name}")
+    assert len(TREES) > 1 and not unread, unread
