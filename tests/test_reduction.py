@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from sketchbench.lbgraph import layout, role_view
+from sketchbench.lbgraph import SpecError, layout, role_view
 from sketchbench.mincut import is_k_edge_connected
 from sketchbench.model import Advice, Decision, EMPTY_RANDOMNESS, execute
 from sketchbench.overlap import InvalidInstance, OverlapInstance, answer, enumerate_valid_instances, vector_on
@@ -353,3 +353,63 @@ def test_build_context_refuses_infeasible_parameters():
     # At s = 0 no instance exists, so a context would serve an empty sweep.
     with pytest.raises(InvalidInstance, match=r"^\[parameters\]"):
         build_context(toy_two_bit(2), m=6, s=0, k=2, seed=42)
+
+
+@pytest.mark.parametrize(
+    "protocol, s, message",
+    [
+        (toy_two_bit(2), 0, r"^\[parameters\]"),
+        (toy_two_bit(2), 99, r"^\[parameters\]"),
+        (toy_two_bit(3), 3, r"^protocol decides k=3, context asked for k=2$"),
+    ],
+    ids=["s-0", "s-99", "protocol"],
+)
+def test_context_rejects_parameters_and_protocol(protocol, s, message):
+    with pytest.raises(ValueError, match=message):
+        build_context(protocol, m=6, s=s, k=2, seed=42)
+
+
+def _off_family(ctx, a_side=None, b_side=None, **changes):
+    partition = replace(ctx.partition, a_side=a_side or ctx.a_side, b_side=b_side or ctx.b_side)
+    return replace(ctx, partition=partition, **changes)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda ctx: _off_family(ctx, n=99),
+        lambda ctx: _off_family(ctx, k=3),
+        lambda ctx: _off_family(ctx, a_side=ctx.a_side | {min(ctx.b_side)}),
+        lambda ctx: _off_family(ctx, a_side=ctx.a_side | {99}),
+        lambda ctx: _off_family(
+            ctx, a_side=ctx.a_side | {max(ctx.b_side)}, b_side=ctx.b_side - {max(ctx.b_side)}
+        ),
+    ],
+    ids=["n", "k", "B-id-in-A", "A-id-outside-W", "B-below-k"],
+)
+def test_context_rejects_fields_off_the_family(toy_ctx, mutate):
+    # A context put off its family must not run on a graph outside the
+    # family, nor fail later as UnknownNode: the compatible graph's family
+    # check refuses it by name.
+    inst = next(enumerate_valid_instances(toy_ctx.m, toy_ctx.s))
+    build_compatible_graph(inst, toy_ctx)
+    with pytest.raises(SpecError) as err:
+        build_compatible_graph(inst, mutate(toy_ctx))
+    assert err.value.rule == "sizes"
+
+
+def test_context_rejects_record_key_inside_w(toy_ctx):
+    # A coordinate hosted at a W id gives that id a V-node role, here sigma's
+    # in the first instance, which the compatible graph's family check refuses.
+    w = min(toy_ctx.family.ground)
+    good = dict(toy_ctx.partition.good)
+    good[w] = good.pop(toy_ctx.good_ids[0])
+    ctx = replace(
+        toy_ctx,
+        partition=replace(toy_ctx.partition, good=good),
+        good_ids=(w,) + toy_ctx.good_ids[1:],
+    )
+    inst = next(enumerate_valid_instances(ctx.m, ctx.s))
+    assert inst.sigma == 1
+    with pytest.raises(SpecError, match=rf"^\[sizes\] sigma={w} outside V$"):
+        build_compatible_graph(inst, ctx)

@@ -347,6 +347,24 @@ def test_record_mutation_fails_reverify():
     assert not verify_record(broken, proto, ctx.a_side, ctx.b_side, N16, 2)
 
 
+@pytest.fixture(scope="module")
+def toy_partition():
+    return choose_partition(toy_two_bit(2), fam40(), N16, 2, trials=4, seed=9)
+
+
+@pytest.mark.parametrize("role", ["sigma", "a", "b"])
+@pytest.mark.parametrize("bad", ["2x", "0 1", 3, None])
+def test_partition_context_rejects_malformed_witness(toy_partition, role, bad):
+    # A witness that is not a bit string fails the re-verification every
+    # record of a chosen partition passes, without raising, instead of
+    # reaching the referee.
+    proto, ctx = toy_two_bit(2), toy_partition
+    record = next(iter(ctx.good.values()))
+    assert verify_record(record, proto, ctx.a_side, ctx.b_side, N16, 2)
+    broken = replace(record, **{f"message_{role}": bad})
+    assert not verify_record(broken, proto, ctx.a_side, ctx.b_side, N16, 2)
+
+
 @pytest.mark.parametrize("d", [4, 5])
 def test_choose_partition_rejects_wrong_member_size(d):
     # At (m, s, k) = (30, 3, 2), sigma neighborhoods have 2k-1 = 3 members;
