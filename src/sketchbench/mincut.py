@@ -19,13 +19,19 @@ lighter than ``best`` separates none of these pairs, so it survives and the
 answer stays exact.  v_t always qualifies; on the hard family's 256-node graphs
 a phase removes most vertices, and 1-4 phases replace the n-1 that contracting
 only (v_{t-1}, v_t) takes.
+
+The contracted graph is a dict of adjacency dicts, first read from
+``MultiGraph.neighborhood``, so memory grows with the edges, not with n^2, and
+weights are Python integers of any size.  A phase grows its MA order with a
+heap keyed (-attachment, id), so ties go to the smallest id.  Each run of
+contracted vertices is merged into its head's dict, and ``groups`` maps each
+head to the original nodes it stands for.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import MultiGraph
 
@@ -42,10 +48,10 @@ class CutResult:
 
 def crossing_value(graph: MultiGraph, side) -> int:
     """Total multiplicity of edges with exactly one endpoint in ``side``."""
-    side = frozenset(side)
-    # Stops at the first node outside ``side``, so never counts past |side| + 1.
-    if not side or all(u in side for u in range(1, graph.n + 1)):
-        raise ValueError("side must be a nonempty proper subset of the nodes")
+    n, side = graph.n, frozenset(side)
+    # Checks each member of ``side``, never each node of the graph.
+    if not (0 < len(side) < n and all(isinstance(u, int) and 1 <= u <= n for u in side)):
+        raise ValueError("side must be a nonempty proper subset of the nodes 1..n")
     total = 0
     for u, v, m in graph.edges():
         if (u in side) != (v in side):
@@ -65,6 +71,27 @@ def _component_of(graph: MultiGraph, start: int) -> frozenset[int]:
     return frozenset(seen)
 
 
+def _ma_order(adj: dict[int, dict[int, int]]) -> list[tuple[int, int]]:
+    """A maximum-adjacency order of ``adj`` from its smallest vertex, as (v_i, r(v_i)).
+
+    r(v_1) is 0.  Ties go to the smallest id.
+    """
+    attach = dict.fromkeys(adj, 0)  # of each vertex not yet grown
+    heap = [(0, min(adj))]
+    order = []
+    while attach:
+        # A vertex's freshest entry pops before its stale ones, so an entry
+        # whose vertex has already grown is the only kind to skip.
+        v = heapq.heappop(heap)[1]
+        if v in attach:
+            order.append((v, attach.pop(v)))
+            for w, m in adj[v].items():
+                if w in attach:
+                    attach[w] += m
+                    heapq.heappush(heap, (-attach[w], w))
+    return order
+
+
 def global_min_cut(graph: MultiGraph) -> CutResult:
     """Exact minimum cut by Nagamochi-Ibaraki contraction, integer weights.
 
@@ -79,63 +106,37 @@ def global_min_cut(graph: MultiGraph) -> CutResult:
     if len(component) < n:
         return CutResult(0, component)
 
-    # Attachment of grown and contracted vertices: no sum of edge weights lifts
-    # it back above an unpicked vertex's, which is never negative.  It sits on
-    # the diagonal, so adding a vertex's row as it joins the grown set retires it.
-    taken = np.iinfo(np.int64).min // 2
-    # Weighted adjacency; rows/cols are contracted in place.  A degree, an
-    # attachment or a grown vertex's excess over ``taken`` is at most the total
-    # weight, so a total below -taken = 2**62 keeps every sum inside int64.
-    us, vs, mults = zip(*graph.edges())  # connected, so at least one edge
-    if sum(mults) >= -taken:
-        raise ValueError("total edge multiplicity reaches 2**62, past the oracle's int64 range")
-    weights = np.zeros((n, n), dtype=np.int64)
-    heads, tails = np.array(us) - 1, np.array(vs) - 1
-    weights[heads, tails] = mults
-    weights[tails, heads] = mults
+    # Weighted adjacency of the contracted graph, keyed by each group's head.
+    adj = {v: graph.neighborhood(v) for v in range(1, n + 1)}
+    groups = {v: frozenset({v}) for v in adj}
+    degree, v = min((sum(row.values()), v) for v, row in adj.items())
+    best = CutResult(degree, groups[v])
 
-    rows = list(weights)  # row views: a list lookup is cheaper than ``weights[i, :]``
-    groups = [frozenset({i + 1}) for i in range(n)]
-    active = np.ones(n, dtype=bool)
-    degrees = weights.sum(axis=1)
-    best = CutResult(int(degrees.min()), groups[degrees.argmin()])
-    np.fill_diagonal(weights, taken)
-
-    while len(idx := np.flatnonzero(active)) > 1:
-        # Maximum-adjacency order: grow from idx[0], always adding the vertex
-        # most strongly connected to the grown set.  Grown and contracted
-        # vertices sit at ``taken`` and are never picked again.
-        attach = weights[idx[0], :].copy()
-        attach[~active] = taken
+    while len(adj) > 1:
         bound = best.value  # as the phase began: never below the rule's threshold
-        pairs = []  # (v_{i-1}, v_i) with r(v_i) >= bound, in MA order
-        last = idx[0]
-        for _ in range(len(idx) - 1):
-            nxt = attach.argmax()
-            cut_of_phase = attach.item(nxt)
-            if cut_of_phase >= bound:
-                pairs.append((last, nxt))
-            second_last, last = last, nxt
-            attach += rows[nxt]
+        order = _ma_order(adj)
+        last, cut_of_phase = order[-1]
         if cut_of_phase < bound:
             best = CutResult(cut_of_phase, groups[last])
-            pairs.append((second_last, last))
-        # Contract each chain v_j, v_{j+1}, ..., v_i of consecutive pairs into v_j.
-        chains: list[list] = []
-        for u, v in pairs:
-            if chains and chains[-1][-1] == u:
-                chains[-1].append(v)
+        # Runs v_{j+1}, ..., v_i to contract into v_j: each of their labels
+        # reaches ``bound``, and v_t always joins its predecessor.  r(v_1) = 0
+        # < bound, so v_1 is a head.
+        runs: dict[int, list[int]] = {}
+        for v, label in order:
+            if label >= bound or v == last:
+                runs.setdefault(head, []).append(v)
             else:
-                chains.append([u, v])
-        for head, *run in chains:
-            merged = weights[run, :].sum(axis=0)
-            weights[head, :] += merged
-            weights[:, head] += merged
-            weights[head, head] = taken
-            weights[run, :] = 0
-            weights[:, run] = 0
-            active[run] = False
-            groups[head] = groups[head].union(*(groups[v] for v in run))
+                head = v
+        for head, run in runs.items():
+            row, group = adj[head], {head, *run}
+            for v in run:
+                row.pop(v, None)
+                for w, m in adj.pop(v).items():
+                    if w not in group:
+                        del adj[w][v]
+                        row[w] = row.get(w, 0) + m
+                        adj[w][head] = row[w]
+            groups[head] = groups[head].union(*(groups.pop(v) for v in run))
 
     return best
 

@@ -186,8 +186,6 @@ class SketchProtocol:
 class Transcript:
     """One execution: per-node messages sorted by id, plus the referee decision."""
 
-    protocol: str
-    seed: Optional[int]
     messages: tuple[tuple[int, Bits], ...]
     decision: Decision
 
@@ -217,12 +215,7 @@ def execute(
             )
         messages.append((node, bits))
     decision = protocol.decode(tuple(messages), randomness)
-    return Transcript(
-        protocol=protocol.name,
-        seed=randomness.seed,
-        messages=tuple(messages),
-        decision=decision,
-    )
+    return Transcript(messages=tuple(messages), decision=decision)
 
 
 def save_graph(graph: MultiGraph, path) -> None:

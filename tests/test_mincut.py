@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,25 +194,27 @@ def python_min_cut(g: MultiGraph) -> int:
 
 
 @pytest.mark.parametrize(
-    "edges",
+    "edges, value",
     [
-        [(1, 2, 2**62), (1, 3, 2**62), (2, 3, 2**62)],  # once reported -2**63
-        [(1, 2, 2**61), (2, 3, 2**61)],  # total exactly 2**62
-        [(1, 2, 2**63), (2, 3, 1)],  # once a bare OverflowError
+        ([(1, 2, 2**62), (1, 3, 2**62), (2, 3, 2**62)], 2**63),  # once reported -2**63
+        ([(1, 2, 2**61), (2, 3, 2**61)], 2**61),  # total exactly 2**62
+        ([(1, 2, 2**63), (2, 3, 1)], 1),  # once a bare OverflowError
     ],
     ids=["triangle-2^62", "total-2^62", "edge-2^63"],
 )
-def test_oracle_refuses_total_weight_past_int64(edges):
+def test_oracle_is_exact_past_int64(edges, value):
+    # Weights are Python integers, so no total is too large to add.
     g = MultiGraph(3, edges)
-    for check in (global_min_cut, lambda graph: is_k_edge_connected(graph, 2)):
-        with pytest.raises(ValueError, match=r"2\*\*62"):
-            check(g)
+    res = global_min_cut(g)
+    assert res.value == python_min_cut(g) == value
+    assert crossing_value(g, res.side) == value
+    assert is_k_edge_connected(g, 2) == (value >= 2)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_near_int64_bound_matches_python_brute_force(seed):
-    # Random connected multiplicities scaled to a total of 2**62 - 1, the
-    # largest the oracle takes; Python integers give the reference.
+    # Random connected multiplicities scaled to a total of 2**62 - 1;
+    # Python integers give the reference.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 7))
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if v == u + 1 or rng.random() < 0.5]
@@ -223,3 +226,25 @@ def test_near_int64_bound_matches_python_brute_force(seed):
     res = global_min_cut(g)
     assert res.value == python_min_cut(g)
     assert crossing_value(g, res.side) == res.value
+
+
+@pytest.mark.parametrize("side", [{0}, {"a"}, {4}], ids=["zero", "str", "past-n"])
+def test_crossing_value_refuses_side_outside_nodes(side):
+    # None of these sides holds a node, so none is a cut of this path.
+    g = MultiGraph(3, [(1, 2, 1), (2, 3, 1)])
+    with pytest.raises(ValueError, match="proper subset"):
+        crossing_value(g, side)
+
+
+def test_oracle_memory_grows_with_edges_not_n_squared():
+    # A 4096-node path: a dense n x n int64 matrix alone would take 128 MB.
+    n = 4096
+    g = MultiGraph(n, [(i, i + 1, 1) for i in range(1, n)])
+    tracemalloc.start()
+    try:
+        res = global_min_cut(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.value == 1
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
