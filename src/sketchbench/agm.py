@@ -225,8 +225,12 @@ def _cells_to_bits(cells: np.ndarray) -> Bits:
 
 
 def _bits_to_cells(bits: Bits, cfg: SketchConfig) -> np.ndarray:
+    if not isinstance(bits, str):
+        raise DecodeError(f"a message must be a bit string, got {type(bits).__name__}")
     if len(bits) != cfg.bits:
         raise DecodeError(f"expected {cfg.bits} bits, got {len(bits)}")
+    if not bits.isascii():
+        raise DecodeError("message contains non-bit characters")
     raw = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
     if raw.max(initial=0) > 1:
         raise DecodeError("message contains non-bit characters")
@@ -242,14 +246,14 @@ def agm_encode(view: NodeView, seeds: SharedRandomness, k: int, delta: float) ->
 
 
 def extract_edge(cells: np.ndarray, base: int, n: int) -> Optional[int]:
-    """Recover a slot from a (reps, levels, 3) slice if some triple is 1-sparse."""
+    """Recover a slot from a (reps, levels, 3) slice if some triple is 1-sparse.
+
+    Cells lie in [0, PRIME), so every nonzero count has an inverse.
+    """
     flat = cells.reshape(-1, 3)
-    for cnt_u, ids_u, fp_u in flat:
-        cnt, ids, fp = int(cnt_u), int(ids_u), int(fp_u)
-        if cnt == 0:
-            continue
-        slot = ids * pow(cnt, PRIME - 2, PRIME) % PRIME
-        if not 1 <= slot <= n * n or pair_of_slot(slot, n) is None:
+    for cnt, ids, fp in flat[flat[:, 0] != 0].tolist():
+        slot = ids * pow(cnt, -1, PRIME) % PRIME
+        if pair_of_slot(slot, n) is None:
             continue
         if cnt * pow(base, slot, PRIME) % PRIME == fp:
             return slot

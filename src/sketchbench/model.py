@@ -42,11 +42,36 @@ class Decision(Enum):
 Bits = str
 
 
+#: Length from which ``check_bits`` checks the alphabet with one numpy pass
+#: over the ASCII bytes instead of two ``str.count`` scans.  The numpy pass
+#: costs about 3 us of call overhead (30 us at 259,200 characters); the two
+#: scans cost 0.25 us on a 2-bit message, but grow faster with length and
+#: overtake it between 1,536 and 2,048 random bits (Python 3.11, numpy 2.4,
+#: x86-64).
+NUMPY_CHECK_MIN_BITS = 2048
+
+#: Characters of a refused message that its error shows.
+_SHOWN_BITS = 32
+
+
 def check_bits(bits: Bits) -> Bits:
-    # Two count() scans run several times faster than strip("01"), which looks up
-    # every character in its strip set.
-    if not isinstance(bits, str) or bits.count("0") + bits.count("1") != len(bits):
-        raise ValueError(f"not a bit string: {bits!r}")
+    """Return ``bits`` if it is a ``str`` over {'0', '1'}; raise ValueError otherwise."""
+    if not isinstance(bits, str):
+        raise ValueError(f"not a bit string: got {type(bits).__name__}")
+    if len(bits) < NUMPY_CHECK_MIN_BITS:
+        # Two count() scans run several times faster than strip("01"), which
+        # looks up every character in its strip set.
+        ok = bits.count("0") + bits.count("1") == len(bits)
+    else:
+        # isascii() reads a flag the str already holds, so it costs O(1).
+        ok = bits.isascii() and int((np.frombuffer(bits.encode("ascii"), np.uint8) ^ 48).max()) <= 1
+    if not ok:
+        bad = next(i for i, c in enumerate(bits) if c not in "01")
+        shown = bits[:_SHOWN_BITS] + ("..." if len(bits) > _SHOWN_BITS else "")
+        raise ValueError(
+            f"not a bit string: {bits[bad]!r} at index {bad} of {len(bits)} characters, "
+            f"starting {shown!r}"
+        )
     return bits
 
 

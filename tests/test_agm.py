@@ -75,6 +75,51 @@ def test_largest_slot_roundtrips():
     assert agm.pair_of_slot(slot, n) == (n - 1, n)
 
 
+def _extract_edge_reference(cells, base, n):
+    # Per-triple scan over Python ints with the Fermat inverse.
+    for cnt_u, ids_u, fp_u in cells.reshape(-1, 3):
+        cnt, ids, fp = int(cnt_u), int(ids_u), int(fp_u)
+        if cnt == 0:
+            continue
+        slot = ids * pow(cnt, agm.PRIME - 2, agm.PRIME) % agm.PRIME
+        if not 1 <= slot <= n * n or agm.pair_of_slot(slot, n) is None:
+            continue
+        if cnt * pow(base, slot, agm.PRIME) % agm.PRIME == fp:
+            return slot
+    return None
+
+
+def test_extract_edge_matches_reference_scan():
+    n, k, delta = 64, 2, 0.1
+    cfg = SketchConfig.make(n, k, delta)
+    _, base = agm._config_tables(SEEDS, cfg)
+    graph, advice = build_lb_graph(random_spec(n, k, 7, condition=Condition.C1))
+    sketches = [agm.node_sketch(node_view(graph, v, advice.get(v), k), SEEDS, k, delta) for v in range(1, n + 1)]
+    rng = np.random.default_rng(3)
+    slices = [s[0, r] for s in sketches for r in range(cfg.rounds)]
+    for _ in range(100):  # component sketches, mostly more than 1-sparse
+        side = rng.choice(n, size=int(rng.integers(2, n)), replace=False)
+        total = sketches[side[0]]
+        for v in side[1:]:
+            total = agm.combine(total, sketches[v])
+        slices.append(total[1, int(rng.integers(cfg.rounds))])
+    shape = (cfg.reps, cfg.levels, 3)
+    slices.append(np.zeros(shape, dtype=np.uint64))
+    for _ in range(100):  # random field elements
+        slices.append(rng.integers(0, agm.PRIME, size=shape, dtype=np.uint64))
+    # Triples whose id sum decodes to a valid slot, with a wrong fingerprint.
+    forged = rng.integers(0, agm.PRIME, size=shape, dtype=np.uint64)
+    forged[..., 0] = 2
+    forged[..., 1] = 2 * agm.slot_of(3, 9, n)
+    slices.append(forged)
+    found = 0
+    for cells in slices:
+        expect = _extract_edge_reference(cells, base, n)
+        assert agm.extract_edge(cells, base, n) == expect
+        found += expect is not None
+    assert 0 < found < len(slices)
+
+
 def test_pair_recovery_roundtrip():
     n = 16
     for u in (1, 3, 7):
@@ -149,6 +194,18 @@ def test_decode_rejects_malformed():
     msgs[0] = (msgs[0][0], msgs[0][1][:-1])
     with pytest.raises(DecodeError):
         agm_decide_kconn(msgs, SEEDS, 3, 1, 0.1)
+
+
+@pytest.mark.parametrize("bad", ["é", None, 3, b"0"], ids=["non-ascii", "none", "int", "bytes"])
+def test_decode_rejects_message_that_is_not_a_bit_string(bad):
+    n, k, delta = 16, 2, 0.1
+    cfg = SketchConfig.make(n, k, delta)
+    g = MultiGraph(n, [(i, i + 1, 1) for i in range(1, n)])
+    msgs = list(execute(make_agm_protocol(n, k, delta), g, randomness=SEEDS).messages)
+    # A str keeps the right length, so only its alphabet is wrong.
+    msgs[3] = (4, bad + "0" * (cfg.bits - 1) if isinstance(bad, str) else bad)
+    with pytest.raises(DecodeError):
+        agm_decide_kconn(msgs, SEEDS, n, k, delta)
 
 
 def test_decode_rejects_cell_outside_field():

@@ -1,11 +1,18 @@
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sketchbench import model
 from sketchbench.lbgraph import Condition, build_lb_graph, layout, random_spec
 from sketchbench.model import (
+    NUMPY_CHECK_MIN_BITS,
     Advice,
     Decision,
     EMPTY_RANDOMNESS,
@@ -14,6 +21,7 @@ from sketchbench.model import (
     SharedRandomness,
     SketchProtocol,
     UnknownNode,
+    check_bits,
     execute,
     load_graph,
     node_view,
@@ -252,3 +260,78 @@ def test_shared_randomness_streams():
     assert EMPTY_RANDOMNESS.is_empty
     with pytest.raises(ValueError):
         EMPTY_RANDOMNESS.generator("x")
+
+
+def _emitting(message) -> SketchProtocol:
+    """A protocol whose every node sends ``message``."""
+    return SketchProtocol(
+        name="emit",
+        k=1,
+        max_bits=10**6,
+        encode=lambda view, rand: message,
+        decode=lambda msgs, rand: Decision.CONNECTED,
+    )
+
+
+@pytest.mark.parametrize(
+    "message,named",
+    [("2", "'2' at index 0"), ("0 1", "' ' at index 1"), ("+01", "'+' at index 0"),
+     ("0_1", "'_' at index 1"), ("é", "'é' at index 0"), (3, "int"), (None, "NoneType")],
+)
+def test_execute_refuses_non_bit_message(message, named):
+    with pytest.raises(ValueError, match="not a bit string") as err:
+        execute(_emitting(message), triangle())
+    assert named in str(err.value)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("bad", ["2", "\x00", "é"], ids=["digit", "nul", "non-ascii"])
+def test_execute_refuses_long_message_with_one_bad_character(where, bad):
+    # Above NUMPY_CHECK_MIN_BITS the alphabet is checked by the numpy pass; the
+    # error names the index and shows a bounded prefix, not the whole message.
+    length = 3 * NUMPY_CHECK_MIN_BITS + 1
+    index = {"first": 0, "middle": length // 2, "last": length - 1}[where]
+    message = "01" * (length // 2) + "1"
+    message = message[:index] + bad + message[index + 1 :]
+    with pytest.raises(ValueError, match=re.escape(f"{bad!r} at index {index} of {length}")) as err:
+        execute(_emitting(message), triangle())
+    assert len(str(err.value)) < 200
+
+
+@st.composite
+def near_bit_strings(draw):
+    """Bit strings on both sides of NUMPY_CHECK_MIN_BITS, some with characters replaced."""
+    length = draw(st.integers(0, 2 * NUMPY_CHECK_MIN_BITS) | st.sampled_from(
+        [NUMPY_CHECK_MIN_BITS - 1, NUMPY_CHECK_MIN_BITS, NUMPY_CHECK_MIN_BITS + 1]))
+    pattern = draw(st.integers(0, 2**64 - 1))
+    chars = [str(pattern >> (i % 64) & 1) for i in range(length)]
+    for _ in range(draw(st.integers(0, 3)) if length else 0):
+        chars[draw(st.integers(0, length - 1))] = draw(st.characters())
+    return "".join(chars)
+
+
+@given(near_bit_strings())
+@settings(max_examples=300, deadline=None)
+def test_check_bits_accepts_exactly_bit_strings(bits):
+    if set(bits) <= {"0", "1"}:
+        assert check_bits(bits) is bits
+    else:
+        with pytest.raises(ValueError, match="not a bit string"):
+            check_bits(bits)
+
+
+def test_check_bits_refuses_under_optimize_flag():
+    # ``python -O`` strips assert statements; both alphabet checks must still refuse.
+    code = (
+        "from sketchbench.model import NUMPY_CHECK_MIN_BITS as L, check_bits\n"
+        "for bits in ('2', '0' * L + '2', None):\n"
+        "    try:\n"
+        "        check_bits(bits)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'accepted {bits!r:.20}')\n"
+    )
+    src = str(Path(model.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stdout + result.stderr
