@@ -18,11 +18,18 @@ that ``execute`` reaches through module globals:
 - ``cells_to_bits_ms``: ``agm._cells_to_bits``, packing cells into messages;
 - ``check_bits_ms``: ``model.check_bits``, the message alphabet check;
 - ``bits_to_cells_ms``: ``agm._bits_to_cells``, unpacking in the decoder;
-- ``boruvka_ms``: ``agm._boruvka``, peeling the k forests;
 - ``certificate_cut_ms``: ``agm.global_min_cut`` on the union certificate;
-- ``subtract_ms``: the rest of ``agm.agm_decide_kconn``: subtracting each
-  forest from the later stacks, and building the certificate graph;
+- ``peel_ms``: the rest of ``agm.agm_decide_kconn``: peeling the k forests,
+  with the earlier forests subtracted, and building the certificate graph;
+- ``component_sketches_ms``: ``agm._component_sketches``, inside ``peel_ms``:
+  each round's component sums, earlier forests subtracted;
+- ``extract_ms``: ``agm._extract_edges``, inside ``peel_ms``: one edge per
+  component and round;
 - ``execute_ms``: the whole ``model.execute`` call.
+
+A version that does not define a layer's function (an older checkout under
+``--baseline``) reports no time for that layer; ``peel_ms`` is comparable
+across versions.
 
 Each graph records the median over 5 executions of each layer's total time in
 ms; each group also gets the median of its graphs' medians.  ``--baseline``
@@ -67,14 +74,15 @@ REPEATS = 5
 K, DELTA = 3, 0.05
 
 #: Layer name -> (module attribute, function) that the layer's time is summed
-#: over.  ``decode_ms`` is not reported: ``subtract_ms`` is what it leaves
-#: after the three layers timed inside it.
+#: over.  ``decode_ms`` is not reported: ``peel_ms`` is what it leaves after
+#: unpacking and the certificate cut.
 LAYERS = {
     "node_sketch_ms": ("agm", "node_sketch"),
     "cells_to_bits_ms": ("agm", "_cells_to_bits"),
     "check_bits_ms": ("model", "check_bits"),
     "bits_to_cells_ms": ("agm", "_bits_to_cells"),
-    "boruvka_ms": ("agm", "_boruvka"),
+    "component_sketches_ms": ("agm", "_component_sketches"),
+    "extract_ms": ("agm", "_extract_edges"),
     "certificate_cut_ms": ("agm", "global_min_cut"),
     "decode_ms": ("agm", "agm_decide_kconn"),
 }
@@ -112,9 +120,10 @@ def load_baseline(src: Path):
 
 @contextmanager
 def timed_layers(package, totals: dict):
-    """Wrap each layer's function in ``package`` so that calls add their time to ``totals``."""
+    """Wrap the function of each layer in ``totals`` so that its calls add their time there."""
     saved = []
-    for layer, (module_name, attr) in LAYERS.items():
+    for layer in totals:
+        module_name, attr = LAYERS[layer]
         module = getattr(package, module_name)
         inner = getattr(module, attr)
 
@@ -136,15 +145,14 @@ def timed_layers(package, totals: dict):
 
 def run_once(package, protocol, graph, advice, seed: int) -> tuple[dict, str]:
     """Layer times in ms of one execution, and a digest of its transcript and decision."""
-    totals = dict.fromkeys(LAYERS, 0.0)
+    totals = {layer: 0.0 for layer, (module, attr) in LAYERS.items() if hasattr(getattr(package, module), attr)}
     randomness = package.model.SharedRandomness(seed)
     with timed_layers(package, totals):
         start = perf_counter()
         transcript = package.model.execute(protocol, graph, advice, randomness)
         totals["execute_ms"] = perf_counter() - start
     decode = totals.pop("decode_ms")
-    inside = ("bits_to_cells_ms", "boruvka_ms", "certificate_cut_ms")
-    totals["subtract_ms"] = decode - sum(totals[layer] for layer in inside)
+    totals["peel_ms"] = decode - totals["bits_to_cells_ms"] - totals["certificate_cut_ms"]
     digest = hashlib.sha256()
     for node, bits in transcript.messages:
         digest.update(f"{node}:{bits};".encode("ascii"))

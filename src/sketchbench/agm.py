@@ -4,9 +4,11 @@ Each node sketches its signed edge-incidence vector at several geometric
 sampling levels; cell triples (sum, id-weighted sum, fingerprint) live in a
 prime field, so sketches of node sets add up to sketches of their boundary.
 The referee peels k edge-disjoint spanning forests out of the k independent
-sketch stacks (subtracting each forest's edges from the later stacks of their
-endpoints, sketch-side) and decides k-edge connectivity exactly on the union
-certificate.
+sketch stacks and decides k-edge connectivity exactly on the union
+certificate.  Peeling runs Borůvka one (stack, round) at a time: it sums that
+round's cells per component, subtracts the earlier forests' edges that cross
+between components (an edge inside one component cancels), and extracts one
+edge per component in a single array pass.
 
 Nothing is tabulated over the n^2 edge slots.  The shared randomness fixes one
 64-bit key per sampling configuration and a fingerprint base; a node hashes
@@ -155,7 +157,7 @@ def _powers(base: int, slots: np.ndarray) -> np.ndarray:
     elsewhere; the rows are multiplied pairwise down to one.  Operands stay
     below 2^31, so products stay below 2^62.
     """
-    width = max(1, int(slots.max()).bit_length())
+    width = max(1, int(slots.max(initial=0)).bit_length())
     squares = [base]
     for _ in range(width - 1):
         squares.append(squares[-1] * squares[-1] % PRIME)
@@ -212,11 +214,6 @@ def node_sketch(
     return cells.reshape(cfg.stacks, cfg.rounds, cfg.reps, cfg.levels, 3)
 
 
-def combine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cell-wise field addition; the sketch of a disjoint union of updates."""
-    return (a + b) % np.uint64(PRIME)
-
-
 def _cells_to_bits(cells: np.ndarray) -> Bits:
     flat = cells.reshape(-1).astype(">u4")
     bit_arr = np.unpackbits(flat.view(np.uint8))
@@ -225,6 +222,7 @@ def _cells_to_bits(cells: np.ndarray) -> Bits:
 
 
 def _bits_to_cells(bits: Bits, cfg: SketchConfig) -> np.ndarray:
+    """uint32 cells (stacks, rounds, reps, levels, 3) of one message, each below PRIME < 2^31."""
     if not isinstance(bits, str):
         raise DecodeError(f"a message must be a bit string, got {type(bits).__name__}")
     if len(bits) != cfg.bits:
@@ -234,7 +232,7 @@ def _bits_to_cells(bits: Bits, cfg: SketchConfig) -> np.ndarray:
     raw = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
     if raw.max(initial=0) > 1:
         raise DecodeError("message contains non-bit characters")
-    cells = np.packbits(raw).view(">u4").astype(np.uint64)
+    cells = np.packbits(raw).view(">u4").astype(np.uint32)
     if cells.max(initial=0) >= PRIME:
         raise DecodeError(f"message contains a cell outside the field of size {PRIME}")
     return cells.reshape(cfg.stacks, cfg.rounds, cfg.reps, cfg.levels, 3)
@@ -245,29 +243,97 @@ def agm_encode(view: NodeView, seeds: SharedRandomness, k: int, delta: float) ->
     return _cells_to_bits(node_sketch(view, seeds, k, delta))
 
 
-def extract_edge(cells: np.ndarray, base: int, n: int) -> Optional[int]:
-    """Recover a slot from a (reps, levels, 3) slice if some triple is 1-sparse.
+def _field_inverse(values: np.ndarray) -> np.ndarray:
+    """values^(PRIME - 2) mod PRIME per uint64 element: the inverse of each nonzero one."""
+    out = np.ones_like(values)
+    square, exponent = values, PRIME - 2
+    while exponent:
+        if exponent & 1:
+            out = out * square % PRIME
+        square = square * square % PRIME
+        exponent >>= 1
+    return out
 
-    Cells lie in [0, PRIME), so every nonzero count has an inverse.
+
+def _extract_edges(cells: np.ndarray, base: int, n: int) -> np.ndarray:
+    """uint64 slot recovered from each (reps, levels, 3) slice of ``cells``, 0 where none is.
+
+    A slice yields its first 1-sparse triple in row order: a nonzero count c
+    whose inverse turns the id sum into the slot of a pair 1 <= u < v <= n, and
+    a fingerprint equal to c * base^slot.  Cells lie in [0, PRIME), so every
+    nonzero count has an inverse.
     """
-    flat = cells.reshape(-1, 3)
-    for cnt, ids, fp in flat[flat[:, 0] != 0].tolist():
-        slot = ids * pow(cnt, -1, PRIME) % PRIME
-        if pair_of_slot(slot, n) is None:
-            continue
-        if cnt * pow(base, slot, PRIME) % PRIME == fp:
-            return slot
-    return None
+    flat = cells.reshape(len(cells), -1, 3)
+    where, row = np.nonzero(flat[:, :, 0])  # row-major: by slice, then by row
+    cnt, ids, fp = flat[where, row].T
+    slot = ids * _field_inverse(cnt) % PRIME
+    u, v = np.divmod(slot - np.uint64(1), np.uint64(n))  # pair_of_slot, less one on each side
+    ok = (slot > 0) & (u < v)
+    where, cnt, fp, slot = where[ok], cnt[ok], fp[ok], slot[ok]
+    ok = cnt * _powers(base, slot) % PRIME == fp
+    found, first = np.unique(where[ok], return_index=True)
+    out = np.zeros(len(cells), dtype=np.uint64)
+    out[found] = slot[ok][first]
+    return out
 
 
-def _boruvka(
-    cfg: SketchConfig,
-    base: int,
-    sketches: np.ndarray,
-    n: int,
-) -> list[int]:
-    """Extract one spanning forest; ``sketches[node - 1]`` is (rounds, reps, levels, 3)."""
-    parent = list(range(n + 1))
+def extract_edge(cells: np.ndarray, base: int, n: int) -> Optional[int]:
+    """Recover a slot from one (reps, levels, 3) slice if some triple is 1-sparse."""
+    return int(_extract_edges(cells[None], base, n)[0]) or None
+
+
+def _component_sketches(
+    cells: np.ndarray,
+    keys: np.ndarray,
+    component: np.ndarray,
+    earlier: tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """uint64 sketches (components, reps, levels, 3) of one round, earlier forests subtracted.
+
+    ``cells`` is the round's uint32 (n, reps, levels, 3) slice of every node,
+    ``keys`` its reps config keys and ``component[node - 1]`` the node's label
+    in 0..c-1.  ``earlier`` holds the slots claimed by earlier forests and
+    their (slots, 3) terms, scaled by each slot's multiplicity.  A component's
+    sketch is the sum of its nodes' cells.  An earlier edge counts only when
+    its ends lie in different components: inside one, its +1 at u and -1 at v
+    cancel.
+    """
+    n, reps, levels = cells.shape[:3]
+    order = np.argsort(component, kind="stable")
+    starts = np.searchsorted(component[order], np.arange(component.max() + 1))
+    if len(starts) == n:  # every node alone, as in round 0
+        sums = cells[order].astype(np.uint64)
+    else:
+        sums = np.add.reduceat(cells[order], starts, axis=0, dtype=np.uint64)
+    slots, terms = earlier
+    ends = (slots - np.uint64(1)).astype(np.intp)
+    cu, cv = component[ends // n], component[ends % n]
+    cross = np.flatnonzero(cu != cv)
+    cell, edge = np.nonzero(_sampled(keys, levels, slots[cross]).reshape(reps * levels, -1))
+    edge = cross[edge]
+    # Each (rep, level) cell that keeps a crossing edge gains its term at the
+    # v end and loses it at the u end (u < v holds an edge as +1, v as -1).
+    # Every added value lies below 2^31, so the uint64 sums are exact.
+    at = np.concatenate([cu[edge], cv[edge]]) * (reps * levels) + np.concatenate([cell, cell])
+    signed = np.concatenate([PRIME - terms[edge], terms[edge]])
+    np.add.at(sums.reshape(-1), (at[:, None] * 3 + np.arange(3)).ravel(), signed.ravel())
+    return sums % PRIME
+
+
+def _peel_forest(cells: np.ndarray, keys: np.ndarray, base: int, used: dict[int, int]) -> list[int]:
+    """One spanning forest from one stack, (n, rounds, reps, levels, 3), less the edges in ``used``.
+
+    Borůvka: each round sketches every component's boundary on that round's
+    slice, extracts one edge per component and merges along the extracted
+    edges in slot order.  ``used`` maps each slot claimed by earlier forests
+    to its multiplicity.
+    """
+    n, rounds, reps = cells.shape[:3]
+    slots = np.array(list(used), dtype=np.uint64)
+    counts = np.array(list(used.values()), dtype=np.uint64)
+    earlier = (slots, _unit_terms(base, slots) * counts[:, None] % PRIME)
+    component = np.arange(n)  # node - 1 -> its component's label
+    forest: list[int] = []
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -275,25 +341,23 @@ def _boruvka(
             x = parent[x]
         return x
 
-    comp = {node: sketches[node - 1] for node in range(1, n + 1)}
-    forest: list[int] = []
-    for rnd in range(cfg.rounds):
-        roots = sorted({find(x) for x in range(1, n + 1)})
-        if len(roots) == 1:
+    for rnd in range(rounds):
+        count = int(component.max()) + 1
+        if count == 1:
             break
-        proposals = []
-        for root in roots:
-            slot = extract_edge(comp[root][rnd], base, n)
-            if slot is not None:
-                proposals.append(slot)
-        for slot in sorted(set(proposals)):
+        round_keys = keys[rnd * reps : (rnd + 1) * reps]
+        sketches = _component_sketches(cells[:, rnd], round_keys, component, earlier)
+        proposals = _extract_edges(sketches, base, n)
+        parent = list(range(count))  # over this round's component labels
+        for slot in np.unique(proposals[proposals != 0]).tolist():
             u, v = pair_of_slot(slot, n)
-            ru, rv = find(u), find(v)
+            ru, rv = find(int(component[u - 1])), find(int(component[v - 1]))
             if ru == rv:
                 continue
             parent[rv] = ru
-            comp[ru] = combine(comp[ru], comp[rv])
             forest.append(slot)
+        roots = np.array([find(c) for c in range(count)])
+        component = np.unique(roots, return_inverse=True)[1][component]
     return forest
 
 
@@ -304,38 +368,29 @@ def agm_decide_kconn(
     k: int,
     delta: float,
 ) -> Decision:
-    """Peel k forests from the sketches and decide on the union certificate."""
+    """Peel k forests from the sketches and decide on the union certificate.
+
+    Stack s peels its forest from G less the edges of the forests of stacks
+    below s; ``_component_sketches`` subtracts those edges at each component's
+    boundary, one round at a time.  The decoded cells stay uint32 and are
+    upcast one round slice at a time.
+    """
     if sorted(node for node, _ in messages) != list(range(1, n + 1)):
         raise DecodeError("need exactly one message per node 1..n")
     if n == 1:
         return Decision.CONNECTED
     cfg = SketchConfig.make(n, k, delta)
     keys, base = _config_tables(seeds, cfg)
-    cells = np.empty((n, cfg.stacks, cfg.rounds, cfg.reps, cfg.levels, 3), dtype=np.uint64)
+    cells = np.empty((n, cfg.stacks, cfg.rounds, cfg.reps, cfg.levels, 3), dtype=np.uint32)
     for node, bits in messages:
         cells[node - 1] = _bits_to_cells(bits, cfg)
     per_stack = cfg.rounds * cfg.reps
 
     used: dict[int, int] = {}  # slot -> multiplicity claimed by earlier forests
     for stack in range(cfg.stacks):
-        forest = _boruvka(cfg, base, cells[:, stack], n)
+        forest = _peel_forest(cells[:, stack], keys[stack * per_stack : (stack + 1) * per_stack], base, used)
         for slot in forest:
             used[slot] = used.get(slot, 0) + 1
-        later = keys[(stack + 1) * per_stack :]
-        if not forest or not len(later):
-            continue
-        # Sketches are linear: subtracting each forest edge from its two
-        # endpoints' later stacks removes it from every later component sketch.
-        slots = np.array(forest, dtype=np.uint64)
-        kept = _sampled(later, cfg.levels, slots)
-        terms = _unit_terms(base, slots)
-        rest = cells[:, stack + 1 :]
-        for f, slot in enumerate(forest):
-            update = (kept[:, :, f, None] * terms[f]).reshape(rest.shape[1:])
-            u, v = pair_of_slot(slot, n)
-            rest[u - 1] += PRIME - update  # u < v holds the edge as +1, v as -1
-            rest[v - 1] += update
-        rest %= PRIME
 
     certificate = MultiGraph(n)
     for slot, count in used.items():

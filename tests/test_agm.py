@@ -14,7 +14,7 @@ from sketchbench.agm import (
 )
 from sketchbench.cli import binomial_allowance
 from sketchbench.lbgraph import Condition, build_lb_graph, random_spec
-from sketchbench.mincut import is_k_edge_connected
+from sketchbench.mincut import global_min_cut, is_k_edge_connected
 from sketchbench.model import Decision, MultiGraph, NodeView, SharedRandomness, execute, node_view
 
 SEEDS = SharedRandomness(99)
@@ -41,7 +41,7 @@ def test_linearity():
     s_one = agm.node_sketch(node_view(g_one, 2, None, 1), SEEDS, 1, 0.1)
     s_two = agm.node_sketch(node_view(g_two, 2, None, 1), SEEDS, 1, 0.1)
     s_both = agm.node_sketch(node_view(g_both, 2, None, 1), SEEDS, 1, 0.1)
-    assert np.array_equal(agm.combine(s_one, s_two), s_both)
+    assert np.array_equal((s_one + s_two) % agm.PRIME, s_both)
 
 
 def test_budget_exact_and_scaling():
@@ -99,9 +99,7 @@ def test_extract_edge_matches_reference_scan():
     slices = [s[0, r] for s in sketches for r in range(cfg.rounds)]
     for _ in range(100):  # component sketches, mostly more than 1-sparse
         side = rng.choice(n, size=int(rng.integers(2, n)), replace=False)
-        total = sketches[side[0]]
-        for v in side[1:]:
-            total = agm.combine(total, sketches[v])
+        total = sum(sketches[v] for v in side) % agm.PRIME
         slices.append(total[1, int(rng.integers(cfg.rounds))])
     shape = (cfg.reps, cfg.levels, 3)
     slices.append(np.zeros(shape, dtype=np.uint64))
@@ -151,9 +149,7 @@ def test_sampler_attempt_success_rate():
         side = set(int(x) for x in rng.choice(np.arange(1, n + 1), size=size, replace=False))
         if not any((u in side) != (v in side) for u, v, _ in g.edges()):
             continue
-        total = None
-        for u in side:
-            total = sketches[u][0] if total is None else agm.combine(total, sketches[u][0])
+        total = sum(sketches[u][0] for u in side) % agm.PRIME
         slot = agm.extract_edge(total[t % cfg.rounds], base, n)
         trials += 1
         if slot is not None:
@@ -254,41 +250,167 @@ def test_sketch_cells_match_loop_reference():
     assert np.array_equal(got, expect.reshape(got.shape))
 
 
+def _encode_all(graph, advice, seeds, k, delta):
+    return [
+        (v, agm_encode(node_view(graph, v, (advice or {}).get(v), k), seeds, k, delta))
+        for v in range(1, graph.n + 1)
+    ]
+
+
 def test_forest_subtraction_matches_from_scratch(monkeypatch):
-    # Each stack's Boruvka input equals the stack's cells minus the sketch of
-    # every edge claimed by earlier forests, rebuilt from scratch per node.
+    # Every component sketch the peeler reads equals the sketch of that
+    # component's boundary in G less the edges claimed by earlier forests,
+    # rebuilt from scratch with the round's config keys.
     n, k, delta = 64, 3, 0.05
     graph, advice = build_lb_graph(random_spec(n, k, 3, condition=Condition.C1))
     seeds = SharedRandomness(5)
-    msgs = [(v, agm_encode(node_view(graph, v, advice.get(v), k), seeds, k, delta)) for v in range(1, n + 1)]
-    inputs, forests = [], []
-    boruvka = agm._boruvka
+    msgs = _encode_all(graph, advice, seeds, k, delta)
+    forests, reads = [], []
+    peel, sketch = agm._peel_forest, agm._component_sketches
 
-    def spy(cfg, base, sketches, n):
-        inputs.append(np.array(sketches))
-        forests.append(boruvka(cfg, base, sketches, n))
+    def peel_spy(*args):
+        forests.append(peel(*args))
         return forests[-1]
 
-    monkeypatch.setattr(agm, "_boruvka", spy)
+    def sketch_spy(cells, keys, component, earlier):
+        out = sketch(cells, keys, component, earlier)
+        reads.append((len(forests), component.copy(), out))
+        return out
+
+    monkeypatch.setattr(agm, "_peel_forest", peel_spy)
+    monkeypatch.setattr(agm, "_component_sketches", sketch_spy)
     assert agm_decide_kconn(msgs, seeds, n, k, delta) is Decision.CONNECTED
     cfg = SketchConfig.make(n, k, delta)
     keys, base = agm._config_tables(seeds, cfg)
-    used: dict[int, int] = {}
-    for stack in range(cfg.stacks):
-        incident = {v: [] for v in range(1, n + 1)}
-        for slot, count in used.items():
+    rounds = [0] * cfg.stacks
+    for stack, component, sketches in reads:
+        config = (stack * cfg.rounds + rounds[stack]) * cfg.reps
+        rounds[stack] += 1
+        remaining = {agm.slot_of(u, v, n): mult for u, v, mult in graph.edges()}
+        for slot in (slot for forest in forests[:stack] for slot in forest):
+            remaining[slot] = remaining.get(slot, 0) - 1
+        assert len(sketches) == component.max() + 1
+        for label, got in enumerate(sketches):
+            side = set((np.flatnonzero(component == label) + 1).tolist())
+            boundary = []
+            for slot, mult in remaining.items():
+                u, v = agm.pair_of_slot(slot, n)
+                if (u in side) != (v in side):
+                    boundary.append((slot, mult if u in side else -mult))
+            expect = agm._sketch_cells(keys[config : config + cfg.reps], base, cfg.levels, boundary)
+            assert np.array_equal(got, expect), (stack, rounds[stack] - 1, label)
+    assert len(forests) == k and len(forests[-1]) == n - 1
+    assert min(rounds) > 1  # every stack merged over several rounds
+
+
+def _boruvka_reference(cfg, base, sketches, n):
+    # The peeler before per-round component sums: whole (rounds, reps,
+    # levels, 3) sketches per component, added on every merge, and the
+    # per-triple reference scan per root.
+    parent = list(range(n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    comp = {node: sketches[node - 1] for node in range(1, n + 1)}
+    forest = []
+    for rnd in range(cfg.rounds):
+        roots = sorted({find(x) for x in range(1, n + 1)})
+        if len(roots) == 1:
+            break
+        proposals = []
+        for root in roots:
+            slot = _extract_edge_reference(comp[root][rnd], base, n)
+            if slot is not None:
+                proposals.append(slot)
+        for slot in sorted(set(proposals)):
             u, v = agm.pair_of_slot(slot, n)
-            incident[u].append((slot, count))
-            incident[v].append((slot, -count))
-        for node, bits in msgs:
-            whole = agm._bits_to_cells(bits, cfg)[stack]
-            correction = agm._sketch_cells(keys, base, cfg.levels, incident[node]).reshape(
-                cfg.stacks, *whole.shape
-            )[stack]
-            assert np.array_equal(inputs[stack][node - 1], agm.combine(whole, agm.PRIME - correction))
-        for slot in forests[stack]:
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                continue
+            parent[rv] = ru
+            comp[ru] = (comp[ru] + comp[rv]) % agm.PRIME
+            forest.append(slot)
+    return forest
+
+
+def _certificate_reference(messages, seeds, n, k, delta):
+    # Slot -> multiplicity of the union certificate, with each forest
+    # subtracted from the later stacks of its endpoints, node by node.
+    cfg = SketchConfig.make(n, k, delta)
+    keys, base = agm._config_tables(seeds, cfg)
+    cells = np.stack([agm._bits_to_cells(bits, cfg) for _, bits in sorted(messages)]).astype(np.uint64)
+    per_stack = cfg.rounds * cfg.reps
+    used = {}
+    for stack in range(cfg.stacks):
+        forest = _boruvka_reference(cfg, base, cells[:, stack], n)
+        for slot in forest:
             used[slot] = used.get(slot, 0) + 1
-    assert len(forests[-1]) == n - 1
+        later = keys[(stack + 1) * per_stack :]
+        if not forest or not len(later):
+            continue
+        slots = np.array(forest, dtype=np.uint64)
+        kept = agm._sampled(later, cfg.levels, slots)
+        terms = agm._unit_terms(base, slots)
+        rest = cells[:, stack + 1 :]
+        for f, slot in enumerate(forest):
+            update = (kept[:, :, f, None] * terms[f]).reshape(rest.shape[1:])
+            u, v = agm.pair_of_slot(slot, n)
+            rest[u - 1] += agm.PRIME - update
+            rest[v - 1] += update
+        rest %= agm.PRIME
+    return used
+
+
+def _assert_peels_like_reference(monkeypatch, graph, advice, k, delta, seed):
+    n = graph.n
+    seeds = SharedRandomness(seed)
+    msgs = _encode_all(graph, advice, seeds, k, delta)
+    cuts = []
+    monkeypatch.setattr(agm, "global_min_cut", lambda g: cuts.append(sorted(g.edges())) or global_min_cut(g))
+    decision = agm_decide_kconn(msgs, seeds, n, k, delta)
+    used = _certificate_reference(msgs, seeds, n, k, delta)
+    expect = sorted((*agm.pair_of_slot(slot, n), count) for slot, count in used.items())
+    assert cuts == ([expect] if used else [])
+    certificate = MultiGraph(n, expect)
+    connected = bool(used) and global_min_cut(certificate).value >= k
+    assert decision is (Decision.CONNECTED if connected else Decision.NOT_CONNECTED)
+
+
+def _random_multigraph(rng, n, kind):
+    g = MultiGraph(n)
+    if kind == "edgeless":
+        return g
+    half = n // 2
+    for _ in range(int(rng.integers(n, 3 * n + 1))):
+        u, v = (int(x) for x in rng.integers(1, n + 1, size=2))
+        if u == v or (kind == "disconnected" and (u <= half) != (v <= half)):
+            continue
+        g.add_edge(u, v, int(rng.integers(1, 4)) if kind == "parallel" else 1)
+    return g
+
+
+def test_peeling_matches_reference_on_random_multigraphs(monkeypatch):
+    # Same certificate edge multiset and decision as the whole-sketch
+    # Boruvka with node-level subtraction, over graphs of every shape.
+    rng = np.random.default_rng(17)
+    kinds = ("edgeless", "disconnected", "parallel", "simple")
+    for i in range(64):
+        n = 2 + i % 3 if i < 8 else int(rng.integers(2, 49))
+        k = int(rng.integers(1, 5))
+        delta = (0.05, 0.1, 0.25)[i % 3]
+        graph = _random_multigraph(rng, n, kinds[i % 4])
+        _assert_peels_like_reference(monkeypatch, graph, None, k, delta, 300 + i)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("condition", [Condition.C0, Condition.C1])
+def test_peeling_matches_reference_on_hard_family(monkeypatch, n, condition):
+    graph, advice = build_lb_graph(random_spec(n, 3, 11, condition=condition))
+    _assert_peels_like_reference(monkeypatch, graph, advice, 3, 0.05, 12)
 
 
 @pytest.mark.parametrize("n,k", [(64, 2), (64, 3), (100, 4)])
