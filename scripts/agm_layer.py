@@ -16,7 +16,8 @@ that ``execute`` reaches through module globals:
 
 - ``node_sketch_ms``: ``agm.node_sketch``, every node's cell array;
 - ``cells_to_bits_ms``: ``agm._cells_to_bits``, packing cells into messages;
-- ``check_bits_ms``: ``model.check_bits``, the message alphabet check;
+- ``check_bits_ms``: ``model.check_bits``, the message type, length and
+  padding check;
 - ``bits_to_cells_ms``: ``agm._bits_to_cells``, unpacking in the decoder;
 - ``certificate_cut_ms``: ``agm.global_min_cut`` on the union certificate;
 - ``peel_ms``: the rest of ``agm.agm_decide_kconn``: peeling the k forests,
@@ -38,9 +39,13 @@ it in the same process: each repeat runs both versions, in alternating order,
 so that both see the same machine state.  The two must give the same
 transcript (compared by SHA-256 over the messages) and the same decision.
 Each row holds the layers of this checkout under ``current`` and those of the
-other under ``baseline``.  The report names each version by the SHA-256 of
-its ``model.py`` and ``agm.py``, and gives the process's peak RSS: the n=1024
-transcript alone holds 389 MB of messages.
+other under ``baseline``, and ``transcript_mb``: the memory that each
+version's messages of one execution hold, by ``sys.getsizeof`` of each message
+object (a ``Bits`` pair with its bytes, or a '0'/'1' ``str`` in a version
+before packed messages).  Packed, the n=1024 transcript holds 46.5 MB of
+messages; as '0'/'1' text it held 371.3 MB.  The report names each version by
+the SHA-256 of its ``model.py`` and ``agm.py``, and gives the process's peak
+RSS.
 """
 
 import argparse
@@ -143,8 +148,16 @@ def timed_layers(package, totals: dict):
             setattr(module, attr, inner)
 
 
-def run_once(package, protocol, graph, advice, seed: int) -> tuple[dict, str]:
-    """Layer times in ms of one execution, and a digest of its transcript and decision."""
+def message_mb(bits) -> float:
+    """Memory one message object holds: a packed ``Bits`` pair with its bytes, or a ``str``."""
+    size = sys.getsizeof(bits)
+    if isinstance(bits, tuple):
+        size += sys.getsizeof(bits[0])
+    return size / 2**20
+
+
+def run_once(package, protocol, graph, advice, seed: int) -> tuple[dict, str, float]:
+    """Layer times in ms of one execution, a digest of its transcript and decision, and its message MB."""
     totals = {layer: 0.0 for layer, (module, attr) in LAYERS.items() if hasattr(getattr(package, module), attr)}
     randomness = package.model.SharedRandomness(seed)
     with timed_layers(package, totals):
@@ -157,7 +170,8 @@ def run_once(package, protocol, graph, advice, seed: int) -> tuple[dict, str]:
     for node, bits in transcript.messages:
         digest.update(f"{node}:{bits};".encode("ascii"))
     digest.update(transcript.decision.value.encode("ascii"))
-    return {layer: seconds * 1e3 for layer, seconds in totals.items()}, digest.hexdigest()
+    size = sum(message_mb(bits) for _, bits in transcript.messages)
+    return {layer: seconds * 1e3 for layer, seconds in totals.items()}, digest.hexdigest(), size
 
 
 def measure(inputs: tuple, versions: dict) -> dict:
@@ -166,14 +180,20 @@ def measure(inputs: tuple, versions: dict) -> dict:
     protocols = {name: package.agm.make_agm_protocol(graph.n, K, DELTA) for name, package in versions.items()}
     samples = {name: [] for name in versions}
     digests = set()
+    sizes = {}
     for r in range(REPEATS):
         for name in sorted(versions, reverse=r % 2 == 1):
-            times, digest = run_once(versions[name], protocols[name], graph, advice, seed)
+            times, digest, sizes[name] = run_once(versions[name], protocols[name], graph, advice, seed)
             samples[name].append(times)
             digests.add(digest)
     if len(digests) != 1:
         raise SystemExit(f"n={graph.n}: executions differ in transcript or decision")
-    row = {"n": graph.n, "bits": protocols["current"].max_bits, "transcript_sha256": digests.pop()}
+    row = {
+        "n": graph.n,
+        "bits": protocols["current"].max_bits,
+        "transcript_sha256": digests.pop(),
+        "transcript_mb": {name: round(mb, 1) for name, mb in sizes.items()},
+    }
     for name, runs in samples.items():
         row[name] = {layer: round(statistics.median(run[layer] for run in runs), 3) for layer in runs[0]}
     return row

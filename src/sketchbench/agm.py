@@ -15,6 +15,12 @@ Nothing is tabulated over the n^2 edge slots.  The shared randomness fixes one
 only its own slots, with a SplitMix64 finalizer keyed per configuration, and
 raises the base to those slots by square-and-multiply.  Encode memory is
 O(configs * levels * degree).
+
+A message is the node's cells as big-endian 32-bit words in array order,
+packed into a ``Bits`` by one ``tobytes`` and read back by one
+``np.frombuffer``; no '0'/'1' text is built.  The decoder refuses a message
+that is not a ``Bits``, has the wrong length or holds a cell outside the
+field, with a ``DecodeError``.
 """
 
 from __future__ import annotations
@@ -215,24 +221,19 @@ def node_sketch(
 
 
 def _cells_to_bits(cells: np.ndarray) -> Bits:
-    flat = cells.reshape(-1).astype(">u4")
-    bit_arr = np.unpackbits(flat.view(np.uint8))
-    bit_arr += ord("0")
-    return bit_arr.tobytes().decode("ascii")
+    """One message: every cell as a big-endian uint32, in array order."""
+    return Bits(cells.astype(">u4").tobytes(), cells.size * _CELL_BITS)
 
 
 def _bits_to_cells(bits: Bits, cfg: SketchConfig) -> np.ndarray:
     """uint32 cells (stacks, rounds, reps, levels, 3) of one message, each below PRIME < 2^31."""
-    if not isinstance(bits, str):
-        raise DecodeError(f"a message must be a bit string, got {type(bits).__name__}")
-    if len(bits) != cfg.bits:
-        raise DecodeError(f"expected {cfg.bits} bits, got {len(bits)}")
-    if not bits.isascii():
-        raise DecodeError("message contains non-bit characters")
-    raw = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
-    if raw.max(initial=0) > 1:
-        raise DecodeError("message contains non-bit characters")
-    cells = np.packbits(raw).view(">u4").astype(np.uint32)
+    if not isinstance(bits, Bits):
+        raise DecodeError(f"a message must be Bits, got {type(bits).__name__}")
+    data, length = bits
+    # cfg.bits is a whole number of bytes, so a matching byte count leaves no padding.
+    if length != cfg.bits or type(data) is not bytes or len(data) * 8 != cfg.bits:
+        raise DecodeError(f"expected {cfg.bits} bits, got {length!r} bits in a {type(data).__name__}")
+    cells = np.frombuffer(data, dtype=">u4").astype(np.uint32)
     if cells.max(initial=0) >= PRIME:
         raise DecodeError(f"message contains a cell outside the field of size {PRIME}")
     return cells.reshape(cfg.stacks, cfg.rounds, cfg.reps, cfg.levels, 3)
@@ -241,18 +242,6 @@ def _bits_to_cells(bits: Bits, cfg: SketchConfig) -> np.ndarray:
 def agm_encode(view: NodeView, seeds: SharedRandomness, k: int, delta: float) -> Bits:
     """One node's message: k independent spanning-forest sketch stacks."""
     return _cells_to_bits(node_sketch(view, seeds, k, delta))
-
-
-def _field_inverse(values: np.ndarray) -> np.ndarray:
-    """values^(PRIME - 2) mod PRIME per uint64 element: the inverse of each nonzero one."""
-    out = np.ones_like(values)
-    square, exponent = values, PRIME - 2
-    while exponent:
-        if exponent & 1:
-            out = out * square % PRIME
-        square = square * square % PRIME
-        exponent >>= 1
-    return out
 
 
 def _extract_edges(cells: np.ndarray, base: int, n: int) -> np.ndarray:
@@ -266,7 +255,10 @@ def _extract_edges(cells: np.ndarray, base: int, n: int) -> np.ndarray:
     flat = cells.reshape(len(cells), -1, 3)
     where, row = np.nonzero(flat[:, :, 0])  # row-major: by slice, then by row
     cnt, ids, fp = flat[where, row].T
-    slot = ids * _field_inverse(cnt) % PRIME
+    # Counts are small signed degrees, so few distinct values need an inverse.
+    distinct, which = np.unique(cnt, return_inverse=True)
+    inverse = np.array([pow(c, -1, PRIME) for c in distinct.tolist()], dtype=np.uint64)
+    slot = ids * inverse[which] % PRIME
     u, v = np.divmod(slot - np.uint64(1), np.uint64(n))  # pair_of_slot, less one on each side
     ok = (slot > 0) & (u < v)
     where, cnt, fp, slot = where[ok], cnt[ok], fp[ok], slot[ok]

@@ -1,9 +1,11 @@
 """Execution model for one-shot distributed graph sketching.
 
 Every node of an undirected multigraph observes its 1-hop neighborhood, emits a
-single bit-string message, and a referee decides k-edge connectivity from the
-sorted message list alone.  Protocols are pluggable (encoder, decoder) pairs;
-execution is a pure function of (protocol, graph, advice, shared randomness).
+single message, and a referee decides k-edge connectivity from the sorted
+message list alone.  A message is a packed ``Bits``, bytes plus a bit length;
+its '0'/'1' text appears only in written reports.  Protocols are pluggable
+(encoder, decoder) pairs; execution is a pure function of (protocol, graph,
+advice, shared randomness).
 """
 
 from __future__ import annotations
@@ -38,40 +40,96 @@ class Decision(Enum):
     NOT_CONNECTED = "not_connected"
 
 
-#: Message alphabet is '0'/'1', most significant bit first, no padding.
-Bits = str
-
-
-#: Length from which ``check_bits`` checks the alphabet with one numpy pass
-#: over the ASCII bytes instead of two ``str.count`` scans.  The numpy pass
-#: costs about 3 us of call overhead (30 us at 259,200 characters); the two
-#: scans cost 0.25 us on a 2-bit message, but grow faster with length and
-#: overtake it between 1,536 and 2,048 random bits (Python 3.11, numpy 2.4,
-#: x86-64).
-NUMPY_CHECK_MIN_BITS = 2048
-
-#: Characters of a refused message that its error shows.
+#: Characters of a refused message text that its error shows.
 _SHOWN_BITS = 32
 
 
-def check_bits(bits: Bits) -> Bits:
-    """Return ``bits`` if it is a ``str`` over {'0', '1'}; raise ValueError otherwise."""
-    if not isinstance(bits, str):
-        raise ValueError(f"not a bit string: got {type(bits).__name__}")
-    if len(bits) < NUMPY_CHECK_MIN_BITS:
+class Bits(tuple):
+    """A message: bytes, most significant bit first and zero-padded to a whole byte, plus a bit length.
+
+    A ``Bits`` is the immutable pair ``(data, length)``, so equality, hashing
+    and ordering are tuple's, and they agree with those of the '0'/'1' text:
+    zero padding makes equal texts pack to equal bytes, and comparing the
+    bytes, then the lengths, orders texts lexicographically with a proper
+    prefix first.  ``len()`` is the bit length; ``str()`` and ``repr()`` are
+    the text's.  The constructor trusts its arguments; ``check_bits`` checks
+    the byte count and the padding.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, data: bytes, length: int) -> Bits:
+        return tuple.__new__(cls, (data, length))
+
+    @classmethod
+    def from_int(cls, value: int, length: int) -> Bits:
+        """The ``length`` bits of ``value`` (0 <= value < 2**length), most significant first."""
+        shared = _SHORT.get((value, length))
+        if shared is not None:
+            return shared
+        pad = -length % 8
+        return cls((value << pad).to_bytes((length + pad) // 8, "big"), length)
+
+    @classmethod
+    def from_str(cls, text: str) -> Bits:
+        """Parse '0'/'1' text, most significant bit first; ValueError names the first other character."""
+        if not isinstance(text, str):
+            raise ValueError(f"not a bit string: got {type(text).__name__}")
         # Two count() scans run several times faster than strip("01"), which
-        # looks up every character in its strip set.
-        ok = bits.count("0") + bits.count("1") == len(bits)
-    else:
-        # isascii() reads a flag the str already holds, so it costs O(1).
-        ok = bits.isascii() and int((np.frombuffer(bits.encode("ascii"), np.uint8) ^ 48).max()) <= 1
-    if not ok:
-        bad = next(i for i, c in enumerate(bits) if c not in "01")
-        shown = bits[:_SHOWN_BITS] + ("..." if len(bits) > _SHOWN_BITS else "")
-        raise ValueError(
-            f"not a bit string: {bits[bad]!r} at index {bad} of {len(bits)} characters, "
-            f"starting {shown!r}"
-        )
+        # looks up every character in its strip set; int(text, 2) alone would
+        # also accept '_', '+' and surrounding blanks.
+        if text.count("0") + text.count("1") != len(text):
+            bad = next(i for i, c in enumerate(text) if c not in "01")
+            shown = text[:_SHOWN_BITS] + ("..." if len(text) > _SHOWN_BITS else "")
+            raise ValueError(
+                f"not a bit string: {text[bad]!r} at index {bad} of {len(text)} characters, "
+                f"starting {shown!r}"
+            )
+        return cls.from_int(int(text or "0", 2), len(text))
+
+    @property
+    def data(self) -> bytes:
+        return self[0]
+
+    def __len__(self) -> int:
+        return self[1]
+
+    def __str__(self) -> str:
+        data, length = self
+        # The leading 1 byte keeps the leading zeros through bin().
+        return bin(int.from_bytes(b"\x01" + data, "big"))[3 : 3 + length]
+
+    def __repr__(self) -> str:
+        return repr(str(self))
+
+    def __getnewargs__(self) -> tuple[bytes, int]:
+        # copy and pickle rebuild through __new__(cls, data, length).
+        return tuple(self)
+
+
+#: One shared ``Bits`` per value of every length up to 8, so that a short
+#: message costs a dict lookup to build.
+_SHORT: dict[tuple[int, int], Bits] = {}
+_SHORT.update(
+    ((value, length), Bits.from_int(value, length)) for length in range(9) for value in range(1 << length)
+)
+
+
+def check_bits(bits: Bits) -> Bits:
+    """Return ``bits`` if it is a well-formed ``Bits``; raise ValueError otherwise.
+
+    Well-formed: ``bytes`` data of exactly ceil(length / 8) bytes whose
+    padding bits are zero, and a non-negative ``int`` length.
+    """
+    if not isinstance(bits, Bits):
+        raise ValueError(f"not a bit string: got {type(bits).__name__}")
+    data, length = bits
+    if type(data) is not bytes or type(length) is not int or length < 0:
+        raise ValueError(f"not a bit string: data {type(data).__name__}, length {length!r}")
+    if len(data) != (length + 7) // 8:
+        raise ValueError(f"not a bit string: {len(data)} bytes for {length} bits")
+    if length % 8 and data[-1] & (0xFF >> length % 8):
+        raise ValueError(f"not a bit string: nonzero padding after {length} bits")
     return bits
 
 

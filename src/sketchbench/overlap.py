@@ -33,8 +33,6 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-from .model import Bits
-
 
 class InvalidInstance(ValueError):
     """Instance violates a promise or is malformed; ``name`` is the violated property."""
@@ -255,7 +253,7 @@ def build_blocks(m: int, s: int) -> dict[tuple[int, ...], int]:
     return assignment
 
 
-def appb_encode(vector: TernaryVector, pickers: dict[tuple[int, ...], Callable[[str], str]]) -> Bits:
+def appb_encode(vector: TernaryVector, pickers: dict[tuple[int, ...], Callable[[str], str]]) -> str:
     """The vector's bits at its support's kept positions, in message order.
 
     ``pickers`` maps each support to the getter of those positions; every
@@ -269,14 +267,16 @@ class OneWayProtocol:
     """Simultaneous one-way protocol: two encoders and Charlie's decoder.
 
     Encoders see only their own vector; the decoder sees both supports and the
-    two messages, nothing else.
+    two messages, nothing else.  A message is '0'/'1' text of at most s bits
+    that Charlie reads one index at a time; it never reaches the sketching
+    model, so it is not a packed ``model.Bits``.
     """
 
     name: str
     max_bits: int
-    alice_encode: Callable[[TernaryVector], Bits]
-    bob_encode: Callable[[TernaryVector], Bits]
-    charlie_decode: Callable[[tuple[int, ...], tuple[int, ...], Bits, Bits], bool]
+    alice_encode: Callable[[TernaryVector], str]
+    bob_encode: Callable[[TernaryVector], str]
+    charlie_decode: Callable[[tuple[int, ...], tuple[int, ...], str, str], bool]
 
 
 class _PerSupport(dict):
@@ -312,7 +312,7 @@ def _kept_index_protocol(
 
     pickers, entries = _PerSupport(m, s, picker), _PerSupport(m, s, entry)
 
-    def encode(vector: TernaryVector) -> Bits:
+    def encode(vector: TernaryVector) -> str:
         return appb_encode(vector, pickers)
 
     def decode(supp_x, supp_y, msg_a, msg_b) -> bool:
@@ -413,14 +413,14 @@ class Counterexample:
     x_hat: TernaryVector
     y: TernaryVector
     y_hat: TernaryVector
-    msg_a: Bits
-    msg_b: Bits
+    msg_a: str
+    msg_b: str
     wrong: tuple[tuple[str, str], ...]  # (X string, Y string) combos answered wrongly
 
 
 def _unkept(
-    encode: Callable[[TernaryVector], Bits], m: int, support: tuple[int, ...]
-) -> dict[int, tuple[Bits, TernaryVector, TernaryVector]]:
+    encode: Callable[[TernaryVector], str], m: int, support: tuple[int, ...]
+) -> dict[int, tuple[str, TernaryVector, TernaryVector]]:
     """Each index of S outside K(S), mapped to (message, x, x_hat) differing there.
 
     The fills are grouped by message once.  An index is unkept when some class
@@ -428,10 +428,10 @@ def _unkept(
     its first fill x and the first later fill x_hat that differs from x at the
     index.  Fills come in ``to_string`` order, and so does each class.
     """
-    classes: dict[Bits, list[TernaryVector]] = {}
+    classes: dict[str, list[TernaryVector]] = {}
     for vec in fills(m, support):
         classes.setdefault(encode(vec), []).append(vec)
-    unkept: dict[int, tuple[Bits, TernaryVector, TernaryVector]] = {}
+    unkept: dict[int, tuple[str, TernaryVector, TernaryVector]] = {}
     for message in sorted(classes):
         first, *rest = classes[message]
         for other in rest:

@@ -22,24 +22,24 @@ def view_payload(view: NodeView) -> str:
 
 
 def text_to_bits(text: str) -> Bits:
-    return "".join(f"{byte:08b}" for byte in text.encode("utf-8"))
+    data = text.encode("utf-8")
+    return Bits(data, 8 * len(data))
 
 
 def bits_to_text(bits: Bits) -> str:
     if len(bits) % 8 != 0:
         raise ValueError("bit length not a multiple of 8")
-    data = bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
-    return data.decode("utf-8")
+    return bits.data.decode("utf-8")
 
 
 def hash_bits(nbits: int, *key) -> Bits:
     digest = blake2b(repr(key).encode(), digest_size=8).digest()
-    value = int.from_bytes(digest, "big") % (1 << nbits)
-    return format(value, f"0{nbits}b")
+    return Bits.from_int(int.from_bytes(digest, "big") % (1 << nbits), nbits)
 
 
 def _parity_decision(messages) -> Decision:
-    ones = sum(bits.count("1") for _, bits in messages)
+    # Padding bits are zero, so the one bits of the bytes are the message's.
+    ones = sum(int.from_bytes(bits.data, "big").bit_count() for _, bits in messages)
     return Decision.CONNECTED if ones % 2 == 0 else Decision.NOT_CONNECTED
 
 
@@ -88,7 +88,7 @@ def constant(k: int) -> SketchProtocol:
     """Every node emits the single bit 0; the referee always answers connected."""
 
     def encode(_view, _rand) -> Bits:
-        return "0"
+        return Bits.from_int(0, 1)
 
     def decode(_messages, _rand) -> Decision:
         return Decision.CONNECTED
@@ -105,9 +105,8 @@ def truncation(bits: int, n: int, k: int) -> SketchProtocol:
     """
 
     def encode(view: NodeView, _rand) -> Bits:
-        full = text_to_bits(view_payload(view))
-        tail = full[-bits:] if len(full) >= bits else full
-        return tail.rjust(bits, "0")
+        full = int.from_bytes(view_payload(view).encode("utf-8"), "big")
+        return Bits.from_int(full & ((1 << bits) - 1), bits)
 
     def decode(messages, _rand) -> Decision:
         return _parity_decision(messages)
@@ -121,7 +120,7 @@ def parity(k: int) -> SketchProtocol:
     """One bit: parity of the multiplicity-weighted neighbor id sum."""
 
     def encode(view: NodeView, _rand) -> Bits:
-        return str(sum(v * m for v, m in view.neighbors) & 1)
+        return Bits.from_int(sum(v * m for v, m in view.neighbors) & 1, 1)
 
     def decode(messages, _rand) -> Decision:
         return _parity_decision(messages)

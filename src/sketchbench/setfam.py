@@ -344,7 +344,11 @@ class PartitionContext:
                 str(node): {
                     "S0": list(rec.s0),
                     "S1": list(rec.s1),
-                    "witness": {"sigma": rec.message_sigma, "a": rec.message_a, "b": rec.message_b},
+                    "witness": {
+                        "sigma": str(rec.message_sigma),
+                        "a": str(rec.message_a),
+                        "b": str(rec.message_b),
+                    },
                 }
                 for node, rec in sorted(self.good.items())
             },

@@ -15,7 +15,7 @@ from sketchbench.agm import (
 from sketchbench.cli import binomial_allowance
 from sketchbench.lbgraph import Condition, build_lb_graph, random_spec
 from sketchbench.mincut import global_min_cut, is_k_edge_connected
-from sketchbench.model import Decision, MultiGraph, NodeView, SharedRandomness, execute, node_view
+from sketchbench.model import Bits, Decision, MultiGraph, NodeView, SharedRandomness, execute, node_view
 
 SEEDS = SharedRandomness(99)
 
@@ -187,19 +187,32 @@ def test_decode_rejects_malformed():
     g = MultiGraph(3, [(1, 2, 1), (2, 3, 1)])
     t = execute(make_agm_protocol(3, 1, 0.1), g, randomness=SEEDS)
     msgs = list(t.messages)
-    msgs[0] = (msgs[0][0], msgs[0][1][:-1])
+    msgs[0] = (msgs[0][0], Bits.from_str(str(msgs[0][1])[:-1]))
     with pytest.raises(DecodeError):
         agm_decide_kconn(msgs, SEEDS, 3, 1, 0.1)
 
 
-@pytest.mark.parametrize("bad", ["é", None, 3, b"0"], ids=["non-ascii", "none", "int", "bytes"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda bits: "é" + "0" * (bits - 1),
+        lambda bits: None,
+        lambda bits: 3,
+        lambda bits: b"0",
+        lambda bits: "0" * bits,
+        lambda bits: Bits(bytes(bits // 8 - 1), bits),
+        lambda bits: Bits(bytearray(bits // 8), bits),
+    ],
+    ids=["non-ascii", "none", "int", "bytes", "text", "short-data", "bytearray"],
+)
 def test_decode_rejects_message_that_is_not_a_bit_string(bad):
+    # Each is refused for its type or its byte count; a str of the right
+    # length is refused as well as one with a non-bit character.
     n, k, delta = 16, 2, 0.1
     cfg = SketchConfig.make(n, k, delta)
     g = MultiGraph(n, [(i, i + 1, 1) for i in range(1, n)])
     msgs = list(execute(make_agm_protocol(n, k, delta), g, randomness=SEEDS).messages)
-    # A str keeps the right length, so only its alphabet is wrong.
-    msgs[3] = (4, bad + "0" * (cfg.bits - 1) if isinstance(bad, str) else bad)
+    msgs[3] = (4, bad(cfg.bits))
     with pytest.raises(DecodeError):
         agm_decide_kconn(msgs, SEEDS, n, k, delta)
 
@@ -209,7 +222,7 @@ def test_decode_rejects_cell_outside_field():
     t = execute(make_agm_protocol(3, 1, 0.1), g, randomness=SEEDS)
     msgs = list(t.messages)
     node, bits = msgs[1]
-    msgs[1] = (node, bits[:64] + "1" * 32 + bits[96:])  # third cell := 0xFFFFFFFF
+    msgs[1] = (node, Bits(bits.data[:8] + b"\xff" * 4 + bits.data[12:], len(bits)))  # third cell := 0xFFFFFFFF
     with pytest.raises(DecodeError, match="outside the field"):
         agm_decide_kconn(msgs, SEEDS, 3, 1, 0.1)
 

@@ -7,6 +7,7 @@ import pytest
 import sketchbench.cli as cli
 import sketchbench.reduction as reduction
 import sketchbench.setfam as setfam
+from sketchbench.model import Bits
 from sketchbench.overlap import enumerate_valid_instances
 from sketchbench.protocols import make_protocol
 
@@ -99,7 +100,8 @@ def test_choose_partition_reports_broken_record(capsys, monkeypatch):
 
     def corrupted(*args):
         msg_sigma, msg_a, msg_b = honest(*args)
-        flipped = {key: ("1" if b[0] == "0" else "0") + b[1:] for key, b in msg_sigma.items()}
+        # Flip each message's first bit.
+        flipped = {key: Bits(bytes([b.data[0] ^ 0x80]) + b.data[1:], len(b)) for key, b in msg_sigma.items()}
         return flipped, msg_a, msg_b
 
     monkeypatch.setattr(setfam, "message_partitions", corrupted)
@@ -181,7 +183,7 @@ def test_verify_fidelity_instance_reports_unfaithful_simulation(tmp_path, capsys
 
     def flipped_hub(*args):
         (hub, bits), *rest = honest(*args)
-        return [(hub, ("1" if bits[0] == "0" else "0") + bits[1:]), *rest]
+        return [(hub, Bits(bytes([bits.data[0] ^ 0x80]) + bits.data[1:], len(bits))), *rest]  # first bit
 
     monkeypatch.setattr(reduction, "charlie_messages", flipped_hub)
     path = write_instance(tmp_path / "first.json", next(enumerate_valid_instances(9, 4)))

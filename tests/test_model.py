@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -12,8 +14,8 @@ from hypothesis import strategies as st
 from sketchbench import model
 from sketchbench.lbgraph import Condition, build_lb_graph, layout, random_spec
 from sketchbench.model import (
-    NUMPY_CHECK_MIN_BITS,
     Advice,
+    Bits,
     Decision,
     EMPTY_RANDOMNESS,
     EncodingOverflow,
@@ -27,7 +29,7 @@ from sketchbench.model import (
     node_view,
     save_graph,
 )
-from sketchbench.protocols import constant, full_information, truncation
+from sketchbench.protocols import constant, full_information, truncation, view_payload
 
 
 def triangle():
@@ -217,6 +219,9 @@ def test_truncation_transcript_matches_standalone_encodes():
     for node in range(1, 37):
         view = node_view(graph, node, advice.get(node), 3)
         assert messages[node] == proto.encode(view, EMPTY_RANDOMNESS)
+        # The text definition: the payload's last 5 bits, zero-padded on the left.
+        full = "".join(f"{byte:08b}" for byte in view_payload(view).encode("utf-8"))
+        assert str(messages[node]) == full[-5:].rjust(5, "0")
 
 
 def test_execute_deterministic():
@@ -233,7 +238,7 @@ def test_encoding_overflow():
         name="over",
         k=1,
         max_bits=2,
-        encode=lambda view, rand: "0101",
+        encode=lambda view, rand: Bits.from_str("0101"),
         decode=lambda msgs, rand: Decision.CONNECTED,
     )
     with pytest.raises(EncodingOverflow):
@@ -279,6 +284,30 @@ def _emitting(message) -> SketchProtocol:
      ("0_1", "'_' at index 1"), ("é", "'é' at index 0"), (3, "int"), (None, "NoneType")],
 )
 def test_execute_refuses_non_bit_message(message, named):
+    # The text parser names the first bad character, or the type of a non-str;
+    # execute refuses any message that is not a Bits, naming its type.
+    with pytest.raises(ValueError, match="not a bit string") as err:
+        Bits.from_str(message)
+    assert named in str(err.value)
+    with pytest.raises(ValueError, match=f"not a bit string: got {type(message).__name__}"):
+        execute(_emitting(message), triangle())
+
+
+@pytest.mark.parametrize(
+    "message,named",
+    [("01", "got str"), ((b"\x40", 2), "got tuple"), (Bits(b"\x41", 2), "nonzero padding"),
+     (Bits(b"\x01", 8), None), (Bits(b"\x40\x00", 2), "2 bytes for 2 bits"),
+     (Bits(b"", 1), "0 bytes for 1 bits"), (Bits(bytearray(b"\x40"), 2), "data bytearray"),
+     (Bits(b"\x40", True), "length True"), (Bits(b"", -1), "length -1")],
+    ids=["str", "tuple", "padding", "whole-byte", "extra-byte", "missing-byte", "bytearray", "bool",
+         "negative"],
+)
+def test_execute_refuses_malformed_bits(message, named):
+    # A Bits built by hand must hold exactly ceil(length / 8) bytes of zero
+    # padding and an int length; a well-formed one passes unchanged.
+    if named is None:
+        assert execute(_emitting(message), triangle()).messages[0][1] is message
+        return
     with pytest.raises(ValueError, match="not a bit string") as err:
         execute(_emitting(message), triangle())
     assert named in str(err.value)
@@ -287,22 +316,24 @@ def test_execute_refuses_non_bit_message(message, named):
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 @pytest.mark.parametrize("bad", ["2", "\x00", "é"], ids=["digit", "nul", "non-ascii"])
 def test_execute_refuses_long_message_with_one_bad_character(where, bad):
-    # Above NUMPY_CHECK_MIN_BITS the alphabet is checked by the numpy pass; the
-    # error names the index and shows a bounded prefix, not the whole message.
-    length = 3 * NUMPY_CHECK_MIN_BITS + 1
+    # The parser's error names the index and shows a bounded prefix, not the
+    # whole text; execute refuses the text itself for its type.
+    length = 6145
     index = {"first": 0, "middle": length // 2, "last": length - 1}[where]
     message = "01" * (length // 2) + "1"
     message = message[:index] + bad + message[index + 1 :]
     with pytest.raises(ValueError, match=re.escape(f"{bad!r} at index {index} of {length}")) as err:
+        Bits.from_str(message)
+    assert len(str(err.value)) < 200
+    with pytest.raises(ValueError, match="got str") as err:
         execute(_emitting(message), triangle())
     assert len(str(err.value)) < 200
 
 
 @st.composite
 def near_bit_strings(draw):
-    """Bit strings on both sides of NUMPY_CHECK_MIN_BITS, some with characters replaced."""
-    length = draw(st.integers(0, 2 * NUMPY_CHECK_MIN_BITS) | st.sampled_from(
-        [NUMPY_CHECK_MIN_BITS - 1, NUMPY_CHECK_MIN_BITS, NUMPY_CHECK_MIN_BITS + 1]))
+    """Bit strings of up to 4,096 characters, some with characters replaced."""
+    length = draw(st.integers(0, 4096) | st.sampled_from([7, 8, 9, 2047, 2048, 2049]))
     pattern = draw(st.integers(0, 2**64 - 1))
     chars = [str(pattern >> (i % 64) & 1) for i in range(length)]
     for _ in range(draw(st.integers(0, 3)) if length else 0):
@@ -312,19 +343,56 @@ def near_bit_strings(draw):
 
 @given(near_bit_strings())
 @settings(max_examples=300, deadline=None)
-def test_check_bits_accepts_exactly_bit_strings(bits):
-    if set(bits) <= {"0", "1"}:
-        assert check_bits(bits) is bits
+def test_check_bits_accepts_exactly_bit_strings(text):
+    if set(text) <= {"0", "1"}:
+        bits = Bits.from_str(text)
+        assert check_bits(bits) is bits and str(bits) == text
     else:
         with pytest.raises(ValueError, match="not a bit string"):
-            check_bits(bits)
+            Bits.from_str(text)
+
+
+#: Lengths 0..80, drawn within one of a multiple of 8 as often as anywhere.
+_BIT_LENGTHS = st.integers(0, 80) | st.sampled_from([n for n in range(81) if n % 8 in (7, 0, 1)])
+
+
+@st.composite
+def bit_text_pairs(draw):
+    """Two bit strings; often one extends a prefix of the other, where padding could blur them."""
+    a = draw(_BIT_LENGTHS.flatmap(lambda n: st.text("01", min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        b = draw(_BIT_LENGTHS.flatmap(lambda n: st.text("01", min_size=n, max_size=n)))
+    else:
+        b = a[: draw(st.integers(0, len(a)))] + draw(st.text("01", max_size=9))
+    return a, b
+
+
+@given(bit_text_pairs())
+@settings(max_examples=500, deadline=None)
+def test_bits_order_and_identity_match_text(pair):
+    a, b = pair
+    pa, pb = Bits.from_str(a), Bits.from_str(b)
+    assert (pa < pb, pa == pb, pa > pb) == (a < b, a == b, a > b)
+    assert sorted([pb, pa]) == [Bits.from_str(t) for t in sorted([b, a])]
+    if a == b:
+        assert hash(pa) == hash(pb)
+    for text, bits in zip(pair, (pa, pb)):
+        assert (str(bits), len(bits), repr(bits)) == (text, len(text), repr(text))
+        assert check_bits(bits) is bits
+        assert pickle.loads(pickle.dumps(bits)) == copy.deepcopy(bits) == bits
 
 
 def test_check_bits_refuses_under_optimize_flag():
-    # ``python -O`` strips assert statements; both alphabet checks must still refuse.
+    # ``python -O`` strips assert statements; the parser and the message check must still refuse.
     code = (
-        "from sketchbench.model import NUMPY_CHECK_MIN_BITS as L, check_bits\n"
-        "for bits in ('2', '0' * L + '2', None):\n"
+        "from sketchbench.model import Bits, check_bits\n"
+        "for text in ('2', '0' * 6145 + '2', None):\n"
+        "    try:\n"
+        "        Bits.from_str(text)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'parsed {text!r:.20}')\n"
+        "for bits in ('01', None, Bits(b'\\x41', 2), Bits(b'', 1)):\n"
         "    try:\n"
         "        check_bits(bits)\n"
         "    except ValueError:\n"

@@ -7,7 +7,7 @@ import pytest
 
 from sketchbench.lbgraph import SpecError, layout, role_view
 from sketchbench.mincut import is_k_edge_connected
-from sketchbench.model import Advice, Decision, EMPTY_RANDOMNESS, execute
+from sketchbench.model import Advice, Bits, Decision, EMPTY_RANDOMNESS, execute
 from sketchbench.overlap import InvalidInstance, OverlapInstance, answer, enumerate_valid_instances, vector_on
 from sketchbench.protocols import constant, full_information, make_protocol, toy_two_bit
 from sketchbench.reduction import (
@@ -203,9 +203,9 @@ def test_fidelity_names_mutated_node(toy_ctx):
     broken = copy.deepcopy(toy_ctx)
     node = broken.node_of(inst.sigma)
     rec = broken.partition.good[node]
-    flipped = "1" if rec.message_sigma[0] == "0" else "0"
+    data = rec.message_sigma.data
     broken.partition.good[node] = replace(
-        rec, message_sigma=flipped + rec.message_sigma[1:]
+        rec, message_sigma=Bits(bytes([data[0] ^ 0x80]) + data[1:], len(rec.message_sigma))
     )
     assert not verify_fidelity(inst, broken, proto)
     assert fidelity_mismatches(inst, broken, proto) == [node]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketchbench.lbgraph import SpecError, layout, role_view
-from sketchbench.model import EMPTY_RANDOMNESS, Advice, NodeView
+from sketchbench.model import EMPTY_RANDOMNESS, Advice, Bits, NodeView
 from sketchbench.protocols import (
     constant,
     full_information,
@@ -263,7 +263,8 @@ def test_choose_partition_raises_on_corrupted_record(monkeypatch):
 
     def corrupted(*args):
         msg_sigma, msg_a, msg_b = honest(*args)
-        flipped = {key: ("1" if b[0] == "0" else "0") + b[1:] for key, b in msg_sigma.items()}
+        # Flip each message's first bit.
+        flipped = {key: Bits(bytes([b.data[0] ^ 0x80]) + b.data[1:], len(b)) for key, b in msg_sigma.items()}
         return flipped, msg_a, msg_b
 
     monkeypatch.setattr(setfam, "message_partitions", corrupted)
@@ -343,7 +344,8 @@ def test_record_mutation_fails_reverify():
     proto = toy_two_bit(2)
     ctx = choose_partition(proto, fam, N16, 2, trials=8, seed=5)
     node, rec = next(iter(ctx.good.items()))
-    broken = replace(rec, message_sigma=("1" if rec.message_sigma[0] == "0" else "0") + rec.message_sigma[1:])
+    data = rec.message_sigma.data
+    broken = replace(rec, message_sigma=Bits(bytes([data[0] ^ 0x80]) + data[1:], len(rec.message_sigma)))
     assert not verify_record(broken, proto, ctx.a_side, ctx.b_side, N16, 2)
 
 
@@ -492,9 +494,10 @@ def test_record_without_b_edge_fails_check():
     w_ids = layout(n)[1]
     a_side = frozenset({29, 30, 31})
     b_side = frozenset(w_ids) - a_side
+    zero = Bits.from_str("0")
     for s0, shaped in (((29, 30, 31), False), ((29, 30, 32), True)):
         record = SeparatedPairRecord(
-            node=1, s0=s0, s1=(29, 32, 33), message_sigma="0", message_a="0", message_b="0"
+            node=1, s0=s0, s1=(29, 32, 33), message_sigma=zero, message_a=zero, message_b=zero
         )
         assert verify_record(record, constant(2), a_side, b_side, n, k) is shaped
 
