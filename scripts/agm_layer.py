@@ -32,8 +32,11 @@ A version that does not define a layer's function (an older checkout under
 ``--baseline``) reports no time for that layer; ``peel_ms`` is comparable
 across versions.
 
-Each graph records the median over 5 executions of each layer's total time in
-ms; each group also gets the median of its graphs' medians.  ``--baseline``
+Each graph records, for each layer, the minimum, median and maximum over 5
+executions of the layer's total time in ms.  Each group gets the median of its
+graphs' medians under ``median_ms``, and the smallest minimum and largest
+maximum under ``range_ms``: two versions whose ranges overlap are not told
+apart by their medians alone.  ``--baseline``
 loads the ``sketchbench`` package from another checkout's ``src/`` and times
 it in the same process: each repeat runs both versions, in alternating order,
 so that both see the same machine state.  The two must give the same
@@ -195,8 +198,13 @@ def measure(inputs: tuple, versions: dict) -> dict:
         "transcript_mb": {name: round(mb, 1) for name, mb in sizes.items()},
     }
     for name, runs in samples.items():
-        row[name] = {layer: round(statistics.median(run[layer] for run in runs), 3) for layer in runs[0]}
+        row[name] = {layer: spread([run[layer] for run in runs]) for layer in runs[0]}
     return row
+
+
+def spread(values: list) -> list:
+    """[minimum, median, maximum] of ``values``, rounded to the microsecond."""
+    return [round(value, 3) for value in (min(values), statistics.median(values), max(values))]
 
 
 def sha256(package) -> dict:
@@ -236,7 +244,20 @@ def main() -> None:
         "median_ms": {
             group: {
                 name: {
-                    layer: round(statistics.median(row[name][layer] for row in group_rows), 3)
+                    layer: round(statistics.median(row[name][layer][1] for row in group_rows), 3)
+                    for layer in group_rows[0][name]
+                }
+                for name in versions
+            }
+            for group, group_rows in rows.items()
+        },
+        "range_ms": {
+            group: {
+                name: {
+                    layer: [
+                        min(row[name][layer][0] for row in group_rows),
+                        max(row[name][layer][2] for row in group_rows),
+                    ]
                     for layer in group_rows[0][name]
                 }
                 for name in versions
@@ -248,7 +269,10 @@ def main() -> None:
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for group, by_version in report["median_ms"].items():
         for name, medians in by_version.items():
-            cells = "  ".join(f"{layer[:-3]} {ms:.1f}" for layer, ms in medians.items())
+            ranges = report["range_ms"][group][name]
+            cells = "  ".join(
+                f"{layer[:-3]} {ms:.1f} [{ranges[layer][0]:.1f}-{ranges[layer][1]:.1f}]" for layer, ms in medians.items()
+            )
             print(f"{group:8s} {name:8s} {cells}")
 
 

@@ -117,6 +117,7 @@ def pair_of_slot(slot: int, n: int) -> Optional[tuple[int, int]]:
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_PRIME = np.uint64(PRIME)
 
 
 @lru_cache(maxsize=8)
@@ -132,71 +133,125 @@ def _config_tables(seeds: SharedRandomness, cfg: SketchConfig) -> tuple[np.ndarr
     """The run's hash state: one uint64 key per configuration and the fingerprint base.
 
     Slot hashes and fingerprint powers are computed on demand from these, for
-    the slots a node touches only (see ``_sampled`` and ``_powers``).
+    the slots a node touches only (see ``_slot_hashes`` and ``_powers``).
     """
     if seeds.is_empty:
         raise ValueError("sketching needs shared randomness; got the empty source")
     return _keys(seeds.seed, cfg.n, cfg.stacks, cfg.rounds, cfg.reps, cfg.levels)
 
 
-def _sampled(keys: np.ndarray, levels: int, slots: np.ndarray) -> np.ndarray:
-    """Boolean (configs, levels, slots): does each uint64 slot survive each config's level?
-
-    A slot's hash under a config is the SplitMix64 finalizer of the slot offset
-    by the config's key.  Level l keeps a slot when the top l bits of that hash
-    are zero, so with probability 2^-l; level 0 keeps every slot.
-    """
-    z = keys[:, None] + slots[None, :] * _GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
+def _slot_hashes(keys: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """uint64 (configs, slots): the SplitMix64 finalizer of each slot offset by each config's key."""
+    z = keys[:, None] + slots * _GOLDEN
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
     z ^= z >> np.uint64(31)
-    kept = np.ones((len(keys), levels, len(slots)), dtype=bool)
-    shifts = 64 - np.arange(1, levels, dtype=np.uint64)
-    kept[:, 1:, :] = (z[:, None, :] >> shifts[None, :, None]) == 0
-    return kept
+    return z
 
 
-def _powers(base: int, slots: np.ndarray) -> np.ndarray:
-    """base**slot mod PRIME per slot, by square-and-multiply in uint64.
+def _depths(hashes: np.ndarray, levels: int) -> np.ndarray:
+    """The deepest sampling level, 0..levels-1, that keeps each hashed slot.
 
-    Row i of ``factors`` holds base^(2^i) where bit i of the slot is set and 1
-    elsewhere; the rows are multiplied pairwise down to one.  Operands stay
-    below 2^31, so products stay below 2^62.
+    Level l keeps a slot when the top l bits of its hash are zero, so with
+    probability 2^-l; level 0 keeps every slot, and a slot kept at level l is
+    kept at every level below.  The depth is the hash's count of leading
+    zeros, capped at levels - 1.  It is read off the binary exponent of the
+    hash's top 53 bits, which a float64 holds exactly (levels <= 34 < 53).
     """
-    width = max(1, int(slots.max(initial=0)).bit_length())
-    squares = [base]
-    for _ in range(width - 1):
-        squares.append(squares[-1] * squares[-1] % PRIME)
-    bits = (slots[None, :] >> np.arange(width, dtype=np.uint64)[:, None]) & np.uint64(1)
-    factors = np.ones((1 << (width - 1).bit_length(), len(slots)), dtype=np.uint64)
-    factors[:width] = np.where(bits == 1, np.array(squares, dtype=np.uint64)[:, None], 1)
-    while len(factors) > 1:
-        factors = factors[0::2] * factors[1::2] % PRIME
-    return factors[0]
+    exponent = np.frexp((hashes >> np.uint64(11)).astype(np.float64))[1]  # bit length - 11, or 0
+    return np.minimum(53 - exponent, levels - 1)
 
 
-def _unit_terms(base: int, slots: np.ndarray) -> np.ndarray:
+def _sampled(keys: np.ndarray, levels: int, slots: np.ndarray) -> np.ndarray:
+    """Boolean (configs, levels, slots): does each uint64 slot survive each config's level?"""
+    return _depths(_slot_hashes(keys, slots), levels)[:, None, :] >= np.arange(levels)[:, None]
+
+
+def _geometric(ratio: int, count: int) -> np.ndarray:
+    """uint64 ratio^i mod PRIME for i < count, by doubling the filled prefix."""
+    out = np.ones(count, dtype=np.uint64)
+    filled = 1
+    while filled < count:
+        take = min(filled, count - filled)
+        out[filled : filled + take] = out[:take] * np.uint64(ratio) % PRIME
+        ratio = ratio * ratio % PRIME
+        filled += take
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=8)
+def _power_tables(base: int, n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(h, base^lo for lo < 2^h, base^(hi * 2^h) for hi <= n(n-1) >> h), h half the slots' width.
+
+    Every slot s <= n(n - 1) splits as hi * 2^h + lo, so base^s is one entry
+    of each table; both hold about sqrt(n(n - 1)) entries.
+    """
+    largest = n * (n - 1)
+    half = (largest.bit_length() + 1) // 2
+    return half, _geometric(base, 1 << half), _geometric(pow(base, 1 << half, PRIME), (largest >> half) + 1)
+
+
+def _powers(base: int, n: int, slots: np.ndarray) -> np.ndarray:
+    """base**slot mod PRIME per uint64 slot in 0..n(n-1), from the split power tables."""
+    half, low, high = _power_tables(base, n)
+    return low[slots & np.uint64((1 << half) - 1)] * high[slots >> np.uint64(half)] % PRIME
+
+
+def _unit_terms(base: int, n: int, slots: np.ndarray) -> np.ndarray:
     """(slots, 3) uint64: the cell triple (1, slot, base^slot) of a +1 update per slot."""
-    return np.stack([np.ones_like(slots), slots, _powers(base, slots)], axis=1)
+    return np.array([np.ones_like(slots), slots, _powers(base, n, slots)]).T
+
+
+def _mod(x: np.ndarray) -> np.ndarray:
+    """uint64 x mod PRIME; numpy divides by a constant faster than it takes ``%``."""
+    return x - x // _PRIME * _PRIME
+
+
+@lru_cache(maxsize=8)
+def _bin_offsets(configs: int, levels: int) -> np.ndarray:
+    """(configs, 3, 1): the first histogram bin of each (config, cell) at depth 0."""
+    return (np.arange(configs) * (3 * levels))[:, None, None] + np.arange(3)[:, None]
+
+
+@lru_cache(maxsize=8)
+def _suffix_matrix(levels: int) -> np.ndarray:
+    """float64 (3 levels, 3 levels): row (d, j) adds into column (l, j) for every level l <= d."""
+    return np.kron(np.tril(np.ones((levels, levels))), np.eye(3))
 
 
 def _sketch_cells(
     keys: np.ndarray,
     base: int,
+    n: int,
     levels: int,
     incident: Sequence[tuple[int, int]],
 ) -> np.ndarray:
-    """Cell array (len(keys), levels, 3) of signed slot updates, one row per config key."""
+    """Cell array (len(keys), levels, 3) of signed slot updates, one row per config key.
+
+    Each (config, slot) pair gets its depth; one ``bincount`` sums the slots'
+    terms by (config, depth, cell), and one product with ``_suffix_matrix``
+    turns depths into levels, for the levels up to the node's deepest only.
+    Exact in float64: each sum adds fewer than n terms below 2^31, so it is an
+    integer below 2^53 for any n < 2^22.
+    """
+    configs = len(keys)
+    cells = np.zeros((configs, levels, 3), dtype=np.uint64)
     if not incident:
-        return np.zeros((len(keys), levels, 3), dtype=np.uint64)
+        return cells
     slots = np.array([e for e, _ in incident], dtype=np.uint64)
     signed = np.array([c % PRIME for _, c in incident], dtype=np.uint64)
-    terms = _unit_terms(base, slots) * signed[:, None] % PRIME
-    kept = _sampled(keys, levels, slots).reshape(-1, len(slots))
-    # Exact in float64: each sum adds fewer than n terms below 2^31, so it is
-    # an integer below 2^53 for any n < 2^22.
-    sums = kept.astype(np.float64) @ terms.astype(np.float64)
-    return (sums.astype(np.uint64) % PRIME).reshape(len(keys), levels, 3)
+    terms = _unit_terms(base, n, slots).T * signed % PRIME  # (3, slots)
+    depth = _depths(_slot_hashes(keys, slots), levels)
+    top = int(depth.max()) + 1
+    bins = depth[:, None, :] * 3 + _bin_offsets(configs, levels)  # (configs, 3, slots)
+    weights = np.tile(terms.astype(np.float64).ravel(), configs)
+    hist = np.bincount(bins.ravel(), weights, minlength=configs * levels * 3).reshape(configs, -1)
+    sums = hist[:, : 3 * top] @ _suffix_matrix(levels)[: 3 * top, : 3 * top]
+    cells[:, :top] = _mod(sums.astype(np.uint64)).reshape(configs, top, 3)
+    return cells
 
 
 def _incidence(view: NodeView) -> list[tuple[int, int]]:
@@ -216,7 +271,7 @@ def node_sketch(
     """Raw cell array of one node's incidence vector."""
     cfg = SketchConfig.make(view.n, k, delta)
     keys, base = _config_tables(seeds, cfg)
-    cells = _sketch_cells(keys, base, cfg.levels, _incidence(view))
+    cells = _sketch_cells(keys, base, view.n, cfg.levels, _incidence(view))
     return cells.reshape(cfg.stacks, cfg.rounds, cfg.reps, cfg.levels, 3)
 
 
@@ -225,18 +280,25 @@ def _cells_to_bits(cells: np.ndarray) -> Bits:
     return Bits(cells.astype(">u4").tobytes(), cells.size * _CELL_BITS)
 
 
-def _bits_to_cells(bits: Bits, cfg: SketchConfig) -> np.ndarray:
-    """uint32 cells (stacks, rounds, reps, levels, 3) of one message, each below PRIME < 2^31."""
-    if not isinstance(bits, Bits):
-        raise DecodeError(f"a message must be Bits, got {type(bits).__name__}")
-    data, length = bits
-    # cfg.bits is a whole number of bytes, so a matching byte count leaves no padding.
-    if length != cfg.bits or type(data) is not bytes or len(data) * 8 != cfg.bits:
-        raise DecodeError(f"expected {cfg.bits} bits, got {length!r} bits in a {type(data).__name__}")
-    cells = np.frombuffer(data, dtype=">u4").astype(np.uint32)
+def _bits_to_cells(messages: Sequence[tuple[int, Bits]], cfg: SketchConfig) -> np.ndarray:
+    """Big-endian uint32 cells (n, stacks, rounds, reps, levels, 3) of the messages of nodes 1..n.
+
+    Each message's bytes are copied once into its node's row; one pass over
+    all rows then checks that every cell lies below PRIME < 2^31.
+    """
+    cells = np.empty((len(messages), cfg.stacks, cfg.rounds, cfg.reps, cfg.levels, 3), dtype=">u4")
+    rows = cells.reshape(len(messages), -1)
+    for node, bits in messages:
+        if not isinstance(bits, Bits):
+            raise DecodeError(f"a message must be Bits, got {type(bits).__name__}")
+        data, length = bits
+        # cfg.bits is a whole number of bytes, so a matching byte count leaves no padding.
+        if length != cfg.bits or type(data) is not bytes or len(data) * 8 != cfg.bits:
+            raise DecodeError(f"expected {cfg.bits} bits, got {length!r} bits in a {type(data).__name__}")
+        rows[node - 1] = np.frombuffer(data, dtype=">u4")
     if cells.max(initial=0) >= PRIME:
         raise DecodeError(f"message contains a cell outside the field of size {PRIME}")
-    return cells.reshape(cfg.stacks, cfg.rounds, cfg.reps, cfg.levels, 3)
+    return cells
 
 
 def agm_encode(view: NodeView, seeds: SharedRandomness, k: int, delta: float) -> Bits:
@@ -262,7 +324,7 @@ def _extract_edges(cells: np.ndarray, base: int, n: int) -> np.ndarray:
     u, v = np.divmod(slot - np.uint64(1), np.uint64(n))  # pair_of_slot, less one on each side
     ok = (slot > 0) & (u < v)
     where, cnt, fp, slot = where[ok], cnt[ok], fp[ok], slot[ok]
-    ok = cnt * _powers(base, slot) % PRIME == fp
+    ok = cnt * _powers(base, n, slot) % PRIME == fp
     found, first = np.unique(where[ok], return_index=True)
     out = np.zeros(len(cells), dtype=np.uint64)
     out[found] = slot[ok][first]
@@ -282,7 +344,7 @@ def _component_sketches(
 ) -> np.ndarray:
     """uint64 sketches (components, reps, levels, 3) of one round, earlier forests subtracted.
 
-    ``cells`` is the round's uint32 (n, reps, levels, 3) slice of every node,
+    ``cells`` is the round's big-endian uint32 (n, reps, levels, 3) slice of every node,
     ``keys`` its reps config keys and ``component[node - 1]`` the node's label
     in 0..c-1.  ``earlier`` holds the slots claimed by earlier forests and
     their (slots, 3) terms, scaled by each slot's multiplicity.  A component's
@@ -309,7 +371,7 @@ def _component_sketches(
     at = np.concatenate([cu[edge], cv[edge]]) * (reps * levels) + np.concatenate([cell, cell])
     signed = np.concatenate([PRIME - terms[edge], terms[edge]])
     np.add.at(sums.reshape(-1), (at[:, None] * 3 + np.arange(3)).ravel(), signed.ravel())
-    return sums % PRIME
+    return _mod(sums)
 
 
 def _peel_forest(cells: np.ndarray, keys: np.ndarray, base: int, used: dict[int, int]) -> list[int]:
@@ -323,7 +385,7 @@ def _peel_forest(cells: np.ndarray, keys: np.ndarray, base: int, used: dict[int,
     n, rounds, reps = cells.shape[:3]
     slots = np.array(list(used), dtype=np.uint64)
     counts = np.array(list(used.values()), dtype=np.uint64)
-    earlier = (slots, _unit_terms(base, slots) * counts[:, None] % PRIME)
+    earlier = (slots, _unit_terms(base, n, slots) * counts[:, None] % PRIME)
     component = np.arange(n)  # node - 1 -> its component's label
     forest: list[int] = []
 
@@ -364,8 +426,8 @@ def agm_decide_kconn(
 
     Stack s peels its forest from G less the edges of the forests of stacks
     below s; ``_component_sketches`` subtracts those edges at each component's
-    boundary, one round at a time.  The decoded cells stay uint32 and are
-    upcast one round slice at a time.
+    boundary, one round at a time.  The decoded cells stay big-endian uint32
+    and are upcast one round slice at a time.
     """
     if sorted(node for node, _ in messages) != list(range(1, n + 1)):
         raise DecodeError("need exactly one message per node 1..n")
@@ -373,9 +435,7 @@ def agm_decide_kconn(
         return Decision.CONNECTED
     cfg = SketchConfig.make(n, k, delta)
     keys, base = _config_tables(seeds, cfg)
-    cells = np.empty((n, cfg.stacks, cfg.rounds, cfg.reps, cfg.levels, 3), dtype=np.uint32)
-    for node, bits in messages:
-        cells[node - 1] = _bits_to_cells(bits, cfg)
+    cells = _bits_to_cells(messages, cfg)
     per_stack = cfg.rounds * cfg.reps
 
     used: dict[int, int] = {}  # slot -> multiplicity claimed by earlier forests

@@ -273,6 +273,18 @@ class Transcript:
     decision: Decision
 
 
+def check_message(protocol: SketchProtocol, node: int, bits: Bits) -> Bits:
+    """Return ``bits`` if it is a well-formed message within the protocol's budget.
+
+    Raises ValueError (from ``check_bits``) or ``EncodingOverflow``; every
+    path that hands messages to a referee checks them here.
+    """
+    bits = check_bits(bits)
+    if len(bits) > protocol.max_bits:
+        raise EncodingOverflow(f"node {node} emitted {len(bits)} bits, budget {protocol.max_bits}")
+    return bits
+
+
 def execute(
     protocol: SketchProtocol,
     graph: MultiGraph,
@@ -291,12 +303,7 @@ def execute(
     messages = []
     for node in range(1, graph.n + 1):
         view = node_view(graph, node, advice_map.get(node), protocol.k)
-        bits = check_bits(protocol.encode(view, randomness))
-        if len(bits) > protocol.max_bits:
-            raise EncodingOverflow(
-                f"node {node} emitted {len(bits)} bits, budget {protocol.max_bits}"
-            )
-        messages.append((node, bits))
+        messages.append((node, check_message(protocol, node, protocol.encode(view, randomness))))
     decision = protocol.decode(tuple(messages), randomness)
     return Transcript(messages=tuple(messages), decision=decision)
 

@@ -31,6 +31,7 @@ from .model import (
     MultiGraph,
     NodeView,
     SketchProtocol,
+    check_message,
     execute,
     node_view,
 )
@@ -244,11 +245,13 @@ def charlie_decide(
     ctx: ReductionContext,
     protocol: SketchProtocol,
 ) -> tuple[bool, list[tuple[int, Bits]]]:
-    """Assemble every sketch and feed it to the referee.
+    """Assemble every sketch, check it as ``execute`` does, and feed it to the referee.
 
     Returns (yes iff the referee says connected, the assembled messages).
     """
     assembled = sorted(msgs_a + msgs_b + charlie_messages(supp_x, supp_y, ctx, protocol))
+    for node, bits in assembled:
+        check_message(protocol, node, bits)
     decision = protocol.decode(tuple(assembled), EMPTY_RANDOMNESS)
     return decision is Decision.CONNECTED, assembled
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -235,10 +236,26 @@ def _splitmix64(key: int, slot: int) -> int:
     return z ^ (z >> 31)
 
 
+def _sketch_cells_reference(keys, base, levels, incident):
+    # Python-integer loop over configs, levels and incident slots, with the
+    # hash written out and the level rule as a shift and compare.
+    expect = np.zeros((len(keys), levels, 3), dtype=np.uint64)
+    for c, key in enumerate(int(x) for x in keys):
+        for level in range(levels):
+            cell = [0, 0, 0]
+            for slot, signed in incident:
+                if level and _splitmix64(key, slot) >> (64 - level):
+                    continue
+                cell[0] += signed
+                cell[1] += signed * slot
+                cell[2] += signed * pow(base, slot, agm.PRIME)
+            expect[c, level] = [x % agm.PRIME for x in cell]
+    return expect
+
+
 def test_sketch_cells_match_loop_reference():
-    # Python-integer loop over configs, levels and incident edges, with the
-    # hash written out; multiplicities up to 10^6 exercise the reduction
-    # mod PRIME ahead of the float64 sums.
+    # Multiplicities up to 10^6 exercise the reduction mod PRIME ahead of the
+    # float64 sums.
     n, k, delta = 300, 1, 0.25
     rng = np.random.default_rng(8)
     node = 150
@@ -248,19 +265,78 @@ def test_sketch_cells_match_loop_reference():
     view = node_view(g, node, None, k)
     cfg = SketchConfig.make(n, k, delta)
     keys, base = agm._config_tables(SEEDS, cfg)
-    expect = np.zeros((cfg.configs, cfg.levels, 3), dtype=np.uint64)
-    for c, key in enumerate(int(x) for x in keys):
-        for level in range(cfg.levels):
-            cell = [0, 0, 0]
-            for slot, signed in agm._incidence(view):
-                if level and _splitmix64(key, slot) >> (64 - level):
-                    continue
-                cell[0] += signed
-                cell[1] += signed * slot
-                cell[2] += signed * pow(base, slot, agm.PRIME)
-            expect[c, level] = [x % agm.PRIME for x in cell]
+    expect = _sketch_cells_reference(keys, base, cfg.levels, agm._incidence(view))
     got = agm.node_sketch(view, SEEDS, k, delta)
     assert np.array_equal(got, expect.reshape(got.shape))
+
+
+def _wide_node(rng, n):
+    # 140 neighbours on both sides of node 150: +mult below, -mult above.
+    g = MultiGraph(n)
+    for v in rng.choice([v for v in range(1, n + 1) if v != 150], size=140, replace=False):
+        g.add_edge(150, int(v), int(rng.integers(1, 10**6)))
+    return agm._incidence(node_view(g, 150, None, 1))
+
+
+def _boundary(rng, n):
+    # A component boundary: 130 distinct pairs with signed multiplicities,
+    # some of them beyond +-PRIME.
+    pairs = set()
+    while len(pairs) < 130:
+        u, v = sorted(int(x) for x in rng.choice(np.arange(1, n + 1), size=2, replace=False))
+        pairs.add((u, v))
+    signs = rng.choice([-1, 1], size=len(pairs))
+    mults = rng.integers(1, 10**6, size=len(pairs)) + rng.choice([0, 3 * agm.PRIME], size=len(pairs))
+    return [(agm.slot_of(u, v, n), int(s * m)) for (u, v), s, m in zip(sorted(pairs), signs, mults)]
+
+
+@pytest.mark.parametrize("make", [_wide_node, _boundary, lambda rng, n: []], ids=["wide-node", "boundary", "empty"])
+def test_sketch_cells_match_loop_reference_on_wide_and_signed_input(make):
+    n, k, delta = 300, 1, 0.25
+    cfg = SketchConfig.make(n, k, delta)
+    keys, base = agm._config_tables(SEEDS, cfg)
+    incident = make(np.random.default_rng(9), n)
+    assert len(incident) in (0, 130, 140)
+    got = agm._sketch_cells(keys, base, n, cfg.levels, incident)
+    assert np.array_equal(got, _sketch_cells_reference(keys, base, cfg.levels, incident))
+
+
+@pytest.mark.parametrize("n", [2, 256, 1024, 46341])
+def test_power_tables_match_pow(n):
+    _, base = agm._config_tables(SEEDS, SketchConfig.make(n, 1, 0.1))
+    for b in (base, 2, agm.PRIME - 1):
+        slots = np.array([1, n * (n - 1)], dtype=np.uint64)
+        assert agm._powers(b, n, slots).tolist() == [pow(b, 1, agm.PRIME), pow(b, n * (n - 1), agm.PRIME)]
+
+
+@pytest.mark.parametrize("levels", [4, 18, 34])
+def test_depth_matches_shift_compare_rule(levels):
+    # Level l keeps a hash whose top l bits are zero; the depth is the deepest
+    # level that keeps it.
+    hashes = [0, (1 << 64) - 1]
+    for level in range(1, levels):
+        hashes += [1 << (64 - level), (1 << (64 - level)) - 1]
+    got = agm._depths(np.array(hashes, dtype=np.uint64), levels).tolist()
+    expect = [max(level for level in range(levels) if level == 0 or h >> (64 - level) == 0) for h in hashes]
+    assert got == expect
+    assert got[:2] == [levels - 1, 0]
+
+
+def test_transcripts_match_golden():
+    # SHA-256 of hard-family transcripts at n=64, k=3 near the k threshold,
+    # taken before the node sketch moved to per-slot depths.  Any change to
+    # hashing, sampling, cell layout or packing moves it.
+    n, k, delta = 64, 3, 0.05
+    protocol = make_agm_protocol(n, k, delta)
+    digest = hashlib.sha256()
+    for i in range(6):
+        condition = Condition.C1 if i % 2 else Condition.C0
+        graph, advice = build_lb_graph(random_spec(n, k, 100 + i, condition=condition))
+        transcript = execute(protocol, graph, advice, SharedRandomness(200 + i))
+        for node, bits in transcript.messages:
+            digest.update(f"{node}:{len(bits)}:".encode() + bits.data)
+        digest.update(transcript.decision.value.encode())
+    assert digest.hexdigest() == "de3610fdf35cd03e9352f06b67de0a941b26fecdbdcfacf346a71be2c88d0aae"
 
 
 def _encode_all(graph, advice, seeds, k, delta):
@@ -310,7 +386,7 @@ def test_forest_subtraction_matches_from_scratch(monkeypatch):
                 u, v = agm.pair_of_slot(slot, n)
                 if (u in side) != (v in side):
                     boundary.append((slot, mult if u in side else -mult))
-            expect = agm._sketch_cells(keys[config : config + cfg.reps], base, cfg.levels, boundary)
+            expect = agm._sketch_cells(keys[config : config + cfg.reps], base, n, cfg.levels, boundary)
             assert np.array_equal(got, expect), (stack, rounds[stack] - 1, label)
     assert len(forests) == k and len(forests[-1]) == n - 1
     assert min(rounds) > 1  # every stack merged over several rounds
@@ -355,7 +431,7 @@ def _certificate_reference(messages, seeds, n, k, delta):
     # subtracted from the later stacks of its endpoints, node by node.
     cfg = SketchConfig.make(n, k, delta)
     keys, base = agm._config_tables(seeds, cfg)
-    cells = np.stack([agm._bits_to_cells(bits, cfg) for _, bits in sorted(messages)]).astype(np.uint64)
+    cells = agm._bits_to_cells(sorted(messages), cfg).astype(np.uint64)
     per_stack = cfg.rounds * cfg.reps
     used = {}
     for stack in range(cfg.stacks):
@@ -367,7 +443,7 @@ def _certificate_reference(messages, seeds, n, k, delta):
             continue
         slots = np.array(forest, dtype=np.uint64)
         kept = agm._sampled(later, cfg.levels, slots)
-        terms = agm._unit_terms(base, slots)
+        terms = agm._unit_terms(base, n, slots)
         rest = cells[:, stack + 1 :]
         for f, slot in enumerate(forest):
             update = (kept[:, :, f, None] * terms[f]).reshape(rest.shape[1:])

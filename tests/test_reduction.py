@@ -349,6 +349,23 @@ def test_simulate_builds_charlie_messages_once(toy_ctx, monkeypatch):
     assert verdict == (proto.decode(tuple(assembled), EMPTY_RANDOMNESS) is Decision.CONNECTED)
 
 
+@pytest.mark.parametrize(
+    "message, error",
+    [(Bits(b"\x41", 2), "nonzero padding"), (Bits.from_str("000"), "budget 2")],
+    ids=["padding", "over-budget"],
+)
+def test_simulate_checks_messages_like_execute(toy_ctx, message, error):
+    # The referee of the three-party simulation sees only messages that the
+    # honest execution would also let through.
+    proto = replace(toy_two_bit(2), encode=lambda view, rand: message)
+    inst = next(enumerate_valid_instances(6, 3))
+    with pytest.raises(ValueError, match=error):
+        simulate(inst, toy_ctx, proto)
+    graph, advice = build_compatible_graph(inst, toy_ctx)
+    with pytest.raises(ValueError, match=error):
+        execute(proto, graph, advice)
+
+
 def test_build_context_refuses_infeasible_parameters():
     # At s = 0 no instance exists, so a context would serve an empty sweep.
     with pytest.raises(InvalidInstance, match=r"^\[parameters\]"):
