@@ -12,15 +12,22 @@ edge per component in a single array pass.
 
 Nothing is tabulated over the n^2 edge slots.  The shared randomness fixes one
 64-bit key per sampling configuration and a fingerprint base; a node hashes
-only its own slots, with a SplitMix64 finalizer keyed per configuration, and
-raises the base to those slots by square-and-multiply.  Encode memory is
-O(configs * levels * degree).
+only its own slots, with a SplitMix64 finalizer keyed per configuration.  A
+slot's depth under a configuration is the deepest sampling level that keeps
+it, read off the hash's leading zeros.  A node's cells are then one histogram
+of its signed slot terms by (configuration, depth, cell), one suffix sum over
+the depths up to the node's deepest, and one reduction mod PRIME; no
+(configuration, level, slot) mask is built.  Fingerprint powers are two
+lookups in split tables, base^lo and base^(hi * 2^h), cached per (base, n) with
+about sqrt(n(n - 1)) entries each.  Encode memory is O(configs * (levels +
+degree)).
 
 A message is the node's cells as big-endian 32-bit words in array order,
-packed into a ``Bits`` by one ``tobytes`` and read back by one
-``np.frombuffer``; no '0'/'1' text is built.  The decoder refuses a message
-that is not a ``Bits``, has the wrong length or holds a cell outside the
-field, with a ``DecodeError``.
+packed into a ``Bits`` by one ``tobytes``; the decoder copies each message's
+bytes once into one big-endian array of every node's cells, and no '0'/'1'
+text is built.  It refuses a message that is not a ``Bits`` or has the wrong
+length, and a transcript with a cell outside the field (one pass over all
+cells), with a ``DecodeError``.
 """
 
 from __future__ import annotations
@@ -213,13 +220,17 @@ def _mod(x: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _bin_offsets(configs: int, levels: int) -> np.ndarray:
     """(configs, 3, 1): the first histogram bin of each (config, cell) at depth 0."""
-    return (np.arange(configs) * (3 * levels))[:, None, None] + np.arange(3)[:, None]
+    offsets = (np.arange(configs) * (3 * levels))[:, None, None] + np.arange(3)[:, None]
+    offsets.flags.writeable = False
+    return offsets
 
 
 @lru_cache(maxsize=8)
 def _suffix_matrix(levels: int) -> np.ndarray:
     """float64 (3 levels, 3 levels): row (d, j) adds into column (l, j) for every level l <= d."""
-    return np.kron(np.tril(np.ones((levels, levels))), np.eye(3))
+    suffix = np.kron(np.tril(np.ones((levels, levels))), np.eye(3))
+    suffix.flags.writeable = False
+    return suffix
 
 
 def _sketch_cells(
@@ -297,7 +308,8 @@ def _bits_to_cells(messages: Sequence[tuple[int, Bits]], cfg: SketchConfig) -> n
             raise DecodeError(f"expected {cfg.bits} bits, got {length!r} bits in a {type(data).__name__}")
         rows[node - 1] = np.frombuffer(data, dtype=">u4")
     if cells.max(initial=0) >= PRIME:
-        raise DecodeError(f"message contains a cell outside the field of size {PRIME}")
+        node = int(np.argmax(rows.max(axis=1) >= PRIME)) + 1
+        raise DecodeError(f"node {node}'s message holds a cell outside the field of size {PRIME}")
     return cells
 
 

@@ -224,7 +224,7 @@ def test_decode_rejects_cell_outside_field():
     msgs = list(t.messages)
     node, bits = msgs[1]
     msgs[1] = (node, Bits(bits.data[:8] + b"\xff" * 4 + bits.data[12:], len(bits)))  # third cell := 0xFFFFFFFF
-    with pytest.raises(DecodeError, match="outside the field"):
+    with pytest.raises(DecodeError, match="node 2's message holds a cell outside the field"):
         agm_decide_kconn(msgs, SEEDS, 3, 1, 0.1)
 
 
