@@ -11,16 +11,17 @@ between components (an edge inside one component cancels), and extracts one
 edge per component in a single array pass.
 
 Nothing is tabulated over the n^2 edge slots.  The shared randomness fixes one
-64-bit key per sampling configuration and a fingerprint base; a node hashes
-only its own slots, with a SplitMix64 finalizer keyed per configuration.  A
-slot's depth under a configuration is the deepest sampling level that keeps
-it, read off the hash's leading zeros.  A node's cells are then one histogram
-of its signed slot terms by (configuration, depth, cell), one suffix sum over
-the depths up to the node's deepest, and one reduction mod PRIME; no
-(configuration, level, slot) mask is built.  Fingerprint powers are two
-lookups in split tables, base^lo and base^(hi * 2^h), cached per (base, n) with
-about sqrt(n(n - 1)) entries each.  Encode memory is O(configs * (levels +
-degree)).
+64-bit key per sampling configuration and a fingerprint base; only the slots
+being summed are hashed, with a SplitMix64 finalizer keyed per configuration.
+A slot's depth under a configuration is the deepest sampling level that keeps
+it, read off the hash's leading zeros.  One kernel, ``_level_sums``, sums
+signed slot updates into cells by owner, for encoding (a node's incidence) and
+forest subtraction (each component's crossing earlier-forest edges) alike: one
+histogram by (owner, configuration, depth, cell), one suffix sum over depths
+and one reduction mod PRIME, with no (configuration, level, slot) mask.
+Fingerprint powers are two lookups in split tables, base^lo and base^(hi *
+2^h), cached per (base, n) with about sqrt(n(n - 1)) entries each.  Encode
+memory is O(configs * (levels + degree)).
 
 A message is the node's cells as big-endian 32-bit words in array order,
 packed into a ``Bits`` by one ``tobytes``; the decoder copies each message's
@@ -79,6 +80,9 @@ class SketchConfig:
             # recovers slots modulo PRIME, so every slot must lie below it
             # (n <= 46,341).
             raise ValueError(f"n={n}: edge slot n(n-1) = {n * (n - 1)} is not below the field size {PRIME}")
+        if (k - 1) * (n - 1) > 1 << 22:
+            # A decoder component sums up to (k-1)(n-1) earlier-forest edges; see _level_sums.
+            raise ValueError(f"(k-1)(n-1) = {(k - 1) * (n - 1)} exceeds 2^22, the exact float64 sum bound")
         log_n = max(1, math.ceil(math.log2(max(n, 2))))
         return cls(
             n=n,
@@ -171,11 +175,6 @@ def _depths(hashes: np.ndarray, levels: int) -> np.ndarray:
     return np.minimum(53 - exponent, levels - 1)
 
 
-def _sampled(keys: np.ndarray, levels: int, slots: np.ndarray) -> np.ndarray:
-    """Boolean (configs, levels, slots): does each uint64 slot survive each config's level?"""
-    return _depths(_slot_hashes(keys, slots), levels)[:, None, :] >= np.arange(levels)[:, None]
-
-
 def _geometric(ratio: int, count: int) -> np.ndarray:
     """uint64 ratio^i mod PRIME for i < count, by doubling the filled prefix."""
     out = np.ones(count, dtype=np.uint64)
@@ -207,14 +206,10 @@ def _powers(base: int, n: int, slots: np.ndarray) -> np.ndarray:
     return low[slots & np.uint64((1 << half) - 1)] * high[slots >> np.uint64(half)] % PRIME
 
 
-def _unit_terms(base: int, n: int, slots: np.ndarray) -> np.ndarray:
-    """(slots, 3) uint64: the cell triple (1, slot, base^slot) of a +1 update per slot."""
-    return np.array([np.ones_like(slots), slots, _powers(base, n, slots)]).T
-
-
 def _mod(x: np.ndarray) -> np.ndarray:
-    """uint64 x mod PRIME; numpy divides by a constant faster than it takes ``%``."""
-    return x - x // _PRIME * _PRIME
+    """Reduce uint64 x mod PRIME in place; numpy divides by a constant faster than it takes ``%``."""
+    x -= x // _PRIME * _PRIME
+    return x
 
 
 @lru_cache(maxsize=8)
@@ -233,36 +228,43 @@ def _suffix_matrix(levels: int) -> np.ndarray:
     return suffix
 
 
-def _sketch_cells(
-    keys: np.ndarray,
-    base: int,
-    n: int,
-    levels: int,
-    incident: Sequence[tuple[int, int]],
+def _level_sums(
+    keys: np.ndarray, base: int, n: int, levels: int,
+    slots: np.ndarray, signed: np.ndarray, owner: int | np.ndarray, owners: int,
 ) -> np.ndarray:
-    """Cell array (len(keys), levels, 3) of signed slot updates, one row per config key.
+    """uint64 cells (owners, len(keys), levels, 3) of signed slot updates, mod PRIME.
 
-    Each (config, slot) pair gets its depth; one ``bincount`` sums the slots'
-    terms by (config, depth, cell), and one product with ``_suffix_matrix``
-    turns depths into levels, for the levels up to the node's deepest only.
-    Exact in float64: each sum adds fewer than n terms below 2^31, so it is an
-    integer below 2^53 for any n < 2^22.
+    Update i adds signed[i] * (1, slots[i], base^slots[i]) to the cells of
+    owner[i], or of ``owner`` if it is an int, at every level of each config
+    that keeps the slot; ``signed`` holds multiplicities mod PRIME.  Each
+    (config, slot) pair gets its depth; one ``bincount`` sums the terms by
+    (owner, config, depth, cell), and one product with ``_suffix_matrix`` turns
+    depths into levels, up to the deepest slot only.  Exact in float64 while
+    no owner has more than 2^22 updates, as 2^22 terms below 2^31 sum below
+    2^53: a node has fewer than n, a decoder component at most one per earlier
+    forest edge, (k-1)(n-1), which ``SketchConfig.make`` bounds by 2^22.
     """
     configs = len(keys)
-    cells = np.zeros((configs, levels, 3), dtype=np.uint64)
-    if not incident:
-        return cells
+    terms = np.array([np.ones_like(slots), slots, _powers(base, n, slots)]) * signed % PRIME  # (3, slots)
+    depth = _depths(_slot_hashes(keys, slots), levels)
+    top = int(depth.max(initial=-1)) + 1
+    # (configs, 3, slots); a scalar owner shifts only the (configs, 3, 1) offsets.
+    bins = depth[:, None, :] * 3 + (_bin_offsets(configs, levels) + owner * (configs * levels * 3))
+    weights = np.tile(terms.astype(np.float64).ravel(), configs)
+    hist = np.bincount(bins.ravel(), weights, minlength=owners * configs * levels * 3)
+    sums = hist.reshape(owners * configs, -1)[:, : 3 * top] @ _suffix_matrix(levels)[: 3 * top, : 3 * top]
+    cells = np.zeros((owners, configs, levels, 3), dtype=np.uint64)
+    cells[:, :, :top] = _mod(sums.astype(np.uint64)).reshape(owners, configs, top, 3)
+    return cells
+
+
+def _sketch_cells(
+    keys: np.ndarray, base: int, n: int, levels: int, incident: Sequence[tuple[int, int]]
+) -> np.ndarray:
+    """Cell array (len(keys), levels, 3) of signed slot updates, one row per config key."""
     slots = np.array([e for e, _ in incident], dtype=np.uint64)
     signed = np.array([c % PRIME for _, c in incident], dtype=np.uint64)
-    terms = _unit_terms(base, n, slots).T * signed % PRIME  # (3, slots)
-    depth = _depths(_slot_hashes(keys, slots), levels)
-    top = int(depth.max()) + 1
-    bins = depth[:, None, :] * 3 + _bin_offsets(configs, levels)  # (configs, 3, slots)
-    weights = np.tile(terms.astype(np.float64).ravel(), configs)
-    hist = np.bincount(bins.ravel(), weights, minlength=configs * levels * 3).reshape(configs, -1)
-    sums = hist[:, : 3 * top] @ _suffix_matrix(levels)[: 3 * top, : 3 * top]
-    cells[:, :top] = _mod(sums.astype(np.uint64)).reshape(configs, top, 3)
-    return cells
+    return _level_sums(keys, base, n, levels, slots, signed, 0, 1)[0]
 
 
 def _incidence(view: NodeView) -> list[tuple[int, int]]:
@@ -351,6 +353,7 @@ def extract_edge(cells: np.ndarray, base: int, n: int) -> Optional[int]:
 def _component_sketches(
     cells: np.ndarray,
     keys: np.ndarray,
+    base: int,
     component: np.ndarray,
     earlier: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
@@ -359,30 +362,28 @@ def _component_sketches(
     ``cells`` is the round's big-endian uint32 (n, reps, levels, 3) slice of every node,
     ``keys`` its reps config keys and ``component[node - 1]`` the node's label
     in 0..c-1.  ``earlier`` holds the slots claimed by earlier forests and
-    their (slots, 3) terms, scaled by each slot's multiplicity.  A component's
-    sketch is the sum of its nodes' cells.  An earlier edge counts only when
-    its ends lie in different components: inside one, its +1 at u and -1 at v
-    cancel.
+    their multiplicities, below PRIME.  A component's sketch is the sum of its
+    nodes' cells.  An earlier edge counts only when its ends lie in different
+    components: inside one, its +1 at u and -1 at v cancel.  ``_level_sums``
+    sums the crossing edges' updates with the components as owners.
     """
-    n, reps, levels = cells.shape[:3]
+    n, _, levels = cells.shape[:3]
     order = np.argsort(component, kind="stable")
     starts = np.searchsorted(component[order], np.arange(component.max() + 1))
     if len(starts) == n:  # every node alone, as in round 0
         sums = cells[order].astype(np.uint64)
     else:
         sums = np.add.reduceat(cells[order], starts, axis=0, dtype=np.uint64)
-    slots, terms = earlier
+    slots, counts = earlier
     ends = (slots - np.uint64(1)).astype(np.intp)
     cu, cv = component[ends // n], component[ends % n]
-    cross = np.flatnonzero(cu != cv)
-    cell, edge = np.nonzero(_sampled(keys, levels, slots[cross]).reshape(reps * levels, -1))
-    edge = cross[edge]
-    # Each (rep, level) cell that keeps a crossing edge gains its term at the
-    # v end and loses it at the u end (u < v holds an edge as +1, v as -1).
-    # Every added value lies below 2^31, so the uint64 sums are exact.
-    at = np.concatenate([cu[edge], cv[edge]]) * (reps * levels) + np.concatenate([cell, cell])
-    signed = np.concatenate([PRIME - terms[edge], terms[edge]])
-    np.add.at(sums.reshape(-1), (at[:, None] * 3 + np.arange(3)).ravel(), signed.ravel())
+    cross = cu != cv
+    if cross.any():
+        # Taking an edge out adds -count at its u end and +count at its v end
+        # (u < v holds it as +1, v as -1); the added cells lie below 2^31.
+        slots, counts = np.tile(slots[cross], 2), np.concatenate([PRIME - counts[cross], counts[cross]])
+        owner = np.concatenate([cu[cross], cv[cross]])
+        sums += _level_sums(keys, base, n, levels, slots, counts, owner, len(sums))
     return _mod(sums)
 
 
@@ -395,9 +396,7 @@ def _peel_forest(cells: np.ndarray, keys: np.ndarray, base: int, used: dict[int,
     to its multiplicity.
     """
     n, rounds, reps = cells.shape[:3]
-    slots = np.array(list(used), dtype=np.uint64)
-    counts = np.array(list(used.values()), dtype=np.uint64)
-    earlier = (slots, _unit_terms(base, n, slots) * counts[:, None] % PRIME)
+    earlier = (np.array(list(used), dtype=np.uint64), np.array(list(used.values()), dtype=np.uint64))
     component = np.arange(n)  # node - 1 -> its component's label
     forest: list[int] = []
 
@@ -412,7 +411,7 @@ def _peel_forest(cells: np.ndarray, keys: np.ndarray, base: int, used: dict[int,
         if count == 1:
             break
         round_keys = keys[rnd * reps : (rnd + 1) * reps]
-        sketches = _component_sketches(cells[:, rnd], round_keys, component, earlier)
+        sketches = _component_sketches(cells[:, rnd], round_keys, base, component, earlier)
         proposals = _extract_edges(sketches, base, n)
         parent = list(range(count))  # over this round's component labels
         for slot in np.unique(proposals[proposals != 0]).tolist():

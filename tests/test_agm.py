@@ -66,6 +66,14 @@ def test_node_count_limited_by_field():
             build(46342, 1, 0.1)
 
 
+def test_forest_count_limited_by_exact_sums():
+    # A decoder component sums up to (k-1)(n-1) earlier forest edges in
+    # float64; 2^22 of them is the last exact count.
+    assert SketchConfig.make(4097, 1025, 0.1).stacks == 1025
+    with pytest.raises(ValueError, match=r"\(k-1\)\(n-1\) = 4198400 exceeds 2\^22"):
+        SketchConfig.make(4097, 1026, 0.1)
+
+
 def test_largest_slot_roundtrips():
     n = 46341
     view = NodeView(id=n - 1, neighbors=((n, 1),), advice=None, n=n, k=1)
@@ -301,6 +309,32 @@ def test_sketch_cells_match_loop_reference_on_wide_and_signed_input(make):
     assert np.array_equal(got, _sketch_cells_reference(keys, base, cfg.levels, incident))
 
 
+def test_level_sums_match_loop_reference_per_owner():
+    # Three owners: mixed signs and a shared slot, none at all, and
+    # multiplicities of 0 mod PRIME next to ones beyond it.
+    n, k, delta = 300, 1, 0.25
+    cfg = SketchConfig.make(n, k, delta)
+    keys, base = agm._config_tables(SEEDS, cfg)
+    rng = np.random.default_rng(10)
+    shared = agm.slot_of(3, 250, n)
+    by_owner = [
+        _boundary(rng, n)[:60] + [(shared, -7)],
+        [],
+        [(agm.slot_of(1, 2, n), 2 * agm.PRIME), (shared, 7), (agm.slot_of(5, 9, n), -agm.PRIME - 1)]
+        + _wide_node(rng, n)[:40],
+    ]
+    updates = [(owner, slot, mult) for owner, incident in enumerate(by_owner) for slot, mult in incident]
+    owner, slots, mults = zip(*updates)
+    got = agm._level_sums(
+        keys, base, n, cfg.levels, np.array(slots, dtype=np.uint64),
+        np.array([m % agm.PRIME for m in mults], dtype=np.uint64), np.array(owner), len(by_owner),
+    )
+    assert got.shape == (3, len(keys), cfg.levels, 3)
+    for incident, cells in zip(by_owner, got):
+        assert np.array_equal(cells, _sketch_cells_reference(keys, base, cfg.levels, incident))
+    assert not got[1].any()
+
+
 @pytest.mark.parametrize("n", [2, 256, 1024, 46341])
 def test_power_tables_match_pow(n):
     _, base = agm._config_tables(SEEDS, SketchConfig.make(n, 1, 0.1))
@@ -361,8 +395,8 @@ def test_forest_subtraction_matches_from_scratch(monkeypatch):
         forests.append(peel(*args))
         return forests[-1]
 
-    def sketch_spy(cells, keys, component, earlier):
-        out = sketch(cells, keys, component, earlier)
+    def sketch_spy(cells, keys, base, component, earlier):
+        out = sketch(cells, keys, base, component, earlier)
         reads.append((len(forests), component.copy(), out))
         return out
 
@@ -441,9 +475,12 @@ def _certificate_reference(messages, seeds, n, k, delta):
         later = keys[(stack + 1) * per_stack :]
         if not forest or not len(later):
             continue
-        slots = np.array(forest, dtype=np.uint64)
-        kept = agm._sampled(later, cfg.levels, slots)
-        terms = agm._unit_terms(base, n, slots)
+        # Level l keeps a slot when the top l bits of its hash are zero;
+        # level 0 keeps every slot.
+        hashes = agm._slot_hashes(later, np.array(forest, dtype=np.uint64))[:, None, :]
+        top_bits = [np.zeros_like(hashes)] + [hashes >> np.uint64(64 - level) for level in range(1, cfg.levels)]
+        kept = np.concatenate(top_bits, axis=1) == 0
+        terms = np.array([[1, slot, pow(base, slot, agm.PRIME)] for slot in forest], dtype=np.uint64)
         rest = cells[:, stack + 1 :]
         for f, slot in enumerate(forest):
             update = (kept[:, :, f, None] * terms[f]).reshape(rest.shape[1:])
