@@ -2,9 +2,7 @@
 
     python3 scripts/agm_layer.py [--out BENCH_agm.json] [--baseline OTHER_CHECKOUT/src]
 
-Imports the library from ``src/`` next to this directory and the benchmark's
-workloads from ``bench/``, so the inputs are the ones the benchmark feeds the
-sketch at seed 1:
+The inputs are the ones the benchmark feeds the sketch at seed 1:
 
 - ``agm-hard``: the hard-family members and shared randomness of the first 10
   ops of ``agm-hard`` (n=256, k=3, delta=0.05, 259,200-bit messages);
@@ -30,52 +28,24 @@ that ``execute`` reaches through module globals:
 
 A version that does not define a layer's function (an older checkout under
 ``--baseline``) reports no time for that layer; ``peel_ms`` is comparable
-across versions.
-
-Each graph records, for each layer, the minimum, median and maximum over 5
-executions of the layer's total time in ms.  Each group gets the median of its
-graphs' medians under ``median_ms``, and the smallest minimum and largest
-maximum under ``range_ms``: two versions whose ranges overlap are not told
-apart by their medians alone.  ``--baseline``
-loads the ``sketchbench`` package from another checkout's ``src/`` and times
-it in the same process: each repeat runs both versions, in alternating order,
-so that both see the same machine state.  The two must give the same
-transcript (compared by SHA-256 over the messages) and the same decision.
-Each row holds the layers of this checkout under ``current`` and those of the
-other under ``baseline``, and ``transcript_mb``: the memory that each
-version's messages of one execution hold, by ``sys.getsizeof`` of each message
-object (a ``Bits`` pair with its bytes, or a '0'/'1' ``str`` in a version
-before packed messages).  Packed, the n=1024 transcript holds 46.5 MB of
-messages; as '0'/'1' text it held 371.3 MB.  The report names each version by
-the SHA-256 of its ``model.py`` and ``agm.py``, and gives the process's peak
-RSS.
+across versions.  Every execution of a graph must give the same
+``transcript_sha256``, a SHA-256 over the messages and the decision.  Each
+row also gives ``bits``, the message length, and per version
+``transcript_mb``: the memory that one execution's messages hold, by
+``sys.getsizeof`` of each message object (a ``Bits`` pair with its bytes, or
+a '0'/'1' ``str`` in a version before packed messages).  Packed, the n=1024
+transcript holds 46.5 MB of messages; as '0'/'1' text it held 371.3 MB.
+``layer_record`` describes the repeats, ranges and report.
 """
 
-import argparse
 import hashlib
-import importlib.util
-import json
-import os
-import platform
-import resource
-import statistics
 import sys
 from contextlib import contextmanager
-from pathlib import Path
 from time import perf_counter
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-
-import numpy as np  # noqa: E402
-
-import sketchbench.agm  # noqa: E402
-import sketchbench.model  # noqa: E402
-import workloads  # noqa: E402
-from sketchbench import lbgraph  # noqa: E402
+import layer_record  # first: it pins the thread pools and puts src/ and bench/ on sys.path
+import workloads
+from sketchbench import lbgraph
 
 SEED = 1
 REPEATS = 5
@@ -112,20 +82,6 @@ def n1024_inputs() -> list[tuple]:
     return [(graph, advice, SEED)]
 
 
-def load_baseline(src: Path):
-    """Another checkout's ``sketchbench`` package, under the name ``baseline_sketchbench``."""
-    init = src / "sketchbench" / "__init__.py"
-    spec = importlib.util.spec_from_file_location(
-        "baseline_sketchbench", init, submodule_search_locations=[str(init.parent)]
-    )
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = package
-    spec.loader.exec_module(package)
-    for name in ("model", "agm"):
-        importlib.import_module(f"{spec.name}.{name}")
-    return package
-
-
 @contextmanager
 def timed_layers(package, totals: dict):
     """Wrap the function of each layer in ``totals`` so that its calls add their time there."""
@@ -159,122 +115,44 @@ def message_mb(bits) -> float:
     return size / 2**20
 
 
-def run_once(package, protocol, graph, advice, seed: int) -> tuple[dict, str, float]:
-    """Layer times in ms of one execution, a digest of its transcript and decision, and its message MB."""
-    totals = {layer: 0.0 for layer, (module, attr) in LAYERS.items() if hasattr(getattr(package, module), attr)}
-    randomness = package.model.SharedRandomness(seed)
-    with timed_layers(package, totals):
-        start = perf_counter()
-        transcript = package.model.execute(protocol, graph, advice, randomness)
-        totals["execute_ms"] = perf_counter() - start
-    decode = totals.pop("decode_ms")
-    totals["peel_ms"] = decode - totals["bits_to_cells_ms"] - totals["certificate_cut_ms"]
-    digest = hashlib.sha256()
-    for node, bits in transcript.messages:
-        digest.update(f"{node}:{bits};".encode("ascii"))
-    digest.update(transcript.decision.value.encode("ascii"))
-    size = sum(message_mb(bits) for _, bits in transcript.messages)
-    return {layer: seconds * 1e3 for layer, seconds in totals.items()}, digest.hexdigest(), size
-
-
 def measure(inputs: tuple, versions: dict) -> dict:
-    """Median layer times of each version on one graph, versions alternating in order."""
+    """The row of one graph: its layer spreads per version and its transcript digest."""
     graph, advice, seed = inputs
     protocols = {name: package.agm.make_agm_protocol(graph.n, K, DELTA) for name, package in versions.items()}
-    samples = {name: [] for name in versions}
-    digests = set()
     sizes = {}
-    for r in range(REPEATS):
-        for name in sorted(versions, reverse=r % 2 == 1):
-            times, digest, sizes[name] = run_once(versions[name], protocols[name], graph, advice, seed)
-            samples[name].append(times)
-            digests.add(digest)
-    if len(digests) != 1:
-        raise SystemExit(f"n={graph.n}: executions differ in transcript or decision")
-    row = {
+
+    def execute(name, package):
+        totals = {layer: 0.0 for layer, (module, attr) in LAYERS.items() if hasattr(getattr(package, module), attr)}
+        randomness = package.model.SharedRandomness(seed)
+        with timed_layers(package, totals):
+            start = perf_counter()
+            transcript = package.model.execute(protocols[name], graph, advice, randomness)
+            totals["execute_ms"] = perf_counter() - start
+        decode = totals.pop("decode_ms")
+        totals["peel_ms"] = decode - totals["bits_to_cells_ms"] - totals["certificate_cut_ms"]
+        digest = hashlib.sha256()
+        for node, bits in transcript.messages:
+            digest.update(f"{node}:{bits};".encode("ascii"))
+        digest.update(transcript.decision.value.encode("ascii"))
+        sizes[name] = round(sum(message_mb(bits) for _, bits in transcript.messages), 1)
+        return {layer: seconds * 1e3 for layer, seconds in totals.items()}, digest.hexdigest()
+
+    spreads, digest = layer_record.measure(versions, execute, REPEATS)
+    return {
         "n": graph.n,
         "bits": protocols["current"].max_bits,
-        "transcript_sha256": digests.pop(),
-        "transcript_mb": {name: round(mb, 1) for name, mb in sizes.items()},
-    }
-    for name, runs in samples.items():
-        row[name] = {layer: spread([run[layer] for run in runs]) for layer in runs[0]}
-    return row
-
-
-def spread(values: list) -> list:
-    """[minimum, median, maximum] of ``values``, rounded to the microsecond."""
-    return [round(value, 3) for value in (min(values), statistics.median(values), max(values))]
-
-
-def sha256(package) -> dict:
-    return {
-        name: hashlib.sha256(Path(getattr(package, name).__file__).read_bytes()).hexdigest()
-        for name in ("model", "agm")
+        "transcript_sha256": digest,
+        "transcript_mb": sizes,
+        **spreads,
     }
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_agm.json")
-    parser.add_argument("--baseline", type=Path, help="another checkout's src/ to time alongside")
-    args = parser.parse_args()
-
-    versions = {"current": sketchbench}
-    if args.baseline is not None:
-        versions["baseline"] = load_baseline(args.baseline)
+def record(versions: dict) -> tuple[dict, dict]:
     groups = {"agm-hard": agm_hard_inputs(), "n1024": n1024_inputs()}
-    for package in versions.values():  # warm-up: hash keys, first allocations
-        graph, advice, seed = groups["agm-hard"][0]
-        run_once(package, package.agm.make_agm_protocol(graph.n, K, DELTA), graph, advice, seed)
+    measure(groups["agm-hard"][0], versions)  # warm-up: hash keys, first allocations
     rows = {name: [measure(inputs, versions) for inputs in group] for name, group in groups.items()}
-    report = {
-        "seed": SEED,
-        "repeats": REPEATS,
-        "k": K,
-        "delta": DELTA,
-        "source_sha256": {name: sha256(package) for name, package in versions.items()},
-        "platform": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "nproc": os.cpu_count(),
-        },
-        "graphs": rows,
-        "median_ms": {
-            group: {
-                name: {
-                    layer: round(statistics.median(row[name][layer][1] for row in group_rows), 3)
-                    for layer in group_rows[0][name]
-                }
-                for name in versions
-            }
-            for group, group_rows in rows.items()
-        },
-        "range_ms": {
-            group: {
-                name: {
-                    layer: [
-                        min(row[name][layer][0] for row in group_rows),
-                        max(row[name][layer][2] for row in group_rows),
-                    ]
-                    for layer in group_rows[0][name]
-                }
-                for name in versions
-            }
-            for group, group_rows in rows.items()
-        },
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-    }
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
-    for group, by_version in report["median_ms"].items():
-        for name, medians in by_version.items():
-            ranges = report["range_ms"][group][name]
-            cells = "  ".join(
-                f"{layer[:-3]} {ms:.1f} [{ranges[layer][0]:.1f}-{ranges[layer][1]:.1f}]" for layer, ms in medians.items()
-            )
-            print(f"{group:8s} {name:8s} {cells}")
+    return {"seed": SEED, "repeats": REPEATS, "k": K, "delta": DELTA}, rows
 
 
 if __name__ == "__main__":
-    main()
+    layer_record.main(__doc__, "BENCH_agm.json", ("model", "agm"), record)

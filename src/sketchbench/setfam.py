@@ -17,6 +17,14 @@ least k in B.  ``find_separated_pair`` takes the first member in canonical
 order passing each half, and their conjunction ``is_separated_pair`` is the
 pair-shape check of ``verify_record``.
 
+So the chain cannot pin every wrong protocol.  The A-restricted role's view
+shows |S∩A|, and the pair rule needs |S0∩A| >= k > |S1∩A|, so a protocol that
+sends [|S∩A| >= k] in that role gives S0 and S1 different messages there and
+never has a separated pair in a common block.  ``degk`` in
+``tests/test_setfam.py`` is such a protocol: each V-node sends [its
+W-neighbours >= k], and its referee, always answering connected, is wrong on
+every C0 member, yet ``choose_partition`` pins no node for it.
+
 Splits of W are sampled once (``lbgraph.check_sizes`` vets (n, k)); each node
 encodes its sigma views and each distinct projection view once across trials,
 and ``message_partitions`` alone refuses randomized protocols.  Only the

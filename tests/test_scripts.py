@@ -1,0 +1,89 @@
+"""Smoke test of the layer records under ``scripts/``: harness, AGM record and oracle record.
+
+Each record is run on one small graph with two versions, this package as
+``current`` and a second copy of it loaded by ``layer_record.load_checkout``.
+Nothing is written: the report step (``layer_record.main``) is not run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+import sketchbench
+from sketchbench import lbgraph
+from sketchbench.mincut import CutResult
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def scripts():
+    # The harness pins thread pools and extends sys.path on import; undo both
+    # afterwards, and write no bytecode next to the scripts.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "path", list(sys.path))
+        patch.setattr(sys, "dont_write_bytecode", True)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            patch.setenv(var, "1")
+        harness = _load("layer_record")
+        versions = {"current": sketchbench, "baseline": harness.load_checkout(ROOT / "src", "baseline")}
+        yield SimpleNamespace(
+            harness=harness, agm=_load("agm_layer"), mincut=_load("mincut_layer"), versions=versions
+        )
+
+
+def _check_spreads(row, layers):
+    for name in ("current", "baseline"):
+        assert set(row[name]) == set(layers)
+        for low, mid, high in row[name].values():
+            assert 0 <= low <= mid <= high
+
+
+def test_agm_record_row(scripts):
+    spec = lbgraph.random_spec(36, 3, 1, condition=lbgraph.Condition.C1)
+    graph, advice = lbgraph.build_lb_graph(spec)
+    row = scripts.agm.measure((graph, advice, 1), scripts.versions)
+    assert set(row) == {"n", "bits", "transcript_sha256", "transcript_mb", "current", "baseline"}
+    assert row["n"] == 36 and len(row["transcript_sha256"]) == 64
+    layers = set(scripts.agm.LAYERS) - {"decode_ms"} | {"peel_ms", "execute_ms"}
+    _check_spreads(row, layers)
+    assert scripts.versions["baseline"].agm.__name__ == "sketchbench_baseline.agm"
+
+
+def test_mincut_record_row(scripts):
+    row = scripts.mincut.measure(scripts.mincut.cycle(16), scripts.versions)
+    assert set(row) == {"n", "edges", "lambda", "current", "baseline"}
+    assert (row["n"], row["edges"], row["lambda"]) == (16, 16, 2)
+    _check_spreads(row, {"global_min_cut_ms"})
+
+
+def test_mincut_record_refuses_an_uncertified_cut(scripts):
+    # Value 2 is right for the cycle, but the side {1, 3} crosses 4 edges.
+    wrong = SimpleNamespace(mincut=SimpleNamespace(global_min_cut=lambda graph: CutResult(2, frozenset({1, 3}))))
+    with pytest.raises(SystemExit, match="does not certify"):
+        scripts.mincut.measure(scripts.mincut.cycle(16), {"current": sketchbench, "baseline": wrong})
+
+
+def test_harness_alternates_and_requires_one_value(scripts):
+    order = []
+
+    def call(name, package):
+        order.append(name)
+        return {"x_ms": float(len(order))}, package
+
+    spreads, value = scripts.harness.measure({"current": 7, "baseline": 7}, call, 3)
+    assert order == ["baseline", "current", "current", "baseline", "baseline", "current"]
+    assert value == 7 and spreads == {"baseline": {"x_ms": [1, 4, 5]}, "current": {"x_ms": [2, 3, 6]}}
+    with pytest.raises(SystemExit, match="disagree"):
+        scripts.harness.measure({"current": 7, "baseline": 8}, call, 1)

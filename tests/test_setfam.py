@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketchbench.lbgraph import SpecError, layout, role_view
-from sketchbench.model import EMPTY_RANDOMNESS, Advice, Bits, NodeView
+from sketchbench.model import EMPTY_RANDOMNESS, Advice, Bits, Decision, NodeView, SketchProtocol
 from sketchbench.protocols import (
     constant,
     full_information,
@@ -18,7 +18,7 @@ from sketchbench.protocols import (
     toy_two_bit,
     truncation,
 )
-from sketchbench.reduction import build_context, reduction_size
+from sketchbench.reduction import NotEnoughGoodNodes, build_context, reduction_size
 from sketchbench.setfam import (
     BrokenPairRecord,
     DeterminismRequired,
@@ -517,3 +517,34 @@ def test_randomized_protocol_refused_by_message_partitions():
         choose_partition(make_agm_protocol(N16, 2, 0.1), fam40(), N16, 2, trials=1, seed=0)
     with pytest.raises(DeterminismRequired):
         build_context(make_agm_protocol(reduction_size(6), 2, 0.1), m=6, s=3, k=2, seed=0)
+
+
+def degk(k: int) -> SketchProtocol:
+    """Negative control: each V-node sends [its W-neighbours >= k], every other node 0.
+
+    The referee always answers CONNECTED, so it is wrong on every C0 member.
+    The A-restricted role's bit is [|S & A| >= k], which the pair rule makes 1
+    on S0 and 0 on S1: no common block holds a separated pair.
+    """
+
+    def encode(view: NodeView, _rand) -> Bits:
+        v_ids, w_ids, _, _ = layout(view.n)
+        degree = sum(v in w_ids for v, _ in view.neighbors) if view.id in v_ids else 0
+        return Bits.from_int(int(degree >= view.k), 1)
+
+    def decode(_messages, _rand) -> Decision:
+        return Decision.CONNECTED
+
+    return SketchProtocol(name="degk", k=k, max_bits=1, encode=encode, decode=decode)
+
+
+@pytest.mark.parametrize("m, s", [(6, 3), (9, 4)])
+def test_threshold_bit_pins_no_node(m, s):
+    # One role bit, [|S & A| >= k], takes a wrong protocol out of the chain's reach.
+    n, k = reduction_size(m), 2
+    family = complete_family(layout(n)[1], 2 * k - 1)
+    with pytest.raises(NoGoodPartition):
+        choose_partition(degk(k), family, n, k, trials=4, seed=1)
+    with pytest.raises(NotEnoughGoodNodes) as caught:
+        build_context(degk(k), m, s, k, seed=1, trials=4, family=family)
+    assert caught.value.found == 0
