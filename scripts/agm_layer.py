@@ -40,7 +40,6 @@ transcript holds 46.5 MB of messages; as '0'/'1' text it held 371.3 MB.
 
 import hashlib
 import sys
-from contextlib import contextmanager
 from time import perf_counter
 
 import layer_record  # first: it pins the thread pools and puts src/ and bench/ on sys.path
@@ -48,7 +47,7 @@ import workloads
 from sketchbench import lbgraph
 
 SEED = 1
-REPEATS = 5
+REPEATS = 6
 K, DELTA = 3, 0.05
 
 #: Layer name -> (module attribute, function) that the layer's time is summed
@@ -82,31 +81,6 @@ def n1024_inputs() -> list[tuple]:
     return [(graph, advice, SEED)]
 
 
-@contextmanager
-def timed_layers(package, totals: dict):
-    """Wrap the function of each layer in ``totals`` so that its calls add their time there."""
-    saved = []
-    for layer in totals:
-        module_name, attr = LAYERS[layer]
-        module = getattr(package, module_name)
-        inner = getattr(module, attr)
-
-        def wrapper(*args, _inner=inner, _layer=layer, **kwargs):
-            start = perf_counter()
-            try:
-                return _inner(*args, **kwargs)
-            finally:
-                totals[_layer] += perf_counter() - start
-
-        saved.append((module, attr, inner))
-        setattr(module, attr, wrapper)
-    try:
-        yield
-    finally:
-        for module, attr, inner in saved:
-            setattr(module, attr, inner)
-
-
 def message_mb(bits) -> float:
     """Memory one message object holds: a packed ``Bits`` pair with its bytes, or a ``str``."""
     size = sys.getsizeof(bits)
@@ -124,7 +98,7 @@ def measure(inputs: tuple, versions: dict) -> dict:
     def execute(name, package):
         totals = {layer: 0.0 for layer, (module, attr) in LAYERS.items() if hasattr(getattr(package, module), attr)}
         randomness = package.model.SharedRandomness(seed)
-        with timed_layers(package, totals):
+        with layer_record.timed_layers(package, LAYERS, totals):
             start = perf_counter()
             transcript = package.model.execute(protocols[name], graph, advice, randomness)
             totals["execute_ms"] = perf_counter() - start

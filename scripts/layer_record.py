@@ -1,4 +1,4 @@
-"""The harness of the layer records, ``scripts/agm_layer.py`` and ``scripts/mincut_layer.py``.
+"""The harness of the layer records, ``scripts/agm_layer.py``, ``scripts/lb_layer.py`` and ``scripts/mincut_layer.py``.
 
     python3 scripts/<record>.py [--out BENCH_<record>.json] [--baseline OTHER_CHECKOUT/src]
 
@@ -12,10 +12,13 @@ loads each one whole under a name of its own, so each version's modules
 import their own siblings and neither is the copy ``import sketchbench`` binds.
 
 Alternation.  On each input graph, each repeat calls every version once, in
-reversed order on odd repeats, so that both see the same machine state.  A
-call returns its layer times in ms and a value (a transcript digest, a
-certified cut value) that every call on that graph must share, else the
-record stops.
+reversed order on odd repeats, so that both see the same machine state.  The
+number of repeats must be even, so that each version goes first equally
+often.  A call returns its layer times in ms and a value (a transcript
+digest, a certified cut value, a context digest) that every call on that
+graph must share, else the record stops.  ``timed_layers`` times a layer by
+wrapping the library function it names, which the timed call reaches
+through its module's globals.
 
 Ranges.  Each graph row holds, per version and layer, [minimum, median,
 maximum] in ms over the repeats.  Each group gets ``median_ms``, the median
@@ -37,7 +40,9 @@ import platform
 import resource
 import statistics
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from time import perf_counter
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -67,8 +72,11 @@ def measure(versions: dict, call, repeats: int) -> tuple[dict, object]:
     """Each version's {layer: [min, median, max]} over ``repeats`` alternated calls, and their one value.
 
     ``call(name, package)`` runs one version once and returns its {layer: ms}
-    and the value that every call must share.
+    and the value that every call must share.  An odd ``repeats`` would let
+    one version go first once more than the other: ValueError.
     """
+    if repeats < 2 or repeats % 2:
+        raise ValueError(f"repeats must be even and at least 2, so each version goes first as often; got {repeats}")
     samples = {name: [] for name in versions}
     values = set()
     for r in range(repeats):
@@ -82,6 +90,35 @@ def measure(versions: dict, call, repeats: int) -> tuple[dict, object]:
         name: {layer: spread([run[layer] for run in runs]) for layer in runs[0]} for name, runs in samples.items()
     }
     return spreads, values.pop()
+
+
+def timed(fn, totals: dict, layer: str):
+    """``fn``, with the time of each call added to ``totals[layer]``, in seconds."""
+
+    def wrapper(*args, **kwargs):
+        start = perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            totals[layer] += perf_counter() - start
+
+    return wrapper
+
+
+@contextmanager
+def timed_layers(package, layers: dict, totals: dict):
+    """Wrap, by ``timed``, the function ``layers[layer]`` = (module, attribute) of each layer in ``totals``."""
+    saved = []
+    for layer in totals.keys() & layers.keys():
+        module_name, attr = layers[layer]
+        module = getattr(package, module_name)
+        saved.append((module, attr, getattr(module, attr)))
+        setattr(module, attr, timed(getattr(module, attr), totals, layer))
+    try:
+        yield
+    finally:
+        for module, attr, inner in reversed(saved):
+            setattr(module, attr, inner)
 
 
 def spread(values: list) -> list:

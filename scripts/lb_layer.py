@@ -1,0 +1,102 @@
+"""Time the layers of the set-family search, ``setfam.choose_partition``.
+
+    python3 scripts/lb_layer.py [--out BENCH_lb.json] [--baseline OTHER_CHECKOUT/src]
+
+Each case searches n=256 (|W| = 16) with seed 1 and 4 trials, over the
+complete family of sigma neighborhoods, the (2k-1)-subsets of W:
+
+- ``k2``: k=2, the 560 3-subsets, the family ``reduction.build_context``
+  uses at m=96 (the ``lb-reduce`` workload's set-up);
+- ``k3``: k=3, the 4,368 5-subsets, passed explicitly since
+  ``setfam.neighborhood_family`` refuses families above 4,096.
+
+Each group holds one row per protocol, ``toy2`` and ``trunc:3``.  The
+layers are timed by wrapping the functions ``choose_partition`` reaches
+through ``setfam``'s globals, and the protocol's encoder:
+
+- ``choose_partition_ms``: the whole call;
+- ``message_partitions_ms``: ``setfam.message_partitions``, every node's
+  role messages, encodes included;
+- ``encode_ms``: the protocol's ``encode``, every call: the search's, inside
+  ``message_partitions_ms``, and the re-verification's, inside
+  ``verify_record_ms``;
+- ``common_block_ms``: ``setfam.common_block``, per node and trial;
+- ``find_separated_pair_ms``: ``setfam.find_separated_pair``, per node and
+  trial;
+- ``verify_record_ms``: ``setfam.verify_record``, the winning trial's
+  records re-encoded from scratch.
+
+Every call on a case must give the same ``context_sha256``, the SHA-256 of
+the chosen context's ``to_json()``.  Each row also gives the family size,
+the pinned node count and ``peak_rss_mb``, the process's peak RSS once the
+row is done: the rows run in the order listed, both versions in one
+process, so it is a high-water mark over the rows so far.
+``layer_record`` describes the repeats, ranges and report.
+"""
+
+import hashlib
+import resource
+from dataclasses import replace
+from time import perf_counter
+
+import layer_record  # first: it pins the thread pools and puts src/ and bench/ on sys.path
+
+SEED = 1
+REPEATS = 4
+N, TRIALS = 256, 4
+PROTOCOLS = ("toy2", "trunc:3")
+
+#: Layer name -> (module attribute, function) that the layer's time is summed over.
+LAYERS = {
+    "message_partitions_ms": ("setfam", "message_partitions"),
+    "common_block_ms": ("setfam", "common_block"),
+    "find_separated_pair_ms": ("setfam", "find_separated_pair"),
+    "verify_record_ms": ("setfam", "verify_record"),
+}
+
+
+def measure(case: tuple, versions: dict) -> dict:
+    """The row of one (protocol, n, k, trials) case: its layer spreads per version and its context digest."""
+    name, n, k, trials = case
+    families = {
+        version: package.setfam.complete_family(package.lbgraph.layout(n)[1], 2 * k - 1)
+        for version, package in versions.items()
+    }
+    pinned = set()
+
+    def search(version, package):
+        totals = {layer: 0.0 for layer in (*LAYERS, "encode_ms")}
+        protocol = package.protocols.make_protocol(name, n, k)
+        protocol = replace(protocol, encode=layer_record.timed(protocol.encode, totals, "encode_ms"))
+        with layer_record.timed_layers(package, LAYERS, totals):
+            start = perf_counter()
+            ctx = package.setfam.choose_partition(protocol, families[version], n, k, trials, SEED)
+            totals["choose_partition_ms"] = perf_counter() - start
+        pinned.add(len(ctx.good))
+        digest = hashlib.sha256(ctx.to_json().encode()).hexdigest()
+        return {layer: seconds * 1e3 for layer, seconds in totals.items()}, digest
+
+    spreads, digest = layer_record.measure(versions, search, REPEATS)
+    return {
+        "protocol": name,
+        "n": n,
+        "k": k,
+        "members": len(families["current"].members),
+        "trials": trials,
+        "pinned": pinned.pop(),
+        "context_sha256": digest,
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        **spreads,
+    }
+
+
+def record(versions: dict) -> tuple[dict, dict]:
+    measure(("toy2", 36, 2, 2), versions)  # warm-up: imports, cached layouts, first allocations
+    rows = {
+        f"k{k}": [measure((name, N, k, TRIALS), versions) for name in PROTOCOLS] for k in (2, 3)
+    }
+    return {"seed": SEED, "repeats": REPEATS}, rows
+
+
+if __name__ == "__main__":
+    layer_record.main(__doc__, "BENCH_lb.json", ("lbgraph", "setfam"), record)

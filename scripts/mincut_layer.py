@@ -16,7 +16,7 @@ the rest are the oracle's worst cases:
 On the cycles and the heavy path, each maximum-adjacency phase labels every
 vertex but the last below the best cut, so each phase contracts one pair.  The
 last two groups took 1.86 s and 0.61 s per call before any contraction rule
-was added, so with 21 repeats of both versions they add about 100 s to a
+was added, so with 20 repeats of both versions they add about 100 s to a
 ``--baseline`` run.  Each graph records n, its edges (total multiplicity),
 lambda and one layer, ``global_min_cut_ms``.  Every call's side must certify
 its value by this checkout's ``mincut.crossing_value``, and every call must
@@ -32,7 +32,7 @@ from sketchbench import lbgraph, mincut, reduction
 from sketchbench.model import MultiGraph
 
 SEED = 1
-REPEATS = 21
+REPEATS = 20
 
 
 def lb_reduce_graphs(count: int = 20) -> list[MultiGraph]:

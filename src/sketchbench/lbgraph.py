@@ -10,11 +10,13 @@ A and B.
 
 ``check_sizes`` is the one rule for the (n, k) at which the family exists,
 ``hub_of`` the one rule for the hub a V-node's k parallel edges go to, and
-``role_view`` the one rule for the view a V-node has in a given role; the
-set-family search, its record checks and Charlie's simulation all build V-node
-views and hub views with them.  ``build_lb_graph`` wires the same rules as
-edges, independently, so that fidelity checks compare the simulation with an
-honest graph.
+``role_entries`` the one rule for the neighbor entries a V-node has in a given
+role.  Those entries do not depend on the node, so the set-family search
+builds them once per candidate neighborhood and wraps them in each node's
+view; ``role_view`` is that wrapping for one node, and the search's record
+checks and Charlie's simulation build V-node views and hub views with it.
+``build_lb_graph`` wires the same rules as edges, independently, so that
+fidelity checks compare the simulation with an honest graph.
 """
 
 from __future__ import annotations
@@ -70,17 +72,25 @@ def hub_of(advice: Optional[Advice], n: int) -> int:
     return u_b if advice is Advice.B_RESTRICTED else u_a
 
 
-def role_view(
-    node: int, w_neighbors: Iterable[int], advice: Optional[Advice], n: int, k: int
-) -> NodeView:
-    """The view of V-node ``node`` in a family member, given its W-edges and role.
+def role_entries(
+    w_neighbors: Iterable[int], advice: Optional[Advice], n: int, k: int
+) -> tuple[tuple[int, int], ...]:
+    """The neighbor entries of a V-node's view, given its W-edges and role.
 
     One edge to each W-neighbor, then k parallel edges to ``hub_of(advice)``.
-    The hubs have the largest ids, so the hub entry comes last.
+    The hubs have the largest ids, so the hub entry comes last.  The entries
+    do not depend on which V-node holds them.
     """
     entries = [(w, 1) for w in sorted(w_neighbors)]
     entries.append((hub_of(advice, n), k))
-    return NodeView(node, tuple(entries), advice, n, k)
+    return tuple(entries)
+
+
+def role_view(
+    node: int, w_neighbors: Iterable[int], advice: Optional[Advice], n: int, k: int
+) -> NodeView:
+    """The view of V-node ``node`` in a family member, given its W-edges and role."""
+    return NodeView(node, role_entries(w_neighbors, advice, n, k), advice, n, k)
 
 
 @dataclass

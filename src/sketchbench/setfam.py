@@ -3,9 +3,10 @@
 Given a deterministic protocol, each candidate W-neighborhood of a V-node
 induces a message in each of the node's three possible roles (sigma,
 A-restricted on the A-projection, B-restricted on the B-projection), encoded
-from ``lbgraph.role_view``.  Each role gives a plain map from input to
-message; neighborhoods whose three messages all agree form a common block and
-are indistinguishable to the referee.  A separated pair inside such a block
+from a view over ``lbgraph.role_entries``.  Each role gives a map from input
+to message, kept as each input's rank among the role's distinct messages;
+neighborhoods whose three messages all agree form a common block and are
+indistinguishable to the referee.  A separated pair inside such a block
 pins the node: one neighborhood forces the graph disconnected below k, the
 other forces it k-edge connected, yet the node's messages cannot tell them
 apart.
@@ -25,10 +26,12 @@ never has a separated pair in a common block.  ``degk`` in
 W-neighbours >= k], and its referee, always answering connected, is wrong on
 every C0 member, yet ``choose_partition`` pins no node for it.
 
-Splits of W are sampled once (``lbgraph.check_sizes`` vets (n, k)); each node
-encodes its sigma views and each distinct projection view once across trials,
-and ``message_partitions`` alone refuses randomized protocols.  Only the
-winning trial's records are re-verified from scratch.
+Splits of W are sampled once (``lbgraph.check_sizes`` vets (n, k)), and the
+role entries of every sigma member and every distinct projection are built
+once, since they do not depend on the node.  Each node encodes its sigma
+views and each distinct projection view once across trials, and
+``message_partitions`` alone refuses randomized protocols.  Only the winning
+trial's records are re-verified from scratch.
 """
 
 from __future__ import annotations
@@ -36,12 +39,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .lbgraph import check_sizes, layout, role_view
-from .model import Advice, Bits, EMPTY_RANDOMNESS, SketchProtocol
+from .lbgraph import check_sizes, layout, role_entries, role_view
+from .model import Advice, Bits, EMPTY_RANDOMNESS, NodeView, SketchProtocol
 
 Member = tuple[int, ...]  # a W-neighborhood, ascending ids
 
@@ -215,58 +218,84 @@ def split_projections(
     }
 
 
+class RoleCodes(NamedTuple):
+    """One role's messages on its inputs: the distinct messages in ``Bits`` order, and each input's rank."""
+
+    alphabet: tuple[Bits, ...]
+    codes: np.ndarray  # int64, one per input, in input order
+
+    def message(self, i: int) -> Bits:
+        return self.alphabet[self.codes[i]]
+
+
+Entries = tuple[tuple[int, int], ...]  # a view's neighbor entries, ``lbgraph.role_entries``
+
+
 def message_partitions(
     protocol: SketchProtocol,
     node: int,
-    family: SetFamily,
-    a_projections: Iterable[Member],
-    b_projections: Iterable[Member],
+    sigma_entries: Sequence[Entries],
+    a_entries: Sequence[Entries],
+    b_entries: Sequence[Entries],
     n: int,
     k: int,
-) -> tuple[dict[Member, Bits], dict[Member, Bits], dict[Member, Bits]]:
-    """The node's message on every input of each role: sigma, A-, B-projection.
+) -> tuple[RoleCodes, RoleCodes, RoleCodes]:
+    """The node's rank-coded message on every input of each role: sigma, A-, B-projection.
 
-    The sigma role reads whole family members, the restricted roles the given
-    projections.  The sigma role does not depend on the split, and the
-    projections passed in are the distinct ones of every split under
-    consideration, so one call serves all of a node's trials and encodes each
-    distinct view once.
+    Each input is given by its view's neighbor entries, which do not depend
+    on the node, so they are built once for all nodes: the sigma role's from
+    whole family members, the restricted roles' from projections.  Here each
+    is only wrapped in the node's ``NodeView`` and encoded.  The sigma role
+    does not depend on the split, and the projections passed in are the
+    distinct ones of every split under consideration, so one call serves all
+    of a node's trials and encodes each distinct view once.  Codes rank the
+    distinct messages in ``Bits`` order, so comparing codes compares messages.
     """
     if not protocol.deterministic:
         raise DeterminismRequired(f"protocol {protocol.name!r} is randomized")
+    encode = protocol.encode
 
-    def messages(keys: Iterable[Member], advice: Advice) -> dict[Member, Bits]:
-        return {
-            key: protocol.encode(role_view(node, key, advice, n, k), EMPTY_RANDOMNESS)
-            for key in keys
-        }
+    def coded(inputs: Sequence[Entries], advice: Advice) -> RoleCodes:
+        messages = [encode(NodeView(node, entries, advice, n, k), EMPTY_RANDOMNESS) for entries in inputs]
+        alphabet = sorted(set(messages))
+        rank = {bits: code for code, bits in enumerate(alphabet)}
+        return RoleCodes(tuple(alphabet), np.fromiter(map(rank.__getitem__, messages), np.int64, len(messages)))
 
     return (
-        messages(family.members, Advice.SIGMA),
-        messages(a_projections, Advice.A_RESTRICTED),
-        messages(b_projections, Advice.B_RESTRICTED),
+        coded(sigma_entries, Advice.SIGMA),
+        coded(a_entries, Advice.A_RESTRICTED),
+        coded(b_entries, Advice.B_RESTRICTED),
     )
 
 
 def common_block(
-    msg_sigma: dict[Member, Bits],
-    msg_a: dict[Member, Bits],
-    msg_b: dict[Member, Bits],
-    projections: Projections,
+    sigma: RoleCodes,
+    role_a: RoleCodes,
+    role_b: RoleCodes,
+    a_index: np.ndarray,
+    b_index: np.ndarray,
+    members: Sequence[Member],
 ) -> tuple[Member, ...]:
     """Largest subset of the family on which all three role messages agree.
 
-    Each member is lifted to its message triple through its own sigma message
-    and the messages of its two projections under the split; members are
-    grouped by triple and the largest group wins, ties broken by the
-    lexicographically smallest triple.  Pigeonhole floor: the result has at
+    Member i is lifted to its message triple through its own sigma code and
+    the codes of its two projections under the split, ``role_a.codes[a_index[i]]``
+    and ``role_b.codes[b_index[i]]``.  The three codes are joined into one
+    int64 in mixed radix, sigma first, so that code order is the triple's
+    ``Bits`` order; members are grouped by it with ``np.unique``, which
+    allocates per member rather than per possible triple, and the largest
+    group wins, ties broken by the lexicographically smallest triple.  The
+    block comes back in family order.  Pigeonhole floor: the result has at
     least |S| / 2^(3L) members.
     """
-    groups: dict[tuple[Bits, Bits, Bits], list[Member]] = {}
-    for s, (proj_a, proj_b) in projections.items():
-        groups.setdefault((msg_sigma[s], msg_a[proj_a], msg_b[proj_b]), []).append(s)
-    best_triple = min(groups, key=lambda t: (-len(groups[t]), t))
-    return tuple(groups[best_triple])
+    widths = len(sigma.alphabet) * len(role_a.alphabet) * len(role_b.alphabet)
+    if widths > np.iinfo(np.int64).max:
+        raise ValueError(f"{widths} message triples do not fit in int64 codes")
+    triples = (sigma.codes * len(role_a.alphabet) + role_a.codes[a_index]) * len(role_b.alphabet)
+    triples += role_b.codes[b_index]
+    values, counts = np.unique(triples, return_counts=True)
+    best = values[np.argmax(counts)]  # the first largest group: the smallest triple among them
+    return tuple(members[i] for i in np.flatnonzero(triples == best))
 
 
 def forces_disconnected(s, a_side: frozenset[int], b_side: frozenset[int], k: int) -> bool:
@@ -392,42 +421,68 @@ def choose_partition(
 
     V and W are the ``lbgraph.layout`` ids of an n-node family member.  Each
     trial assigns W-members to A or B uniformly (resampling until both sides
-    reach size k).  All trials' splits and every member's projections under
-    them are fixed first; then each node encodes its sigma-role views once and
-    each distinct projection view once across all trials, and per trial
-    records an indistinguishable separated pair wherever the common block
-    contains both kinds.  The first trial with the most pinned nodes wins, and
-    each of its records is re-verified from scratch; a failure raises
-    BrokenPairRecord.  Trial seeds are derived by counter, so the result is a
-    pure function of the inputs.  ``family`` must hold (2k-1)-subsets of W,
-    the candidate sigma neighborhoods, else ValueError.
+    reach size k).  All trials' splits, every member's projections under
+    them and the role entries of every member and distinct projection are
+    fixed first, with each trial's member -> projection index arrays; then
+    each node encodes its sigma-role views once and each distinct projection
+    view once across all trials, and per trial records an indistinguishable
+    separated pair wherever the common block contains both kinds.  The first
+    trial with the most pinned nodes wins, and each of its records is
+    re-verified from scratch; a failure raises BrokenPairRecord.  Trial seeds
+    are derived by counter, so the result is a pure function of the inputs.
+    ``family`` must hold distinct (2k-1)-subsets of W, the candidate sigma
+    neighborhoods, and at least one of them, else ValueError.
     """
     check_sizes(n, k)
     v_ids, w_ids, _, _ = layout(n)
-    if any(len(member) != 2 * k - 1 for member in family.members):
+    members = family.members
+    if not members:
+        raise ValueError("the family is empty: no candidate sigma neighborhood")
+    if any(len(member) != 2 * k - 1 for member in members):
         raise ValueError(f"family members must be sigma neighborhoods of size 2k-1 = {2 * k - 1}")
+    w_set = set(w_ids)
+    outside = next((member for member in members if not w_set.issuperset(member)), None)
+    if outside is not None:
+        raise ValueError(f"family member {outside} is not a subset of W = {w_ids[0]}..{w_ids[-1]}")
+    if len(set(members)) != len(members):
+        raise ValueError("family members must be distinct")
 
     splits = [_sample_split(w_ids, k, seed, trial) for trial in range(trials)]
     projections = [split_projections(family, a_side, b_side) for a_side, b_side in splits]
     a_keys = sorted({proj_a for proj in projections for proj_a, _ in proj.values()})
     b_keys = sorted({proj_b for proj in projections for _, proj_b in proj.values()})
+    a_rank = {key: i for i, key in enumerate(a_keys)}
+    b_rank = {key: i for i, key in enumerate(b_keys)}
+    indices = [
+        (
+            np.array([a_rank[proj_a] for proj_a, _ in proj.values()], dtype=np.int64),
+            np.array([b_rank[proj_b] for _, proj_b in proj.values()], dtype=np.int64),
+        )
+        for proj in projections
+    ]
+    entries = (
+        [role_entries(member, Advice.SIGMA, n, k) for member in members],
+        [role_entries(key, Advice.A_RESTRICTED, n, k) for key in a_keys],
+        [role_entries(key, Advice.B_RESTRICTED, n, k) for key in b_keys],
+    )
+    position = {member: i for i, member in enumerate(members)}
     goods: list[dict[int, SeparatedPairRecord]] = [{} for _ in splits]
     for node in v_ids:
-        msg_sigma, msg_a, msg_b = message_partitions(protocol, node, family, a_keys, b_keys, n, k)
-        for (a_side, b_side), proj, good in zip(splits, projections, goods):
-            block = common_block(msg_sigma, msg_a, msg_b, proj)
+        sigma, role_a, role_b = message_partitions(protocol, node, *entries, n, k)
+        for (a_side, b_side), (a_index, b_index), good in zip(splits, indices, goods):
+            block = common_block(sigma, role_a, role_b, a_index, b_index, members)
             pair = find_separated_pair(block, a_side, b_side, k)
             if pair is None:
                 continue
             s0, s1 = pair
-            proj_a, proj_b = proj[s0]
+            i = position[s0]
             good[node] = SeparatedPairRecord(
                 node=node,
                 s0=s0,
                 s1=s1,
-                message_sigma=msg_sigma[s0],
-                message_a=msg_a[proj_a],
-                message_b=msg_b[proj_b],
+                message_sigma=sigma.message(i),
+                message_a=role_a.message(a_index[i]),
+                message_b=role_b.message(b_index[i]),
             )
 
     if not any(goods):

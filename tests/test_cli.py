@@ -99,10 +99,10 @@ def test_choose_partition_reports_broken_record(capsys, monkeypatch):
     honest = setfam.message_partitions
 
     def corrupted(*args):
-        msg_sigma, msg_a, msg_b = honest(*args)
-        # Flip each message's first bit.
-        flipped = {key: Bits(bytes([b.data[0] ^ 0x80]) + b.data[1:], len(b)) for key, b in msg_sigma.items()}
-        return flipped, msg_a, msg_b
+        sigma, role_a, role_b = honest(*args)
+        # Flip each sigma message's first bit.
+        flipped = tuple(Bits(bytes([b.data[0] ^ 0x80]) + b.data[1:], len(b)) for b in sigma.alphabet)
+        return sigma._replace(alphabet=flipped), role_a, role_b
 
     monkeypatch.setattr(setfam, "message_partitions", corrupted)
     code, report = run(capsys, "choose-partition", "--n", 36, "--k", 2, "--protocol", "const", "--trials", 1)

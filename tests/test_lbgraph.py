@@ -13,6 +13,7 @@ from sketchbench.lbgraph import (
     hub_of,
     layout,
     random_spec,
+    role_entries,
     role_view,
     sigma_neighborhood_sweep,
     validate,
@@ -180,16 +181,16 @@ def test_random_specs_valid_and_dichotomy():
 def test_role_view_matches_built_graph(n, k):
     # The role rule the set-family search and Charlie use agrees with the
     # honest graph on every V-node, sigma included, on both sides of the
-    # dichotomy.
+    # dichotomy; the node's entries are role_entries, which take no node.
     v_ids, _, _, _ = layout(n)
     for seed in range(4):
         for condition in (Condition.C0, Condition.C1):
             spec = random_spec(n, k, seed, condition=condition)
             graph, advice = build_lb_graph(spec)
             for v in v_ids:
-                assert node_view(graph, v, advice[v], k) == role_view(
-                    v, spec.w_neighbors[v], advice[v], n, k
-                )
+                view = node_view(graph, v, advice[v], k)
+                assert view == role_view(v, spec.w_neighbors[v], advice[v], n, k)
+                assert view.neighbors == role_entries(spec.w_neighbors[v], advice[v], n, k)
 
 
 @pytest.mark.parametrize("n, k", [(36, 2), (64, 3), (100, 4)])

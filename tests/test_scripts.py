@@ -1,10 +1,12 @@
-"""Smoke test of the layer records under ``scripts/``: harness, AGM record and oracle record.
+"""Smoke test of the layer records under ``scripts/``: harness, AGM, set-family and oracle records.
 
-Each record is run on one small graph with two versions, this package as
-``current`` and a second copy of it loaded by ``layer_record.load_checkout``.
+Each record is run on one small input (a graph, or an n=16 set-family search)
+with two versions, this package as ``current`` and a second copy of it loaded
+by ``layer_record.load_checkout``.
 Nothing is written: the report step (``layer_record.main``) is not run.
 """
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 import sketchbench
-from sketchbench import lbgraph
+from sketchbench import lbgraph, protocols, setfam
 from sketchbench.mincut import CutResult
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,7 +41,11 @@ def scripts():
         harness = _load("layer_record")
         versions = {"current": sketchbench, "baseline": harness.load_checkout(ROOT / "src", "baseline")}
         yield SimpleNamespace(
-            harness=harness, agm=_load("agm_layer"), mincut=_load("mincut_layer"), versions=versions
+            harness=harness,
+            agm=_load("agm_layer"),
+            lb=_load("lb_layer"),
+            mincut=_load("mincut_layer"),
+            versions=versions,
         )
 
 
@@ -59,6 +65,22 @@ def test_agm_record_row(scripts):
     layers = set(scripts.agm.LAYERS) - {"decode_ms"} | {"peel_ms", "execute_ms"}
     _check_spreads(row, layers)
     assert scripts.versions["baseline"].agm.__name__ == "sketchbench_baseline.agm"
+
+
+def test_lb_record_row(scripts):
+    row = scripts.lb.measure(("toy2", 16, 2, 2), scripts.versions)
+    assert set(row) == {
+        "protocol", "n", "k", "members", "trials", "pinned", "context_sha256", "peak_rss_mb", "current", "baseline"
+    }
+    assert (row["protocol"], row["n"], row["k"], row["members"], row["trials"]) == ("toy2", 16, 2, 4, 2)
+    family = setfam.complete_family(lbgraph.layout(16)[1], 3)
+    ctx = setfam.choose_partition(protocols.make_protocol("toy2", 16, 2), family, 16, 2, 2, scripts.lb.SEED)
+    assert row["pinned"] == len(ctx.good) > 0
+    assert row["context_sha256"] == hashlib.sha256(ctx.to_json().encode()).hexdigest()
+    _check_spreads(row, set(scripts.lb.LAYERS) | {"encode_ms", "choose_partition_ms"})
+    assert scripts.versions["baseline"].setfam.__name__ == "sketchbench_baseline.setfam"
+    # The wrapped functions are put back after each call.
+    assert scripts.versions["baseline"].setfam.common_block.__module__ == "sketchbench_baseline.setfam"
 
 
 def test_mincut_record_row(scripts):
@@ -82,8 +104,14 @@ def test_harness_alternates_and_requires_one_value(scripts):
         order.append(name)
         return {"x_ms": float(len(order))}, package
 
-    spreads, value = scripts.harness.measure({"current": 7, "baseline": 7}, call, 3)
-    assert order == ["baseline", "current", "current", "baseline", "baseline", "current"]
-    assert value == 7 and spreads == {"baseline": {"x_ms": [1, 4, 5]}, "current": {"x_ms": [2, 3, 6]}}
+    spreads, value = scripts.harness.measure({"current": 7, "baseline": 7}, call, 4)
+    assert order == ["baseline", "current", "current", "baseline", "baseline", "current", "current", "baseline"]
+    assert value == 7 and spreads == {"baseline": {"x_ms": [1, 4.5, 8]}, "current": {"x_ms": [2, 4.5, 7]}}
     with pytest.raises(SystemExit, match="disagree"):
-        scripts.harness.measure({"current": 7, "baseline": 8}, call, 1)
+        scripts.harness.measure({"current": 7, "baseline": 8}, call, 2)
+    # An odd count would let one version go first once more than the other.
+    calls = len(order)
+    for repeats in (0, 1, 3, 21):
+        with pytest.raises(ValueError, match=f"repeats must be even.*got {repeats}"):
+            scripts.harness.measure({"current": 7, "baseline": 7}, call, repeats)
+    assert len(order) == calls

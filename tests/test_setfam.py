@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchbench.lbgraph import SpecError, layout, role_view
+from sketchbench.lbgraph import SpecError, layout, role_entries, role_view
 from sketchbench.model import EMPTY_RANDOMNESS, Advice, Bits, Decision, NodeView, SketchProtocol
 from sketchbench.protocols import (
     constant,
@@ -24,6 +24,7 @@ from sketchbench.setfam import (
     DeterminismRequired,
     FamilyTooSparse,
     NoGoodPartition,
+    RoleCodes,
     SetFamily,
     choose_partition,
     common_block,
@@ -50,11 +51,22 @@ def fam40(seed=11) -> SetFamily:
 
 
 def partitions_of_split(proto, node, fam, a_side, b_side):
-    """The node's three role partitions under one split, plus that split's projections."""
+    """The node's three role messages by input under one split, and that split's common block."""
     proj = split_projections(fam, a_side, b_side)
     a_keys = sorted({proj_a for proj_a, _ in proj.values()})
     b_keys = sorted({proj_b for _, proj_b in proj.values()})
-    return (*message_partitions(proto, node, fam, a_keys, b_keys, N16, 2), proj)
+    roles = ((fam.members, Advice.SIGMA), (a_keys, Advice.A_RESTRICTED), (b_keys, Advice.B_RESTRICTED))
+    entries = [[role_entries(key, advice, N16, 2) for key in keys] for keys, advice in roles]
+    coded = message_partitions(proto, node, *entries, N16, 2)
+    for role in coded:
+        assert list(role.alphabet) == sorted(set(role.alphabet))  # code order is Bits order
+    a_index = np.array([a_keys.index(proj_a) for proj_a, _ in proj.values()])
+    b_index = np.array([b_keys.index(proj_b) for _, proj_b in proj.values()])
+    block = common_block(*coded, a_index, b_index, fam.members)
+    messages = [
+        {key: role.message(i) for i, key in enumerate(keys)} for (keys, _), role in zip(roles, coded)
+    ]
+    return (*messages, block)
 
 
 def blocks(messages):
@@ -129,19 +141,19 @@ def test_partitions_full_information_singletons():
     fam = fam40()
     a_side = frozenset(list(W16)[:8])
     b_side = frozenset(W16) - a_side
-    ps, pa, pb, proj = partitions_of_split(full_information(N16, 2), 5, fam, a_side, b_side)
-    assert all(len(block) == 1 for block in blocks(ps).values())
-    assert all(len(block) == 1 for block in blocks(pa).values())
-    assert len(common_block(ps, pa, pb, proj)) == 1
+    ps, pa, pb, block = partitions_of_split(full_information(N16, 2), 5, fam, a_side, b_side)
+    assert all(len(group) == 1 for group in blocks(ps).values())
+    assert all(len(group) == 1 for group in blocks(pa).values())
+    assert block == (min(ps, key=ps.get),)  # every triple is distinct: the smallest wins
 
 
 def test_partitions_constant_single_block():
     fam = fam40()
     a_side = frozenset(list(W16)[:8])
     b_side = frozenset(W16) - a_side
-    ps, pa, pb, proj = partitions_of_split(constant(2), 5, fam, a_side, b_side)
+    ps, pa, pb, block = partitions_of_split(constant(2), 5, fam, a_side, b_side)
     assert len(blocks(ps)) == len(blocks(pa)) == len(blocks(pb)) == 1
-    assert set(common_block(ps, pa, pb, proj)) == set(fam.members)
+    assert block == fam.members
 
 
 def test_partitions_truncation_block_budget():
@@ -166,8 +178,7 @@ def test_pigeonhole_floor_parity():
     a_side = frozenset(list(W16)[:8])
     b_side = frozenset(W16) - a_side
     proto = parity(2)
-    ps, pa, pb, proj = partitions_of_split(proto, 5, fam, a_side, b_side)
-    block = common_block(ps, pa, pb, proj)
+    _, _, _, block = partitions_of_split(proto, 5, fam, a_side, b_side)
     floor = math.ceil(len(fam.members) / 2 ** (3 * proto.max_bits))
     assert len(block) >= floor == 5
 
@@ -262,10 +273,10 @@ def test_choose_partition_raises_on_corrupted_record(monkeypatch):
     honest = setfam.message_partitions
 
     def corrupted(*args):
-        msg_sigma, msg_a, msg_b = honest(*args)
-        # Flip each message's first bit.
-        flipped = {key: Bits(bytes([b.data[0] ^ 0x80]) + b.data[1:], len(b)) for key, b in msg_sigma.items()}
-        return flipped, msg_a, msg_b
+        sigma, role_a, role_b = honest(*args)
+        # Flip each sigma message's first bit.
+        flipped = tuple(Bits(bytes([b.data[0] ^ 0x80]) + b.data[1:], len(b)) for b in sigma.alphabet)
+        return sigma._replace(alphabet=flipped), role_a, role_b
 
     monkeypatch.setattr(setfam, "message_partitions", corrupted)
     with pytest.raises(BrokenPairRecord, match="re-verification"):
@@ -379,6 +390,56 @@ def test_choose_partition_rejects_wrong_member_size(d):
         build_context(toy_two_bit(2), 30, 3, 2, seed=1, trials=2, family=family)
 
 
+def test_choose_partition_refuses_an_empty_family():
+    empty = SetFamily(ground=tuple(W16), d=3, epsilon=4 / 3, members=())
+    with pytest.raises(ValueError, match="family is empty"):
+        choose_partition(toy_two_bit(2), empty, N16, 2, trials=1, seed=0)
+
+
+@pytest.mark.parametrize("member", [(300, 301, 302), (W16[0], W16[1], V16[-1])], ids=["above-n", "in-V"])
+def test_choose_partition_refuses_a_member_outside_w(member):
+    # Ids above n would be encoded into views of nodes that do not exist.
+    fam = fam40()
+    bad = replace(fam, members=fam.members + (member,))
+    with pytest.raises(ValueError, match=rf"member \({member[0]}, .* not a subset of W = {W16[0]}\.\.{W16[-1]}"):
+        choose_partition(toy_two_bit(2), bad, N16, 2, trials=1, seed=0)
+
+
+def test_choose_partition_refuses_repeated_members():
+    fam = fam40()
+    with pytest.raises(ValueError, match="distinct"):
+        choose_partition(toy_two_bit(2), replace(fam, members=fam.members * 2), N16, 2, trials=1, seed=0)
+
+
+def test_common_block_groups_codes_beyond_a_dense_table():
+    # Three alphabets of 2^14 codes: 2^42 possible triples, so a table per
+    # triple would not fit in memory.  Two groups of three tie; the smaller
+    # triple wins, and the block comes back in member order.
+    width, count = 2**14, 5000
+    rng = np.random.default_rng(3)
+    alphabet = tuple(Bits.from_int(code, 14) for code in range(width))
+    sigma = RoleCodes(alphabet, rng.integers(0, width, size=count))
+    role_a = RoleCodes(alphabet, rng.integers(0, width, size=count))
+    role_b = RoleCodes(alphabet, rng.integers(0, width, size=count))
+    a_index, b_index = rng.permutation(count), rng.permutation(count)
+    for group, triple in (([40, 7, 4000], (9, 9, 9)), ([5, 2500, 4999], (9, 9, 8))):
+        for i in group:
+            sigma.codes[i], role_a.codes[a_index[i]], role_b.codes[b_index[i]] = triple
+    members = tuple((i,) for i in range(count))
+    groups = {}
+    for i in range(count):
+        triple = (sigma.message(i), role_a.message(a_index[i]), role_b.message(b_index[i]))
+        groups.setdefault(triple, []).append(members[i])
+    expect = min(groups.items(), key=lambda item: (-len(item[1]), item[0]))[1]
+    assert len(expect) == 3 and len(groups) > count - 10
+    block = common_block(sigma, role_a, role_b, a_index, b_index, members)
+    assert block == ((5,), (2500,), (4999,)) and list(block) == expect
+    # Three alphabets of 2^21: the joined codes would overflow int64.
+    wide = RoleCodes(range(2**21), sigma.codes)
+    with pytest.raises(ValueError, match="do not fit in int64"):
+        common_block(wide, wide, wide, a_index, b_index, members)
+
+
 def test_complete_family():
     fam = complete_family(range(11, 15), 3)
     assert len(fam.members) == 4
@@ -427,7 +488,7 @@ def reference_choose_partition(protocol, family, w_ids, k, trials, seed):
 
 
 @pytest.mark.parametrize("n", [N16, 100])
-@pytest.mark.parametrize("name", ["const", "parity", "toy2", "trunc:2"])
+@pytest.mark.parametrize("name", ["const", "parity", "toy2", "trunc:2", "full"])
 def test_choose_partition_matches_per_trial_reference(name, n):
     _, w_ids, _, _ = layout(n)
     proto = make_protocol(name, n, 2)
