@@ -41,7 +41,7 @@ from .lbgraph import (
     sigma_neighborhood_sweep,
     verify_dichotomy,
 )
-from .mincut import crossing_value, global_min_cut, is_k_edge_connected
+from .mincut import check_k, crossing_value, global_min_cut, is_k_edge_connected
 from .model import Decision, MultiGraph, SharedRandomness, execute, load_graph, save_graph
 from .overlap import (
     OVERLAP_PROTOCOLS,
@@ -158,6 +158,7 @@ def cmd_verify_lb(args, report: RunReport) -> None:
 
 
 def cmd_kconn(args, report: RunReport) -> None:
+    check_k(args.k)
     graph = load_graph(args.graph)
     report.input_hashes[str(args.graph)] = blob_hash(args.graph)
     cut = global_min_cut(graph)

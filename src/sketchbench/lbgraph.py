@@ -14,7 +14,8 @@ A and B.
 role.  Those entries do not depend on the node, so the set-family search
 builds them once per candidate neighborhood and wraps them in each node's
 view; ``role_view`` is that wrapping for one node, and the search's record
-checks and Charlie's simulation build V-node views and hub views with it.
+checks and Charlie's simulation build V-node views with it.  Charlie's hub
+views are built directly, each V-node attached to the hub ``hub_of`` names.
 ``build_lb_graph`` wires the same rules as edges, independently, so that
 fidelity checks compare the simulation with an honest graph.
 """

@@ -59,27 +59,16 @@ def crossing_value(graph: MultiGraph, side) -> int:
     return total
 
 
-def _component_of(graph: MultiGraph, start: int) -> frozenset[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in graph.neighborhood(u):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return frozenset(seen)
-
-
 def _ma_order(adj: dict[int, dict[int, int]]) -> list[tuple[int, int]]:
     """A maximum-adjacency order of ``adj`` from its smallest vertex, as (v_i, r(v_i)).
 
-    r(v_1) is 0.  Ties go to the smallest id.
+    r(v_1) is 0.  Ties go to the smallest id.  On a disconnected graph the
+    order stops once the smallest vertex's component has grown.
     """
     attach = dict.fromkeys(adj, 0)  # of each vertex not yet grown
     heap = [(0, min(adj))]
     order = []
-    while attach:
+    while attach and heap:
         # A vertex's freshest entry pops before its stale ones, so an entry
         # whose vertex has already grown is the only kind to skip.
         v = heapq.heappop(heap)[1]
@@ -95,26 +84,25 @@ def _ma_order(adj: dict[int, dict[int, int]]) -> list[tuple[int, int]]:
 def global_min_cut(graph: MultiGraph) -> CutResult:
     """Exact minimum cut by Nagamochi-Ibaraki contraction, integer weights.
 
-    A disconnected graph yields value 0 with one connected component as the
-    certified side.
+    A disconnected graph yields value 0 with node 1's connected component as
+    the certified side: the first phase's MA order, grown from node 1, stops
+    short when the graph is disconnected.
     """
     n = graph.n
     if n < 2:
         raise TooSmall(f"need at least 2 nodes, got {n}")
 
-    component = _component_of(graph, 1)
-    if len(component) < n:
-        return CutResult(0, component)
-
     # Weighted adjacency of the contracted graph, keyed by each group's head.
     adj = {v: graph.neighborhood(v) for v in range(1, n + 1)}
+    order = _ma_order(adj)
+    if len(order) < n:
+        return CutResult(0, frozenset(v for v, _ in order))
     groups = {v: frozenset({v}) for v in adj}
     degree, v = min((sum(row.values()), v) for v, row in adj.items())
     best = CutResult(degree, groups[v])
 
-    while len(adj) > 1:
+    while True:
         bound = best.value  # as the phase began: never below the rule's threshold
-        order = _ma_order(adj)
         last, cut_of_phase = order[-1]
         if cut_of_phase < bound:
             best = CutResult(cut_of_phase, groups[last])
@@ -137,12 +125,18 @@ def global_min_cut(graph: MultiGraph) -> CutResult:
                         row[w] = row.get(w, 0) + m
                         adj[w][head] = row[w]
             groups[head] = groups[head].union(*(groups.pop(v) for v in run))
+        if len(adj) == 1:
+            return best
+        order = _ma_order(adj)
 
-    return best
+
+def check_k(k: int) -> None:
+    """Raise ValueError unless ``k`` is a positive connectivity threshold."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
 
 
 def is_k_edge_connected(graph: MultiGraph, k: int) -> bool:
     """True iff every cut has total multiplicity at least ``k``."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    check_k(k)
     return global_min_cut(graph).value >= k

@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from hashlib import blake2b
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -200,8 +200,7 @@ class MultiGraph:
         return f"MultiGraph(n={self.n}, edges={self.edge_slot_count()})"
 
 
-@dataclass(frozen=True)
-class NodeView:
+class NodeView(NamedTuple):
     """Everything a node knows when it encodes: its id, 1-hop multiset, advice, (n, k)."""
 
     id: int

@@ -1,15 +1,17 @@
 """Bounded-intersection set families and message partitions.
 
 Given a deterministic protocol, each candidate W-neighborhood of a V-node
-induces a message in each of the node's three possible roles (sigma,
-A-restricted on the A-projection, B-restricted on the B-projection), encoded
-from a view over ``lbgraph.role_entries``.  Each role gives a map from input
-to message, kept as each input's rank among the role's distinct messages;
-neighborhoods whose three messages all agree form a common block and are
-indistinguishable to the referee.  A separated pair inside such a block
-pins the node: one neighborhood forces the graph disconnected below k, the
-other forces it k-edge connected, yet the node's messages cannot tell them
-apart.
+induces a message in each of the node's possible roles, the members of
+``model.Advice``, encoded from a view over ``lbgraph.role_entries``.  The
+roles are data: ``role_inputs`` is the one rule for a neighborhood's input to
+each role under a split (itself as sigma, its A- and B-projections as the
+restricted roles), and the search loops over ``Advice`` without naming a
+role.  Each role gives a map from input to message, kept as each input's rank
+among the role's distinct messages; neighborhoods whose messages agree in
+every role form a common block and are indistinguishable to the referee.  A
+separated pair inside such a block pins the node: one neighborhood forces the
+graph disconnected below k, the other forces it k-edge connected, yet the
+node's messages cannot tell them apart.
 
 The pair rule has two halves: ``forces_disconnected`` wants S0 to have at
 least k ids in A and 1 to k-1 in B, so that a B-restricted node wired by it
@@ -27,11 +29,11 @@ W-neighbours >= k], and its referee, always answering connected, is wrong on
 every C0 member, yet ``choose_partition`` pins no node for it.
 
 Splits of W are sampled once (``lbgraph.check_sizes`` vets (n, k)), and the
-role entries of every sigma member and every distinct projection are built
-once, since they do not depend on the node.  Each node encodes its sigma
-views and each distinct projection view once across trials, and
-``message_partitions`` alone refuses randomized protocols.  Only the winning
-trial's records are re-verified from scratch.
+role entries of every distinct input of each role are built once, since they
+do not depend on the node.  Each node encodes each role's distinct views once
+across trials, and ``message_partitions`` alone refuses randomized protocols.
+Only the winning trial's records are re-verified from scratch, by
+``verify_record``, which names the roles itself as an independent check.
 """
 
 from __future__ import annotations
@@ -205,17 +207,11 @@ def sample_family(
     return family
 
 
-Projections = dict[Member, tuple[Member, Member]]  # member -> (A-projection, B-projection)
-
-
-def split_projections(
-    family: SetFamily, a_side: frozenset[int], b_side: frozenset[int]
-) -> Projections:
-    """Every member's (A-projection, B-projection) under one split, in family order."""
-    return {
-        s: (tuple(w for w in s if w in a_side), tuple(w for w in s if w in b_side))
-        for s in family.members
-    }
+def role_inputs(
+    member: Member, a_side: frozenset[int], b_side: frozenset[int]
+) -> tuple[Member, Member, Member]:
+    """A member's input in each role, in ``Advice`` order: itself, its A-projection, its B-projection."""
+    return member, tuple(w for w in member if w in a_side), tuple(w for w in member if w in b_side)
 
 
 class RoleCodes(NamedTuple):
@@ -232,24 +228,17 @@ Entries = tuple[tuple[int, int], ...]  # a view's neighbor entries, ``lbgraph.ro
 
 
 def message_partitions(
-    protocol: SketchProtocol,
-    node: int,
-    sigma_entries: Sequence[Entries],
-    a_entries: Sequence[Entries],
-    b_entries: Sequence[Entries],
-    n: int,
-    k: int,
-) -> tuple[RoleCodes, RoleCodes, RoleCodes]:
-    """The node's rank-coded message on every input of each role: sigma, A-, B-projection.
+    protocol: SketchProtocol, node: int, entries: Sequence[Sequence[Entries]], n: int, k: int
+) -> tuple[RoleCodes, ...]:
+    """The node's rank-coded message on every input of each role, one ``RoleCodes`` per ``Advice``.
 
-    Each input is given by its view's neighbor entries, which do not depend
-    on the node, so they are built once for all nodes: the sigma role's from
-    whole family members, the restricted roles' from projections.  Here each
-    is only wrapped in the node's ``NodeView`` and encoded.  The sigma role
-    does not depend on the split, and the projections passed in are the
-    distinct ones of every split under consideration, so one call serves all
-    of a node's trials and encodes each distinct view once.  Codes rank the
-    distinct messages in ``Bits`` order, so comparing codes compares messages.
+    ``entries`` holds one list per role, in ``Advice`` order, of its inputs'
+    neighbor entries.  They do not depend on the node, so they are built once
+    for all nodes; here each is only wrapped in the node's ``NodeView`` with
+    its role's advice and encoded.  The inputs passed in are the distinct ones
+    of every split under consideration, so one call serves all of a node's
+    trials and encodes each distinct view once.  Codes rank the distinct
+    messages in ``Bits`` order, so comparing codes compares messages.
     """
     if not protocol.deterministic:
         raise DeterminismRequired(f"protocol {protocol.name!r} is randomized")
@@ -261,41 +250,34 @@ def message_partitions(
         rank = {bits: code for code, bits in enumerate(alphabet)}
         return RoleCodes(tuple(alphabet), np.fromiter(map(rank.__getitem__, messages), np.int64, len(messages)))
 
-    return (
-        coded(sigma_entries, Advice.SIGMA),
-        coded(a_entries, Advice.A_RESTRICTED),
-        coded(b_entries, Advice.B_RESTRICTED),
-    )
+    return tuple(coded(inputs, advice) for inputs, advice in zip(entries, Advice, strict=True))
 
 
 def common_block(
-    sigma: RoleCodes,
-    role_a: RoleCodes,
-    role_b: RoleCodes,
-    a_index: np.ndarray,
-    b_index: np.ndarray,
-    members: Sequence[Member],
+    roles: Sequence[RoleCodes], indices: Sequence[np.ndarray], members: Sequence[Member]
 ) -> tuple[Member, ...]:
-    """Largest subset of the family on which all three role messages agree.
+    """Largest subset of the family on which every role's message agrees.
 
-    Member i is lifted to its message triple through its own sigma code and
-    the codes of its two projections under the split, ``role_a.codes[a_index[i]]``
-    and ``role_b.codes[b_index[i]]``.  The three codes are joined into one
-    int64 in mixed radix, sigma first, so that code order is the triple's
-    ``Bits`` order; members are grouped by it with ``np.unique``, which
-    allocates per member rather than per possible triple, and the largest
-    group wins, ties broken by the lexicographically smallest triple.  The
-    block comes back in family order.  Pigeonhole floor: the result has at
-    least |S| / 2^(3L) members.
+    Member i is lifted to its message tuple through each role's code of its
+    input, ``role.codes[index[i]]`` for each role and its index array.  The
+    codes are folded into one int64 in mixed radix, the first role most
+    significant, so that code order is the tuple's ``Bits`` order; members
+    are grouped by it with ``np.unique``, which allocates per member rather
+    than per possible tuple, and the largest group wins, ties broken by the
+    lexicographically smallest tuple.  The block comes back in family order.
+    Pigeonhole floor: with the three roles of L-bit messages, the result has
+    at least |S| / 2^(3L) members.
     """
-    widths = len(sigma.alphabet) * len(role_a.alphabet) * len(role_b.alphabet)
+    widths = math.prod(len(role.alphabet) for role in roles)
     if widths > np.iinfo(np.int64).max:
-        raise ValueError(f"{widths} message triples do not fit in int64 codes")
-    triples = (sigma.codes * len(role_a.alphabet) + role_a.codes[a_index]) * len(role_b.alphabet)
-    triples += role_b.codes[b_index]
-    values, counts = np.unique(triples, return_counts=True)
-    best = values[np.argmax(counts)]  # the first largest group: the smallest triple among them
-    return tuple(members[i] for i in np.flatnonzero(triples == best))
+        raise ValueError(f"{widths} message tuples do not fit in int64 codes")
+    joined = np.zeros(len(members), np.int64)
+    for role, index in zip(roles, indices, strict=True):
+        joined *= len(role.alphabet)
+        joined += role.codes[index]
+    values, counts = np.unique(joined, return_counts=True)
+    best = values[np.argmax(counts)]  # the first largest group: the smallest tuple among them
+    return tuple(members[i] for i in np.flatnonzero(joined == best))
 
 
 def forces_disconnected(s, a_side: frozenset[int], b_side: frozenset[int], k: int) -> bool:
@@ -329,7 +311,7 @@ def find_separated_pair(
 
 @dataclass(frozen=True)
 class SeparatedPairRecord:
-    """An indistinguishable separated pair for one node, with its witness messages."""
+    """An indistinguishable separated pair for one node, with its witness messages in ``Advice`` order."""
 
     node: int
     s0: Member
@@ -421,19 +403,22 @@ def choose_partition(
 
     V and W are the ``lbgraph.layout`` ids of an n-node family member.  Each
     trial assigns W-members to A or B uniformly (resampling until both sides
-    reach size k).  All trials' splits, every member's projections under
-    them and the role entries of every member and distinct projection are
-    fixed first, with each trial's member -> projection index arrays; then
-    each node encodes its sigma-role views once and each distinct projection
-    view once across all trials, and per trial records an indistinguishable
-    separated pair wherever the common block contains both kinds.  The first
-    trial with the most pinned nodes wins, and each of its records is
-    re-verified from scratch; a failure raises BrokenPairRecord.  Trial seeds
-    are derived by counter, so the result is a pure function of the inputs.
+    reach size k).  All trials' splits, every member's ``role_inputs`` under
+    them and the role entries of each role's distinct inputs are fixed
+    first, with each trial's member -> input index array per role; then each
+    node encodes each role's distinct views once across all trials, and per
+    trial records an indistinguishable separated pair wherever the common
+    block contains both kinds.  The first trial with the most pinned nodes
+    wins, and each of its records is re-verified from scratch; a failure
+    raises BrokenPairRecord.  Trial seeds are derived by counter, so the
+    result is a pure function of the inputs.
     ``family`` must hold distinct (2k-1)-subsets of W, the candidate sigma
-    neighborhoods, and at least one of them, else ValueError.
+    neighborhoods, and at least one of them, and ``trials`` must be
+    positive, else ValueError.
     """
     check_sizes(n, k)
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     v_ids, w_ids, _, _ = layout(n)
     members = family.members
     if not members:
@@ -448,42 +433,28 @@ def choose_partition(
         raise ValueError("family members must be distinct")
 
     splits = [_sample_split(w_ids, k, seed, trial) for trial in range(trials)]
-    projections = [split_projections(family, a_side, b_side) for a_side, b_side in splits]
-    a_keys = sorted({proj_a for proj in projections for proj_a, _ in proj.values()})
-    b_keys = sorted({proj_b for proj in projections for _, proj_b in proj.values()})
-    a_rank = {key: i for i, key in enumerate(a_keys)}
-    b_rank = {key: i for i, key in enumerate(b_keys)}
+    # inputs[t][r]: each member's input to role r under trial t's split.
+    inputs = [tuple(zip(*(role_inputs(member, *split) for member in members))) for split in splits]
+    keys = [sorted(set().union(*column)) for column in zip(*inputs)]
+    ranks = [{key: i for i, key in enumerate(role_keys)} for role_keys in keys]
     indices = [
-        (
-            np.array([a_rank[proj_a] for proj_a, _ in proj.values()], dtype=np.int64),
-            np.array([b_rank[proj_b] for _, proj_b in proj.values()], dtype=np.int64),
-        )
-        for proj in projections
+        [np.array([rank[key] for key in column], dtype=np.int64) for rank, column in zip(ranks, trial)]
+        for trial in inputs
     ]
-    entries = (
-        [role_entries(member, Advice.SIGMA, n, k) for member in members],
-        [role_entries(key, Advice.A_RESTRICTED, n, k) for key in a_keys],
-        [role_entries(key, Advice.B_RESTRICTED, n, k) for key in b_keys],
-    )
+    entries = [[role_entries(key, advice, n, k) for key in role_keys] for role_keys, advice in zip(keys, Advice)]
     position = {member: i for i, member in enumerate(members)}
     goods: list[dict[int, SeparatedPairRecord]] = [{} for _ in splits]
     for node in v_ids:
-        sigma, role_a, role_b = message_partitions(protocol, node, *entries, n, k)
-        for (a_side, b_side), (a_index, b_index), good in zip(splits, indices, goods):
-            block = common_block(sigma, role_a, role_b, a_index, b_index, members)
+        roles = message_partitions(protocol, node, entries, n, k)
+        for (a_side, b_side), trial_indices, good in zip(splits, indices, goods):
+            block = common_block(roles, trial_indices, members)
             pair = find_separated_pair(block, a_side, b_side, k)
             if pair is None:
                 continue
             s0, s1 = pair
             i = position[s0]
-            good[node] = SeparatedPairRecord(
-                node=node,
-                s0=s0,
-                s1=s1,
-                message_sigma=sigma.message(i),
-                message_a=role_a.message(a_index[i]),
-                message_b=role_b.message(b_index[i]),
-            )
+            messages = (role.message(index[i]) for role, index in zip(roles, trial_indices))
+            good[node] = SeparatedPairRecord(node, s0, s1, *messages)
 
     if not any(goods):
         raise NoGoodPartition(

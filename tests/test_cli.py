@@ -7,7 +7,7 @@ import pytest
 import sketchbench.cli as cli
 import sketchbench.reduction as reduction
 import sketchbench.setfam as setfam
-from sketchbench.model import Bits
+from sketchbench.model import Bits, MultiGraph
 from sketchbench.overlap import enumerate_valid_instances
 from sketchbench.protocols import make_protocol
 
@@ -47,6 +47,19 @@ def test_gen_lb_feeds_kconn(tmp_path, capsys):
     code, report = run(capsys, "agm-run", "--graph", graph_path, "--k", 2)
     assert_clean(code, report)
     assert passes(report, "oracle_agreement") == 1
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_kconn_refuses_k_below_1(tmp_path, capsys, monkeypatch, k):
+    # Every graph is 0-edge connected, so such a k asks nothing; kconn refuses
+    # it as is_k_edge_connected does, before any cut is computed.
+    graph_path = tmp_path / "g.graph.txt"
+    cli.save_graph(MultiGraph(3, [(1, 2, 1), (2, 3, 1)]), graph_path)
+    monkeypatch.setattr(cli, "global_min_cut", None)
+    code, report = run(capsys, "kconn", "--graph", graph_path, "--k", k)
+    assert code == 1
+    assert report["outcomes"] == {"completed": {"pass": 0, "fail": 1}}
+    assert report["results"] == {"error": f"ValueError: k must be positive, got {k}"}
 
 
 @pytest.mark.parametrize("sweep, expect", [("random", 3), ("exhaustive", 20)])

@@ -57,8 +57,24 @@ def test_disconnected_returns_component():
     g = MultiGraph(6, [(1, 2, 1), (2, 3, 1), (1, 3, 1), (4, 5, 1), (5, 6, 1), (4, 6, 1)])
     res = global_min_cut(g)
     assert res.value == 0
-    assert res.side in (frozenset({1, 2, 3}), frozenset({4, 5, 6}))
+    assert res.side == frozenset({1, 2, 3})
     assert not is_k_edge_connected(g, 1)
+
+
+@pytest.mark.parametrize(
+    "n, edges, side",
+    [
+        (4, [(2, 3, 5), (3, 4, 1)], {1}),
+        (5, [(1, 2, 3), (2, 3, 1), (1, 3, 2)], {1, 2, 3}),
+        (6, [(1, 6, 1), (6, 3, 2), (2, 4, 7), (4, 5, 1)], {1, 3, 6}),
+    ],
+    ids=["node-1-isolated", "others-isolated", "ids-interleaved"],
+)
+def test_disconnected_side_is_node_1s_component(n, edges, side):
+    # The side is node 1's component even where another node has degree 0,
+    # lighter than any cut around node 1's component could be.
+    g = MultiGraph(n, edges)
+    assert global_min_cut(g) == CutResult(0, frozenset(side))
 
 
 def test_too_small():
@@ -122,7 +138,7 @@ def test_agreement_with_networkx(g):
         value, _ = nx.stoer_wagner(h)
         assert res.value == value
     else:
-        assert res.value == 0
+        assert res.value == 0 and res.side == frozenset(nx.node_connected_component(h, 1))
     assert crossing_value(g, res.side) == res.value
 
 

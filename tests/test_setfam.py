@@ -35,11 +35,11 @@ from sketchbench.setfam import (
     is_separated_pair,
     message_partitions,
     random_family,
+    role_inputs,
     sample_family,
     verify_record,
     PartitionContext,
     SeparatedPairRecord,
-    split_projections,
 )
 
 N16 = 256  # canonical node count carrying a 16-element W
@@ -51,21 +51,17 @@ def fam40(seed=11) -> SetFamily:
 
 
 def partitions_of_split(proto, node, fam, a_side, b_side):
-    """The node's three role messages by input under one split, and that split's common block."""
-    proj = split_projections(fam, a_side, b_side)
-    a_keys = sorted({proj_a for proj_a, _ in proj.values()})
-    b_keys = sorted({proj_b for _, proj_b in proj.values()})
-    roles = ((fam.members, Advice.SIGMA), (a_keys, Advice.A_RESTRICTED), (b_keys, Advice.B_RESTRICTED))
-    entries = [[role_entries(key, advice, N16, 2) for key in keys] for keys, advice in roles]
-    coded = message_partitions(proto, node, *entries, N16, 2)
+    """The node's role messages by input under one split, in ``Advice`` order, and that split's common block."""
+    columns = list(zip(*(role_inputs(member, a_side, b_side) for member in fam.members)))
+    keys = [sorted(set(column)) for column in columns]
+    entries = [[role_entries(key, advice, N16, 2) for key in role_keys] for role_keys, advice in zip(keys, Advice)]
+    coded = message_partitions(proto, node, entries, N16, 2)
+    assert len(coded) == len(Advice)
     for role in coded:
         assert list(role.alphabet) == sorted(set(role.alphabet))  # code order is Bits order
-    a_index = np.array([a_keys.index(proj_a) for proj_a, _ in proj.values()])
-    b_index = np.array([b_keys.index(proj_b) for _, proj_b in proj.values()])
-    block = common_block(*coded, a_index, b_index, fam.members)
-    messages = [
-        {key: role.message(i) for i, key in enumerate(keys)} for (keys, _), role in zip(roles, coded)
-    ]
+    indices = [np.array([role_keys.index(key) for key in column]) for role_keys, column in zip(keys, columns)]
+    block = common_block(coded, indices, fam.members)
+    messages = [{key: role.message(i) for i, key in enumerate(role_keys)} for role_keys, role in zip(keys, coded)]
     return (*messages, block)
 
 
@@ -421,23 +417,52 @@ def test_common_block_groups_codes_beyond_a_dense_table():
     sigma = RoleCodes(alphabet, rng.integers(0, width, size=count))
     role_a = RoleCodes(alphabet, rng.integers(0, width, size=count))
     role_b = RoleCodes(alphabet, rng.integers(0, width, size=count))
-    a_index, b_index = rng.permutation(count), rng.permutation(count)
+    roles = (sigma, role_a, role_b)
+    indices = (np.arange(count), rng.permutation(count), rng.permutation(count))
     for group, triple in (([40, 7, 4000], (9, 9, 9)), ([5, 2500, 4999], (9, 9, 8))):
         for i in group:
-            sigma.codes[i], role_a.codes[a_index[i]], role_b.codes[b_index[i]] = triple
+            for role, index, code in zip(roles, indices, triple):
+                role.codes[index[i]] = code
     members = tuple((i,) for i in range(count))
     groups = {}
     for i in range(count):
-        triple = (sigma.message(i), role_a.message(a_index[i]), role_b.message(b_index[i]))
+        triple = tuple(role.message(index[i]) for role, index in zip(roles, indices))
         groups.setdefault(triple, []).append(members[i])
     expect = min(groups.items(), key=lambda item: (-len(item[1]), item[0]))[1]
     assert len(expect) == 3 and len(groups) > count - 10
-    block = common_block(sigma, role_a, role_b, a_index, b_index, members)
+    block = common_block(roles, indices, members)
     assert block == ((5,), (2500,), (4999,)) and list(block) == expect
     # Three alphabets of 2^21: the joined codes would overflow int64.
     wide = RoleCodes(range(2**21), sigma.codes)
     with pytest.raises(ValueError, match="do not fit in int64"):
-        common_block(wide, wide, wide, a_index, b_index, members)
+        common_block((wide, wide, wide), indices, members)
+
+
+def test_message_partitions_returns_codes_in_advice_order():
+    # The encoder sends only its role's place in Advice, so each role's
+    # alphabet is one message and shows which role's codes came back where.
+    order = list(Advice)
+    proto = SketchProtocol(
+        name="role", k=2, max_bits=2,
+        encode=lambda view, _rand: Bits.from_int(order.index(view.advice), 2),
+        decode=lambda *_: Decision.CONNECTED,
+    )
+    a_side, b_side = frozenset(W16[:8]), frozenset(W16[8:])
+    assert role_inputs((W16[0], W16[8], W16[9]), a_side, b_side) == (
+        (W16[0], W16[8], W16[9]), (W16[0],), (W16[8], W16[9])
+    )
+    inputs = [[(w,) for w in W16[:count]] for count in (3, 1, 2)]
+    entries = [[role_entries(key, advice, N16, 2) for key in keys] for keys, advice in zip(inputs, Advice)]
+    coded = message_partitions(proto, 9, entries, N16, 2)
+    assert [role.alphabet for role in coded] == [(Bits.from_int(i, 2),) for i in range(len(Advice))]
+    assert [role.codes.tolist() for role in coded] == [[0, 0, 0], [0], [0, 0]]
+    with pytest.raises(ValueError):  # one list of inputs per role, no fewer
+        message_partitions(proto, 9, entries[:2], N16, 2)
+
+
+def test_choose_partition_refuses_no_trials():
+    with pytest.raises(ValueError, match="trials must be positive"):
+        choose_partition(toy_two_bit(2), fam40(), N16, 2, trials=0, seed=0)
 
 
 def test_complete_family():
