@@ -1,9 +1,9 @@
-"""Time the layers of the set-family search, ``setfam.choose_partition``.
+"""Time the layers of the set-family search, ``setfam.choose_partition``, and of the three-party simulation.
 
     python3 scripts/lb_layer.py [--out BENCH_lb.json] [--baseline OTHER_CHECKOUT/src]
 
-Each case searches n=256 (|W| = 16) with seed 1 and 4 trials, over the
-complete family of sigma neighborhoods, the (2k-1)-subsets of W:
+Each search case searches n=256 (|W| = 16) with seed 1 and 4 trials, over
+the complete family of sigma neighborhoods, the (2k-1)-subsets of W:
 
 - ``k2``: k=2, the 560 3-subsets, the family ``reduction.build_context``
   uses at m=96 (the ``lb-reduce`` workload's set-up);
@@ -27,11 +27,31 @@ through ``setfam``'s globals, and the protocol's encoder:
   records re-encoded from scratch.
 
 Every call on a case must give the same ``context_sha256``, the SHA-256 of
-the chosen context's ``to_json()``.  Each row also gives the family size,
-the pinned node count and ``peak_rss_mb``, the process's peak RSS once the
-row is done: the rows run in the order listed, both versions in one
-process, so it is a high-water mark over the rows so far.
-``layer_record`` describes the repeats, ranges and report.
+the chosen context's ``to_json()``.
+
+The ``reduce`` group times the three-party simulation on the ``lb-reduce``
+workload's parameters: ``toy2`` at m=96, s=48, k=2, a context built once per
+version with seed 1 and 4 trials (not timed), and 64 fixed valid instances,
+half of them yes-instances.  Each instance runs as ``verify-fidelity``
+checks it: ``reduction.simulate``, then ``build_compatible_graph`` and
+``execute`` on the compatible graph, whose messages must equal the
+simulation's.  Times are ms per instance, summed over the functions named
+through ``reduction``'s globals:
+
+- ``simulate_ms``: the whole three-party run, referee included;
+- ``alice_ms``, ``bob_ms``: ``alice_messages`` and ``bob_messages``;
+- ``charlie_ms``: ``charlie_messages``;
+- ``compatible_graph_ms``: ``build_compatible_graph``;
+- ``execute_ms``: ``execute``, the honest run on the compatible graph.
+
+Every call must give the same ``transcripts_sha256``, the SHA-256 of the
+assembled messages of every instance in order, and each version's context
+the same ``context_sha256``.
+
+Each row also gives ``peak_rss_mb``, the process's peak RSS once the row is
+done: the rows run in the order listed, both versions in one process, so it
+is a high-water mark over the rows so far.  ``layer_record`` describes the
+repeats, ranges and report.
 """
 
 import hashlib
@@ -40,6 +60,7 @@ from dataclasses import replace
 from time import perf_counter
 
 import layer_record  # first: it pins the thread pools and puts src/ and bench/ on sys.path
+import numpy as np
 
 SEED = 1
 REPEATS = 4
@@ -52,6 +73,19 @@ LAYERS = {
     "common_block_ms": ("setfam", "common_block"),
     "find_separated_pair_ms": ("setfam", "find_separated_pair"),
     "verify_record_ms": ("setfam", "verify_record"),
+}
+
+#: The ``reduce`` case: the ``lb-reduce`` workload's protocol, m, s, k and trials, and the instance count.
+REDUCE = ("toy2", 96, 48, 2, TRIALS, 64)
+
+#: The ``reduce`` group's layers, as ``LAYERS``.
+REDUCE_LAYERS = {
+    "simulate_ms": ("reduction", "simulate"),
+    "alice_ms": ("reduction", "alice_messages"),
+    "bob_ms": ("reduction", "bob_messages"),
+    "charlie_ms": ("reduction", "charlie_messages"),
+    "compatible_graph_ms": ("reduction", "build_compatible_graph"),
+    "execute_ms": ("reduction", "execute"),
 }
 
 
@@ -90,13 +124,78 @@ def measure(case: tuple, versions: dict) -> dict:
     }
 
 
+def instance_bits(m: int, s: int, count: int) -> list[tuple[dict, dict]]:
+    """Fixed valid instances as (x bits, y bits) by index: the shared index, then s-1 more per side.
+
+    The shared index's bits differ, so instance i answers yes when i is even.
+    """
+    rng = np.random.default_rng(SEED)
+    instances = []
+    for i in range(count):
+        order = [int(j) + 1 for j in rng.permutation(m)]
+        sigma, only_x, only_y = order[0], order[1:s], order[s : 2 * s - 1]
+        x_bits = {j: int(b) for j, b in zip(only_x, rng.integers(0, 2, size=s - 1))}
+        y_bits = {j: int(b) for j, b in zip(only_y, rng.integers(0, 2, size=s - 1))}
+        x_bits[sigma], y_bits[sigma] = i % 2, 1 - i % 2
+        instances.append((x_bits, y_bits))
+    return instances
+
+
+def measure_reduce(case: tuple, versions: dict) -> dict:
+    """The row of one (protocol, m, s, k, trials, instances) simulation case."""
+    name, m, s, k, trials, count = case
+    bits = instance_bits(m, s, count)
+    setups, contexts = {}, set()
+    for version, package in versions.items():
+        protocol = package.protocols.make_protocol(name, package.reduction.reduction_size(m), k)
+        ctx = package.reduction.build_context(protocol, m, s, k, SEED, trials=trials)
+        contexts.add(hashlib.sha256(ctx.to_json().encode()).hexdigest())
+        vector_on = package.overlap.vector_on
+        instances = [
+            package.overlap.OverlapInstance.make(vector_on(m, x), vector_on(m, y), m, s) for x, y in bits
+        ]
+        setups[version] = protocol, ctx, instances
+    if len(contexts) != 1:
+        raise SystemExit(f"the versions build different contexts: {sorted(contexts)}")
+
+    def simulate(version, package):
+        protocol, ctx, instances = setups[version]
+        reduction = package.reduction
+        totals = dict.fromkeys(REDUCE_LAYERS, 0.0)
+        digest = hashlib.sha256()
+        with layer_record.timed_layers(package, REDUCE_LAYERS, totals):
+            for instance in instances:
+                _, assembled = reduction.simulate(instance, ctx, protocol)
+                graph, advice = reduction.build_compatible_graph(instance, ctx)
+                honest = reduction.execute(protocol, graph, advice).messages
+                if reduction.mismatched_nodes(assembled, honest):
+                    raise SystemExit(f"{version}: the simulation differs from the honest run")
+                digest.update(repr(assembled).encode())
+        return {layer: seconds * 1e3 / count for layer, seconds in totals.items()}, digest.hexdigest()
+
+    spreads, digest = layer_record.measure(versions, simulate, REPEATS)
+    return {
+        "protocol": name,
+        "m": m,
+        "s": s,
+        "k": k,
+        "trials": trials,
+        "instances": count,
+        "context_sha256": contexts.pop(),
+        "transcripts_sha256": digest,
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        **spreads,
+    }
+
+
 def record(versions: dict) -> tuple[dict, dict]:
     measure(("toy2", 36, 2, 2), versions)  # warm-up: imports, cached layouts, first allocations
     rows = {
         f"k{k}": [measure((name, N, k, TRIALS), versions) for name in PROTOCOLS] for k in (2, 3)
     }
+    rows["reduce"] = [measure_reduce(REDUCE, versions)]
     return {"seed": SEED, "repeats": REPEATS}, rows
 
 
 if __name__ == "__main__":
-    layer_record.main(__doc__, "BENCH_lb.json", ("lbgraph", "setfam"), record)
+    layer_record.main(__doc__, "BENCH_lb.json", ("lbgraph", "setfam", "reduction", "model"), record)

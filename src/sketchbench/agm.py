@@ -481,4 +481,5 @@ def make_agm_protocol(n: int, k: int, delta: float) -> SketchProtocol:
         encode=encode,
         decode=decode,
         deterministic=False,
+        fixed_length=True,
     )

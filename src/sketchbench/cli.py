@@ -295,10 +295,14 @@ def _reduction_checks(instance, ctx, protocol, report: RunReport) -> bool:
         "semantic_correspondence",
         is_k_edge_connected(graph, ctx.k) == answer(instance),
     )
-    # Only Alice and Bob send for W-nodes.
+    # Only Alice and Bob send for W-nodes, at most max_bits each; a
+    # fixed-length protocol sends exactly that.
     w_nodes = ctx.a_side | ctx.b_side
     w_bits = sum(len(bits) for node, bits in assembled if node in w_nodes)
-    report.record("communication_accounting", w_bits == len(w_nodes) * protocol.max_bits)
+    budget = len(w_nodes) * protocol.max_bits
+    report.record("within_budget", w_bits <= budget)
+    if protocol.fixed_length:
+        report.record("exact_length", w_bits == budget)
     return verdict
 
 

@@ -161,14 +161,19 @@ class MultiGraph:
             raise UnknownNode(u)
 
     def add_edge(self, u: int, v: int, mult: int = 1) -> None:
-        self._check_node(u)
-        self._check_node(v)
+        # The node checks of ``_check_node``, inlined: this is the graph
+        # builders' inner loop.
+        if not 1 <= u <= self.n:
+            raise UnknownNode(u)
+        if not 1 <= v <= self.n:
+            raise UnknownNode(v)
         if u == v:
             raise ValueError(f"self-loop at node {u}")
         if mult < 1:
             raise ValueError(f"multiplicity must be >= 1, got {mult}")
-        self._adj[u][v] = self._adj[u].get(v, 0) + mult
-        self._adj[v][u] = self._adj[v].get(u, 0) + mult
+        row_u, row_v = self._adj[u], self._adj[v]
+        row_u[v] = row_u.get(v, 0) + mult
+        row_v[u] = row_v.get(u, 0) + mult
 
     def multiplicity(self, u: int, v: int) -> int:
         self._check_node(u)
@@ -211,8 +216,10 @@ class NodeView(NamedTuple):
 
 
 def node_view(graph: MultiGraph, node: int, advice: Optional[Advice], k: int) -> NodeView:
-    nbrs = tuple(graph.neighborhood(node).items())
-    return NodeView(id=node, neighbors=nbrs, advice=advice, n=graph.n, k=k)
+    """``node``'s view in ``graph``: its (neighbor, multiplicity) entries in ascending id order."""
+    graph._check_node(node)
+    nbrs = tuple(sorted(graph._adj.get(node, _NO_NEIGHBORS).items()))
+    return NodeView(node, nbrs, advice, graph.n, k)
 
 
 class SharedRandomness:
@@ -253,7 +260,9 @@ class SketchProtocol:
     ``encode`` must be a pure function of (view, randomness) and stay within
     ``max_bits``.  ``decode`` sees only the sorted (id, message) list and the
     shared randomness, never the graph.  ``k`` is the connectivity threshold
-    the decoder answers for.
+    the decoder answers for.  ``fixed_length`` declares that every message is
+    exactly ``max_bits`` long; execution does not enforce it, and the
+    ``verify-fidelity`` command reports whether a run kept it.
     """
 
     name: str
@@ -262,6 +271,7 @@ class SketchProtocol:
     encode: Callable[[NodeView, SharedRandomness], Bits]
     decode: Callable[[Sequence[tuple[int, Bits]], SharedRandomness], Decision]
     deterministic: bool = True
+    fixed_length: bool = False
 
 
 @dataclass(frozen=True)

@@ -56,11 +56,14 @@ def _is_int(value) -> bool:
 
 def _is_support(support, m: int) -> bool:
     """True iff ``support`` is an ascending tuple of integers in 1..m."""
-    return (
-        isinstance(support, tuple)
-        and all(_is_int(i) and 1 <= i <= m for i in support)
-        and all(a < b for a, b in zip(support, support[1:]))
-    )
+    if not isinstance(support, tuple):
+        return False
+    previous = 0  # each index must exceed the one before, the first 0
+    for i in support:
+        if isinstance(i, bool) or not isinstance(i, int) or not previous < i <= m:
+            return False
+        previous = i
+    return True
 
 
 def check_support(support, m: int, s: int) -> None:

@@ -93,7 +93,7 @@ def constant(k: int) -> SketchProtocol:
     def decode(_messages, _rand) -> Decision:
         return Decision.CONNECTED
 
-    return SketchProtocol(name="const", k=k, max_bits=1, encode=encode, decode=decode)
+    return SketchProtocol(name="const", k=k, max_bits=1, encode=encode, decode=decode, fixed_length=True)
 
 
 def truncation(bits: int, n: int, k: int) -> SketchProtocol:
@@ -112,7 +112,7 @@ def truncation(bits: int, n: int, k: int) -> SketchProtocol:
         return _parity_decision(messages)
 
     return SketchProtocol(
-        name=f"trunc:{bits}", k=k, max_bits=bits, encode=encode, decode=decode
+        name=f"trunc:{bits}", k=k, max_bits=bits, encode=encode, decode=decode, fixed_length=True
     )
 
 
@@ -125,7 +125,7 @@ def parity(k: int) -> SketchProtocol:
     def decode(messages, _rand) -> Decision:
         return _parity_decision(messages)
 
-    return SketchProtocol(name="parity", k=k, max_bits=1, encode=encode, decode=decode)
+    return SketchProtocol(name="parity", k=k, max_bits=1, encode=encode, decode=decode, fixed_length=True)
 
 
 def toy_two_bit(k: int) -> SketchProtocol:
@@ -146,7 +146,7 @@ def toy_two_bit(k: int) -> SketchProtocol:
     def decode(messages, _rand) -> Decision:
         return _parity_decision(messages)
 
-    return SketchProtocol(name="toy2", k=k, max_bits=2, encode=encode, decode=decode)
+    return SketchProtocol(name="toy2", k=k, max_bits=2, encode=encode, decode=decode, fixed_length=True)
 
 
 #: Sketch protocols by name, built from (n, k); ``trunc:<bits>`` is parsed apart.

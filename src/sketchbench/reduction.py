@@ -5,22 +5,30 @@ Alice wires the A-side of the partition according to her vector, Bob the
 B-side, and Charlie produces sketches for the hubs and every V-node without
 ever reading a vector entry.  One role map read off the two supports gives
 each V-node its advice and, at a support host, its pair record's witness;
-Charlie wires the hubs by ``lbgraph.hub_of`` and encodes the other V-nodes
-from ``lbgraph.role_view``, and ``build_compatible_graph`` takes its roles
-from the same map.  The referee's decision on the assembled messages answers
-the instance, and the assembly is bit-identical to the honest execution.
-Building a context checks (m, s) with ``overlap.check_parameters``; its JSON
-is a report, written and never read back.
+Charlie wires the hubs by ``lbgraph.hub_of`` and sends the other V-nodes'
+messages, and ``build_compatible_graph`` takes its roles from the same map.
+The referee's decision on the assembled messages answers the instance, and
+the assembly is bit-identical to the honest execution.
+
+What does not depend on the instance is computed once, in the context:
+Charlie's message for each V-node outside both supports (A-restricted, no
+W-edges, encoded by ``build_context``), and for each wiring party the W-ends
+of every coordinate's pair edges under either bit and each of its W-nodes'
+view entries other than those pair edges.  A party's W-node views are then
+assembled from these pieces, with no graph built.  ``build_compatible_graph``
+and ``execute`` read none of them, so ``verify_fidelity`` checks the
+pre-computed pieces on every instance it runs.  Building a context checks
+(m, s) with ``overlap.check_parameters``; its JSON is a report, written and
+never read back.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from itertools import combinations, zip_longest
-from operator import attrgetter
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from itertools import zip_longest
+from typing import NamedTuple, Optional, Sequence
 
 from .lbgraph import LBGraphSpec, build_lb_graph, hub_of, layout, role_view
 from .model import (
@@ -33,10 +41,10 @@ from .model import (
     SketchProtocol,
     check_message,
     execute,
-    node_view,
 )
 from .overlap import OverlapInstance, check_parameters, check_support, shared_index
 from .setfam import (
+    Entries,
     NoGoodPartition,
     PartitionContext,
     SeparatedPairRecord,
@@ -58,9 +66,35 @@ def reduction_size(m: int) -> int:
     return 2 * math.ceil(4 * m / 3)
 
 
+class PartyWiring(NamedTuple):
+    """What one wiring party fixes before it sees its vector.
+
+    ``tails`` maps each W-node of the party's side, ascending, to the entries
+    of its view that no instance changes: one edge to each other node of the
+    side, then one to the side's hub.  ``ends[i - 1][bit]`` holds the W-ends
+    on the side of coordinate i's pair edges when the party's bit at i is
+    ``bit``.
+    """
+
+    tails: dict[int, Entries]
+    ends: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+
+class ProtocolMismatch(ValueError):
+    """A protocol other than the one a context was built for."""
+
+
 @dataclass
 class ReductionContext:
-    """Everything the three parties pre-compute before seeing an instance."""
+    """Everything the three parties pre-compute before seeing an instance.
+
+    ``fixed_messages`` maps every V-node to its message when it hosts no
+    support coordinate: the A-restricted view with no W-edges, encoded by
+    the protocol named ``protocol_name``.  ``alice`` and ``bob`` are each
+    wiring party's ``PartyWiring``; they follow from ``partition`` and
+    ``good_ids`` alone, so they are derived on construction and again on
+    every ``dataclasses.replace``.
+    """
 
     m: int
     s: int
@@ -69,6 +103,23 @@ class ReductionContext:
     partition: PartitionContext
     good_ids: tuple[int, ...]  # instance coordinate i lives at node good_ids[i-1]
     protocol_name: str
+    fixed_messages: dict[int, Bits] = field(repr=False)
+    alice: PartyWiring = field(init=False, repr=False, compare=False)
+    bob: PartyWiring = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _, _, u_a, u_b = layout(self.n)
+        self.alice = self._wiring(self.a_side, u_a, alice=True)
+        self.bob = self._wiring(self.b_side, u_b, alice=False)
+
+    def _wiring(self, side: frozenset[int], hub: int, alice: bool) -> PartyWiring:
+        ordered = sorted(side)
+        tails = {w: (*((x, 1) for x in ordered if x != w), (hub, 1)) for w in ordered}
+        ends = tuple(
+            tuple(_pair_ends(self.record_of(i), bit, alice, side) for bit in (0, 1))
+            for i in range(1, self.m + 1)
+        )
+        return PartyWiring(tails, ends)
 
     @property
     def a_side(self) -> frozenset[int]:
@@ -135,19 +186,21 @@ def build_context(
         partition=partition,
         good_ids=tuple(good_sorted[:m]),
         protocol_name=protocol.name,
+        fixed_messages={
+            v: protocol.encode(role_view(v, (), Advice.A_RESTRICTED, n, k), EMPTY_RANDOMNESS)
+            for v in layout(n)[0]
+        },
     )
 
 
-def _pair_ends(ctx: ReductionContext, vector, coordinate: int, alice: bool) -> list[int]:
-    """W-ends of the pair edges one party wires for a coordinate, on its own side.
+def _pair_ends(record: SeparatedPairRecord, bit: int, alice: bool, side: frozenset[int]) -> tuple[int, ...]:
+    """W-ends on ``side`` of the pair edges one party wires for a coordinate holding ``bit``.
 
     Alice's bit 0 selects S1 and her bit 1 selects S0; Bob's bits select the
     other way round.
     """
-    record = ctx.record_of(coordinate)
-    chosen = record.s1 if (vector[coordinate] == 0) == alice else record.s0
-    side = ctx.a_side if alice else ctx.b_side
-    return [w for w in chosen if w in side]
+    chosen = record.s1 if (bit == 0) == alice else record.s0
+    return tuple(w for w in chosen if w in side)
 
 
 def _party_messages(
@@ -157,23 +210,19 @@ def _party_messages(
 
     The party's graph holds its side's clique, the hub edge for every node of
     the side, and for each coordinate in its support the pair edges into the
-    side.
+    side.  A W-node's view is the V-ends its vector wires to it, ascending,
+    then its fixed tail from the context's ``PartyWiring``.
     """
-    _, _, u_a, u_b = layout(ctx.n)
-    side, hub = (ctx.a_side, u_a) if alice else (ctx.b_side, u_b)
     check_support(vector.support, ctx.m, ctx.s)
-    graph = MultiGraph(ctx.n)
-    ordered = sorted(side)
-    for w1, w2 in combinations(ordered, 2):
-        graph.add_edge(w1, w2, 1)
-    for w in ordered:
-        graph.add_edge(hub, w, 1)
+    wiring = ctx.alice if alice else ctx.bob
+    wired: dict[int, list[tuple[int, int]]] = {w: [] for w in wiring.tails}
     for i in vector.support:
-        for w in _pair_ends(ctx, vector, i, alice):
-            graph.add_edge(ctx.node_of(i), w, 1)
+        v = ctx.node_of(i)
+        for w in wiring.ends[i - 1][vector[i]]:
+            wired[w].append((v, 1))
     return [
-        (w, protocol.encode(node_view(graph, w, None, ctx.k), EMPTY_RANDOMNESS))
-        for w in ordered
+        (w, protocol.encode(NodeView(w, (*sorted(wired[w]), *tail), None, ctx.n, ctx.k), EMPTY_RANDOMNESS))
+        for w, tail in wiring.tails.items()
     ]
 
 
@@ -204,13 +253,13 @@ def _roles(
         check_support(support, ctx.m, ctx.s)
     sigma = shared_index(supp_x, supp_y)
     roles = dict.fromkeys(layout(ctx.n)[0], (Advice.A_RESTRICTED, None))
-    for advice, support, witness in (
-        (Advice.A_RESTRICTED, supp_x, attrgetter("message_a")),
-        (Advice.B_RESTRICTED, supp_y, attrgetter("message_b")),
-        (Advice.SIGMA, (sigma,), attrgetter("message_sigma")),
+    for advice, support in (
+        (Advice.A_RESTRICTED, supp_x),
+        (Advice.B_RESTRICTED, supp_y),
+        (Advice.SIGMA, (sigma,)),
     ):
         for i in support:
-            roles[ctx.node_of(i)] = (advice, witness(ctx.record_of(i)))
+            roles[ctx.node_of(i)] = (advice, ctx.record_of(i).witness(advice))
     return roles
 
 
@@ -220,20 +269,32 @@ def charlie_messages(
     ctx: ReductionContext,
     protocol: SketchProtocol,
 ) -> list[tuple[int, Bits]]:
-    """Sketches for both hubs and every V-node, from supports and witnesses only."""
+    """Sketches for both hubs and every V-node, from supports and witnesses only.
+
+    Only the hubs are encoded: a support host sends its record's witness, and
+    every other V-node the context's fixed message.  Those were encoded by
+    the context's protocol, so a protocol of another name or k is refused
+    with ``ProtocolMismatch``.
+    """
+    if (protocol.name, protocol.k) != (ctx.protocol_name, ctx.k):
+        raise ProtocolMismatch(
+            f"protocol {protocol.name!r} with k={protocol.k} on a context built for "
+            f"{ctx.protocol_name!r} with k={ctx.k}"
+        )
     roles = _roles(supp_x, supp_y, ctx)
     _, _, u_a, u_b = layout(ctx.n)
+    hubs = {advice: hub_of(advice, ctx.n) for advice in Advice}
+    attached: dict[int, list[tuple[int, int]]] = {u_a: [], u_b: []}
+    for v, (advice, _) in roles.items():
+        attached[hubs[advice]].append((v, ctx.k))
 
     messages = []
-    for hub, side in ((u_a, ctx.a_side), (u_b, ctx.b_side)):
+    for hub, wiring in ((u_a, ctx.alice), (u_b, ctx.bob)):
         # V ids precede W ids, so the entries come out ascending.
-        attached = [(v, ctx.k) for v, (advice, _) in roles.items() if hub_of(advice, ctx.n) == hub]
-        view = NodeView(hub, tuple(attached + [(w, 1) for w in sorted(side)]), None, ctx.n, ctx.k)
-        messages.append((hub, protocol.encode(view, EMPTY_RANDOMNESS)))
-    for v, (advice, witness) in roles.items():
-        if witness is None:
-            witness = protocol.encode(role_view(v, (), advice, ctx.n, ctx.k), EMPTY_RANDOMNESS)
-        messages.append((v, witness))
+        entries = (*attached[hub], *((w, 1) for w in wiring.tails))
+        messages.append((hub, protocol.encode(NodeView(hub, entries, None, ctx.n, ctx.k), EMPTY_RANDOMNESS)))
+    fixed = ctx.fixed_messages
+    messages.extend((v, fixed[v] if witness is None else witness) for v, (_, witness) in roles.items())
     return messages
 
 
@@ -273,10 +334,11 @@ def build_compatible_graph(
     restrictions = {v: advice for v, (advice, _) in roles.items() if advice is not Advice.SIGMA}
     (sigma_node,) = roles.keys() - restrictions.keys()
     w_neighbors: dict[int, frozenset[int]] = {}
-    for vector, alice in ((instance.x, True), (instance.y, False)):
+    for vector, alice, side in ((instance.x, True, ctx.a_side), (instance.y, False, ctx.b_side)):
         for i in vector.support:
             v = ctx.node_of(i)
-            w_neighbors[v] = w_neighbors.get(v, frozenset()).union(_pair_ends(ctx, vector, i, alice))
+            ends = _pair_ends(ctx.record_of(i), vector[i], alice, side)
+            w_neighbors[v] = w_neighbors.get(v, frozenset()).union(ends)
 
     spec = LBGraphSpec(
         n=ctx.n,

@@ -309,9 +309,21 @@ def find_separated_pair(
     return None if s0 is None or s1 is None else (s0, s1)
 
 
+#: Each role's witness field of a ``SeparatedPairRecord``, in ``Advice`` order.
+#: The report key of a witness is its field name without "message_".
+WITNESS_FIELDS = {
+    Advice.SIGMA: "message_sigma",
+    Advice.A_RESTRICTED: "message_a",
+    Advice.B_RESTRICTED: "message_b",
+}
+
+
 @dataclass(frozen=True)
 class SeparatedPairRecord:
-    """An indistinguishable separated pair for one node, with its witness messages in ``Advice`` order."""
+    """An indistinguishable separated pair for one node, with the witness message of each role.
+
+    ``WITNESS_FIELDS`` names the field that holds each role's witness.
+    """
 
     node: int
     s0: Member
@@ -319,6 +331,10 @@ class SeparatedPairRecord:
     message_sigma: Bits
     message_a: Bits
     message_b: Bits
+
+    def witness(self, advice: Advice) -> Bits:
+        """The message both members give in ``advice``'s role."""
+        return getattr(self, WITNESS_FIELDS[advice])
 
 
 def verify_record(
@@ -364,9 +380,8 @@ class PartitionContext:
                     "S0": list(rec.s0),
                     "S1": list(rec.s1),
                     "witness": {
-                        "sigma": str(rec.message_sigma),
-                        "a": str(rec.message_a),
-                        "b": str(rec.message_b),
+                        name.removeprefix("message_"): str(rec.witness(advice))
+                        for advice, name in WITNESS_FIELDS.items()
                     },
                 }
                 for node, rec in sorted(self.good.items())
@@ -453,8 +468,11 @@ def choose_partition(
                 continue
             s0, s1 = pair
             i = position[s0]
-            messages = (role.message(index[i]) for role, index in zip(roles, trial_indices))
-            good[node] = SeparatedPairRecord(node, s0, s1, *messages)
+            witnesses = {
+                WITNESS_FIELDS[advice]: role.message(index[i])
+                for advice, role, index in zip(Advice, roles, trial_indices)
+            }
+            good[node] = SeparatedPairRecord(node, s0, s1, **witnesses)
 
     if not any(goods):
         raise NoGoodPartition(

@@ -60,6 +60,40 @@ def test_multigraph_rejects_bad_input():
         triangle().neighborhood(9)
 
 
+@pytest.mark.parametrize(
+    "edge, error, message",
+    [
+        ((0, 2, 1), UnknownNode, "0"),
+        ((4, 2, 1), UnknownNode, "4"),
+        ((1, 0, 1), UnknownNode, "0"),
+        ((1, 4, 1), UnknownNode, "4"),
+        ((2, 2, 1), ValueError, "self-loop at node 2"),
+        ((1, 2, 0), ValueError, "multiplicity must be >= 1, got 0"),
+        ((1, 2, -3), ValueError, "multiplicity must be >= 1, got -3"),
+    ],
+    ids=["u-0", "u-n+1", "v-0", "v-n+1", "self-loop", "mult-0", "mult-negative"],
+)
+def test_add_edge_refusals_leave_the_graph_unchanged(edge, error, message):
+    # A node check comes first, the u end before the v end; a refused edge
+    # adds no row, not even an empty one.
+    g = triangle()
+    with pytest.raises(error, match=message):
+        g.add_edge(*edge)
+    assert g == triangle() and sorted(g._adj) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("node", [0, 4, -1])
+def test_node_view_refuses_unknown_node(node):
+    with pytest.raises(UnknownNode):
+        node_view(triangle(), node, None, 1)
+
+
+def test_node_view_entries_ascending():
+    g = MultiGraph(5, [(3, 5, 2), (3, 1, 1), (4, 3, 3)])
+    assert node_view(g, 3, Advice.SIGMA, 2) == (3, ((1, 1), (4, 3), (5, 2)), Advice.SIGMA, 5, 2)
+    assert node_view(g, 2, None, 2).neighbors == ()
+
+
 @st.composite
 def multigraphs(draw):
     n = draw(st.integers(min_value=2, max_value=10))

@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import time
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from sketchbench.overlap import (
     attack,
     build_blocks,
     check_parameters,
+    check_support,
     cycle_successors,
     enumerate_valid_instances,
     fills,
@@ -278,6 +280,60 @@ def test_vector_rejects_inconsistent_fields(length, support, bits):
     with pytest.raises(InvalidInstance) as err:
         TernaryVector(length, support, bits)
     assert err.value.name == "format"
+
+
+class _Index(IntEnum):
+    TWO = 2
+
+
+@pytest.mark.parametrize(
+    "support, accepted",
+    [
+        ((1, 2, 3), True),
+        ((4, 5, 6), True),
+        ((1, _Index.TWO, 6), True),  # an int subclass other than bool counts as an int
+        ((True, 2, 3), False),
+        ((1, 2.0, 3), False),
+        ([1, 2, 3], False),
+        ((2, 1, 3), False),
+        ((1, 1, 3), False),
+        ((0, 1, 2), False),
+        ((1, 2, 7), False),
+        ((1, 2), False),
+        ((1, 2, 3, 4), False),
+    ],
+    ids=["low", "high", "int-subclass", "bool", "float", "list", "unsorted", "repeated", "0", "m+1", "short", "long"],
+)
+def test_check_support_accepts_exactly_ascending_s_subsets(support, accepted):
+    if accepted:
+        check_support(support, 6, 3)
+    else:
+        with pytest.raises(InvalidInstance) as err:
+            check_support(support, 6, 3)
+        assert err.value.name == "support"
+
+
+def _two_pass_is_support(support, m):
+    # The two-pass definition the single pass replaced.
+    return (
+        isinstance(support, tuple)
+        and all(isinstance(i, int) and not isinstance(i, bool) and 1 <= i <= m for i in support)
+        and all(a < b for a, b in zip(support, support[1:]))
+    )
+
+
+@given(
+    st.one_of(
+        st.lists(st.one_of(st.integers(-2, 9), st.booleans(), st.floats(0, 9), st.just(_Index.TWO)), max_size=6),
+        st.lists(st.integers(-2, 9), max_size=6).map(tuple),
+        st.lists(st.integers(-2, 9), max_size=6).map(sorted).map(tuple),
+        st.lists(st.one_of(st.integers(-2, 9), st.booleans(), st.floats(0, 9)), max_size=6).map(tuple),
+    ),
+    st.integers(0, 8),
+)
+@settings(max_examples=300, deadline=None)
+def test_is_support_matches_two_pass_definition(support, m):
+    assert overlap._is_support(support, m) == _two_pass_is_support(support, m)
 
 
 @given(st.text(alphabet="01*", max_size=12), st.data())

@@ -3,15 +3,17 @@ import itertools
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from sketchbench.lbgraph import SpecError, layout, role_view
 from sketchbench.mincut import is_k_edge_connected
-from sketchbench.model import Advice, Bits, Decision, EMPTY_RANDOMNESS, execute
+from sketchbench.model import Advice, Bits, Decision, EMPTY_RANDOMNESS, MultiGraph, execute, node_view
 from sketchbench.overlap import InvalidInstance, OverlapInstance, answer, enumerate_valid_instances, vector_on
 from sketchbench.protocols import constant, full_information, make_protocol, toy_two_bit
 from sketchbench.reduction import (
     NotEnoughGoodNodes,
+    ProtocolMismatch,
     ReductionContext,
     alice_bob_bits,
     alice_messages,
@@ -33,8 +35,140 @@ def toy_ctx():
     return build_context(toy_two_bit(2), m=6, s=3, k=2, seed=42)
 
 
+@pytest.fixture(scope="module")
+def lb_ctx():
+    # The lb-reduce workload's context: toy2 at m=96, s=48, k=2, 4 trials.
+    return build_context(toy_two_bit(2), m=96, s=48, k=2, seed=1, trials=4)
+
+
 def some_instances(m, s, step):
     return list(itertools.islice(enumerate_valid_instances(m, s), 0, None, step))
+
+
+def random_instances(m, s, count, seed):
+    """Valid instances with random supports and bits, half of them yes-instances."""
+    rng = np.random.default_rng(seed)
+    instances = []
+    for i in range(count):
+        order = [int(j) + 1 for j in rng.permutation(m)]
+        sigma, only_x, only_y = order[0], order[1:s], order[s : 2 * s - 1]
+        x_bits = {j: int(b) for j, b in zip(only_x, rng.integers(0, 2, size=s - 1))}
+        y_bits = {j: int(b) for j, b in zip(only_y, rng.integers(0, 2, size=s - 1))}
+        x_bits[sigma], y_bits[sigma] = i % 2, 1 - i % 2
+        instances.append(OverlapInstance.make(vector_on(m, x_bits), vector_on(m, y_bits), m, s))
+    return instances
+
+
+def party_messages_from_graph(vector, ctx, protocol, alice):
+    """One party's W-node messages from its whole local graph, built edge by edge.
+
+    The construction the context's pre-computed wiring replaced: the side's
+    clique, each side node's hub edge, and each support coordinate's pair
+    edges into the side, S1 for Alice's bit 0 and S0 for her bit 1, the
+    other way round for Bob.
+    """
+    _, _, u_a, u_b = layout(ctx.n)
+    side, hub = (ctx.a_side, u_a) if alice else (ctx.b_side, u_b)
+    graph = MultiGraph(ctx.n)
+    ordered = sorted(side)
+    for w1, w2 in itertools.combinations(ordered, 2):
+        graph.add_edge(w1, w2, 1)
+    for w in ordered:
+        graph.add_edge(hub, w, 1)
+    for i in vector.support:
+        record = ctx.record_of(i)
+        chosen = record.s1 if (vector[i] == 0) == alice else record.s0
+        for w in chosen:
+            if w in side:
+                graph.add_edge(ctx.node_of(i), w, 1)
+    return [(w, protocol.encode(node_view(graph, w, None, ctx.k), EMPTY_RANDOMNESS)) for w in ordered]
+
+
+def assert_party_messages_match_graph(ctx, vectors, alice):
+    # full_information's message is the view's whole text, so equal messages
+    # mean equal views.
+    party = alice_messages if alice else bob_messages
+    for proto in (toy_two_bit(ctx.k), full_information(ctx.n, ctx.k)):
+        for vector in vectors:
+            assert party(vector, ctx, proto) == party_messages_from_graph(vector, ctx, proto, alice)
+
+
+def test_party_messages_match_party_graph_exhaustive(toy_ctx):
+    # Each party's messages depend on its own vector alone, so the distinct
+    # vectors of all 5,760 instances cover every instance.
+    instances = list(enumerate_valid_instances(6, 3))
+    assert len(instances) == 5760
+    assert_party_messages_match_graph(toy_ctx, {inst.x for inst in instances}, alice=True)
+    assert_party_messages_match_graph(toy_ctx, {inst.y for inst in instances}, alice=False)
+
+
+def test_party_messages_match_party_graph_random(lb_ctx):
+    instances = random_instances(96, 48, 50, seed=7)
+    assert_party_messages_match_graph(lb_ctx, [inst.x for inst in instances], alice=True)
+    assert_party_messages_match_graph(lb_ctx, [inst.y for inst in instances], alice=False)
+
+
+@pytest.mark.parametrize("name", ["toy_ctx", "lb_ctx"])
+def test_fixed_messages_match_fresh_encodes(name, request):
+    ctx = request.getfixturevalue(name)
+    proto = toy_two_bit(ctx.k)
+    v_ids = layout(ctx.n)[0]
+    assert list(ctx.fixed_messages) == list(v_ids)
+    for v in v_ids:
+        view = role_view(v, (), Advice.A_RESTRICTED, ctx.n, ctx.k)
+        assert ctx.fixed_messages[v] == proto.encode(view, EMPTY_RANDOMNESS)
+
+
+def test_simulation_faithful_on_random_instances(lb_ctx):
+    proto = toy_two_bit(2)
+    for inst in random_instances(96, 48, 10, seed=8):
+        assert verify_fidelity(inst, lb_ctx, proto)
+
+
+def test_replace_rederives_the_party_wiring(toy_ctx):
+    # The wiring follows the partition: swapping the sides swaps the parties'.
+    swapped = replace(
+        toy_ctx, partition=replace(toy_ctx.partition, a_side=toy_ctx.b_side, b_side=toy_ctx.a_side)
+    )
+    assert list(swapped.alice.tails) == sorted(toy_ctx.b_side)
+    assert list(swapped.bob.tails) == sorted(toy_ctx.a_side)
+    assert swapped.fixed_messages is toy_ctx.fixed_messages
+
+
+@pytest.mark.parametrize(
+    "protocol",
+    [
+        toy_two_bit(3),
+        constant(2),
+        replace(toy_two_bit(2), name="toy2-copy"),
+    ],
+    ids=["k", "other-protocol", "name"],
+)
+def test_charlie_refuses_another_protocol(toy_ctx, protocol):
+    # The fixed messages are the context protocol's; a protocol of another
+    # name or k would mix its messages with them.
+    inst = next(enumerate_valid_instances(6, 3))
+    with pytest.raises(ProtocolMismatch, match=r"^protocol .* on a context built for 'toy2' with k=2$"):
+        charlie_messages(inst.x.support, inst.y.support, toy_ctx, protocol)
+    with pytest.raises(ValueError):
+        simulate(inst, toy_ctx, protocol)
+
+
+def test_charlie_accepts_a_traced_copy_of_its_protocol(toy_ctx):
+    # A copy with a wrapped encoder keeps the name and k, and the messages.
+    proto = toy_two_bit(2)
+    calls = []
+
+    def counted(view, rand):
+        calls.append(view.id)
+        return proto.encode(view, rand)
+
+    inst = next(enumerate_valid_instances(6, 3))
+    supports = (inst.x.support, inst.y.support)
+    traced = replace(proto, encode=counted)
+    assert charlie_messages(*supports, toy_ctx, traced) == charlie_messages(*supports, toy_ctx, proto)
+    _, _, u_a, u_b = layout(toy_ctx.n)
+    assert calls == [u_a, u_b]  # only the hubs are encoded
 
 
 def test_reduction_size():
@@ -315,6 +449,7 @@ def test_forced_full_information_context_decides_correctly():
         partition=PartitionContext(a_side=a_side, b_side=b_side, family=family, good=records),
         good_ids=tuple(range(1, m + 1)),
         protocol_name=proto.name,
+        fixed_messages={v: enc(v, (), Advice.A_RESTRICTED) for v in layout(n)[0]},
     )
     for inst in some_instances(6, 3, 23):
         got, _ = simulate(inst, ctx, proto)

@@ -1,8 +1,8 @@
-"""Smoke test of the layer records under ``scripts/``: harness, AGM, set-family and oracle records.
+"""Smoke test of the layer records under ``scripts/``: harness, AGM, set-family, simulation and oracle records.
 
-Each record is run on one small input (a graph, or an n=16 set-family search)
-with two versions, this package as ``current`` and a second copy of it loaded
-by ``layer_record.load_checkout``.
+Each record is run on one small input (a graph, an n=16 set-family search or
+an m=9 simulation) with two versions, this package as ``current`` and a
+second copy of it loaded by ``layer_record.load_checkout``.
 Nothing is written: the report step (``layer_record.main``) is not run.
 """
 
@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 import sketchbench
-from sketchbench import lbgraph, protocols, setfam
+from sketchbench import lbgraph, overlap, protocols, reduction, setfam
 from sketchbench.mincut import CutResult
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,6 +81,25 @@ def test_lb_record_row(scripts):
     assert scripts.versions["baseline"].setfam.__name__ == "sketchbench_baseline.setfam"
     # The wrapped functions are put back after each call.
     assert scripts.versions["baseline"].setfam.common_block.__module__ == "sketchbench_baseline.setfam"
+
+
+def test_lb_reduce_record_row(scripts):
+    row = scripts.lb.measure_reduce(("toy2", 9, 4, 2, 8, 6), scripts.versions)
+    assert set(row) == {
+        "protocol", "m", "s", "k", "trials", "instances", "context_sha256", "transcripts_sha256", "peak_rss_mb",
+        "current", "baseline",
+    }
+    assert (row["protocol"], row["m"], row["s"], row["k"], row["trials"], row["instances"]) == ("toy2", 9, 4, 2, 8, 6)
+    protocol = protocols.make_protocol("toy2", reduction.reduction_size(9), 2)
+    ctx = reduction.build_context(protocol, 9, 4, 2, scripts.lb.SEED, trials=8)
+    assert row["context_sha256"] == hashlib.sha256(ctx.to_json().encode()).hexdigest()
+    digest = hashlib.sha256()
+    for x, y in scripts.lb.instance_bits(9, 4, 6):
+        instance = overlap.OverlapInstance.make(overlap.vector_on(9, x), overlap.vector_on(9, y), 9, 4)
+        digest.update(repr(reduction.simulate(instance, ctx, protocol)[1]).encode())
+    assert row["transcripts_sha256"] == digest.hexdigest()
+    _check_spreads(row, set(scripts.lb.REDUCE_LAYERS))
+    assert scripts.versions["baseline"].reduction.simulate.__module__ == "sketchbench_baseline.reduction"
 
 
 def test_mincut_record_row(scripts):
