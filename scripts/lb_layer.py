@@ -31,12 +31,12 @@ the chosen context's ``to_json()``.
 
 The ``reduce`` group times the three-party simulation on the ``lb-reduce``
 workload's parameters: ``toy2`` at m=96, s=48, k=2, a context built once per
-version with seed 1 and 4 trials (not timed), and 64 fixed valid instances,
-half of them yes-instances.  Each instance runs as ``verify-fidelity``
-checks it: ``reduction.simulate``, then ``build_compatible_graph`` and
-``execute`` on the compatible graph, whose messages must equal the
-simulation's.  Times are ms per instance, summed over the functions named
-through ``reduction``'s globals:
+version with seed 1 and 4 trials (not timed), and the workload's first 64
+instances at seed 1 (``LbReduce.instance``, yes on even indices), each version
+reading its own copy from ``OverlapInstance.to_json``.  ``verify-fidelity``'s
+``reduction.check_instance`` checks each: the simulation's messages must equal
+``execute``'s on the compatible graph.  Times are ms per instance, summed over
+the functions named through ``reduction``'s globals:
 
 - ``simulate_ms``: the whole three-party run, referee included;
 - ``alice_ms``, ``bob_ms``: ``alice_messages`` and ``bob_messages``;
@@ -60,7 +60,7 @@ from dataclasses import replace
 from time import perf_counter
 
 import layer_record  # first: it pins the thread pools and puts src/ and bench/ on sys.path
-import numpy as np
+import workloads
 
 SEED = 1
 REPEATS = 4
@@ -124,56 +124,33 @@ def measure(case: tuple, versions: dict) -> dict:
     }
 
 
-def instance_bits(m: int, s: int, count: int) -> list[tuple[dict, dict]]:
-    """Fixed valid instances as (x bits, y bits) by index: the shared index, then s-1 more per side.
-
-    The shared index's bits differ, so instance i answers yes when i is even.
-    """
-    rng = np.random.default_rng(SEED)
-    instances = []
-    for i in range(count):
-        order = [int(j) + 1 for j in rng.permutation(m)]
-        sigma, only_x, only_y = order[0], order[1:s], order[s : 2 * s - 1]
-        x_bits = {j: int(b) for j, b in zip(only_x, rng.integers(0, 2, size=s - 1))}
-        y_bits = {j: int(b) for j, b in zip(only_y, rng.integers(0, 2, size=s - 1))}
-        x_bits[sigma], y_bits[sigma] = i % 2, 1 - i % 2
-        instances.append((x_bits, y_bits))
-    return instances
-
-
 def measure_reduce(case: tuple, versions: dict) -> dict:
     """The row of one (protocol, m, s, k, trials, instances) simulation case."""
     name, m, s, k, trials, count = case
-    bits = instance_bits(m, s, count)
+    workload = workloads.LbReduce(SEED, protocol=name, m=m, s=s, k=k, trials=trials)
+    texts = [workload.instance(i).to_json() for i in range(count)]
     setups, contexts = {}, set()
     for version, package in versions.items():
         protocol = package.protocols.make_protocol(name, package.reduction.reduction_size(m), k)
         ctx = package.reduction.build_context(protocol, m, s, k, SEED, trials=trials)
         contexts.add(hashlib.sha256(ctx.to_json().encode()).hexdigest())
-        vector_on = package.overlap.vector_on
-        instances = [
-            package.overlap.OverlapInstance.make(vector_on(m, x), vector_on(m, y), m, s) for x, y in bits
-        ]
-        setups[version] = protocol, ctx, instances
+        setups[version] = protocol, ctx, [package.overlap.OverlapInstance.from_json(text) for text in texts]
     if len(contexts) != 1:
         raise SystemExit(f"the versions build different contexts: {sorted(contexts)}")
 
-    def simulate(version, package):
+    def check(version, package):
         protocol, ctx, instances = setups[version]
-        reduction = package.reduction
         totals = dict.fromkeys(REDUCE_LAYERS, 0.0)
         digest = hashlib.sha256()
         with layer_record.timed_layers(package, REDUCE_LAYERS, totals):
             for instance in instances:
-                _, assembled = reduction.simulate(instance, ctx, protocol)
-                graph, advice = reduction.build_compatible_graph(instance, ctx)
-                honest = reduction.execute(protocol, graph, advice).messages
-                if reduction.mismatched_nodes(assembled, honest):
-                    raise SystemExit(f"{version}: the simulation differs from the honest run")
-                digest.update(repr(assembled).encode())
+                run = package.reduction.check_instance(instance, ctx, protocol)
+                if run.mismatches:
+                    raise SystemExit(f"{version}: the simulation differs from the honest run at {run.mismatches}")
+                digest.update(repr(run.assembled).encode())
         return {layer: seconds * 1e3 / count for layer, seconds in totals.items()}, digest.hexdigest()
 
-    spreads, digest = layer_record.measure(versions, simulate, REPEATS)
+    spreads, digest = layer_record.measure(versions, check, REPEATS)
     return {
         "protocol": name,
         "m": m,

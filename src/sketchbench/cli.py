@@ -54,7 +54,7 @@ from .overlap import (
     make_overlap_protocol,
 )
 from .protocols import PROTOCOLS, make_protocol, protocol_name
-from .reduction import build_compatible_graph, build_context, mismatched_nodes, reduction_size, simulate
+from .reduction import build_context, check_instance, reduction_size
 from .setfam import choose_partition, neighborhood_family, sample_family
 
 
@@ -116,6 +116,12 @@ def binomial_allowance(n: int, p: float, confidence: float) -> int:
     return n
 
 
+def _check_count(count: int) -> None:
+    """Raise ValueError unless a sampled sweep of ``count`` inputs checks at least one."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+
+
 def _random_multigraph(rng: np.random.Generator, n: int, max_mult: int = 3) -> MultiGraph:
     g = MultiGraph(n)
     for _ in range(int(rng.integers(max(1, n // 2), 2 * n + 1))):
@@ -152,6 +158,7 @@ def cmd_verify_lb(args, report: RunReport) -> None:
         for spec in sigma_neighborhood_sweep(base):
             report.record("dichotomy", verify_dichotomy(spec))
     else:
+        _check_count(args.count)
         for i in range(args.count):
             spec = random_spec(args.n, args.k, args.seed + i)
             report.record("dichotomy", verify_dichotomy(spec))
@@ -176,6 +183,7 @@ def cmd_agm_run(args, report: RunReport) -> None:
         graphs = [(load_graph(args.graph), args.k)]
         report.input_hashes[str(args.graph)] = blob_hash(args.graph)
     else:
+        _check_count(args.count)
         graphs = []
         for _ in range(args.count):
             n = int(rng.integers(4, args.max_n + 1))
@@ -287,23 +295,21 @@ def cmd_overlap_attack(args, report: RunReport) -> None:
 
 def _reduction_checks(instance, ctx, protocol, report: RunReport) -> bool:
     """Run the three parties once, check the run; return the referee's verdict."""
-    verdict, assembled = simulate(instance, ctx, protocol)
-    graph, advice = build_compatible_graph(instance, ctx)
-    honest = execute(protocol, graph, advice).messages
-    report.record("fidelity", not mismatched_nodes(assembled, honest))
+    run = check_instance(instance, ctx, protocol)
+    report.record("fidelity", not run.mismatches)
     report.record(
         "semantic_correspondence",
-        is_k_edge_connected(graph, ctx.k) == answer(instance),
+        is_k_edge_connected(run.graph, ctx.k) == answer(instance),
     )
     # Only Alice and Bob send for W-nodes, at most max_bits each; a
     # fixed-length protocol sends exactly that.
     w_nodes = ctx.a_side | ctx.b_side
-    w_bits = sum(len(bits) for node, bits in assembled if node in w_nodes)
+    w_bits = sum(len(bits) for node, bits in run.assembled if node in w_nodes)
     budget = len(w_nodes) * protocol.max_bits
     report.record("within_budget", w_bits <= budget)
     if protocol.fixed_length:
         report.record("exact_length", w_bits == budget)
-    return verdict
+    return run.verdict
 
 
 def cmd_verify_fidelity(args, report: RunReport) -> None:

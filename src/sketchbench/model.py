@@ -325,20 +325,30 @@ def save_graph(graph: MultiGraph, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def canonical_int(token: str) -> Optional[int]:
+    """The int that ``str`` writes as ``token``, else None: ``int`` alone also reads '01', '+2' and '1_0'."""
+    try:
+        value = int(token)
+    except ValueError:
+        return None
+    return value if str(value) == token else None
+
+
 def load_graph(path) -> MultiGraph:
     """Read the ``save_graph`` format; a malformed file raises ValueError or UnknownNode."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     header = lines[0].split() if lines else []
-    if len(header) != 2 or header[0] != "n":
-        raise ValueError("graph file must start with a 'n <count>' header")
-    graph = MultiGraph(int(header[1]))
+    n = canonical_int(header[1]) if len(header) == 2 and header[0] == "n" else None
+    if n is None:
+        raise ValueError(f"graph file must start with a 'n <count>' header, got {' '.join(header)!r}")
+    graph = MultiGraph(n)
     prev = None
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
+        parts = [canonical_int(token) for token in ln.split()]
+        if len(parts) != 3 or None in parts:
             raise ValueError(f"malformed edge line: {ln!r}")
-        u, v, m = int(parts[0]), int(parts[1]), int(parts[2])
+        u, v, m = parts
         if not u < v:
             raise ValueError(f"edge line must have u < v: {ln!r}")
         if prev is not None and (u, v) <= prev:

@@ -321,9 +321,10 @@ def _kept_index_protocol(
     def decode(supp_x, supp_y, msg_a, msg_b) -> bool:
         (mask_a, at_a), (mask_b, at_b) = entries[supp_x], entries[supp_y]
         common = mask_a & mask_b
-        if not common or common & (common - 1):
-            raise InvalidInstance("P2", f"supports share {common.bit_count()} indices")
-        sigma = common.bit_length() - 1
+        if common and not common & (common - 1):
+            sigma = common.bit_length() - 1
+        else:
+            sigma = shared_index(supp_x, supp_y)  # raises P1 or P2: no index shared, or several
         if sigma in at_a:
             return msg_a[at_a[sigma]] == "0"  # Bob's bit is the other one
         return sigma in at_b and msg_b[at_b[sigma]] == "1"

@@ -12,7 +12,7 @@ from hashlib import blake2b
 
 from .lbgraph import layout
 from .mincut import global_min_cut
-from .model import Bits, Decision, MultiGraph, NodeView, SketchProtocol
+from .model import Bits, Decision, MultiGraph, NodeView, SketchProtocol, canonical_int
 
 
 def view_payload(view: NodeView) -> str:
@@ -159,10 +159,10 @@ PROTOCOLS = {
 
 
 def protocol_name(name: str) -> str:
-    """Return ``name`` if ``make_protocol`` builds it; raise ValueError otherwise."""
+    """``name`` if ``make_protocol`` builds a protocol so named (not 'trunc:03'), else ValueError."""
     if isinstance(name, str):
         prefix, _, bits = name.partition(":")
-        if name in PROTOCOLS or (prefix == "trunc" and bits.isdecimal() and int(bits) >= 1):
+        if name in PROTOCOLS or (prefix == "trunc" and (canonical_int(bits) or 0) >= 1):
             return name
     raise ValueError(f"protocol: {name!r} is unknown; known: {', '.join(PROTOCOLS)}, trunc:<bits>")
 

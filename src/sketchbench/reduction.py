@@ -8,7 +8,8 @@ each V-node its advice and, at a support host, its pair record's witness;
 Charlie wires the hubs by ``lbgraph.hub_of`` and sends the other V-nodes'
 messages, and ``build_compatible_graph`` takes its roles from the same map.
 The referee's decision on the assembled messages answers the instance, and
-the assembly is bit-identical to the honest execution.
+the assembly is bit-identical to the honest execution: ``check_instance`` is
+the one run that checks both, for every caller.
 
 What does not depend on the instance is computed once, in the context:
 Charlie's message for each V-node outside both supports (A-restricted, no
@@ -16,7 +17,7 @@ W-edges, encoded by ``build_context``), and for each wiring party the W-ends
 of every coordinate's pair edges under either bit and each of its W-nodes'
 view entries other than those pair edges.  A party's W-node views are then
 assembled from these pieces, with no graph built.  ``build_compatible_graph``
-and ``execute`` read none of them, so ``verify_fidelity`` checks the
+and ``execute`` read none of them, so ``check_instance`` checks the
 pre-computed pieces on every instance it runs.  Building a context checks
 (m, s) with ``overlap.check_parameters``; its JSON is a report, written and
 never read back.
@@ -28,7 +29,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .lbgraph import LBGraphSpec, build_lb_graph, hub_of, layout, role_view
 from .model import (
@@ -352,37 +353,39 @@ def build_compatible_graph(
     return build_lb_graph(spec)
 
 
-def fidelity_mismatches(
+class CheckedRun(NamedTuple):
+    """``simulate``'s verdict and messages, the compatible graph, and the ids where its honest run differs."""
+
+    verdict: bool
+    assembled: list[tuple[int, Bits]]
+    graph: MultiGraph
+    mismatches: list[int]
+
+
+def check_instance(
     instance: OverlapInstance, ctx: ReductionContext, protocol: SketchProtocol
-) -> list[int]:
-    """Node ids whose simulated message differs from the honest execution."""
-    _, assembled = simulate(instance, ctx, protocol)
-    graph, advice = build_compatible_graph(instance, ctx)
-    return mismatched_nodes(assembled, execute(protocol, graph, advice).messages)
-
-
-def mismatched_nodes(
-    assembled: Sequence[tuple[int, Bits]], honest: Sequence[tuple[int, Bits]]
-) -> list[int]:
-    """Node ids where two message lists differ.
+) -> CheckedRun:
+    """Run the three parties on one instance and compare their messages with the honest execution.
 
     Messages are compared position by position, ids included; a node that one
     list has and the other lacks counts as a mismatch.
     """
-    return [
-        real_node if node is None else node
-        for (node, sim_bits), (real_node, real_bits) in zip_longest(
-            assembled, honest, fillvalue=(None, None)
-        )
-        if node != real_node or sim_bits != real_bits
+    verdict, assembled = simulate(instance, ctx, protocol)
+    graph, advice = build_compatible_graph(instance, ctx)
+    honest = execute(protocol, graph, advice).messages
+    mismatches = [
+        real if node is None else node
+        for (node, bits), (real, real_bits) in zip_longest(assembled, honest, fillvalue=(None, None))
+        if node != real or bits != real_bits
     ]
+    return CheckedRun(verdict, assembled, graph, mismatches)
 
 
 def verify_fidelity(
     instance: OverlapInstance, ctx: ReductionContext, protocol: SketchProtocol
 ) -> bool:
     """True iff the referee's simulated input is bit-identical to the honest one."""
-    return not fidelity_mismatches(instance, ctx, protocol)
+    return not check_instance(instance, ctx, protocol).mismatches
 
 
 def alice_bob_bits(

@@ -63,6 +63,26 @@ def test_kconn_refuses_k_below_1(tmp_path, capsys, monkeypatch, k):
     assert report["results"] == {"error": f"ValueError: k must be positive, got {k}"}
 
 
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (("agm-run", "--count", 0), 0),
+        (("agm-run", "--count", -3), -3),
+        (("verify-lb", "--n", 36, "--k", 2, "--count", 0), 0),
+    ],
+    ids=["agm-run-0", "agm-run-minus-3", "verify-lb-0"],
+)
+def test_sampled_sweeps_refuse_count_below_1(capsys, monkeypatch, argv, count):
+    # A sweep of no graphs would pass after checking nothing; it is refused
+    # before any graph is built.
+    monkeypatch.setattr(cli, "_random_multigraph", None)
+    monkeypatch.setattr(cli, "random_spec", None)
+    code, report = run(capsys, *argv)
+    assert code == 1
+    assert report["outcomes"] == {"completed": {"pass": 0, "fail": 1}}
+    assert report["results"] == {"error": f"ValueError: count must be at least 1, got {count}"}
+
+
 @pytest.mark.parametrize("sweep, expect", [("random", 3), ("exhaustive", 20)])
 def test_verify_lb(capsys, sweep, expect):
     code, report = run(capsys, "verify-lb", "--n", 36, "--k", 2, "--sweep", sweep, "--count", 3)

@@ -166,6 +166,20 @@ def test_graph_file_rejects_malformed(tmp_path):
         path.write_text(f"{header}\n1 2 1\n")
         with pytest.raises(ValueError, match="header"):
             load_graph(path)
+    # Every number is spelled as save_graph writes it.  int() reads each of
+    # these: the first file once loaded as a 10-node graph with edge (1, 2, 3).
+    for text, line in (
+        ("n 1_0\n1 +2 \u0663\n", "n 1_0"),
+        ("n 03\n1 2 1\n", "n 03"),
+        ("n +3\n1 2 1\n", "n +3"),
+        ("n 10\n1 +2 3\n", "1 +2 3"),
+        ("n 10\n1 2 \u0663\n", "1 2 \u0663"),
+        ("n 10\n01 2 1\n", "01 2 1"),
+        ("n 10\n1 2 1_0\n", "1 2 1_0"),
+    ):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(repr(line))):
+            load_graph(path)
 
 
 def test_load_graph_allocates_for_edges_not_header(tmp_path):
@@ -185,7 +199,9 @@ def test_load_graph_allocates_for_edges_not_header(tmp_path):
 
 
 _GRAPH_LINES = ["n 5", "1 2 2", "1 3 5", "2 4 1", "4 5 3"]
-_tokens = st.sampled_from(["n", "0", "1", "2", "5", "6", "-1", "+3", "1.5", "x", "9" * 25]) | st.text(max_size=4)
+_tokens = st.sampled_from(
+    ["n", "0", "1", "2", "5", "6", "-1", "+3", "01", "1_0", "\u0663", "1.5", "x", "9" * 25]
+) | st.text(max_size=4)
 
 
 @st.composite
@@ -222,11 +238,11 @@ def test_load_graph_fuzz_raises_only_named_errors(tmp_path_factory, text):
         graph = load_graph(path)
     except (ValueError, UnknownNode):
         return
-    # A file that loads is decoded whole: its header is n and nothing else,
-    # and its edge lines are the graph's edges.
+    # A file that loads is decoded whole and spelled as save_graph writes it:
+    # its header is n and nothing else, and its edge lines are the graph's edges.
     header, *lines = [line.split() for line in path.read_text(encoding="utf-8").split("\n") if line.strip()]
-    assert len(header) == 2 and header[0] == "n" and int(header[1]) == graph.n
-    assert [tuple(map(int, line)) for line in lines] == list(graph.edges())
+    assert header == ["n", str(graph.n)]
+    assert lines == [[str(x) for x in edge] for edge in graph.edges()]
 
 
 def test_full_information_two_node_parallel():

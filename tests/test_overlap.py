@@ -462,12 +462,15 @@ def test_attack_truncation_golden():
 @pytest.mark.parametrize("make", [appb_protocol, truncated_protocol, full_support_protocol])
 @pytest.mark.parametrize("supp_y", [(5, 6, 7, 8), (3, 4, 7, 8)])
 def test_decoders_reject_broken_overlap(make, supp_y):
-    """Disjoint supports and supports sharing two indices are named, not decoded."""
+    """Disjoint supports (P1) and supports sharing two indices (P2) are named by ``shared_index``, not decoded."""
     proto = make(9, 4)
     msg = "0" * proto.max_bits
     with pytest.raises(InvalidInstance) as err:
         proto.charlie_decode((1, 2, 3, 4), supp_y, msg, msg)
-    assert err.value.name == "P2"
+    with pytest.raises(InvalidInstance) as rule:
+        shared_index((1, 2, 3, 4), supp_y)
+    assert (err.value.name, str(err.value)) == (rule.value.name, str(rule.value))
+    assert err.value.name == ("P2" if set(supp_y) & {1, 2, 3, 4} else "P1")
 
 
 def test_appb_decoder_rejects_unknown_support():

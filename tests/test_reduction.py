@@ -10,7 +10,7 @@ from sketchbench.lbgraph import SpecError, layout, role_view
 from sketchbench.mincut import is_k_edge_connected
 from sketchbench.model import Advice, Bits, Decision, EMPTY_RANDOMNESS, MultiGraph, execute, node_view
 from sketchbench.overlap import InvalidInstance, OverlapInstance, answer, enumerate_valid_instances, vector_on
-from sketchbench.protocols import constant, full_information, make_protocol, toy_two_bit
+from sketchbench.protocols import constant, full_information, make_protocol, protocol_name, toy_two_bit
 from sketchbench.reduction import (
     NotEnoughGoodNodes,
     ProtocolMismatch,
@@ -22,7 +22,7 @@ from sketchbench.reduction import (
     build_context,
     charlie_decide,
     charlie_messages,
-    fidelity_mismatches,
+    check_instance,
     reduction_size,
     simulate,
     verify_fidelity,
@@ -227,6 +227,15 @@ def test_protocol_name_is_its_registry_key(name):
     assert make_protocol(name, 16, 2).name == name
 
 
+@pytest.mark.parametrize("name", ["trunc:03", "trunc:\u0663", "trunc:+3", "trunc:1_0", "trunc:0", "trunc:", "toy2:"])
+def test_protocol_name_refuses_other_spellings(name):
+    # int() reads "03", "+3", "1_0" and the Arabic-Indic digit three, but the
+    # protocol built from them would be named "trunc:3" or "trunc:10", so the
+    # report's parameters and the context's protocol would disagree.
+    with pytest.raises(ValueError, match="is unknown"):
+        protocol_name(name)
+
+
 def test_alice_messages_match_compatible_graph(toy_ctx):
     proto = toy_two_bit(2)
     inst = next(enumerate_valid_instances(6, 3))
@@ -342,7 +351,7 @@ def test_fidelity_names_mutated_node(toy_ctx):
         rec, message_sigma=Bits(bytes([data[0] ^ 0x80]) + data[1:], len(rec.message_sigma))
     )
     assert not verify_fidelity(inst, broken, proto)
-    assert fidelity_mismatches(inst, broken, proto) == [node]
+    assert check_instance(inst, broken, proto).mismatches == [node]
 
 
 def test_fidelity_names_dropped_trailing_node(toy_ctx, monkeypatch):
@@ -357,8 +366,33 @@ def test_fidelity_names_dropped_trailing_node(toy_ctx, monkeypatch):
         return verdict, assembled[:-1]
 
     monkeypatch.setattr(reduction, "simulate", dropping)
-    assert fidelity_mismatches(inst, toy_ctx, proto) == [toy_ctx.n]
+    assert check_instance(inst, toy_ctx, proto).mismatches == [toy_ctx.n]
     assert not verify_fidelity(inst, toy_ctx, proto)
+
+
+def test_fidelity_compares_ids_too(toy_ctx, monkeypatch):
+    # The right bits under the wrong id are a mismatch, named by the simulated id.
+    import sketchbench.reduction as reduction
+
+    proto = toy_two_bit(2)
+    inst = next(enumerate_valid_instances(6, 3))
+    honest = reduction.simulate
+
+    def relabelling(*args):
+        verdict, assembled = honest(*args)
+        return verdict, [(toy_ctx.n + 1, assembled[0][1]), *assembled[1:]]
+
+    monkeypatch.setattr(reduction, "simulate", relabelling)
+    assert check_instance(inst, toy_ctx, proto).mismatches == [toy_ctx.n + 1]
+
+
+def test_checked_run_holds_the_simulation_and_the_compatible_graph(toy_ctx):
+    proto = toy_two_bit(2)
+    for inst in some_instances(6, 3, 577):
+        run = check_instance(inst, toy_ctx, proto)
+        assert (run.verdict, run.assembled) == simulate(inst, toy_ctx, proto)
+        assert run.graph == build_compatible_graph(inst, toy_ctx)[0]
+        assert run.mismatches == []
 
 
 def test_constant_protocol_trivially_faithful():

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 import sketchbench
-from sketchbench import lbgraph, overlap, protocols, reduction, setfam
+from sketchbench import lbgraph, protocols, reduction, setfam
 from sketchbench.mincut import CutResult
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,10 +93,11 @@ def test_lb_reduce_record_row(scripts):
     protocol = protocols.make_protocol("toy2", reduction.reduction_size(9), 2)
     ctx = reduction.build_context(protocol, 9, 4, 2, scripts.lb.SEED, trials=8)
     assert row["context_sha256"] == hashlib.sha256(ctx.to_json().encode()).hexdigest()
+    # The record runs the lb-reduce workload's first instances at the record's seed.
+    workload = scripts.lb.workloads.LbReduce(scripts.lb.SEED, m=9, s=4, trials=8)
     digest = hashlib.sha256()
-    for x, y in scripts.lb.instance_bits(9, 4, 6):
-        instance = overlap.OverlapInstance.make(overlap.vector_on(9, x), overlap.vector_on(9, y), 9, 4)
-        digest.update(repr(reduction.simulate(instance, ctx, protocol)[1]).encode())
+    for i in range(6):
+        digest.update(repr(reduction.simulate(workload.instance(i), ctx, protocol)[1]).encode())
     assert row["transcripts_sha256"] == digest.hexdigest()
     _check_spreads(row, set(scripts.lb.REDUCE_LAYERS))
     assert scripts.versions["baseline"].reduction.simulate.__module__ == "sketchbench_baseline.reduction"
