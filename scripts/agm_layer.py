@@ -27,13 +27,15 @@ that ``execute`` reaches through module globals:
 - ``execute_ms``: the whole ``model.execute`` call.
 
 A version that does not define a layer's function (an older checkout under
-``--baseline``) reports no time for that layer; ``peel_ms`` is comparable
-across versions.  Every execution of a graph must give the same
-``transcript_sha256``, a SHA-256 over the messages and the decision.  Each
-row also gives ``bits``, the message length, and per version
-``transcript_mb``: the memory that one execution's messages hold, by
-``sys.getsizeof`` of each message object (a ``Bits`` pair with its bytes, or
-a '0'/'1' ``str`` in a version before packed messages).  Packed, the n=1024
+``--baseline``) reports no time for that layer, except the three that
+``peel_ms`` is computed from: a version without one of those is refused
+before the first call.  ``peel_ms`` is comparable across versions.  Every
+execution of a graph must give the same ``transcript_sha256``, a SHA-256
+over the messages and the decision.  Each row also gives ``bits``, the
+message length, and per version ``transcript_mb``: the memory that one
+execution's messages hold, by ``sys.getsizeof`` of each message object (a
+``Bits`` pair with its bytes, or a '0'/'1' ``str`` in a version before
+packed messages).  Packed, the n=1024
 transcript holds 46.5 MB of messages; as '0'/'1' text it held 371.3 MB.
 ``layer_record`` describes the repeats, ranges and report.
 """
@@ -63,6 +65,14 @@ LAYERS = {
     "certificate_cut_ms": ("agm", "global_min_cut"),
     "decode_ms": ("agm", "agm_decide_kconn"),
 }
+
+#: Every (module, attribute) the record calls, and the layers ``peel_ms`` is computed from.
+NEEDS = (
+    ("agm", "make_agm_protocol"),
+    ("model", "SharedRandomness"),
+    ("model", "execute"),
+    *(LAYERS[layer] for layer in ("decode_ms", "bits_to_cells_ms", "certificate_cut_ms")),
+)
 
 
 def agm_hard_inputs(count: int = 10) -> list[tuple]:
@@ -129,4 +139,4 @@ def record(versions: dict) -> tuple[dict, dict]:
 
 
 if __name__ == "__main__":
-    layer_record.main(__doc__, "BENCH_agm.json", ("model", "agm"), record)
+    layer_record.main(__doc__, "BENCH_agm.json", ("model", "agm"), NEEDS, record)

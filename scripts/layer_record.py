@@ -26,6 +26,10 @@ of its graphs' medians, and ``range_ms``, the smallest minimum and largest
 maximum: two versions whose ranges overlap are not told apart by their
 medians alone.
 
+Requirements.  Each record names every (module, attribute) it calls or
+times; ``main`` checks them in every loaded version before the first call,
+and stops naming each one a version lacks, rather than minutes into a run.
+
 Provenance.  ``source_sha256`` names each version by the SHA-256 of the
 modules the record times; ``platform`` and the process's ``peak_rss_mb`` say
 where the numbers were taken.
@@ -66,6 +70,18 @@ def load_checkout(src: Path, version: str):
         if path.stem != "__init__":
             importlib.import_module(f"{spec.name}.{path.stem}")
     return package
+
+
+def require(versions: dict, needs) -> None:
+    """Stop, naming each one, if a version lacks a (module, attribute) pair of ``needs``."""
+    missing = [
+        f"{name} {module}.{attr}"
+        for name, package in versions.items()
+        for module, attr in needs
+        if not hasattr(getattr(package, module, None), attr)
+    ]
+    if missing:
+        raise SystemExit(f"the record calls what a version lacks: {', '.join(missing)}")
 
 
 def measure(versions: dict, call, repeats: int) -> tuple[dict, object]:
@@ -126,11 +142,12 @@ def spread(values: list) -> list:
     return [round(value, 3) for value in (min(values), statistics.median(values), max(values))]
 
 
-def main(doc: str, out_name: str, modules: tuple, record) -> None:
+def main(doc: str, out_name: str, modules: tuple, needs: tuple, record) -> None:
     """Parse ``--out`` and ``--baseline``, load the versions, and write ``record(versions)`` as a report.
 
-    ``record`` returns the report's leading fields (seed, repeats, ...) and
-    the graph rows by group.
+    ``needs`` lists every (module, attribute) that ``record`` calls or times;
+    ``require`` checks them first.  ``record`` returns the report's leading
+    fields (seed, repeats, ...) and the graph rows by group.
     """
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--out", type=Path, default=ROOT / out_name)
@@ -140,6 +157,7 @@ def main(doc: str, out_name: str, modules: tuple, record) -> None:
     versions = {"current": load_checkout(ROOT / "src", "current")}
     if args.baseline is not None:
         versions["baseline"] = load_checkout(args.baseline, "baseline")
+    require(versions, needs)
     header, graphs = record(versions)
     report = {
         **header,

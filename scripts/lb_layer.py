@@ -88,6 +88,20 @@ REDUCE_LAYERS = {
     "execute_ms": ("reduction", "execute"),
 }
 
+#: Every (module, attribute) the record times or calls, checked in each version before the first call.
+NEEDS = (
+    *LAYERS.values(),
+    *REDUCE_LAYERS.values(),
+    ("lbgraph", "layout"),
+    ("overlap", "OverlapInstance"),
+    ("protocols", "make_protocol"),
+    ("reduction", "build_context"),
+    ("reduction", "check_instance"),
+    ("reduction", "reduction_size"),
+    ("setfam", "choose_partition"),
+    ("setfam", "complete_family"),
+)
+
 
 def measure(case: tuple, versions: dict) -> dict:
     """The row of one (protocol, n, k, trials) case: its layer spreads per version and its context digest."""
@@ -175,4 +189,4 @@ def record(versions: dict) -> tuple[dict, dict]:
 
 
 if __name__ == "__main__":
-    layer_record.main(__doc__, "BENCH_lb.json", ("lbgraph", "setfam", "reduction", "model"), record)
+    layer_record.main(__doc__, "BENCH_lb.json", ("lbgraph", "setfam", "reduction", "model"), NEEDS, record)

@@ -95,4 +95,4 @@ def record(versions: dict) -> tuple[dict, dict]:
 
 
 if __name__ == "__main__":
-    layer_record.main(__doc__, "BENCH_mincut.json", ("model", "mincut"), record)
+    layer_record.main(__doc__, "BENCH_mincut.json", ("model", "mincut"), (("mincut", "global_min_cut"),), record)

@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic experiment driver for the sketching toolkit.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    sketch_protocols = f"{', '.join(PROTOCOLS)} or trunc:<bits>"
+    sketch_protocols = f"{', '.join(PROTOCOLS)} or trunc:<bits>, bits at most 8(32 + 16n)"
 
     def common(p, seeded=True):
         if seeded:

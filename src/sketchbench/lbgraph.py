@@ -16,7 +16,8 @@ builds them once per candidate neighborhood and wraps them in each node's
 view; ``role_view`` is that wrapping for one node, and the search's record
 checks and Charlie's simulation build V-node views with it.  Charlie's hub
 views are built directly, each V-node attached to the hub ``hub_of`` names.
-``build_lb_graph`` wires the same rules as edges, independently, so that
+``build_lb_graph`` writes the same rules as whole rows of a ``MultiGraph``,
+independently of these helpers and of any pre-computed context, so that
 fidelity checks compare the simulation with an honest graph.
 """
 
@@ -140,9 +141,11 @@ def validate(spec: LBGraphSpec) -> None:
     if set(spec.restrictions) != expect_roles:
         raise SpecError("sizes", "restrictions must cover exactly V minus sigma")
 
+    sigma, restrictions, a_side, b_side = spec.sigma, spec.restrictions, spec.a_side, spec.b_side
+    neighbors_of, empty = spec.w_neighbors.get, frozenset()
     for v in v_ids:
-        nbrs = spec.w_neighbors.get(v, frozenset())
-        if v == spec.sigma:
+        nbrs = neighbors_of(v, empty)
+        if v == sigma:
             if len(nbrs) != 2 * k - 1:
                 raise SpecError(
                     "C0/C1", f"sigma must have exactly {2 * k - 1} W-edges, got {len(nbrs)}"
@@ -150,14 +153,14 @@ def validate(spec: LBGraphSpec) -> None:
             if not nbrs <= w_set:
                 raise SpecError("C0/C1", f"sigma neighborhood leaves W: {sorted(nbrs - w_set)}")
             continue
-        role = spec.restrictions[v]
+        role = restrictions[v]
         if role is Advice.A_RESTRICTED:
-            if not nbrs <= spec.a_side:
+            if not nbrs <= a_side:
                 raise SpecError("E3", f"A-restricted node {v} has edges outside A")
         elif role is Advice.B_RESTRICTED:
             if not nbrs:
                 raise SpecError("E4", f"B-restricted node {v} needs at least one B-edge")
-            if not nbrs <= spec.b_side:
+            if not nbrs <= b_side:
                 raise SpecError("E4", f"B-restricted node {v} has edges outside B")
         else:
             raise SpecError("sizes", f"node {v} has invalid role {role}")
@@ -170,33 +173,36 @@ def condition_of(spec: LBGraphSpec) -> Condition:
 
 
 def build_lb_graph(spec: LBGraphSpec) -> tuple[MultiGraph, dict[int, Optional[Advice]]]:
-    """Materialize the spec as a multigraph plus the per-node advice map."""
+    """Materialize the spec as a multigraph plus the per-node advice map.
+
+    The graph is written as rows, each edge once.  A hub's row holds its
+    side's W-nodes and the V-nodes attached to it, k edges each: u_B the
+    B-restricted ones, u_A sigma and the A-restricted ones.  A W-node's row
+    holds the later W-nodes of its side and its V-neighbors.
+    """
     validate(spec)
     n, k = spec.n, spec.k
     v_ids, _, u_a, u_b = layout(n)
-    graph = MultiGraph(n)
+    advice: dict[int, Optional[Advice]] = dict.fromkeys(range(1, n + 1))
+    advice.update(spec.restrictions)
+    advice[spec.sigma] = Advice.SIGMA
 
-    for side in (spec.a_side, spec.b_side):
-        for x, y in itertools.combinations(sorted(side), 2):
-            graph.add_edge(x, y, 1)
-    for w in sorted(spec.a_side):
-        graph.add_edge(u_a, w, 1)
-    for w in sorted(spec.b_side):
-        graph.add_edge(u_b, w, 1)
-
-    advice: dict[int, Optional[Advice]] = {i: None for i in range(1, n + 1)}
+    rows: dict[int, dict[int, int]] = {u_a: {}, u_b: {}}
     for v in v_ids:
-        for w in sorted(spec.w_neighbors.get(v, frozenset())):
-            graph.add_edge(v, w, 1)
-        if v == spec.sigma:
-            graph.add_edge(v, u_a, k)
-            advice[v] = Advice.SIGMA
-        elif spec.restrictions[v] is Advice.A_RESTRICTED:
-            graph.add_edge(v, u_a, k)
-            advice[v] = Advice.A_RESTRICTED
-        else:
-            graph.add_edge(v, u_b, k)
-            advice[v] = Advice.B_RESTRICTED
+        rows[u_b if advice[v] is Advice.B_RESTRICTED else u_a][v] = k
+    for side, hub in ((spec.a_side, u_a), (spec.b_side, u_b)):
+        ordered = sorted(side)
+        rows[hub].update(dict.fromkeys(ordered, 1))
+        for i, w in enumerate(ordered):
+            rows[w] = dict.fromkeys(ordered[i + 1 :], 1)
+    for v, nbrs in spec.w_neighbors.items():
+        if v in v_ids:  # validate reads no other node's entry, so none is wired
+            for w in nbrs:
+                rows[w][v] = 1
+
+    graph = MultiGraph(n)
+    for u, row in rows.items():
+        graph.add_row(u, row)
     return graph, advice
 
 

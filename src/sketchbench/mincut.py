@@ -20,12 +20,20 @@ answer stays exact.  v_t always qualifies; on the hard family's 256-node graphs
 a phase removes most vertices, and 1-4 phases replace the n-1 that contracting
 only (v_{t-1}, v_t) takes.
 
-The contracted graph is a dict of adjacency dicts, first read from
-``MultiGraph.neighborhood``, so memory grows with the edges, not with n^2, and
+The contracted graph is a dict of adjacency dicts, first copied by
+``MultiGraph.rows``, so memory grows with the edges, not with n^2, and
 weights are Python integers of any size.  A phase grows its MA order with a
 heap keyed (-attachment, id), so ties go to the smallest id.  Each run of
 contracted vertices is merged into its head's dict, and ``groups`` maps each
-head to the original nodes it stands for.
+head that has absorbed others to the original nodes it stands for.
+
+The rows are copied as stored, not sorted, and nothing here depends on the
+order of a row's entries.  A phase pushes the same heap entries in any row
+order, and no two of them tie: distinct vertices have distinct ids, and a
+vertex's attachment grows with each of its entries.  So the heap pops in one
+order.  The starting cut is the least (weighted degree, id), and contraction
+sums weights.  The value and the side therefore depend only on the graph,
+not on the order its edges were added in.
 """
 
 from __future__ import annotations
@@ -68,16 +76,19 @@ def _ma_order(adj: dict[int, dict[int, int]]) -> list[tuple[int, int]]:
     attach = dict.fromkeys(adj, 0)  # of each vertex not yet grown
     heap = [(0, min(adj))]
     order = []
+    pop, push, attachment = heapq.heappop, heapq.heappush, attach.get
     while attach and heap:
         # A vertex's freshest entry pops before its stale ones, so an entry
         # whose vertex has already grown is the only kind to skip.
-        v = heapq.heappop(heap)[1]
-        if v in attach:
-            order.append((v, attach.pop(v)))
+        v = pop(heap)[1]
+        label = attach.pop(v, None)
+        if label is not None:
+            order.append((v, label))
             for w, m in adj[v].items():
-                if w in attach:
-                    attach[w] += m
-                    heapq.heappush(heap, (-attach[w], w))
+                r = attachment(w)
+                if r is not None:
+                    attach[w] = r = r + m
+                    push(heap, (-r, w))
     return order
 
 
@@ -93,19 +104,21 @@ def global_min_cut(graph: MultiGraph) -> CutResult:
         raise TooSmall(f"need at least 2 nodes, got {n}")
 
     # Weighted adjacency of the contracted graph, keyed by each group's head.
-    adj = {v: graph.neighborhood(v) for v in range(1, n + 1)}
+    adj = graph.rows()
     order = _ma_order(adj)
     if len(order) < n:
         return CutResult(0, frozenset(v for v, _ in order))
-    groups = {v: frozenset({v}) for v in adj}
-    degree, v = min((sum(row.values()), v) for v, row in adj.items())
-    best = CutResult(degree, groups[v])
+    # The original nodes of each head that stands for more than itself.
+    groups: dict[int, frozenset[int]] = {}
+    degrees = list(map(sum, map(dict.values, adj.values())))  # of nodes 1..n
+    degree = min(degrees)
+    best = CutResult(degree, frozenset({degrees.index(degree) + 1}))
 
     while True:
         bound = best.value  # as the phase began: never below the rule's threshold
         last, cut_of_phase = order[-1]
         if cut_of_phase < bound:
-            best = CutResult(cut_of_phase, groups[last])
+            best = CutResult(cut_of_phase, groups.get(last, frozenset({last})))
         # Runs v_{j+1}, ..., v_i to contract into v_j: each of their labels
         # reaches ``bound``, and v_t always joins its predecessor.  r(v_1) = 0
         # < bound, so v_1 is a head.
@@ -124,7 +137,7 @@ def global_min_cut(graph: MultiGraph) -> CutResult:
                         del adj[w][v]
                         row[w] = row.get(w, 0) + m
                         adj[w][head] = row[w]
-            groups[head] = groups[head].union(*(groups.pop(v) for v in run))
+            groups[head] = groups.get(head, frozenset({head})).union(*(groups.pop(v, (v,)) for v in run))
         if len(adj) == 1:
             return best
         order = _ma_order(adj)

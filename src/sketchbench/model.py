@@ -160,9 +160,8 @@ class MultiGraph:
         if not (1 <= u <= self.n):
             raise UnknownNode(u)
 
-    def add_edge(self, u: int, v: int, mult: int = 1) -> None:
-        # The node checks of ``_check_node``, inlined: this is the graph
-        # builders' inner loop.
+    def _check_edge(self, u: int, v: int, mult: int) -> None:
+        """Raise ``UnknownNode`` for an end outside 1..n, u before v, else ValueError for a self-loop or mult < 1."""
         if not 1 <= u <= self.n:
             raise UnknownNode(u)
         if not 1 <= v <= self.n:
@@ -171,9 +170,34 @@ class MultiGraph:
             raise ValueError(f"self-loop at node {u}")
         if mult < 1:
             raise ValueError(f"multiplicity must be >= 1, got {mult}")
+
+    def add_edge(self, u: int, v: int, mult: int = 1) -> None:
+        self._check_edge(u, v, mult)
         row_u, row_v = self._adj[u], self._adj[v]
         row_u[v] = row_u.get(v, 0) + mult
         row_v[u] = row_v.get(u, 0) + mult
+
+    def add_row(self, u: int, row: Mapping[int, int]) -> None:
+        """Add an edge of multiplicity ``row[v]`` between ``u`` and each ``v`` in ``row``.
+
+        Refuses what ``add_edge`` refuses, for ``u`` and then entry by entry
+        in ``row``'s order, before it writes anything.  One call per row
+        saves the graph builders a method call and a row lookup per edge.
+        """
+        n = self.n
+        if not 1 <= u <= n:
+            raise UnknownNode(u)
+        for v, mult in row.items():
+            if not (1 <= v <= n and v != u and mult >= 1):
+                self._check_edge(u, v, mult)
+        if not row:
+            return
+        adj = self._adj
+        row_u = adj[u]
+        for v, mult in row.items():
+            row_v = adj[v]
+            # Rows are symmetric, so one read gives both ends' multiplicity.
+            row_u[v] = row_v[u] = row_v.get(u, 0) + mult
 
     def multiplicity(self, u: int, v: int) -> int:
         self._check_node(u)
@@ -185,6 +209,15 @@ class MultiGraph:
         self._check_node(node)
         adj = self._adj.get(node, _NO_NEIGHBORS)
         return {v: adj[v] for v in sorted(adj)}
+
+    def rows(self) -> dict[int, dict[int, int]]:
+        """A copy of every node's {neighbor: multiplicity} row, nodes 1..n ascending, an isolated node's empty.
+
+        Unlike ``neighborhood``, a row's entries are not sorted: they keep the
+        order the edges were written in.
+        """
+        get = self._adj.get
+        return {v: get(v, _NO_NEIGHBORS).copy() for v in range(1, self.n + 1)}
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """All edges as (u, v, mult) with u < v, ascending."""
@@ -217,9 +250,10 @@ class NodeView(NamedTuple):
 
 def node_view(graph: MultiGraph, node: int, advice: Optional[Advice], k: int) -> NodeView:
     """``node``'s view in ``graph``: its (neighbor, multiplicity) entries in ascending id order."""
-    graph._check_node(node)
-    nbrs = tuple(sorted(graph._adj.get(node, _NO_NEIGHBORS).items()))
-    return NodeView(node, nbrs, advice, graph.n, k)
+    n = graph.n
+    if not 1 <= node <= n:
+        raise UnknownNode(node)
+    return NodeView(node, tuple(sorted(graph._adj.get(node, _NO_NEIGHBORS).items())), advice, n, k)
 
 
 class SharedRandomness:
@@ -288,9 +322,9 @@ def check_message(protocol: SketchProtocol, node: int, bits: Bits) -> Bits:
     Raises ValueError (from ``check_bits``) or ``EncodingOverflow``; every
     path that hands messages to a referee checks them here.
     """
-    bits = check_bits(bits)
-    if len(bits) > protocol.max_bits:
-        raise EncodingOverflow(f"node {node} emitted {len(bits)} bits, budget {protocol.max_bits}")
+    length = check_bits(bits)[1]
+    if length > protocol.max_bits:
+        raise EncodingOverflow(f"node {node} emitted {length} bits, budget {protocol.max_bits}")
     return bits
 
 
@@ -309,12 +343,12 @@ def execute(
     randomness = randomness if randomness is not None else EMPTY_RANDOMNESS
     advice_map = advice_map or {}
 
-    messages = []
-    for node in range(1, graph.n + 1):
-        view = node_view(graph, node, advice_map.get(node), protocol.k)
-        messages.append((node, check_message(protocol, node, protocol.encode(view, randomness))))
-    decision = protocol.decode(tuple(messages), randomness)
-    return Transcript(messages=tuple(messages), decision=decision)
+    encode, advice_of, k = protocol.encode, advice_map.get, protocol.k
+    messages = tuple([
+        (node, check_message(protocol, node, encode(node_view(graph, node, advice_of(node), k), randomness)))
+        for node in range(1, graph.n + 1)
+    ])
+    return Transcript(messages=messages, decision=protocol.decode(messages, randomness))
 
 
 def save_graph(graph: MultiGraph, path) -> None:

@@ -38,9 +38,14 @@ def hash_bits(nbits: int, *key) -> Bits:
 
 
 def _parity_decision(messages) -> Decision:
-    # Padding bits are zero, so the one bits of the bytes are the message's.
-    ones = sum(int.from_bytes(bits.data, "big").bit_count() for _, bits in messages)
+    # Padding bits are zero, so the one bits of the data bytes, bits[0], are the message's.
+    ones = sum(int.from_bytes(bits[0], "big").bit_count() for _, bits in messages)
     return Decision.CONNECTED if ones % 2 == 0 else Decision.NOT_CONNECTED
+
+
+def full_information_bits(n: int) -> int:
+    """The full-information budget at n nodes: 32 bytes plus 16 per node."""
+    return 8 * (32 + 16 * n)
 
 
 def full_information(n: int, k: int) -> SketchProtocol:
@@ -78,7 +83,7 @@ def full_information(n: int, k: int) -> SketchProtocol:
     return SketchProtocol(
         name="full",
         k=k,
-        max_bits=8 * (32 + 16 * n),
+        max_bits=full_information_bits(n),
         encode=encode,
         decode=decode,
     )
@@ -102,7 +107,14 @@ def truncation(bits: int, n: int, k: int) -> SketchProtocol:
     The tail encodes the view's last entry, that of its largest neighbor.  On
     every lower-bound role view that neighbor is a hub with multiplicity k, so
     up to that entry's length the message is one constant for all of them.
+
+    ``bits`` above ``full_information_bits(n)`` is refused with ValueError:
+    a payload within that budget has no bit beyond it, so a longer message
+    adds only zero padding.
     """
+    limit = full_information_bits(n)
+    if bits > limit:
+        raise ValueError(f"protocol: trunc:{bits} is longer than the full-information budget, {limit} bits at n={n}")
 
     def encode(view: NodeView, _rand) -> Bits:
         full = int.from_bytes(view_payload(view).encode("utf-8"), "big")

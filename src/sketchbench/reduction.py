@@ -29,6 +29,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from .lbgraph import LBGraphSpec, build_lb_graph, hub_of, layout, role_view
@@ -50,6 +51,7 @@ from .setfam import (
     PartitionContext,
     SeparatedPairRecord,
     SetFamily,
+    WITNESS_FIELDS,
     choose_partition,
     neighborhood_family,
 )
@@ -201,7 +203,7 @@ def _pair_ends(record: SeparatedPairRecord, bit: int, alice: bool, side: frozens
     other way round.
     """
     chosen = record.s1 if (bit == 0) == alice else record.s0
-    return tuple(w for w in chosen if w in side)
+    return tuple(filter(side.__contains__, chosen))
 
 
 def _party_messages(
@@ -253,14 +255,17 @@ def _roles(
     for support in (supp_x, supp_y):
         check_support(support, ctx.m, ctx.s)
     sigma = shared_index(supp_x, supp_y)
+    nodes, records = ctx.good_ids, ctx.partition.good
     roles = dict.fromkeys(layout(ctx.n)[0], (Advice.A_RESTRICTED, None))
     for advice, support in (
         (Advice.A_RESTRICTED, supp_x),
         (Advice.B_RESTRICTED, supp_y),
         (Advice.SIGMA, (sigma,)),
     ):
+        witness = attrgetter(WITNESS_FIELDS[advice])
         for i in support:
-            roles[ctx.node_of(i)] = (advice, ctx.record_of(i).witness(advice))
+            v = nodes[i - 1]
+            roles[v] = (advice, witness(records[v]))
     return roles
 
 
@@ -334,11 +339,12 @@ def build_compatible_graph(
     roles = _roles(instance.x.support, instance.y.support, ctx)
     restrictions = {v: advice for v, (advice, _) in roles.items() if advice is not Advice.SIGMA}
     (sigma_node,) = roles.keys() - restrictions.keys()
+    nodes, records = ctx.good_ids, ctx.partition.good
     w_neighbors: dict[int, frozenset[int]] = {}
     for vector, alice, side in ((instance.x, True, ctx.a_side), (instance.y, False, ctx.b_side)):
-        for i in vector.support:
-            v = ctx.node_of(i)
-            ends = _pair_ends(ctx.record_of(i), vector[i], alice, side)
+        for i, bit in zip(vector.support, map(int, vector.bits)):
+            v = nodes[i - 1]
+            ends = _pair_ends(records[v], bit, alice, side)
             w_neighbors[v] = w_neighbors.get(v, frozenset()).union(ends)
 
     spec = LBGraphSpec(

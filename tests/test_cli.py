@@ -164,6 +164,16 @@ def test_choose_partition_family_rule(tmp_path, capsys):
     assert report["results"]["error"].startswith("ValueError") and "--family-size" in report["results"]["error"]
 
 
+def test_choose_partition_refuses_truncation_past_full_information(capsys):
+    # At n=36 the full-information budget is 8 * (32 + 16 * 36) = 4,864 bits.
+    code, report = run(capsys, "choose-partition", "--n", 36, "--k", 2, "--protocol", "trunc:200000000")
+    assert code == 1
+    assert report["outcomes"]["completed"] == {"pass": 0, "fail": 1}
+    assert report["results"]["error"] == (
+        "ValueError: protocol: trunc:200000000 is longer than the full-information budget, 4864 bits at n=36"
+    )
+
+
 def write_instance(path, instance):
     path.write_text(instance.to_json(), encoding="utf-8")
     return path

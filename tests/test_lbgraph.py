@@ -20,7 +20,7 @@ from sketchbench.lbgraph import (
     verify_dichotomy,
 )
 from sketchbench.mincut import is_k_edge_connected
-from sketchbench.model import Advice, node_view
+from sketchbench.model import Advice, MultiGraph, node_view
 
 
 def make_spec_49(sigma_in_a: int) -> LBGraphSpec:
@@ -175,6 +175,53 @@ def test_random_specs_valid_and_dichotomy():
     for seed in range(30):
         spec = random_spec(49, 3, seed=seed)
         assert verify_dichotomy(spec)
+
+
+def edge_built(spec: LBGraphSpec):
+    """The family's rules wired one ``add_edge`` per edge: the reference ``build_lb_graph`` is checked against."""
+    validate(spec)
+    n, k = spec.n, spec.k
+    v_ids, _, u_a, u_b = layout(n)
+    graph = MultiGraph(n)
+    for side, hub in ((spec.a_side, u_a), (spec.b_side, u_b)):
+        for x, y in itertools.combinations(sorted(side), 2):
+            graph.add_edge(x, y, 1)
+        for w in sorted(side):
+            graph.add_edge(hub, w, 1)
+    advice = {i: None for i in range(1, n + 1)}
+    for v in v_ids:
+        for w in sorted(spec.w_neighbors.get(v, frozenset())):
+            graph.add_edge(v, w, 1)
+        advice[v] = Advice.SIGMA if v == spec.sigma else spec.restrictions[v]
+        graph.add_edge(v, u_b if advice[v] is Advice.B_RESTRICTED else u_a, k)
+    return graph, advice
+
+
+def assert_built_by_edges(spec: LBGraphSpec):
+    graph, advice = build_lb_graph(spec)
+    ref_graph, ref_advice = edge_built(spec)
+    assert graph == ref_graph
+    assert list(graph.edges()) == list(ref_graph.edges())
+    assert all(graph.neighborhood(v) == ref_graph.neighborhood(v) for v in range(1, spec.n + 1))
+    assert list(advice.items()) == list(ref_advice.items())
+
+
+@pytest.mark.parametrize("n, k", [(36, 2), (64, 3)])
+def test_rows_build_the_edge_reference_over_a_sweep(n, k):
+    # Every sigma neighborhood of one base member: C(6, 3) = 20 at n=36 and
+    # C(8, 5) = 56 at n=64, on both sides of the dichotomy.
+    specs = list(sigma_neighborhood_sweep(random_spec(n, k, seed=3)))
+    assert len(specs) == {36: 20, 64: 56}[n]
+    assert {condition_of(spec) for spec in specs} == {Condition.C0, Condition.C1}
+    for spec in specs:
+        assert_built_by_edges(spec)
+
+
+@pytest.mark.parametrize("condition", [Condition.C0, Condition.C1])
+@pytest.mark.parametrize("n, k", [(36, 2), (100, 4), (256, 2)])
+def test_rows_build_the_edge_reference_on_random_members(n, k, condition):
+    for seed in range(6):
+        assert_built_by_edges(random_spec(n, k, seed, condition=condition))
 
 
 @pytest.mark.parametrize("n, k", [(36, 2), (64, 3), (100, 4)])

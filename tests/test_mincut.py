@@ -10,6 +10,7 @@ from sketchbench.lbgraph import Condition, build_lb_graph, layout, random_spec
 from sketchbench.mincut import (
     CutResult,
     TooSmall,
+    _ma_order,
     crossing_value,
     global_min_cut,
     is_k_edge_connected,
@@ -116,6 +117,41 @@ def test_lb_instance_cut_value_and_side():
     }
     assert res.side in (b_shore, frozenset(range(1, 50)) - b_shore)
     assert crossing_value(graph, b_shore) == res.value
+
+
+def shuffled_copy(graph: MultiGraph, rng) -> MultiGraph:
+    """``graph`` rebuilt from its edges in a random order, each split into unit edges named from a random end."""
+    units = [(u, v) for u, v, m in graph.edges() for _ in range(m)]
+    copy = MultiGraph(graph.n)
+    for i in rng.permutation(len(units)):
+        u, v = units[i]
+        copy.add_edge(*((u, v) if rng.random() < 0.5 else (v, u)))
+    return copy
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_oracle_ignores_the_order_edges_were_added_in(seed):
+    # The oracle copies the rows as stored, so its MA orders, and with them
+    # the value and the certified side, must not depend on the order the
+    # edges were written in.  Cycles and complete graphs tie everywhere.  The
+    # value and side alone hardly show a tie broken by row order, so the
+    # first phase's MA order is compared too.
+    rng = np.random.default_rng(seed)
+    graphs = [
+        random_graph(rng),
+        random_graph(rng),
+        MultiGraph(12, [(i, i % 12 + 1, 1) for i in range(1, 13)]),
+        MultiGraph(6, [(u, v, 2) for u, v in itertools.combinations(range(1, 7), 2)]),
+        MultiGraph(9, [(1, 2, 1), (2, 3, 1), (4, 5, 2), (7, 8, 1)]),  # disconnected
+        *(build_lb_graph(random_spec(64, 3, seed, condition=c))[0] for c in (Condition.C0, Condition.C1)),
+    ]
+    for graph in graphs:
+        expected, order = global_min_cut(graph), _ma_order(graph.rows())
+        for _ in range(4):
+            copy = shuffled_copy(graph, rng)
+            assert copy == graph
+            assert _ma_order(copy.rows()) == order
+            assert global_min_cut(copy) == expected
 
 
 @st.composite

@@ -82,6 +82,44 @@ def test_add_edge_refusals_leave_the_graph_unchanged(edge, error, message):
     assert g == triangle() and sorted(g._adj) == [1, 2, 3]
 
 
+@pytest.mark.parametrize(
+    "u, row, error, message",
+    [
+        (0, {2: 1}, UnknownNode, "0"),
+        (4, {2: 1}, UnknownNode, "4"),
+        (4, {}, UnknownNode, "4"),
+        (1, {2: 1, 0: 1}, UnknownNode, "0"),
+        (1, {2: 1, 4: 1}, UnknownNode, "4"),
+        (2, {3: 1, 2: 1}, ValueError, "self-loop at node 2"),
+        (1, {2: 1, 3: 0}, ValueError, "multiplicity must be >= 1, got 0"),
+        (1, {3: -3, 2: 1}, ValueError, "multiplicity must be >= 1, got -3"),
+        # Entries are checked in the row's order: the first bad one is named.
+        (1, {4: 0, 0: 1}, UnknownNode, "4"),
+        (1, {3: 0, 1: 1}, ValueError, "multiplicity must be >= 1, got 0"),
+    ],
+    ids=[
+        "u-0", "u-n+1", "u-n+1-empty-row", "v-0", "v-n+1", "self-loop", "mult-0", "mult-negative",
+        "first-entry-named", "first-entry-named-2",
+    ],
+)
+def test_add_row_refuses_what_add_edge_refuses_and_writes_nothing(u, row, error, message):
+    g = triangle()
+    with pytest.raises(error, match=message):
+        g.add_row(u, row)
+    assert g == triangle() and sorted(g._adj) == [1, 2, 3]
+
+
+def test_rows_copy_every_node_row():
+    g = MultiGraph(5, [(3, 5, 2), (3, 1, 1), (4, 3, 3)])
+    rows = g.rows()
+    assert list(rows) == [1, 2, 3, 4, 5]
+    assert rows == {1: {3: 1}, 2: {}, 3: {5: 2, 1: 1, 4: 3}, 4: {3: 3}, 5: {3: 2}}
+    assert list(rows[3]) == [5, 1, 4]  # as written, not sorted
+    rows[3][2] = 7
+    rows[2][3] = 7
+    assert g == MultiGraph(5, [(3, 5, 2), (3, 1, 1), (4, 3, 3)]) and g.neighborhood(2) == {}
+
+
 @pytest.mark.parametrize("node", [0, 4, -1])
 def test_node_view_refuses_unknown_node(node):
     with pytest.raises(UnknownNode):
@@ -125,6 +163,23 @@ def test_edges_match_pairwise_multiplicities(g):
     assert g.edge_slot_count() == len(expected)
     rebuilt = MultiGraph(g.n, reversed(expected))
     assert rebuilt == g
+
+
+@given(multigraphs(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_add_row_adds_each_entry_as_add_edge_does(g, data):
+    # Onto a graph with edges already, so that rows add to existing
+    # multiplicities; either end's row reads the sum.
+    u = data.draw(st.integers(min_value=1, max_value=g.n))
+    others = [v for v in range(1, g.n + 1) if v != u]
+    row = data.draw(st.dictionaries(st.sampled_from(others), st.integers(min_value=1, max_value=4)))
+    by_row, by_edges = copy.deepcopy(g), copy.deepcopy(g)
+    by_row.add_row(u, row)
+    for v, mult in row.items():
+        by_edges.add_edge(u, v, mult)
+    assert by_row == by_edges
+    assert list(by_row.edges()) == list(by_edges.edges())
+    assert sorted(by_row._adj) == sorted(by_edges._adj)  # an empty row adds no node
 
 
 def test_lb_neighborhood_of_hub():

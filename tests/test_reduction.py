@@ -236,6 +236,18 @@ def test_protocol_name_refuses_other_spellings(name):
         protocol_name(name)
 
 
+def test_truncation_is_refused_past_the_full_information_budget():
+    # A payload within the full-information budget has no bit beyond it, so a
+    # longer truncation adds only zero padding; asking for one is refused
+    # before any mask or message is built.
+    limit = full_information(16, 2).max_bits
+    assert limit == 8 * (32 + 16 * 16)
+    assert make_protocol(f"trunc:{limit}", 16, 2).max_bits == limit
+    for bits in (limit + 1, 200_000_000):
+        with pytest.raises(ValueError, match=rf"trunc:{bits} is longer than the full-information budget, {limit} bits at n=16"):
+            make_protocol(f"trunc:{bits}", 16, 2)
+
+
 def test_alice_messages_match_compatible_graph(toy_ctx):
     proto = toy_two_bit(2)
     inst = next(enumerate_valid_instances(6, 3))

@@ -3,11 +3,13 @@
 Each record is run on one small input (a graph, an n=16 set-family search or
 an m=9 simulation) with two versions, this package as ``current`` and a
 second copy of it loaded by ``layer_record.load_checkout``.
-Nothing is written: the report step (``layer_record.main``) is not run.
+Nothing is written: the report step (``layer_record.main``) runs only where
+it must refuse a checkout before any record call.
 """
 
 import hashlib
 import importlib.util
+import shutil
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -135,3 +137,27 @@ def test_harness_alternates_and_requires_one_value(scripts):
         with pytest.raises(ValueError, match=f"repeats must be even.*got {repeats}"):
             scripts.harness.measure({"current": 7, "baseline": 7}, call, repeats)
     assert len(order) == calls
+
+
+def test_record_refuses_a_checkout_lacking_a_function_before_any_call(scripts, tmp_path, monkeypatch):
+    # A copy of this checkout without reduction.check_instance, which the
+    # simulation row calls after the search rows have run for minutes.
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "sketchbench", src / "sketchbench", ignore=shutil.ignore_patterns("__pycache__"))
+    for module in (src / "sketchbench").glob("*.py"):
+        module.write_text(module.read_text().replace("check_instance", "renamed_check_instance"))
+    # load_checkout must load the copy, not the baseline this module already loaded.
+    for name in [name for name in sys.modules if name.partition(".")[0] == "sketchbench_baseline"]:
+        monkeypatch.delitem(sys.modules, name)
+    out = tmp_path / "BENCH_lb.json"
+    monkeypatch.setattr(sys, "argv", ["lb_layer.py", "--baseline", str(src), "--out", str(out)])
+
+    def record(versions):
+        raise AssertionError("the record ran")
+
+    with pytest.raises(SystemExit, match=r"^the record calls what a version lacks: baseline reduction\.check_instance$"):
+        scripts.harness.main(scripts.lb.__doc__, out.name, ("reduction",), scripts.lb.NEEDS, record)
+    assert not out.exists()
+    # This checkout has everything each record needs.
+    for record_script in (scripts.agm, scripts.lb):
+        scripts.harness.require(scripts.versions, record_script.NEEDS)
