@@ -1,4 +1,5 @@
-"""The harness of the layer records, ``scripts/agm_layer.py``, ``scripts/lb_layer.py`` and ``scripts/mincut_layer.py``.
+"""The harness of the layer records, ``scripts/agm_layer.py``, ``scripts/lb_layer.py``, ``scripts/mincut_layer.py``
+and ``scripts/overlap_layer.py``.
 
     python3 scripts/<record>.py [--out BENCH_<record>.json] [--baseline OTHER_CHECKOUT/src]
 

@@ -22,6 +22,12 @@ Each promise has one rule, which every builder, sweep, attack and loader
 calls: ``check_parameters`` for (m, s), ``check_support`` for a support and
 ``shared_index`` for the overlap.  Vectors fix their support and support bits
 when built, and the sweep shares each support's 2^s fills among instances.
+
+A message is one table lookup.  Each protocol keeps one table per kept-position
+pattern, mapping a fill's bits to its message and filled on first use; every
+support with that pattern shares it.  ``appb`` has at most s patterns (the
+dropped position), ``trunc`` and ``full`` one each, so a protocol holds at most
+s·2^s messages however many supports it encodes.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -209,8 +214,9 @@ class OverlapInstance:
 
 
 def answer(instance: OverlapInstance) -> bool:
-    """True (yes) iff the shared index carries (0, 1)."""
-    return instance.x[instance.sigma] == 0 and instance.y[instance.sigma] == 1
+    """True (yes) iff the shared index carries (0, 1); an index off a support carries neither."""
+    sigma = instance.sigma
+    return instance.x._bit_at.get(sigma) == 0 and instance.y._bit_at.get(sigma) == 1
 
 
 def cycle_successors(m: int) -> dict[int, int]:
@@ -256,13 +262,14 @@ def build_blocks(m: int, s: int) -> dict[tuple[int, ...], int]:
     return assignment
 
 
-def appb_encode(vector: TernaryVector, pickers: dict[tuple[int, ...], Callable[[str], str]]) -> str:
+def appb_encode(vector: TernaryVector, tables: dict[tuple[int, ...], dict[str, str]]) -> str:
     """The vector's bits at its support's kept positions, in message order.
 
-    ``pickers`` maps each support to the getter of those positions; every
-    protocol here encodes through this one function.
+    ``tables`` maps each support to its kept-position pattern's table, which
+    maps support bits to the message; every protocol here encodes through
+    this one function.
     """
-    return "".join(pickers[vector.support](vector.bits))
+    return tables[vector.support][vector.bits]
 
 
 @dataclass(frozen=True)
@@ -282,17 +289,40 @@ class OneWayProtocol:
     charlie_decode: Callable[[tuple[int, ...], tuple[int, ...], str, str], bool]
 
 
-class _PerSupport(dict):
-    """Support -> ``make(support)``, built on first use for ascending s-subsets of [1..m]."""
+class _Lazy(dict):
+    """Key -> ``make(key)``, built and kept on first use."""
+
+    def __init__(self, make: Callable[[object], object]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+class _PerSupport(_Lazy):
+    """A ``_Lazy`` keyed by supports that refuses all but ascending s-subsets of [1..m]."""
 
     def __init__(self, m: int, s: int, make: Callable[[tuple[int, ...]], object]):
-        super().__init__()
-        self.m, self.s, self.make = m, s, make
+        super().__init__(make)
+        self.m, self.s = m, s
 
     def __missing__(self, support):
         check_support(support, self.m, self.s)
-        value = self[support] = self.make(support)
-        return value
+        return super().__missing__(support)
+
+
+def _message_tables(
+    m: int, s: int, kept: Callable[[tuple[int, ...]], tuple[int, ...]]
+) -> dict[tuple[int, ...], dict[str, str]]:
+    """Support -> its pattern's table, support bits -> the bits at ``kept(support)``.
+
+    Supports that keep the same positions share one table, and both maps
+    fill on first use.
+    """
+    patterns = _Lazy(lambda positions: _Lazy(lambda bits: "".join(bits[p] for p in positions)))
+    return _PerSupport(m, s, lambda support: patterns[kept(support)])
 
 
 def _kept_index_protocol(
@@ -304,19 +334,14 @@ def _kept_index_protocol(
     0 or Bob's 1 means yes, and a shared index neither message kept means no.
     """
 
-    def picker(support):
-        # appb_encode joins what one position (a str) or several (a tuple) pick.
-        positions = kept(support)
-        return operator.itemgetter(*positions) if positions else lambda bits: ""
-
     def entry(support):
         """(bit mask of the support, {kept index: its position in the message})."""
         return sum(1 << i for i in support), {support[p]: j for j, p in enumerate(kept(support))}
 
-    pickers, entries = _PerSupport(m, s, picker), _PerSupport(m, s, entry)
+    tables, entries = _message_tables(m, s, kept), _PerSupport(m, s, entry)
 
     def encode(vector: TernaryVector) -> str:
-        return appb_encode(vector, pickers)
+        return appb_encode(vector, tables)
 
     def decode(supp_x, supp_y, msg_a, msg_b) -> bool:
         (mask_a, at_a), (mask_b, at_b) = entries[supp_x], entries[supp_y]

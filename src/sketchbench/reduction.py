@@ -245,27 +245,28 @@ def bob_messages(
 
 def _roles(
     supp_x: tuple[int, ...], supp_y: tuple[int, ...], ctx: ReductionContext
-) -> dict[int, tuple[Advice, Optional[Bits]]]:
-    """Every V-node's advice and, at a support host, its witness message; ascending ids.
+) -> dict[int, tuple[Advice, int, Optional[Bits]]]:
+    """Every V-node's advice, its hub and, at a support host, its witness message; ascending ids.
 
     Read off the supports alone: the shared index's host is sigma, the hosts
     of Bob's other indices are B-restricted, every other V-node A-restricted.
+    The hub is ``hub_of(advice)``, looked up once per advice, not per node.
     Each support must be an ascending s-subset of 1..m, else InvalidInstance.
     """
     for support in (supp_x, supp_y):
         check_support(support, ctx.m, ctx.s)
     sigma = shared_index(supp_x, supp_y)
     nodes, records = ctx.good_ids, ctx.partition.good
-    roles = dict.fromkeys(layout(ctx.n)[0], (Advice.A_RESTRICTED, None))
+    roles = dict.fromkeys(layout(ctx.n)[0], (Advice.A_RESTRICTED, hub_of(Advice.A_RESTRICTED, ctx.n), None))
     for advice, support in (
         (Advice.A_RESTRICTED, supp_x),
         (Advice.B_RESTRICTED, supp_y),
         (Advice.SIGMA, (sigma,)),
     ):
-        witness = attrgetter(WITNESS_FIELDS[advice])
+        hub, witness = hub_of(advice, ctx.n), attrgetter(WITNESS_FIELDS[advice])
         for i in support:
             v = nodes[i - 1]
-            roles[v] = (advice, witness(records[v]))
+            roles[v] = (advice, hub, witness(records[v]))
     return roles
 
 
@@ -289,10 +290,9 @@ def charlie_messages(
         )
     roles = _roles(supp_x, supp_y, ctx)
     _, _, u_a, u_b = layout(ctx.n)
-    hubs = {advice: hub_of(advice, ctx.n) for advice in Advice}
     attached: dict[int, list[tuple[int, int]]] = {u_a: [], u_b: []}
-    for v, (advice, _) in roles.items():
-        attached[hubs[advice]].append((v, ctx.k))
+    for v, (_, hub, _) in roles.items():
+        attached[hub].append((v, ctx.k))
 
     messages = []
     for hub, wiring in ((u_a, ctx.alice), (u_b, ctx.bob)):
@@ -300,7 +300,7 @@ def charlie_messages(
         entries = (*attached[hub], *((w, 1) for w in wiring.tails))
         messages.append((hub, protocol.encode(NodeView(hub, entries, None, ctx.n, ctx.k), EMPTY_RANDOMNESS)))
     fixed = ctx.fixed_messages
-    messages.extend((v, fixed[v] if witness is None else witness) for v, (_, witness) in roles.items())
+    messages.extend((v, fixed[v] if witness is None else witness) for v, (_, _, witness) in roles.items())
     return messages
 
 
@@ -337,7 +337,7 @@ def build_compatible_graph(
 ) -> tuple[MultiGraph, dict[int, Optional[Advice]]]:
     """The family member determined by the instance through the stored pairs."""
     roles = _roles(instance.x.support, instance.y.support, ctx)
-    restrictions = {v: advice for v, (advice, _) in roles.items() if advice is not Advice.SIGMA}
+    restrictions = {v: advice for v, (advice, _, _) in roles.items() if advice is not Advice.SIGMA}
     (sigma_node,) = roles.keys() - restrictions.keys()
     nodes, records = ctx.good_ids, ctx.partition.good
     w_neighbors: dict[int, frozenset[int]] = {}

@@ -3,7 +3,6 @@ import hashlib
 import itertools
 import json
 import math
-import operator
 import time
 from enum import IntEnum
 
@@ -73,6 +72,10 @@ def test_answer_cases():
     assert answer(yes) is True
     no = OverlapInstance.make(vector_on(8, {1: 0, 2: 0, 5: 1}), vector_on(8, {5: 0, 7: 0, 8: 0}), 8, 3)
     assert answer(no) is False
+    # Hand-built, unvalidated: (0, 1) at sigma is yes; equal bits, or sigma off either support, is no.
+    x, y = vector_on(8, {1: 0, 5: 0}), vector_on(8, {1: 1, 5: 0, 7: 1})
+    assert [answer(OverlapInstance(x, y, sigma)) for sigma in (1, 5, 7, 3)] == [True, False, False, False]
+    assert answer(OverlapInstance(y, x, 7)) is False
 
 
 def test_vector_string_roundtrip():
@@ -129,11 +132,14 @@ def test_build_blocks_hypothesis_violated():
 
 
 def test_appb_encode_drop_mechanics():
+    def keeping(*positions):
+        return overlap._message_tables(9, 3, lambda support: positions)
+
     v = vector_on(9, {1: 1, 2: 0, 3: 1})
-    assert appb_encode(v, {(1, 2, 3): operator.itemgetter(1, 2)}) == "01"
-    assert appb_encode(v, {(1, 2, 3): operator.itemgetter(2)}) == "1"
+    assert appb_encode(v, keeping(1, 2)) == "01"
+    assert appb_encode(v, keeping(2)) == "1"
     zero = vector_on(9, {1: 0, 2: 0, 3: 0})
-    assert appb_encode(zero, {(1, 2, 3): operator.itemgetter(0, 2)}) == "00"
+    assert appb_encode(zero, keeping(0, 2)) == "00"
     # s = 2 truncates to nothing; s < 2 leaves no protocol to build.
     assert truncated_protocol(9, 2).alice_encode(vector_on(9, {4: 1, 6: 0})) == ""
     with pytest.raises(ValueError):
@@ -358,12 +364,15 @@ def test_vector_matches_per_character_reference(text, data):
         assert hash(v) == hash(w)
 
 
+_appb = functools.cache(appb_protocol)
+
+
 @functools.cache
 def _sweep(m, s):
     """One pass over the (m, s) enumeration: its count, the SHA-256 prefix of its order
     and contents, how many instances appb sends other than s-1 bits for or misdecodes,
     and the first such instance."""
-    proto = appb_protocol(m, s)
+    proto = _appb(m, s)
     h = hashlib.sha256()
     count = wrong_length = misdecoded = 0
     first_wrong = None
@@ -400,6 +409,43 @@ def test_enumeration_golden(m, s, count, digest):
     """Order and contents of the sweep, pinned to the per-instance construction it replaced."""
     seen, got, *_ = _sweep(m, s)
     assert (seen, got) == (count, digest)
+
+
+def test_appb_tables_after_a_full_sweep_hold_at_most_s_patterns(monkeypatch):
+    # A full (9, 4) sweep encodes every fill of every support.  appb's
+    # supports share one table per dropped position: at most s tables of
+    # 2^s messages each, not one per support.
+    m, s = 9, 4
+    assert _sweep(m, s)[0] > 0
+    seen = []
+    monkeypatch.setattr(overlap, "appb_encode", lambda vector, tables: seen.append(tables))
+    _appb(m, s).alice_encode(vector_on(m, {1: 0, 2: 0, 3: 0, 4: 0}))
+    (tables,) = seen
+    patterns = {id(table): table for table in tables.values()}.values()
+    assert len(tables) == math.comb(m, s)
+    assert len(patterns) <= s
+    assert all(len(table) == 2**s for table in patterns)
+    assert sum(map(len, patterns)) <= s * 2**s
+
+
+#: Each protocol's kept positions K(S), written out from its definition.
+KEPT = {
+    "appb": lambda support, blocks, s: tuple(p for p, i in enumerate(support) if i != blocks[support]),
+    "trunc": lambda support, blocks, s: tuple(range(s - 2)),
+    "full": lambda support, blocks, s: tuple(range(s)),
+}
+
+
+@pytest.mark.parametrize("m, s", [(6, 3), (7, 4), (9, 4), (9, 5)])
+@pytest.mark.parametrize("name", sorted(KEPT))
+def test_messages_are_the_bits_at_the_kept_positions(name, m, s):
+    assert set(KEPT) == set(overlap.OVERLAP_PROTOCOLS)
+    proto, blocks = overlap.OVERLAP_PROTOCOLS[name](m, s), build_blocks(m, s)
+    for support in itertools.combinations(range(1, m + 1), s):
+        positions = KEPT[name](support, blocks, s)
+        for v in fills(m, support):
+            message = "".join(v.bits[p] for p in positions)
+            assert proto.alice_encode(v) == proto.bob_encode(v) == message, (support, v.bits)
 
 
 def test_enumeration_shares_fills():

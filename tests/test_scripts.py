@@ -1,7 +1,7 @@
-"""Smoke test of the layer records under ``scripts/``: harness, AGM, set-family, simulation and oracle records.
+"""Smoke test of the layer records under ``scripts/``: harness, AGM, set-family, simulation, oracle and overlap records.
 
-Each record is run on one small input (a graph, an n=16 set-family search or
-an m=9 simulation) with two versions, this package as ``current`` and a
+Each record is run on one small input (a graph, an n=16 set-family search,
+an m=9 simulation, an m=7 sweep or an m=9 attack) with two versions, this package as ``current`` and a
 second copy of it loaded by ``layer_record.load_checkout``.
 Nothing is written: the report step (``layer_record.main``) runs only where
 it must refuse a checkout before any record call.
@@ -19,6 +19,7 @@ import pytest
 import sketchbench
 from sketchbench import lbgraph, protocols, reduction, setfam
 from sketchbench.mincut import CutResult
+from sketchbench.overlap import attack, truncated_protocol
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,6 +48,7 @@ def scripts():
             agm=_load("agm_layer"),
             lb=_load("lb_layer"),
             mincut=_load("mincut_layer"),
+            overlap=_load("overlap_layer"),
             versions=versions,
         )
 
@@ -112,6 +114,34 @@ def test_mincut_record_row(scripts):
     _check_spreads(row, {"global_min_cut_ms"})
 
 
+def test_overlap_sweep_record_row(scripts):
+    row = scripts.overlap.measure_sweep((7, 4), scripts.versions)
+    assert set(row) == {"protocol", "m", "s", "instances", "sweep_sha256", "misdecodes", "current", "baseline"}
+    # The instance lines test_enumeration_golden pins at (7, 4); appb decodes every one.
+    assert (row["protocol"], row["m"], row["s"], row["instances"]) == ("appb", 7, 4, 17_920)
+    assert row["sweep_sha256"][:16] == "bdd2cc0acfd90760" and row["misdecodes"] == 0
+    _check_spreads(row, set(scripts.overlap.SWEEP_LAYERS) | {"enumerate_ms", "charlie_decode_ms"})
+    # The wrapped functions are put back after each call.
+    assert scripts.versions["baseline"].overlap.appb_encode.__module__ == "sketchbench_baseline.overlap"
+
+
+def test_overlap_attack_record_row(scripts):
+    row = scripts.overlap.measure_attack(("trunc", 9, 4), scripts.versions)
+    assert set(row) == {"protocol", "m", "s", "counterexample", "current", "baseline"}
+    cex = attack(truncated_protocol(9, 4), 9, 4)
+    assert row["counterexample"] == {
+        "sigma": cex.sigma,
+        "supp_x": list(cex.supp_x),
+        "supp_y": list(cex.supp_y),
+        "x_xhat_y_yhat": [v.to_string() for v in (cex.x, cex.x_hat, cex.y, cex.y_hat)],
+        "msg_a": cex.msg_a,
+        "msg_b": cex.msg_b,
+        "wrong": [list(pair) for pair in cex.wrong],
+    }
+    _check_spreads(row, set(scripts.overlap.ATTACK_LAYERS) | {"attack_ms"})
+    assert scripts.overlap.measure_attack(("appb", 7, 4), scripts.versions)["counterexample"] is None
+
+
 def test_mincut_record_refuses_an_uncertified_cut(scripts):
     # Value 2 is right for the cycle, but the side {1, 3} crosses 4 edges.
     wrong = SimpleNamespace(mincut=SimpleNamespace(global_min_cut=lambda graph: CutResult(2, frozenset({1, 3}))))
@@ -159,5 +189,5 @@ def test_record_refuses_a_checkout_lacking_a_function_before_any_call(scripts, t
         scripts.harness.main(scripts.lb.__doc__, out.name, ("reduction",), scripts.lb.NEEDS, record)
     assert not out.exists()
     # This checkout has everything each record needs.
-    for record_script in (scripts.agm, scripts.lb):
+    for record_script in (scripts.agm, scripts.lb, scripts.overlap):
         scripts.harness.require(scripts.versions, record_script.NEEDS)
