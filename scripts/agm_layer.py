@@ -7,7 +7,9 @@ The inputs are the ones the benchmark feeds the sketch at seed 1:
 - ``agm-hard``: the hard-family members and shared randomness of the first 10
   ops of ``agm-hard`` (n=256, k=3, delta=0.05, 259,200-bit messages);
 - ``n1024``: one C1 member of the hard family at n=1024, k=3, delta=0.05
-  (380,160-bit messages).
+  (380,160-bit messages);
+- ``n4096``: one C1 member at n=4096, k=3, delta=0.05 (524,160-bit
+  messages, a 256 MB transcript).
 
 Each execution is timed layer by layer, by wrapping the library functions
 that ``execute`` reaches through module globals:
@@ -16,7 +18,10 @@ that ``execute`` reaches through module globals:
 - ``cells_to_bits_ms``: ``agm._cells_to_bits``, packing cells into messages;
 - ``check_bits_ms``: ``model.check_bits``, the message type, length and
   padding check;
-- ``bits_to_cells_ms``: ``agm._bits_to_cells``, unpacking in the decoder;
+- ``unpack_ms``: the decoder's unpacking of the messages:
+  ``agm._message_rows``, which checks every message in place, or in a
+  version before it ``agm._bits_to_cells``, which copied every message into
+  one array of cells and checked that;
 - ``certificate_cut_ms``: ``agm.global_min_cut`` on the union certificate;
 - ``peel_ms``: the rest of ``agm.agm_decide_kconn``: peeling the k forests,
   with the earlier forests subtracted, and building the certificate graph;
@@ -29,19 +34,27 @@ that ``execute`` reaches through module globals:
 A version that does not define a layer's function (an older checkout under
 ``--baseline``) reports no time for that layer, except the three that
 ``peel_ms`` is computed from: a version without one of those is refused
-before the first call.  ``peel_ms`` is comparable across versions.  Every
-execution of a graph must give the same ``transcript_sha256``, a SHA-256
-over the messages and the decision.  Each row also gives ``bits``, the
-message length, and per version ``transcript_mb``: the memory that one
-execution's messages hold, by ``sys.getsizeof`` of each message object (a
-``Bits`` pair with its bytes, or a '0'/'1' ``str`` in a version before
-packed messages).  Packed, the n=1024
-transcript holds 46.5 MB of messages; as '0'/'1' text it held 371.3 MB.
+before the first call.  ``peel_ms`` is comparable across versions; since
+``_message_rows``, it includes each round's gather of its cells from the
+message bytes.  Every execution of a graph must give the same
+``transcript_sha256``, a SHA-256 over the messages and the decision.  Each
+row also gives ``bits``, the message length, and per version:
+
+- ``transcript_mb``: the memory that one execution's messages hold, by
+  ``sys.getsizeof`` of each message object (a ``Bits`` pair with its bytes,
+  or a '0'/'1' ``str`` in a version before packed messages).  Packed, the
+  n=1024 transcript holds 46.5 MB of messages; as '0'/'1' text it held
+  371.3 MB;
+- ``execute_peak_mb``: the peak of the memory that ``tracemalloc`` sees
+  allocated during one more, untimed, execution: the messages, the
+  encoder's and the decoder's arrays.
+
 ``layer_record`` describes the repeats, ranges and report.
 """
 
 import hashlib
 import sys
+import tracemalloc
 from time import perf_counter
 
 import layer_record  # first: it pins the thread pools and puts src/ and bench/ on sys.path
@@ -59,20 +72,33 @@ LAYERS = {
     "node_sketch_ms": ("agm", "node_sketch"),
     "cells_to_bits_ms": ("agm", "_cells_to_bits"),
     "check_bits_ms": ("model", "check_bits"),
-    "bits_to_cells_ms": ("agm", "_bits_to_cells"),
     "component_sketches_ms": ("agm", "_component_sketches"),
     "extract_ms": ("agm", "_extract_edges"),
     "certificate_cut_ms": ("agm", "global_min_cut"),
     "decode_ms": ("agm", "agm_decide_kconn"),
 }
 
-#: Every (module, attribute) the record calls, and the layers ``peel_ms`` is computed from.
+#: The functions the ``unpack_ms`` layer may time, newest first; a version
+#: needs one of them.
+UNPACK = (("agm", "_message_rows"), ("agm", "_bits_to_cells"))
+
+#: Every (module, attribute) the record calls, and the layers ``peel_ms`` is
+#: computed from, other than the unpack step (see ``unpack_layer``).
 NEEDS = (
     ("agm", "make_agm_protocol"),
     ("model", "SharedRandomness"),
     ("model", "execute"),
-    *(LAYERS[layer] for layer in ("decode_ms", "bits_to_cells_ms", "certificate_cut_ms")),
+    *(LAYERS[layer] for layer in ("decode_ms", "certificate_cut_ms")),
 )
+
+
+def unpack_layer(package) -> tuple[str, str]:
+    """The (module, function) of ``UNPACK`` that a version defines, first found; SystemExit if none."""
+    for module, attr in UNPACK:
+        if hasattr(getattr(package, module), attr):
+            return module, attr
+    names = " or ".join(f"{module}.{attr}" for module, attr in UNPACK)
+    raise SystemExit(f"the record calls what a version lacks: {package.__name__} {names}")
 
 
 def agm_hard_inputs(count: int = 10) -> list[tuple]:
@@ -85,8 +111,9 @@ def agm_hard_inputs(count: int = 10) -> list[tuple]:
     return inputs
 
 
-def n1024_inputs() -> list[tuple]:
-    spec = lbgraph.random_spec(1024, K, SEED, condition=lbgraph.Condition.C1)
+def c1_inputs(n: int) -> list[tuple]:
+    """(graph, advice, randomness seed) of one C1 member of the hard family at n."""
+    spec = lbgraph.random_spec(n, K, SEED, condition=lbgraph.Condition.C1)
     graph, advice = lbgraph.build_lb_graph(spec)
     return [(graph, advice, SEED)]
 
@@ -103,17 +130,27 @@ def measure(inputs: tuple, versions: dict) -> dict:
     """The row of one graph: its layer spreads per version and its transcript digest."""
     graph, advice, seed = inputs
     protocols = {name: package.agm.make_agm_protocol(graph.n, K, DELTA) for name, package in versions.items()}
-    sizes = {}
+    layers = {name: {**LAYERS, "unpack_ms": unpack_layer(package)} for name, package in versions.items()}
+    sizes, peaks = {}, {}
+    for name, package in versions.items():
+        tracemalloc.start()
+        try:
+            package.model.execute(protocols[name], graph, advice, package.model.SharedRandomness(seed))
+            peaks[name] = round(tracemalloc.get_traced_memory()[1] / 2**20, 1)
+        finally:
+            tracemalloc.stop()
 
     def execute(name, package):
-        totals = {layer: 0.0 for layer, (module, attr) in LAYERS.items() if hasattr(getattr(package, module), attr)}
+        totals = {
+            layer: 0.0 for layer, (module, attr) in layers[name].items() if hasattr(getattr(package, module), attr)
+        }
         randomness = package.model.SharedRandomness(seed)
-        with layer_record.timed_layers(package, LAYERS, totals):
+        with layer_record.timed_layers(package, layers[name], totals):
             start = perf_counter()
             transcript = package.model.execute(protocols[name], graph, advice, randomness)
             totals["execute_ms"] = perf_counter() - start
         decode = totals.pop("decode_ms")
-        totals["peel_ms"] = decode - totals["bits_to_cells_ms"] - totals["certificate_cut_ms"]
+        totals["peel_ms"] = decode - totals["unpack_ms"] - totals["certificate_cut_ms"]
         digest = hashlib.sha256()
         for node, bits in transcript.messages:
             digest.update(f"{node}:{bits};".encode("ascii"))
@@ -127,12 +164,15 @@ def measure(inputs: tuple, versions: dict) -> dict:
         "bits": protocols["current"].max_bits,
         "transcript_sha256": digest,
         "transcript_mb": sizes,
+        "execute_peak_mb": peaks,
         **spreads,
     }
 
 
 def record(versions: dict) -> tuple[dict, dict]:
-    groups = {"agm-hard": agm_hard_inputs(), "n1024": n1024_inputs()}
+    for package in versions.values():
+        unpack_layer(package)  # refuse a version before the first call
+    groups = {"agm-hard": agm_hard_inputs(), "n1024": c1_inputs(1024), "n4096": c1_inputs(4096)}
     measure(groups["agm-hard"][0], versions)  # warm-up: hash keys, first allocations
     rows = {name: [measure(inputs, versions) for inputs in group] for name, group in groups.items()}
     return {"seed": SEED, "repeats": REPEATS, "k": K, "delta": DELTA}, rows

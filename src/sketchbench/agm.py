@@ -24,11 +24,13 @@ Fingerprint powers are two lookups in split tables, base^lo and base^(hi *
 memory is O(configs * (levels + degree)).
 
 A message is the node's cells as big-endian 32-bit words in array order,
-packed into a ``Bits`` by one ``tobytes``; the decoder copies each message's
-bytes once into one big-endian array of every node's cells, and no '0'/'1'
-text is built.  It refuses a message that is not a ``Bits`` or has the wrong
-length, and a transcript with a cell outside the field (one pass over all
-cells), with a ``DecodeError``.
+(stacks, rounds, reps, levels, 3), packed into a ``Bits`` by one ``tobytes``;
+no '0'/'1' text is built.  The decoder reads the cells in the message bytes
+and never copies a whole transcript.  One pass over the messages, in place,
+refuses with a ``DecodeError`` naming the node a message that is not a
+``Bits``, has the wrong length or holds a cell outside the field, in any
+round.  Each Borůvka round then gathers its own (n, reps, levels, 3) cells,
+one contiguous byte range of every message.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,6 +56,8 @@ SAMPLER_ATTEMPT_FAILURE = 0.15
 
 _CELLS_PER_TRIPLE = 3
 _CELL_BITS = 32
+#: How ``_message_rows`` reads a message's big-endian cells in place: as little-endian words.
+_SWAPPED_CELL = np.dtype("<u4")
 
 
 class DecodeError(ValueError):
@@ -228,6 +233,12 @@ def _suffix_matrix(levels: int) -> np.ndarray:
     return suffix
 
 
+#: Histogram rows, one per (owner, config), that ``_level_sums`` turns into
+#: level sums per matrix product, so that its temporaries stay below 0.5 MB
+#: each (rows of at most 3 * 34 cells).
+_ROWS_PER_PRODUCT = 512
+
+
 def _level_sums(
     keys: np.ndarray, base: int, n: int, levels: int,
     slots: np.ndarray, signed: np.ndarray, owner: int | np.ndarray, owners: int,
@@ -238,24 +249,29 @@ def _level_sums(
     owner[i], or of ``owner`` if it is an int, at every level of each config
     that keeps the slot; ``signed`` holds multiplicities mod PRIME.  Each
     (config, slot) pair gets its depth; one ``bincount`` sums the terms by
-    (owner, config, depth, cell), and one product with ``_suffix_matrix`` turns
-    depths into levels, up to the deepest slot only.  Exact in float64 while
-    no owner has more than 2^22 updates, as 2^22 terms below 2^31 sum below
-    2^53: a node has fewer than n, a decoder component at most one per earlier
-    forest edge, (k-1)(n-1), which ``SketchConfig.make`` bounds by 2^22.
+    (owner, config, depth, cell), and products with ``_suffix_matrix``, a
+    block of rows at a time, turn depths into levels, up to the deepest slot
+    only.  Each block's cells are written back over its own histogram rows,
+    read as uint64, so the histogram is the only array of the result's size;
+    its bins past the deepest slot are 0.0, which reads as 0.  Exact in
+    float64 while no owner has more than 2^22 updates, as 2^22 terms below
+    2^31 sum below 2^53: a node has fewer than n, a decoder component at most
+    one per earlier forest edge, (k-1)(n-1), which ``SketchConfig.make``
+    bounds by 2^22.
     """
     configs = len(keys)
     terms = np.array([np.ones_like(slots), slots, _powers(base, n, slots)]) * signed % PRIME  # (3, slots)
     depth = _depths(_slot_hashes(keys, slots), levels)
-    top = int(depth.max(initial=-1)) + 1
+    width = 3 * (int(depth.max(initial=-1)) + 1)  # the cells of levels 0..deepest
     # (configs, 3, slots); a scalar owner shifts only the (configs, 3, 1) offsets.
     bins = depth[:, None, :] * 3 + (_bin_offsets(configs, levels) + owner * (configs * levels * 3))
     weights = np.tile(terms.astype(np.float64).ravel(), configs)
-    hist = np.bincount(bins.ravel(), weights, minlength=owners * configs * levels * 3)
-    sums = hist.reshape(owners * configs, -1)[:, : 3 * top] @ _suffix_matrix(levels)[: 3 * top, : 3 * top]
-    cells = np.zeros((owners, configs, levels, 3), dtype=np.uint64)
-    cells[:, :, :top] = _mod(sums.astype(np.uint64)).reshape(owners, configs, top, 3)
-    return cells
+    hist = np.bincount(bins.ravel(), weights, minlength=owners * configs * levels * 3).reshape(owners * configs, -1)
+    cells, suffix = hist.view(np.uint64), _suffix_matrix(levels)[:width, :width]
+    for first in range(0, len(hist), _ROWS_PER_PRODUCT):
+        rows = slice(first, first + _ROWS_PER_PRODUCT)
+        cells[rows, :width] = _mod((hist[rows, :width] @ suffix).astype(np.uint64))
+    return cells.reshape(owners, configs, levels, 3)
 
 
 def _sketch_cells(
@@ -293,14 +309,17 @@ def _cells_to_bits(cells: np.ndarray) -> Bits:
     return Bits(cells.astype(">u4").tobytes(), cells.size * _CELL_BITS)
 
 
-def _bits_to_cells(messages: Sequence[tuple[int, Bits]], cfg: SketchConfig) -> np.ndarray:
-    """Big-endian uint32 cells (n, stacks, rounds, reps, levels, 3) of the messages of nodes 1..n.
+def _message_rows(messages: Sequence[tuple[int, Bits]], cfg: SketchConfig) -> list[memoryview]:
+    """The message bytes of nodes 1..n, in node order, each checked in place.
 
-    Each message's bytes are copied once into its node's row; one pass over
-    all rows then checks that every cell lies below PRIME < 2^31.
+    A message must be a ``Bits`` of cfg.bits bits held in ``bytes``, and
+    every cell must lie below PRIME = 0x7FFFFFFF.  Read as a little-endian
+    word, a big-endian cell's top byte is the word's lowest: the cell is at
+    least 2^31 when that byte's top bit is set, and is PRIME itself when the
+    word is 0xFFFFFF7F, the largest word without that bit.  So one OR and one
+    maximum over the words check a message, and nothing is copied.
     """
-    cells = np.empty((len(messages), cfg.stacks, cfg.rounds, cfg.reps, cfg.levels, 3), dtype=">u4")
-    rows = cells.reshape(len(messages), -1)
+    rows: list[memoryview] = [None] * len(messages)
     for node, bits in messages:
         if not isinstance(bits, Bits):
             raise DecodeError(f"a message must be Bits, got {type(bits).__name__}")
@@ -308,11 +327,11 @@ def _bits_to_cells(messages: Sequence[tuple[int, Bits]], cfg: SketchConfig) -> n
         # cfg.bits is a whole number of bytes, so a matching byte count leaves no padding.
         if length != cfg.bits or type(data) is not bytes or len(data) * 8 != cfg.bits:
             raise DecodeError(f"expected {cfg.bits} bits, got {length!r} bits in a {type(data).__name__}")
-        rows[node - 1] = np.frombuffer(data, dtype=">u4")
-    if cells.max(initial=0) >= PRIME:
-        node = int(np.argmax(rows.max(axis=1) >= PRIME)) + 1
-        raise DecodeError(f"node {node}'s message holds a cell outside the field of size {PRIME}")
-    return cells
+        words = np.frombuffer(data, dtype=_SWAPPED_CELL)
+        if np.bitwise_or.reduce(words) & 0x80 or words.max() >= 0xFFFFFF7F:
+            raise DecodeError(f"node {node}'s message holds a cell outside the field of size {PRIME}")
+        rows[node - 1] = memoryview(data)
+    return rows
 
 
 def agm_encode(view: NodeView, seeds: SharedRandomness, k: int, delta: float) -> Bits:
@@ -329,7 +348,10 @@ def _extract_edges(cells: np.ndarray, base: int, n: int) -> np.ndarray:
     nonzero count has an inverse.
     """
     flat = cells.reshape(len(cells), -1, 3)
+    out = np.zeros(len(cells), dtype=np.uint64)
     where, row = np.nonzero(flat[:, :, 0])  # row-major: by slice, then by row
+    if not len(where):  # every count is zero, as at a component with no boundary edge
+        return out
     cnt, ids, fp = flat[where, row].T
     # Counts are small signed degrees, so few distinct values need an inverse.
     distinct, which = np.unique(cnt, return_inverse=True)
@@ -340,7 +362,6 @@ def _extract_edges(cells: np.ndarray, base: int, n: int) -> np.ndarray:
     where, cnt, fp, slot = where[ok], cnt[ok], fp[ok], slot[ok]
     ok = cnt * _powers(base, n, slot) % PRIME == fp
     found, first = np.unique(where[ok], return_index=True)
-    out = np.zeros(len(cells), dtype=np.uint64)
     out[found] = slot[ok][first]
     return out
 
@@ -365,13 +386,15 @@ def _component_sketches(
     their multiplicities, below PRIME.  A component's sketch is the sum of its
     nodes' cells.  An earlier edge counts only when its ends lie in different
     components: inside one, its +1 at u and -1 at v cancel.  ``_level_sums``
-    sums the crossing edges' updates with the components as owners.
+    sums the crossing edges' updates with the components as owners, in its
+    histogram's memory, and they are added into the component sums in place:
+    a round holds the sums and that histogram.
     """
     n, _, levels = cells.shape[:3]
     order = np.argsort(component, kind="stable")
     starts = np.searchsorted(component[order], np.arange(component.max() + 1))
-    if len(starts) == n:  # every node alone, as in round 0
-        sums = cells[order].astype(np.uint64)
+    if len(starts) == n:  # every node alone, as in round 0: the labels are the node order
+        sums = cells.astype(np.uint64)
     else:
         sums = np.add.reduceat(cells[order], starts, axis=0, dtype=np.uint64)
     slots, counts = earlier
@@ -387,15 +410,19 @@ def _component_sketches(
     return _mod(sums)
 
 
-def _peel_forest(cells: np.ndarray, keys: np.ndarray, base: int, used: dict[int, int]) -> list[int]:
-    """One spanning forest from one stack, (n, rounds, reps, levels, 3), less the edges in ``used``.
+def _peel_forest(
+    rows: list[memoryview], cfg: SketchConfig, stack: int, keys: np.ndarray, base: int, used: dict[int, int]
+) -> list[int]:
+    """One spanning forest from stack ``stack`` of the messages ``rows``, less the edges in ``used``.
 
-    Borůvka: each round sketches every component's boundary on that round's
-    slice, extracts one edge per component and merges along the extracted
-    edges in slot order.  ``used`` maps each slot claimed by earlier forests
-    to its multiplicity.
+    Borůvka: each round gathers its (n, reps, levels, 3) cells, one byte
+    range of every message, sketches every component's boundary on them,
+    extracts one edge per component and merges along the extracted edges in
+    slot order.  ``used`` maps each slot claimed by earlier forests to its
+    multiplicity.
     """
-    n, rounds, reps = cells.shape[:3]
+    n, reps, levels = len(rows), cfg.reps, cfg.levels
+    config_bytes = levels * _CELLS_PER_TRIPLE * _CELL_BITS // 8
     earlier = (np.array(list(used), dtype=np.uint64), np.array(list(used.values()), dtype=np.uint64))
     component = np.arange(n)  # node - 1 -> its component's label
     forest: list[int] = []
@@ -406,13 +433,18 @@ def _peel_forest(cells: np.ndarray, keys: np.ndarray, base: int, used: dict[int,
             x = parent[x]
         return x
 
-    for rnd in range(rounds):
+    for rnd in range(cfg.rounds):
         count = int(component.max()) + 1
         if count == 1:
             break
-        round_keys = keys[rnd * reps : (rnd + 1) * reps]
-        sketches = _component_sketches(cells[:, rnd], round_keys, base, component, earlier)
+        config = (stack * cfg.rounds + rnd) * reps  # the round's first config, in key and message order
+        start, stop = config * config_bytes, (config + reps) * config_bytes
+        data = b"".join(map(itemgetter(slice(start, stop)), rows))
+        cells = np.frombuffer(data, dtype=">u4").reshape(n, reps, levels, 3)
+        sketches = _component_sketches(cells, keys[config : config + reps], base, component, earlier)
         proposals = _extract_edges(sketches, base, n)
+        if not proposals.any():  # no edge to merge along: the components stay as they are
+            continue
         parent = list(range(count))  # over this round's component labels
         for slot in np.unique(proposals[proposals != 0]).tolist():
             u, v = pair_of_slot(slot, n)
@@ -437,8 +469,9 @@ def agm_decide_kconn(
 
     Stack s peels its forest from G less the edges of the forests of stacks
     below s; ``_component_sketches`` subtracts those edges at each component's
-    boundary, one round at a time.  The decoded cells stay big-endian uint32
-    and are upcast one round slice at a time.
+    boundary, one round at a time.  Every message is checked first, whole and
+    in place, so a bad cell in a round that peeling never reaches is refused
+    too; each round then reads its own cells out of the message bytes.
     """
     if sorted(node for node, _ in messages) != list(range(1, n + 1)):
         raise DecodeError("need exactly one message per node 1..n")
@@ -446,12 +479,11 @@ def agm_decide_kconn(
         return Decision.CONNECTED
     cfg = SketchConfig.make(n, k, delta)
     keys, base = _config_tables(seeds, cfg)
-    cells = _bits_to_cells(messages, cfg)
-    per_stack = cfg.rounds * cfg.reps
+    rows = _message_rows(messages, cfg)
 
     used: dict[int, int] = {}  # slot -> multiplicity claimed by earlier forests
     for stack in range(cfg.stacks):
-        forest = _peel_forest(cells[:, stack], keys[stack * per_stack : (stack + 1) * per_stack], base, used)
+        forest = _peel_forest(rows, cfg, stack, keys, base, used)
         for slot in forest:
             used[slot] = used.get(slot, 0) + 1
 

@@ -484,7 +484,10 @@ def attack(protocol: OneWayProtocol, m: int, s: int) -> Optional[Counterexample]
         raise ValueError(f"(m={m}, s={s}) too large for exhaustive enumeration")
     supports = list(itertools.combinations(range(1, m + 1), s))
     alice_unkept = {supp: _unkept(protocol.alice_encode, m, supp) for supp in supports}
-    bob_unkept = {supp: _unkept(protocol.bob_encode, m, supp) for supp in supports}
+    if protocol.bob_encode is protocol.alice_encode:  # one encoder: Bob's map is Alice's
+        bob_unkept = alice_unkept
+    else:
+        bob_unkept = {supp: _unkept(protocol.bob_encode, m, supp) for supp in supports}
 
     for supp_x in supports:
         set_x = set(supp_x)

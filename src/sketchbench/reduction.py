@@ -44,7 +44,7 @@ from .model import (
     check_message,
     execute,
 )
-from .overlap import OverlapInstance, check_parameters, check_support, shared_index
+from .overlap import OverlapInstance, TernaryVector, check_parameters, check_support, shared_index
 from .setfam import (
     Entries,
     NoGoodPartition,
@@ -206,6 +206,20 @@ def _pair_ends(record: SeparatedPairRecord, bit: int, alice: bool, side: frozens
     return tuple(filter(side.__contains__, chosen))
 
 
+def _check_vectors(ctx: ReductionContext, *vectors) -> None:
+    """Raise ``InvalidInstance("support")`` unless each vector's support is an ascending s-subset of 1..m.
+
+    A ``TernaryVector`` of length m checked its support against 1..m when it
+    was built, so only the support's size is left; any other vector's support
+    is walked in full.  The public entry points that take vectors check them
+    here, ``charlie_messages`` walks its bare supports, and ``_party_messages``
+    and ``_roles`` trust what their callers checked.
+    """
+    for vector in vectors:
+        if not (isinstance(vector, TernaryVector) and vector.length == ctx.m and len(vector.support) == ctx.s):
+            check_support(vector.support, ctx.m, ctx.s)
+
+
 def _party_messages(
     vector, ctx: ReductionContext, protocol: SketchProtocol, alice: bool
 ) -> list[tuple[int, Bits]]:
@@ -214,9 +228,9 @@ def _party_messages(
     The party's graph holds its side's clique, the hub edge for every node of
     the side, and for each coordinate in its support the pair edges into the
     side.  A W-node's view is the V-ends its vector wires to it, ascending,
-    then its fixed tail from the context's ``PartyWiring``.
+    then its fixed tail from the context's ``PartyWiring``.  The caller has
+    checked the support.
     """
-    check_support(vector.support, ctx.m, ctx.s)
     wiring = ctx.alice if alice else ctx.bob
     wired: dict[int, list[tuple[int, int]]] = {w: [] for w in wiring.tails}
     for i in vector.support:
@@ -233,6 +247,7 @@ def alice_messages(
     x, ctx: ReductionContext, protocol: SketchProtocol
 ) -> list[tuple[int, Bits]]:
     """Sketches of the A-side nodes, computed from Alice's local wiring."""
+    _check_vectors(ctx, x)
     return _party_messages(x, ctx, protocol, alice=True)
 
 
@@ -240,6 +255,7 @@ def bob_messages(
     y, ctx: ReductionContext, protocol: SketchProtocol
 ) -> list[tuple[int, Bits]]:
     """Mirror of Alice on the B-side."""
+    _check_vectors(ctx, y)
     return _party_messages(y, ctx, protocol, alice=False)
 
 
@@ -251,10 +267,8 @@ def _roles(
     Read off the supports alone: the shared index's host is sigma, the hosts
     of Bob's other indices are B-restricted, every other V-node A-restricted.
     The hub is ``hub_of(advice)``, looked up once per advice, not per node.
-    Each support must be an ascending s-subset of 1..m, else InvalidInstance.
+    The caller has checked the supports.
     """
-    for support in (supp_x, supp_y):
-        check_support(support, ctx.m, ctx.s)
     sigma = shared_index(supp_x, supp_y)
     nodes, records = ctx.good_ids, ctx.partition.good
     roles = dict.fromkeys(layout(ctx.n)[0], (Advice.A_RESTRICTED, hub_of(Advice.A_RESTRICTED, ctx.n), None))
@@ -281,8 +295,11 @@ def charlie_messages(
     Only the hubs are encoded: a support host sends its record's witness, and
     every other V-node the context's fixed message.  Those were encoded by
     the context's protocol, so a protocol of another name or k is refused
-    with ``ProtocolMismatch``.
+    with ``ProtocolMismatch``.  Each support must be an ascending s-subset of
+    1..m, else ``InvalidInstance("support")``.
     """
+    for support in (supp_x, supp_y):
+        check_support(support, ctx.m, ctx.s)
     if (protocol.name, protocol.k) != (ctx.protocol_name, ctx.k):
         raise ProtocolMismatch(
             f"protocol {protocol.name!r} with k={protocol.k} on a context built for "
@@ -336,6 +353,7 @@ def build_compatible_graph(
     instance: OverlapInstance, ctx: ReductionContext
 ) -> tuple[MultiGraph, dict[int, Optional[Advice]]]:
     """The family member determined by the instance through the stored pairs."""
+    _check_vectors(ctx, instance.x, instance.y)
     roles = _roles(instance.x.support, instance.y.support, ctx)
     restrictions = {v: advice for v, (advice, _, _) in roles.items() if advice is not Advice.SIGMA}
     (sigma_node,) = roles.keys() - restrictions.keys()

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,13 +228,27 @@ def test_decode_rejects_message_that_is_not_a_bit_string(bad):
 
 
 def test_decode_rejects_cell_outside_field():
-    g = MultiGraph(3, [(1, 2, 1), (2, 3, 1)])
-    t = execute(make_agm_protocol(3, 1, 0.1), g, randomness=SEEDS)
-    msgs = list(t.messages)
-    node, bits = msgs[1]
-    msgs[1] = (node, Bits(bits.data[:8] + b"\xff" * 4 + bits.data[12:], len(bits)))  # third cell := 0xFFFFFFFF
-    with pytest.raises(DecodeError, match="node 2's message holds a cell outside the field"):
-        agm_decide_kconn(msgs, SEEDS, 3, 1, 0.1)
+    # The third cell, and the last cell of the last round of the last stack:
+    # the path's peel ends within the first rounds of each stack and never
+    # reads that round, yet the message is refused.  Each word is a cell of
+    # at least PRIME, down to PRIME itself; PRIME - 1 is accepted.
+    n, k, delta = 3, 2, 0.1
+    g = MultiGraph(n, [(1, 2, 2), (2, 3, 2)])
+    t = execute(make_agm_protocol(n, k, delta), g, randomness=SEEDS)
+    assert t.decision is Decision.CONNECTED
+    node, bits = t.messages[1]
+
+    def with_cell(at, word):
+        msgs = list(t.messages)
+        msgs[1] = (node, Bits(bits.data[:at] + word + bits.data[at + 4 :], len(bits)))
+        return msgs
+
+    last = len(bits.data) - 4
+    for at in (8, last):
+        for word in (b"\xff\xff\xff\xff", b"\x80\x00\x00\x00", agm.PRIME.to_bytes(4, "big")):
+            with pytest.raises(DecodeError, match="node 2's message holds a cell outside the field"):
+                agm_decide_kconn(with_cell(at, word), SEEDS, n, k, delta)
+    assert agm_decide_kconn(with_cell(last, (agm.PRIME - 1).to_bytes(4, "big")), SEEDS, n, k, delta) is t.decision
 
 
 def _splitmix64(key: int, slot: int) -> int:
@@ -312,6 +327,17 @@ def test_sketch_cells_match_loop_reference_on_wide_and_signed_input(make):
 def test_level_sums_match_loop_reference_per_owner():
     # Three owners: mixed signs and a shared slot, none at all, and
     # multiplicities of 0 mod PRIME next to ones beyond it.
+    _assert_level_sums_match_loop_reference_per_owner()
+
+
+def test_level_sums_match_loop_reference_a_few_rows_per_product(monkeypatch):
+    # A decoder round at n >= 410 has more (owner, config) rows than one
+    # product takes; here 5 rows per product split every owner's configs.
+    monkeypatch.setattr(agm, "_ROWS_PER_PRODUCT", 5)
+    _assert_level_sums_match_loop_reference_per_owner()
+
+
+def _assert_level_sums_match_loop_reference_per_owner():
     n, k, delta = 300, 1, 0.25
     cfg = SketchConfig.make(n, k, delta)
     keys, base = agm._config_tables(SEEDS, cfg)
@@ -426,6 +452,24 @@ def test_forest_subtraction_matches_from_scratch(monkeypatch):
     assert min(rounds) > 1  # every stack merged over several rounds
 
 
+def test_decoder_memory_stays_below_half_the_transcript():
+    # The decoder reads the cells in the message bytes, one round at a time:
+    # it holds no second copy of the transcript (8.3 MB at n=256, k=3).
+    n, k, delta = 256, 3, 0.05
+    graph, advice = build_lb_graph(random_spec(n, k, 1, condition=Condition.C1))
+    seeds = SharedRandomness(1)
+    msgs = _encode_all(graph, advice, seeds, k, delta)
+    transcript = sum(len(bits.data) for _, bits in msgs)
+    tracemalloc.start()
+    try:
+        decision = agm_decide_kconn(msgs, seeds, n, k, delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decision is Decision.CONNECTED
+    assert peak < transcript / 2, f"peak {peak / 2**20:.2f} MB, transcript {transcript / 2**20:.2f} MB"
+
+
 def _boruvka_reference(cfg, base, sketches, n):
     # The peeler before per-round component sums: whole (rounds, reps,
     # levels, 3) sketches per component, added on every merge, and the
@@ -465,7 +509,8 @@ def _certificate_reference(messages, seeds, n, k, delta):
     # subtracted from the later stacks of its endpoints, node by node.
     cfg = SketchConfig.make(n, k, delta)
     keys, base = agm._config_tables(seeds, cfg)
-    cells = agm._bits_to_cells(sorted(messages), cfg).astype(np.uint64)
+    shape = (cfg.stacks, cfg.rounds, cfg.reps, cfg.levels, 3)
+    cells = np.array([np.frombuffer(bits.data, dtype=">u4").reshape(shape) for _, bits in sorted(messages)], np.uint64)
     per_stack = cfg.rounds * cfg.reps
     used = {}
     for stack in range(cfg.stacks):

@@ -437,6 +437,34 @@ def test_charlie_rejects_support_outside_1_to_m(toy_ctx, supp_x, supp_y):
             call()
 
 
+@pytest.mark.parametrize("m, s", [(7, 3), (6, 2)], ids=["index-past-m", "short-support"])
+def test_every_entry_point_checks_supports(toy_ctx, m, s):
+    # Each public entry checks its supports once and the private steps trust
+    # them, so each must refuse, itself, an instance valid at another (m, s).
+    proto = toy_two_bit(2)
+    inst = next(i for i in enumerate_valid_instances(m, s) if max(i.x.support + i.y.support) == m)
+    supports = (inst.x.support, inst.y.support)
+    for call in (
+        lambda: simulate(inst, toy_ctx, proto),
+        lambda: check_instance(inst, toy_ctx, proto),
+        lambda: verify_fidelity(inst, toy_ctx, proto),
+        lambda: build_compatible_graph(inst, toy_ctx),
+        lambda: charlie_messages(*supports, toy_ctx, proto),
+        lambda: charlie_decide(*supports, [], [], toy_ctx, proto),
+    ):
+        with pytest.raises(InvalidInstance, match=r"^\[support\] not an s=3 subset of \[1\.\.6\]"):
+            call()
+
+
+@pytest.mark.parametrize("encode", [alice_messages, bob_messages], ids=["alice", "bob"])
+@pytest.mark.parametrize(
+    "bad", [vector_on(7, {2: 1, 5: 0, 7: 1}), vector_on(6, {2: 1, 5: 0})], ids=["index-past-m", "short-support"]
+)
+def test_party_messages_check_their_support(toy_ctx, encode, bad):
+    with pytest.raises(InvalidInstance, match=r"^\[support\] not an s=3 subset of \[1\.\.6\]"):
+        encode(bad, toy_ctx, toy_two_bit(2))
+
+
 def test_charlie_reads_only_supports(toy_ctx):
     # Two instances sharing supports but differing in off-sigma bits give
     # Charlie identical inputs, hence identical node messages.

@@ -64,11 +64,25 @@ def test_agm_record_row(scripts):
     spec = lbgraph.random_spec(36, 3, 1, condition=lbgraph.Condition.C1)
     graph, advice = lbgraph.build_lb_graph(spec)
     row = scripts.agm.measure((graph, advice, 1), scripts.versions)
-    assert set(row) == {"n", "bits", "transcript_sha256", "transcript_mb", "current", "baseline"}
+    assert set(row) == {"n", "bits", "transcript_sha256", "transcript_mb", "execute_peak_mb", "current", "baseline"}
     assert row["n"] == 36 and len(row["transcript_sha256"]) == 64
-    layers = set(scripts.agm.LAYERS) - {"decode_ms"} | {"peel_ms", "execute_ms"}
+    # The peak holds the transcript at least: 36 messages of row["bits"] bits.
+    for peak in row["execute_peak_mb"].values():
+        assert peak >= 36 * row["bits"] / 8 / 2**20
+    layers = set(scripts.agm.LAYERS) - {"decode_ms"} | {"unpack_ms", "peel_ms", "execute_ms"}
     _check_spreads(row, layers)
     assert scripts.versions["baseline"].agm.__name__ == "sketchbench_baseline.agm"
+
+
+def test_agm_record_times_either_unpack_step(scripts):
+    # The in-place check, or in a version before it the copy into one array;
+    # a version with neither is refused, by name, before any call.
+    assert scripts.agm.unpack_layer(scripts.versions["current"]) == ("agm", "_message_rows")
+    older = SimpleNamespace(__name__="older", agm=SimpleNamespace(_bits_to_cells=None))
+    assert scripts.agm.unpack_layer(older) == ("agm", "_bits_to_cells")
+    neither = SimpleNamespace(__name__="neither", agm=SimpleNamespace())
+    with pytest.raises(SystemExit, match=r"^the record calls what a version lacks: neither agm\._message_rows or "):
+        scripts.agm.record({"current": scripts.versions["current"], "baseline": neither})
 
 
 def test_lb_record_row(scripts):
