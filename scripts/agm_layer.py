@@ -37,14 +37,12 @@ A version that does not define a layer's function (an older checkout under
 before the first call.  ``peel_ms`` is comparable across versions; since
 ``_message_rows``, it includes each round's gather of its cells from the
 message bytes.  Every execution of a graph must give the same
-``transcript_sha256``, a SHA-256 over the messages and the decision.  Each
-row also gives ``bits``, the message length, and per version:
+``transcript_sha256``, a SHA-256 over each message's node, bit length and
+packed bytes, then the decision.  Each row also gives ``bits``, the message
+length, and per version:
 
 - ``transcript_mb``: the memory that one execution's messages hold, by
-  ``sys.getsizeof`` of each message object (a ``Bits`` pair with its bytes,
-  or a '0'/'1' ``str`` in a version before packed messages).  Packed, the
-  n=1024 transcript holds 46.5 MB of messages; as '0'/'1' text it held
-  371.3 MB;
+  ``sys.getsizeof`` of each ``Bits`` pair and its bytes: 46.5 MB at n=1024;
 - ``execute_peak_mb``: the peak of the memory that ``tracemalloc`` sees
   allocated during one more, untimed, execution: the messages, the
   encoder's and the decoder's arrays.
@@ -119,11 +117,8 @@ def c1_inputs(n: int) -> list[tuple]:
 
 
 def message_mb(bits) -> float:
-    """Memory one message object holds: a packed ``Bits`` pair with its bytes, or a ``str``."""
-    size = sys.getsizeof(bits)
-    if isinstance(bits, tuple):
-        size += sys.getsizeof(bits[0])
-    return size / 2**20
+    """Memory one message object holds: a packed ``Bits`` pair with its bytes."""
+    return (sys.getsizeof(bits) + sys.getsizeof(bits.data)) / 2**20
 
 
 def measure(inputs: tuple, versions: dict) -> dict:
@@ -153,7 +148,7 @@ def measure(inputs: tuple, versions: dict) -> dict:
         totals["peel_ms"] = decode - totals["unpack_ms"] - totals["certificate_cut_ms"]
         digest = hashlib.sha256()
         for node, bits in transcript.messages:
-            digest.update(f"{node}:{bits};".encode("ascii"))
+            digest.update(f"{node}:{len(bits)}:".encode() + bits.data)
         digest.update(transcript.decision.value.encode("ascii"))
         sizes[name] = round(sum(message_mb(bits) for _, bits in transcript.messages), 1)
         return {layer: seconds * 1e3 for layer, seconds in totals.items()}, digest.hexdigest()

@@ -5,13 +5,13 @@ parameters, seed, pass/fail counts per asserted invariant, artifact paths,
 and git-style content hashes of any input files.  Subcommands that sample
 are deterministic under a fixed --seed (default 0); kconn, overlap-enum and
 overlap-attack sample nothing, take no --seed and report "seed": null.  The
-nine subcommands are
-gen-lb, verify-lb, kconn, agm-run, sample-family, choose-partition,
+eight subcommands are
+gen-lb, verify-lb, kconn, agm-run, choose-partition,
 overlap-enum, overlap-attack and verify-fidelity; overlap-enum and
 verify-fidelity sweep every valid (m, s) instance, or check one with --instance.
 The CLI reads two input formats: graph files (``model.save_graph``'s text,
 for kconn and agm-run --graph) and Overlap instance files
-(``OverlapInstance.to_json``, for --instance).  The .spec.json, .family.json,
+(``OverlapInstance.to_json``, for --instance).  The .spec.json,
 .partition.json and .context.json side files that --out adds are write-only
 reports; nothing reads them back.
 Exit codes: 0 all invariants passed, 1 invariant failure, 2 usage error.
@@ -55,7 +55,7 @@ from .overlap import (
 )
 from .protocols import PROTOCOLS, make_protocol, protocol_name
 from .reduction import build_context, check_instance, reduction_size
-from .setfam import choose_partition, neighborhood_family, sample_family
+from .setfam import choose_partition, neighborhood_family
 
 
 @dataclass
@@ -207,17 +207,6 @@ def cmd_agm_run(args, report: RunReport) -> None:
         allowed_failures = binomial_allowance(len(graphs), delta, 0.99)
         report.record("oracle_agreement_band", len(graphs) - agree <= allowed_failures)
         report.results["allowed_failures"] = allowed_failures
-
-
-def cmd_sample_family(args, report: RunReport) -> None:
-    w_ids = range(1, args.w_size + 1)
-    family = sample_family(
-        w_ids, args.d, args.epsilon, args.target, args.seed, max_attempts=args.max_attempts
-    )
-    report.results["size"] = len(family.members)
-    report.results["bound"] = family.intersection_bound
-    if args.out:
-        report.artifact(args.out, ".family.json", json.dumps(family.to_json_obj(), indent=2))
 
 
 def cmd_choose_partition(args, report: RunReport) -> None:
@@ -373,15 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=64)
     common(p)
     p.set_defaults(func=cmd_agm_run)
-
-    p = sub.add_parser("sample-family", help="sample a bounded-intersection set family")
-    p.add_argument("--w-size", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--target", type=int, required=True)
-    p.add_argument("--max-attempts", type=int, default=20000)
-    common(p)
-    p.set_defaults(func=cmd_sample_family)
 
     p = sub.add_parser("choose-partition", help="extract indistinguishable pairs for a protocol")
     p.add_argument("--n", type=int, required=True)

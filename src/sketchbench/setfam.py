@@ -1,4 +1,4 @@
-"""Bounded-intersection set families and message partitions.
+"""Candidate neighborhood families and message partitions.
 
 Given a deterministic protocol, each candidate W-neighborhood of a V-node
 induces a message in each of the node's possible roles, the members of
@@ -38,6 +38,7 @@ Only the winning trial's records are re-verified from scratch, by
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -49,17 +50,6 @@ from .lbgraph import check_sizes, layout, role_entries, role_view
 from .model import Advice, Bits, EMPTY_RANDOMNESS, NodeView, SketchProtocol
 
 Member = tuple[int, ...]  # a W-neighborhood, ascending ids
-
-
-class FamilyTooSparse(RuntimeError):
-    """The sampler could not reach the requested family size."""
-
-    def __init__(self, target: int, achieved: int, attempts: int):
-        super().__init__(
-            f"requested {target} members, best achieved {achieved} after {attempts} draws"
-        )
-        self.target = target
-        self.achieved = achieved
 
 
 class DeterminismRequired(TypeError):
@@ -76,64 +66,29 @@ class BrokenPairRecord(RuntimeError):
 
 @dataclass(frozen=True)
 class SetFamily:
-    """Distinct same-size subsets of a ground set with bounded pairwise overlap."""
+    """Distinct d-subsets of a ground set W, each in ascending ids: the candidate neighborhoods."""
 
     ground: tuple[int, ...]
     d: int
-    epsilon: float
     members: tuple[Member, ...]
-
-    @property
-    def intersection_bound(self) -> int:
-        return math.floor(self.epsilon * self.d / 2)
-
-    def verify(self) -> None:
-        """Exhaustive re-check of the invariants; raises on violation.
-
-        The pairwise overlap pass is O(|S|^2); it is skipped when the bound is
-        at least d-1, which two distinct d-subsets cannot exceed.
-        """
-        ground = set(self.ground)
-        seen = set(self.members)
-        if len(seen) != len(self.members):
-            raise ValueError("family members must be distinct")
-        for s in self.members:
-            if len(s) != self.d or not set(s) <= ground:
-                raise ValueError(f"member {s} is not a {self.d}-subset of the ground set")
-            if list(s) != sorted(s):
-                raise ValueError(f"member {s} is not in canonical order")
-        bound = self.intersection_bound
-        if bound >= self.d - 1:
-            return
-        members = [set(s) for s in self.members]
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                inter = len(members[i] & members[j])
-                if inter > bound:
-                    raise ValueError(
-                        f"members {self.members[i]} and {self.members[j]} share {inter} > {bound}"
-                    )
 
     def to_json_obj(self) -> dict:
         return {
             "ground": list(self.ground),
             "d": self.d,
-            "epsilon": self.epsilon,
             "members": [list(s) for s in self.members],
         }
 
 
 def complete_family(w_ids: Iterable[int], d: int) -> SetFamily:
-    """All d-subsets of W, with the vacuous overlap bound d-1."""
-    import itertools
-
+    """All d-subsets of W."""
     ground = tuple(sorted(w_ids))
     members = tuple(itertools.combinations(ground, d))
-    return SetFamily(ground=ground, d=d, epsilon=2 * (d - 1) / d, members=members)
+    return SetFamily(ground=ground, d=d, members=members)
 
 
 def random_family(w_ids: Iterable[int], d: int, size: int, seed: int) -> SetFamily:
-    """``size`` distinct random d-subsets, with the vacuous overlap bound d-1."""
+    """``size`` distinct random d-subsets of W."""
     ground = tuple(sorted(w_ids))
     if not 1 <= size <= math.comb(len(ground), d):
         raise ValueError(f"size {size} outside 1..{math.comb(len(ground), d)}, the d-subsets of W")
@@ -141,11 +96,7 @@ def random_family(w_ids: Iterable[int], d: int, size: int, seed: int) -> SetFami
     kept: set[Member] = set()
     while len(kept) < size:
         kept.add(tuple(sorted(int(x) for x in rng.choice(ground, size=d, replace=False))))
-    family = SetFamily(
-        ground=ground, d=d, epsilon=2 * (d - 1) / d, members=tuple(sorted(kept))
-    )
-    family.verify()
-    return family
+    return SetFamily(ground=ground, d=d, members=tuple(sorted(kept)))
 
 
 def neighborhood_family(
@@ -161,50 +112,6 @@ def neighborhood_family(
     if math.comb(len(ground), d) > 4096:
         raise ValueError(f"over 4096 {d}-subsets of W; sample a family with --family-size")
     return complete_family(ground, d)
-
-
-def sample_family(
-    w_ids: Iterable[int],
-    d: int,
-    epsilon: float,
-    target_size: int,
-    seed: int,
-    max_attempts: int = 20000,
-) -> SetFamily:
-    """Rejection-sample a family of uniform d-subsets with bounded overlap.
-
-    Draws d-subsets uniformly at random and keeps one when its intersection
-    with every kept member stays within floor(epsilon*d/2).  The returned
-    family is re-verified exhaustively; if the target size is out of reach
-    within ``max_attempts`` draws, FamilyTooSparse reports the best size.
-    """
-    ground = tuple(sorted(w_ids))
-    if d > len(ground):
-        raise ValueError(f"d={d} exceeds |W|={len(ground)}")
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must lie in (0,1), got {epsilon}")
-    if target_size < 2:
-        raise ValueError(f"target size must be at least 2, got {target_size}")
-
-    bound = math.floor(epsilon * d / 2)
-    rng = np.random.default_rng(seed)
-    kept: list[Member] = []
-    kept_sets: list[set[int]] = []
-    attempts = 0
-    while len(kept) < target_size and attempts < max_attempts:
-        attempts += 1
-        draw = tuple(sorted(int(x) for x in rng.choice(ground, size=d, replace=False)))
-        s = set(draw)
-        if draw in kept:
-            continue
-        if all(len(s & t) <= bound for t in kept_sets):
-            kept.append(draw)
-            kept_sets.append(s)
-    if len(kept) < target_size:
-        raise FamilyTooSparse(target_size, len(kept), attempts)
-    family = SetFamily(ground=ground, d=d, epsilon=epsilon, members=tuple(sorted(kept)))
-    family.verify()
-    return family
 
 
 def role_inputs(

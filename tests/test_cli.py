@@ -97,24 +97,6 @@ def test_agm_run_random_graphs(capsys):
     assert report["results"]["total"] == 4
 
 
-def test_sample_family(tmp_path, capsys):
-    code, report = run(
-        capsys, "sample-family", "--w-size", 16, "--d", 3, "--epsilon", 0.7, "--target", 5,
-        "--out", tmp_path / "f",
-    )
-    assert_clean(code, report)
-    assert set(report["outcomes"]) == {"completed"}
-    assert report["results"]["size"] == 5
-    (family_path,) = report["artifacts"]
-    assert len(json.loads(open(family_path, encoding="utf-8").read())["members"]) == 5
-
-    # With overlap bound 0, a 6-element ground set holds at most two disjoint 3-subsets.
-    code, report = run(capsys, "sample-family", "--w-size", 6, "--d", 3, "--epsilon", 0.5, "--target", 50)
-    assert code == 1
-    assert report["outcomes"] == {"completed": {"pass": 0, "fail": 1}}
-    assert report["results"]["error"].startswith("FamilyTooSparse")
-
-
 def test_choose_partition(tmp_path, capsys):
     code, report = run(
         capsys, "choose-partition", "--n", 36, "--k", 2, "--protocol", "toy2", "--trials", 2,
@@ -296,8 +278,8 @@ def test_parser_settable_values():
         for action in parser._actions
         if not isinstance(action, argparse._HelpAction)
     ]
-    assert len(subparsers.choices) == 9
-    assert len(settable) == 52
+    assert len(subparsers.choices) == 8
+    assert len(settable) == 45
 
 
 def test_reduction_checks_run_each_party_once(monkeypatch):

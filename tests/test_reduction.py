@@ -498,7 +498,7 @@ def test_forced_full_information_context_decides_correctly():
     a_side, b_side = frozenset(w[:2]), frozenset(w[2:])
     s0 = tuple(sorted(list(a_side) + [w[2]]))
     s1 = tuple(sorted([w[0]] + list(b_side)))
-    family = SetFamily(ground=tuple(w), d=3, epsilon=4 / 3, members=tuple(sorted((s0, s1))))
+    family = SetFamily(ground=tuple(w), d=3, members=tuple(sorted((s0, s1))))
     proto = full_information(n, k)
 
     def enc(node, nbrs, advice):

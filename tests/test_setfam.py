@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from collections import Counter
 from dataclasses import replace
@@ -22,7 +23,6 @@ from sketchbench.reduction import NotEnoughGoodNodes, build_context, reduction_s
 from sketchbench.setfam import (
     BrokenPairRecord,
     DeterminismRequired,
-    FamilyTooSparse,
     NoGoodPartition,
     RoleCodes,
     SetFamily,
@@ -36,7 +36,6 @@ from sketchbench.setfam import (
     message_partitions,
     random_family,
     role_inputs,
-    sample_family,
     verify_record,
     PartitionContext,
     SeparatedPairRecord,
@@ -71,66 +70,6 @@ def blocks(messages):
     for key in sorted(messages):
         grouped.setdefault(messages[key], []).append(key)
     return {bits: tuple(keys) for bits, keys in grouped.items()}
-
-
-def test_sampler_disjoint_triples():
-    fam = sample_family(range(1, 21), 3, 0.6, 6, seed=3)
-    assert len(fam.members) == 6
-    assert fam.intersection_bound == 0
-    fam.verify()
-    seen = set()
-    for member in fam.members:
-        assert not (set(member) & seen)
-        seen |= set(member)
-
-
-def test_sampler_too_sparse():
-    with pytest.raises(FamilyTooSparse) as err:
-        sample_family(range(1, 11), 5, 0.4, 30, seed=3, max_attempts=3000)
-    assert err.value.achieved < 30
-
-
-def test_sampler_64_ground():
-    fam = sample_family(range(1, 65), 5, 0.8, 40, seed=7)
-    assert len(fam.members) == 40
-    assert fam.intersection_bound == 2
-    worst = max(
-        len(set(a) & set(b))
-        for i, a in enumerate(fam.members)
-        for b in fam.members[i + 1 :]
-    )
-    assert worst <= 2
-
-
-def test_sampler_deterministic():
-    a = sample_family(range(1, 65), 5, 0.8, 40, seed=7)
-    b = sample_family(range(1, 65), 5, 0.8, 40, seed=7)
-    assert a.members == b.members
-
-
-def test_family_verify_catches_violation():
-    bad = SetFamily(ground=(1, 2, 3, 4), d=3, epsilon=0.5, members=((1, 2, 3), (1, 2, 4)))
-    with pytest.raises(ValueError):
-        bad.verify()
-
-
-@pytest.mark.parametrize(
-    "extra, problem",
-    [
-        ((11, 12, 13), "distinct"),
-        ((11, 12), "not a 3-subset"),
-        ((15, 13, 12), "canonical order"),
-        ((11, 12, 99), "not a 3-subset"),
-    ],
-    ids=["repeated", "wrong-size", "unsorted", "outside-ground"],
-)
-def test_vacuous_bound_family_still_checks_members(extra, problem):
-    # With the bound at d-1 the pairwise pass is skipped; the per-member
-    # checks must still run.
-    fam = complete_family(range(11, 16), 3)
-    assert fam.intersection_bound == fam.d - 1
-    with pytest.raises(ValueError, match=problem):
-        replace(fam, members=fam.members + (extra,)).verify()
 
 
 def test_partitions_full_information_singletons():
@@ -299,8 +238,6 @@ def test_choose_partition_verifies_returned_records_once(monkeypatch):
 
 
 def test_find_separated_pair_classification_sweep():
-    import itertools
-
     a_side = frozenset({1, 2, 3})
     b_side = frozenset({4, 5, 6, 7})
     members = list(itertools.combinations(range(1, 8), 3))
@@ -387,7 +324,7 @@ def test_choose_partition_rejects_wrong_member_size(d):
 
 
 def test_choose_partition_refuses_an_empty_family():
-    empty = SetFamily(ground=tuple(W16), d=3, epsilon=4 / 3, members=())
+    empty = SetFamily(ground=tuple(W16), d=3, members=())
     with pytest.raises(ValueError, match="family is empty"):
         choose_partition(toy_two_bit(2), empty, N16, 2, trials=1, seed=0)
 
@@ -468,7 +405,7 @@ def test_choose_partition_refuses_no_trials():
 def test_complete_family():
     fam = complete_family(range(11, 15), 3)
     assert len(fam.members) == 4
-    fam.verify()
+    assert fam.members == tuple(itertools.combinations(range(11, 15), 3))
 
 
 def reference_choose_partition(protocol, family, w_ids, k, trials, seed):
@@ -531,14 +468,14 @@ def test_choose_partition_matches_per_trial_reference(name, n):
 @pytest.mark.parametrize(
     "seed, prefix",
     [
-        (33007519, "b1ae03beb51e2ed1"),
-        (532733673, "e03130cdf94a76bf"),
-        (1359935555, "20e4f07c998a0047"),
+        (33007519, "156eaebcc143e3cd"),
+        (532733673, "7442a7dc9c3a9da6"),
+        (1359935555, "8a7899dec8eb36ee"),
     ],
 )
 def test_build_context_golden(seed, prefix):
     # Digests of the contexts the per-trial search produced before the role
-    # messages were shared across trials.
+    # messages were shared across trials, less the family's overlap-bound key.
     ctx = build_context(make_protocol("toy2", 256, 2), 96, 48, 2, seed, trials=4)
     assert hashlib.sha256(ctx.to_json().encode()).hexdigest()[:16] == prefix
 
