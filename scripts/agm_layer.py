@@ -18,10 +18,8 @@ that ``execute`` reaches through module globals:
 - ``cells_to_bits_ms``: ``agm._cells_to_bits``, packing cells into messages;
 - ``check_bits_ms``: ``model.check_bits``, the message type, length and
   padding check;
-- ``unpack_ms``: the decoder's unpacking of the messages:
-  ``agm._message_rows``, which checks every message in place, or in a
-  version before it ``agm._bits_to_cells``, which copied every message into
-  one array of cells and checked that;
+- ``unpack_ms``: ``agm._message_rows``, the decoder's check of every
+  message in place;
 - ``certificate_cut_ms``: ``agm.global_min_cut`` on the union certificate;
 - ``peel_ms``: the rest of ``agm.agm_decide_kconn``: peeling the k forests,
   with the earlier forests subtracted, and building the certificate graph;
@@ -34,9 +32,8 @@ that ``execute`` reaches through module globals:
 A version that does not define a layer's function (an older checkout under
 ``--baseline``) reports no time for that layer, except the three that
 ``peel_ms`` is computed from: a version without one of those is refused
-before the first call.  ``peel_ms`` is comparable across versions; since
-``_message_rows``, it includes each round's gather of its cells from the
-message bytes.  Every execution of a graph must give the same
+before the first call.  ``peel_ms`` includes each round's gather of its cells
+from the message bytes.  Every execution of a graph must give the same
 ``transcript_sha256``, a SHA-256 over each message's node, bit length and
 packed bytes, then the decision.  Each row also gives ``bits``, the message
 length, and per version:
@@ -74,29 +71,17 @@ LAYERS = {
     "extract_ms": ("agm", "_extract_edges"),
     "certificate_cut_ms": ("agm", "global_min_cut"),
     "decode_ms": ("agm", "agm_decide_kconn"),
+    "unpack_ms": ("agm", "_message_rows"),
 }
 
-#: The functions the ``unpack_ms`` layer may time, newest first; a version
-#: needs one of them.
-UNPACK = (("agm", "_message_rows"), ("agm", "_bits_to_cells"))
-
 #: Every (module, attribute) the record calls, and the layers ``peel_ms`` is
-#: computed from, other than the unpack step (see ``unpack_layer``).
+#: computed from.
 NEEDS = (
     ("agm", "make_agm_protocol"),
     ("model", "SharedRandomness"),
     ("model", "execute"),
-    *(LAYERS[layer] for layer in ("decode_ms", "certificate_cut_ms")),
+    *(LAYERS[layer] for layer in ("decode_ms", "certificate_cut_ms", "unpack_ms")),
 )
-
-
-def unpack_layer(package) -> tuple[str, str]:
-    """The (module, function) of ``UNPACK`` that a version defines, first found; SystemExit if none."""
-    for module, attr in UNPACK:
-        if hasattr(getattr(package, module), attr):
-            return module, attr
-    names = " or ".join(f"{module}.{attr}" for module, attr in UNPACK)
-    raise SystemExit(f"the record calls what a version lacks: {package.__name__} {names}")
 
 
 def agm_hard_inputs(count: int = 10) -> list[tuple]:
@@ -125,7 +110,6 @@ def measure(inputs: tuple, versions: dict) -> dict:
     """The row of one graph: its layer spreads per version and its transcript digest."""
     graph, advice, seed = inputs
     protocols = {name: package.agm.make_agm_protocol(graph.n, K, DELTA) for name, package in versions.items()}
-    layers = {name: {**LAYERS, "unpack_ms": unpack_layer(package)} for name, package in versions.items()}
     sizes, peaks = {}, {}
     for name, package in versions.items():
         tracemalloc.start()
@@ -137,10 +121,10 @@ def measure(inputs: tuple, versions: dict) -> dict:
 
     def execute(name, package):
         totals = {
-            layer: 0.0 for layer, (module, attr) in layers[name].items() if hasattr(getattr(package, module), attr)
+            layer: 0.0 for layer, (module, attr) in LAYERS.items() if hasattr(getattr(package, module), attr)
         }
         randomness = package.model.SharedRandomness(seed)
-        with layer_record.timed_layers(package, layers[name], totals):
+        with layer_record.timed_layers(package, LAYERS, totals):
             start = perf_counter()
             transcript = package.model.execute(protocols[name], graph, advice, randomness)
             totals["execute_ms"] = perf_counter() - start
@@ -165,8 +149,6 @@ def measure(inputs: tuple, versions: dict) -> dict:
 
 
 def record(versions: dict) -> tuple[dict, dict]:
-    for package in versions.values():
-        unpack_layer(package)  # refuse a version before the first call
     groups = {"agm-hard": agm_hard_inputs(), "n1024": c1_inputs(1024), "n4096": c1_inputs(4096)}
     measure(groups["agm-hard"][0], versions)  # warm-up: hash keys, first allocations
     rows = {name: [measure(inputs, versions) for inputs in group] for name, group in groups.items()}

@@ -439,10 +439,10 @@ def _peel_forest(
             break
         config = (stack * cfg.rounds + rnd) * reps  # the round's first config, in key and message order
         start, stop = config * config_bytes, (config + reps) * config_bytes
-        data = b"".join(map(itemgetter(slice(start, stop)), rows))
-        cells = np.frombuffer(data, dtype=">u4").reshape(n, reps, levels, 3)
+        cells = np.frombuffer(b"".join(map(itemgetter(slice(start, stop)), rows)), ">u4").reshape(n, reps, levels, 3)
         sketches = _component_sketches(cells, keys[config : config + reps], base, component, earlier)
         proposals = _extract_edges(sketches, base, n)
+        del cells, sketches  # the round's bytes and sums go before the next round gathers its own
         if not proposals.any():  # no edge to merge along: the components stay as they are
             continue
         parent = list(range(count))  # over this round's component labels

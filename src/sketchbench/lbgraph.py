@@ -1,12 +1,24 @@
 """The hard graph family for k-edge connectivity.
 
 Members live on node sets V, W = A ∪ B, and two hubs u_A, u_B.  A and B induce
-cliques wired to their hub; every V-node is either A-restricted (W-edges only
-into A, possibly none, plus k parallel hub-A edges), B-restricted (at least one
-W-edge into B plus k parallel hub-B edges), or the determining node sigma,
-which has exactly 2k-1 W-edges and k parallel hub-A edges.  Whether the graph
-is k-edge connected is decided entirely by how sigma's W-edges split between
-A and B.
+cliques wired to their hub.  Each V-node is sigma, A-restricted or
+B-restricted, with k parallel edges to the hub of its role, and ``role_rule``
+is the one rule for its legal W-neighborhood: exactly 2k-1 ids of W for sigma,
+all in A for A-restricted, at least one and all in B for B-restricted.
+Whether the graph is k-edge connected turns on sigma alone:
+``sigma_condition`` is C1 iff at least k of its W-edges land in B, else C0.
+``validate`` and ``condition_of`` apply these rules to a member, and the
+set-family search to each candidate sigma neighborhood S through
+``forced_condition``: the condition S forces when each of its ``role_inputs``
+(S, S∩A, S∩B) is legal.  On (2k-1)-subsets that is C0 iff |S∩A| >= k and
+1 <= |S∩B| <= k-1, and C1 iff |S∩A| <= k-1 and |S∩B| >= k.
+
+So the chain cannot pin a protocol with a restricted-role bit [|S∩A| >= k]:
+a separated pair has |S0∩A| >= k > |S1∩A|, so its members differ in that role
+and never share a common block.  ``degk`` in ``tests/test_setfam.py`` is one:
+each V-node sends [its W-neighbours >= k], and its always-connected referee
+is wrong on every C0 member, yet no node is pinned for it
+(``test_threshold_bit_pins_no_node``).
 
 ``check_sizes`` is the one rule for the (n, k) at which the family exists,
 ``hub_of`` the one rule for the hub a V-node's k parallel edges go to, and
@@ -29,12 +41,15 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 import numpy as np
 
 from .mincut import is_k_edge_connected
 from .model import Advice, MultiGraph, NodeView
+
+
+Member = tuple[int, ...]  # a W-neighborhood, ascending ids
 
 
 class SpecError(ValueError):
@@ -88,6 +103,41 @@ def role_entries(
     return tuple(entries)
 
 
+#: Bound once: the rules below run per V-node or member, and an ``Enum``
+#: attribute lookup costs about 150 ns.
+_ROLES = _SIGMA, _A_RESTRICTED, _B_RESTRICTED = tuple(Advice)
+_C0, _C1 = Condition
+
+
+def role_rule(
+    advice: Advice, w_neighbors: Collection[int], a_side: frozenset[int], b_side: frozenset[int], k: int
+) -> Optional[str]:
+    """The ``SpecError`` rule ("C0/C1", "E3" or "E4") that ``w_neighbors``, distinct ids, break in the role, or None."""
+    if advice is _A_RESTRICTED:
+        return None if a_side.issuperset(w_neighbors) else "E3"
+    if advice is _B_RESTRICTED:
+        return None if w_neighbors and b_side.issuperset(w_neighbors) else "E4"
+    return None if len(w_neighbors) == 2 * k - 1 and a_side.union(b_side).issuperset(w_neighbors) else "C0/C1"
+
+
+def sigma_condition(w_neighbors: Iterable[int], b_side: frozenset[int], k: int) -> Condition:
+    """C1 iff at least k of sigma's W-edges land in B, else C0."""
+    return _C1 if len(b_side.intersection(w_neighbors)) >= k else _C0
+
+
+def role_inputs(member: Member, a_side: frozenset[int], b_side: frozenset[int]) -> tuple[Member, Member, Member]:
+    """A candidate sigma neighborhood's input in each role, in ``Advice`` order: itself, S∩A, S∩B."""
+    return member, tuple(filter(a_side.__contains__, member)), tuple(filter(b_side.__contains__, member))
+
+
+def forced_condition(member: Member, a_side: frozenset[int], b_side: frozenset[int], k: int) -> Optional[Condition]:
+    """The condition ``member`` forces as sigma's neighborhood, or None if one of its role inputs is illegal."""
+    for advice, nbrs in zip(_ROLES, role_inputs(member, a_side, b_side)):
+        if role_rule(advice, nbrs, a_side, b_side, k) is not None:
+            return None
+    return sigma_condition(member, b_side, k)
+
+
 def role_view(
     node: int, w_neighbors: Iterable[int], advice: Optional[Advice], n: int, k: int
 ) -> NodeView:
@@ -127,10 +177,9 @@ def validate(spec: LBGraphSpec) -> None:
     n, k = spec.n, spec.k
     check_sizes(n, k)  # then |V| = n - isqrt(n) - 2 >= 10
     v_ids, w_ids, _, _ = layout(n)
-    w_set = spec.a_side | spec.b_side
 
     # Sizes are compared before sets are built, so a huge n is never laid out.
-    if len(spec.a_side) + len(spec.b_side) != len(w_ids) or w_set != set(w_ids):
+    if len(spec.a_side) + len(spec.b_side) != len(w_ids) or spec.a_side | spec.b_side != set(w_ids):
         raise SpecError("sizes", "A and B must partition W")
     if len(spec.a_side) < k or len(spec.b_side) < k:
         raise SpecError("sizes", f"|A| and |B| must both be >= k={k}")
@@ -144,32 +193,18 @@ def validate(spec: LBGraphSpec) -> None:
     sigma, restrictions, a_side, b_side = spec.sigma, spec.restrictions, spec.a_side, spec.b_side
     neighbors_of, empty = spec.w_neighbors.get, frozenset()
     for v in v_ids:
-        nbrs = neighbors_of(v, empty)
-        if v == sigma:
-            if len(nbrs) != 2 * k - 1:
-                raise SpecError(
-                    "C0/C1", f"sigma must have exactly {2 * k - 1} W-edges, got {len(nbrs)}"
-                )
-            if not nbrs <= w_set:
-                raise SpecError("C0/C1", f"sigma neighborhood leaves W: {sorted(nbrs - w_set)}")
-            continue
-        role = restrictions[v]
-        if role is Advice.A_RESTRICTED:
-            if not nbrs <= a_side:
-                raise SpecError("E3", f"A-restricted node {v} has edges outside A")
-        elif role is Advice.B_RESTRICTED:
-            if not nbrs:
-                raise SpecError("E4", f"B-restricted node {v} needs at least one B-edge")
-            if not nbrs <= b_side:
-                raise SpecError("E4", f"B-restricted node {v} has edges outside B")
-        else:
+        role = _SIGMA if v == sigma else restrictions[v]
+        if v != sigma and role is not _A_RESTRICTED and role is not _B_RESTRICTED:
             raise SpecError("sizes", f"node {v} has invalid role {role}")
+        nbrs = neighbors_of(v, empty)
+        broken = role_rule(role, nbrs, a_side, b_side, k)
+        if broken is not None:
+            raise SpecError(broken, f"node {v} cannot have W-neighbours {sorted(nbrs)} as {role.value}")
 
 
 def condition_of(spec: LBGraphSpec) -> Condition:
-    """C1 iff at least k of sigma's W-edges land in B; exactly one case holds."""
-    in_b = len(spec.w_neighbors[spec.sigma] & spec.b_side)
-    return Condition.C1 if in_b >= spec.k else Condition.C0
+    """The member's side of the dichotomy, ``sigma_condition`` of sigma's W-neighborhood."""
+    return sigma_condition(spec.w_neighbors[spec.sigma], spec.b_side, spec.k)
 
 
 def build_lb_graph(spec: LBGraphSpec) -> tuple[MultiGraph, dict[int, Optional[Advice]]]:

@@ -21,6 +21,11 @@ and ``execute`` read none of them, so ``check_instance`` checks the
 pre-computed pieces on every instance it runs.  Building a context checks
 (m, s) with ``overlap.check_parameters``; its JSON is a report, written and
 never read back.
+
+A context needs pinned nodes, so the run cannot refute a protocol whose
+restricted-role messages carry the bit [|S∩A| >= k] (``lbgraph``'s docstring
+says why): ``build_context`` finds no pinned node for ``degk``, though its
+referee is wrong on every C0 member (``test_threshold_bit_pins_no_node``).
 """
 
 from __future__ import annotations

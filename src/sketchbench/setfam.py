@@ -3,37 +3,23 @@
 Given a deterministic protocol, each candidate W-neighborhood of a V-node
 induces a message in each of the node's possible roles, the members of
 ``model.Advice``, encoded from a view over ``lbgraph.role_entries``.  The
-roles are data: ``role_inputs`` is the one rule for a neighborhood's input to
-each role under a split (itself as sigma, its A- and B-projections as the
-restricted roles), and the search loops over ``Advice`` without naming a
+roles are data: ``lbgraph.role_inputs`` gives a neighborhood's input to each
+role under a split, and the search loops over ``Advice`` without naming a
 role.  Each role gives a map from input to message, kept as each input's rank
 among the role's distinct messages; neighborhoods whose messages agree in
 every role form a common block and are indistinguishable to the referee.  A
-separated pair inside such a block pins the node: one neighborhood forces the
-graph disconnected below k, the other forces it k-edge connected, yet the
-node's messages cannot tell them apart.
-
-The pair rule has two halves: ``forces_disconnected`` wants S0 to have at
-least k ids in A and 1 to k-1 in B, so that a B-restricted node wired by it
-keeps a B-edge; ``forces_connected`` wants S1 to have at most k-1 in A and at
-least k in B.  ``find_separated_pair`` takes the first member in canonical
-order passing each half, and their conjunction ``is_separated_pair`` is the
-pair-shape check of ``verify_record``.
-
-So the chain cannot pin every wrong protocol.  The A-restricted role's view
-shows |S∩A|, and the pair rule needs |S0∩A| >= k > |S1∩A|, so a protocol that
-sends [|S∩A| >= k] in that role gives S0 and S1 different messages there and
-never has a separated pair in a common block.  ``degk`` in
-``tests/test_setfam.py`` is such a protocol: each V-node sends [its
-W-neighbours >= k], and its referee, always answering connected, is wrong on
-every C0 member, yet ``choose_partition`` pins no node for it.
+separated pair inside such a block pins the node: S0 forces the graph
+disconnected below k (C0), S1 forces it k-edge connected (C1), yet the node's
+messages cannot tell them apart.  Which condition a member forces, and so
+which protocols the chain cannot pin, is ``lbgraph``'s rule, stated in its
+module docstring and asked through ``lbgraph.forced_condition``.
 
 Splits of W are sampled once (``lbgraph.check_sizes`` vets (n, k)), and the
 role entries of every distinct input of each role are built once, since they
 do not depend on the node.  Each node encodes each role's distinct views once
 across trials, and ``message_partitions`` alone refuses randomized protocols.
 Only the winning trial's records are re-verified from scratch, by
-``verify_record``, which names the roles itself as an independent check.
+``verify_record``.
 """
 
 from __future__ import annotations
@@ -46,10 +32,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .lbgraph import check_sizes, layout, role_entries, role_view
+from .lbgraph import Condition, Member, check_sizes, forced_condition, layout, role_entries, role_inputs, role_view
 from .model import Advice, Bits, EMPTY_RANDOMNESS, NodeView, SketchProtocol
-
-Member = tuple[int, ...]  # a W-neighborhood, ascending ids
 
 
 class DeterminismRequired(TypeError):
@@ -112,13 +96,6 @@ def neighborhood_family(
     if math.comb(len(ground), d) > 4096:
         raise ValueError(f"over 4096 {d}-subsets of W; sample a family with --family-size")
     return complete_family(ground, d)
-
-
-def role_inputs(
-    member: Member, a_side: frozenset[int], b_side: frozenset[int]
-) -> tuple[Member, Member, Member]:
-    """A member's input in each role, in ``Advice`` order: itself, its A-projection, its B-projection."""
-    return member, tuple(w for w in member if w in a_side), tuple(w for w in member if w in b_side)
 
 
 class RoleCodes(NamedTuple):
@@ -187,33 +164,20 @@ def common_block(
     return tuple(members[i] for i in np.flatnonzero(joined == best))
 
 
-def forces_disconnected(s, a_side: frozenset[int], b_side: frozenset[int], k: int) -> bool:
-    """S0's half of the pair rule: |S∩A| >= k, and 1 <= |S∩B| <= k-1 keeps a B-edge."""
-    return len(a_side.intersection(s)) >= k and 1 <= len(b_side.intersection(s)) <= k - 1
-
-
-def forces_connected(s, a_side: frozenset[int], b_side: frozenset[int], k: int) -> bool:
-    """S1's half of the pair rule: |S∩A| <= k-1 and |S∩B| >= k."""
-    return len(a_side.intersection(s)) <= k - 1 and len(b_side.intersection(s)) >= k
-
-
-def is_separated_pair(s0, s1, a_side: frozenset[int], b_side: frozenset[int], k: int) -> bool:
-    """Both halves of the pair rule; the counts make S0 and S1 differ on both projections."""
-    return forces_disconnected(s0, a_side, b_side, k) and forces_connected(s1, a_side, b_side, k)
-
-
 def find_separated_pair(
     members: Sequence[Member], a_side: frozenset[int], b_side: frozenset[int], k: int
 ) -> Optional[tuple[Member, Member]]:
-    """The first member in canonical order passing each half of the pair rule, if both exist.
+    """The first member in canonical order forcing C0 and the first forcing C1, if both exist.
 
-    S0 passes ``forces_disconnected`` and S1 ``forces_connected``.  A block
-    whose every candidate for S0 lies wholly in A pins nothing: None.
+    ``lbgraph.forced_condition`` answers for each member.  A block whose
+    every candidate for S0 lies wholly in A pins nothing: None.
     """
-    ordered = sorted(members)
-    s0 = next((s for s in ordered if forces_disconnected(s, a_side, b_side, k)), None)
-    s1 = next((s for s in ordered if forces_connected(s, a_side, b_side, k)), None)
-    return None if s0 is None or s1 is None else (s0, s1)
+    first: dict[Optional[Condition], Member] = {}
+    for s in sorted(members):
+        first.setdefault(forced_condition(s, a_side, b_side, k), s)
+        if Condition.C0 in first and Condition.C1 in first:
+            return first[Condition.C0], first[Condition.C1]
+    return None
 
 
 #: Each role's witness field of a ``SeparatedPairRecord``, in ``Advice`` order.
@@ -254,17 +218,11 @@ def verify_record(
 ) -> bool:
     """Recheck the pair's shape, then re-encode every witness; nothing cached is trusted."""
     s0, s1 = set(record.s0), set(record.s1)
-    witnessed = (
-        (s0, Advice.SIGMA, record.message_sigma),
-        (s1, Advice.SIGMA, record.message_sigma),
-        (s0 & a_side, Advice.A_RESTRICTED, record.message_a),
-        (s1 & a_side, Advice.A_RESTRICTED, record.message_a),
-        (s0 & b_side, Advice.B_RESTRICTED, record.message_b),
-        (s1 & b_side, Advice.B_RESTRICTED, record.message_b),
-    )
-    return is_separated_pair(s0, s1, a_side, b_side, k) and all(
-        protocol.encode(role_view(record.node, nbrs, advice, n, k), EMPTY_RANDOMNESS) == message
-        for nbrs, advice, message in witnessed
+    forced = (forced_condition(s0, a_side, b_side, k), forced_condition(s1, a_side, b_side, k))
+    return forced == (Condition.C0, Condition.C1) and all(
+        protocol.encode(role_view(record.node, nbrs, advice, n, k), EMPTY_RANDOMNESS) == record.witness(advice)
+        for member in (s0, s1)
+        for advice, nbrs in zip(Advice, role_inputs(member, a_side, b_side))
     )
 
 

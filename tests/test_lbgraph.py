@@ -10,10 +10,12 @@ from sketchbench.lbgraph import (
     build_lb_graph,
     check_sizes,
     condition_of,
+    forced_condition,
     hub_of,
     layout,
     random_spec,
     role_entries,
+    role_rule,
     role_view,
     sigma_neighborhood_sweep,
     validate,
@@ -143,6 +145,18 @@ def test_spec_errors_name_rules():
         build_lb_graph(bad)
     assert err.value.rule == "E3"
 
+    # A non-sigma node whose restriction is sigma's role, with a neighborhood
+    # legal for sigma: only the check that the role is a restricted one
+    # refuses it.
+    bad = make_spec_49(3)
+    v = next(iter(bad.restrictions))
+    bad.restrictions[v] = Advice.SIGMA
+    bad.w_neighbors[v] = bad.w_neighbors[bad.sigma]
+    assert len(bad.w_neighbors[v]) == 2 * bad.k - 1
+    with pytest.raises(SpecError) as err:
+        build_lb_graph(bad)
+    assert err.value.rule == "sizes"
+
     bad = make_spec_49(3)
     bad.a_side, bad.b_side = frozenset(list(bad.a_side)[:2]), bad.b_side
     with pytest.raises(SpecError) as err:
@@ -152,6 +166,36 @@ def test_spec_errors_name_rules():
     with pytest.raises(SpecError) as err:
         random_spec(36, 4, seed=1)  # 2k > isqrt(n): check_sizes refuses
     assert err.value.rule == "sizes"
+
+
+def subsets(ground):
+    return itertools.chain.from_iterable(itertools.combinations(ground, size) for size in range(len(ground) + 1))
+
+
+@pytest.mark.parametrize("w_count, k", [(6, 2), (6, 3), (7, 2), (7, 3)])
+def test_role_rule_matches_the_pair_counts(w_count, k):
+    # Every split of W with both sides >= k and every (2k-1)-subset S: the
+    # condition S forces is the pair rule's counts, written here as the
+    # reference.  Every subset of W is legal A-restricted iff it lies in A,
+    # and B-restricted iff it is nonempty and lies in B.
+    ground = range(1, w_count + 1)
+    for a in subsets(ground):
+        a_side = frozenset(a)
+        b_side = frozenset(ground) - a_side
+        if len(a_side) < k or len(b_side) < k:
+            continue
+        for s in itertools.combinations(ground, 2 * k - 1):
+            in_a, in_b = len(a_side.intersection(s)), len(b_side.intersection(s))
+            forced = forced_condition(s, a_side, b_side, k)
+            assert (forced is Condition.C0) == (in_a >= k and 1 <= in_b <= k - 1)
+            assert (forced is Condition.C1) == (in_a <= k - 1 and in_b >= k)
+        for nbrs in subsets(ground):
+            legal_a = role_rule(Advice.A_RESTRICTED, nbrs, a_side, b_side, k) is None
+            legal_b = role_rule(Advice.B_RESTRICTED, nbrs, a_side, b_side, k) is None
+            legal_sigma = role_rule(Advice.SIGMA, nbrs, a_side, b_side, k) is None
+            assert legal_a == a_side.issuperset(nbrs)
+            assert legal_b == (bool(nbrs) and b_side.issuperset(nbrs))
+            assert legal_sigma == (len(nbrs) == 2 * k - 1)
 
 
 @pytest.mark.parametrize("field, value", [("n", "36"), ("n", 36.0), ("k", None), ("k", 2.0)])

@@ -74,15 +74,16 @@ def test_agm_record_row(scripts):
     assert scripts.versions["baseline"].agm.__name__ == "sketchbench_baseline.agm"
 
 
-def test_agm_record_times_either_unpack_step(scripts):
-    # The in-place check, or in a version before it the copy into one array;
-    # a version with neither is refused, by name, before any call.
-    assert scripts.agm.unpack_layer(scripts.versions["current"]) == ("agm", "_message_rows")
-    older = SimpleNamespace(__name__="older", agm=SimpleNamespace(_bits_to_cells=None))
-    assert scripts.agm.unpack_layer(older) == ("agm", "_bits_to_cells")
-    neither = SimpleNamespace(__name__="neither", agm=SimpleNamespace())
-    with pytest.raises(SystemExit, match=r"^the record calls what a version lacks: neither agm\._message_rows or "):
-        scripts.agm.record({"current": scripts.versions["current"], "baseline": neither})
+def test_agm_record_needs_the_unpack_step(scripts):
+    # The in-place check is a layer the record needs: a version without it
+    # is refused, by name, before any call.
+    assert scripts.agm.LAYERS["unpack_ms"] == ("agm", "_message_rows")
+    assert scripts.agm.LAYERS["unpack_ms"] in scripts.agm.NEEDS
+    lacking = SimpleNamespace(agm=SimpleNamespace(), model=scripts.versions["current"].model)
+    for attr in ("make_agm_protocol", "agm_decide_kconn", "global_min_cut"):
+        setattr(lacking.agm, attr, getattr(scripts.versions["current"].agm, attr))
+    with pytest.raises(SystemExit, match=r"^the record calls what a version lacks: lacking agm\._message_rows$"):
+        scripts.harness.require({"current": scripts.versions["current"], "lacking": lacking}, scripts.agm.NEEDS)
 
 
 def test_lb_record_row(scripts):

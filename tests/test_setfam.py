@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchbench.lbgraph import SpecError, layout, role_entries, role_view
+from sketchbench.lbgraph import Condition, SpecError, forced_condition, layout, role_entries, role_inputs, role_view
 from sketchbench.model import EMPTY_RANDOMNESS, Advice, Bits, Decision, NodeView, SketchProtocol
 from sketchbench.protocols import (
     constant,
@@ -30,12 +30,8 @@ from sketchbench.setfam import (
     common_block,
     complete_family,
     find_separated_pair,
-    forces_connected,
-    forces_disconnected,
-    is_separated_pair,
     message_partitions,
     random_family,
-    role_inputs,
     verify_record,
     PartitionContext,
     SeparatedPairRecord,
@@ -188,12 +184,13 @@ def split_blocks(draw):
 @settings(max_examples=300, deadline=None)
 def test_find_separated_pair_takes_the_first_of_each_half(case):
     block, a_side, b_side, k = case
-    c0 = sorted(s for s in block if forces_disconnected(s, a_side, b_side, k))
-    c1 = sorted(s for s in block if forces_connected(s, a_side, b_side, k))
+    forced = {s: forced_condition(s, a_side, b_side, k) for s in block}
+    c0 = sorted(s for s in block if forced[s] is Condition.C0)
+    c1 = sorted(s for s in block if forced[s] is Condition.C1)
     pair = find_separated_pair(block, a_side, b_side, k)
     assert (pair is not None) == bool(c0 and c1)
     if pair is not None:
-        assert pair == (c0[0], c1[0]) and is_separated_pair(*pair, a_side, b_side, k)
+        assert pair == (c0[0], c1[0])
     # On (2k-1)-subsets the halves are the earlier counts: >= k in A with a
     # B-edge, and at most k-1 in A.
     assert c0 == sorted(s for s in block if len(a_side.intersection(s)) >= k and b_side.intersection(s))
