@@ -20,9 +20,11 @@ through ``setfam``'s globals, and the protocol's encoder:
 - ``encode_ms``: the protocol's ``encode``, every call: the search's, inside
   ``message_partitions_ms``, and the re-verification's, inside
   ``verify_record_ms``;
-- ``common_block_ms``: ``setfam.common_block``, per node and trial;
+- ``common_block_ms``: ``setfam.common_block``, per node and trial: the
+  positions of the largest block of members with equal role messages;
 - ``find_separated_pair_ms``: ``setfam.find_separated_pair``, per node and
-  trial;
+  trial: the block's first C0 and first C1 positions, one class lookup per
+  position scanned (the members are classified once per trial, outside it);
 - ``verify_record_ms``: ``setfam.verify_record``, the winning trial's
   records re-encoded from scratch.
 

@@ -14,10 +14,12 @@ messages cannot tell them apart.  Which condition a member forces, and so
 which protocols the chain cannot pin, is ``lbgraph``'s rule, stated in its
 module docstring and asked through ``lbgraph.forced_condition``.
 
-Splits of W are sampled once (``lbgraph.check_sizes`` vets (n, k)), and the
-role entries of every distinct input of each role are built once, since they
-do not depend on the node.  Each node encodes each role's distinct views once
-across trials, and ``message_partitions`` alone refuses randomized protocols.
+Splits of W are sampled once (``lbgraph.check_sizes`` vets (n, k)), each
+member is classified once per split, and the role entries of every distinct
+input of each role are built once, since they do not depend on the node.
+Blocks and pairs are member positions in canonical (sorted) order.  Each node
+encodes each role's distinct views once across trials, and
+``message_partitions`` alone refuses randomized protocols.
 Only the winning trial's records are re-verified from scratch, by
 ``verify_record``.
 """
@@ -137,10 +139,8 @@ def message_partitions(
     return tuple(coded(inputs, advice) for inputs, advice in zip(entries, Advice, strict=True))
 
 
-def common_block(
-    roles: Sequence[RoleCodes], indices: Sequence[np.ndarray], members: Sequence[Member]
-) -> tuple[Member, ...]:
-    """Largest subset of the family on which every role's message agrees.
+def common_block(roles: Sequence[RoleCodes], indices: Sequence[np.ndarray]) -> np.ndarray:
+    """Positions, ascending, of the largest set of members on which every role's message agrees.
 
     Member i is lifted to its message tuple through each role's code of its
     input, ``role.codes[index[i]]`` for each role and its index array.  The
@@ -148,33 +148,32 @@ def common_block(
     significant, so that code order is the tuple's ``Bits`` order; members
     are grouped by it with ``np.unique``, which allocates per member rather
     than per possible tuple, and the largest group wins, ties broken by the
-    lexicographically smallest tuple.  The block comes back in family order.
+    lexicographically smallest tuple.
     Pigeonhole floor: with the three roles of L-bit messages, the result has
     at least |S| / 2^(3L) members.
     """
     widths = math.prod(len(role.alphabet) for role in roles)
     if widths > np.iinfo(np.int64).max:
         raise ValueError(f"{widths} message tuples do not fit in int64 codes")
-    joined = np.zeros(len(members), np.int64)
+    joined = np.zeros(len(indices[0]), np.int64)
     for role, index in zip(roles, indices, strict=True):
         joined *= len(role.alphabet)
         joined += role.codes[index]
     values, counts = np.unique(joined, return_counts=True)
     best = values[np.argmax(counts)]  # the first largest group: the smallest tuple among them
-    return tuple(members[i] for i in np.flatnonzero(joined == best))
+    return np.flatnonzero(joined == best)
 
 
-def find_separated_pair(
-    members: Sequence[Member], a_side: frozenset[int], b_side: frozenset[int], k: int
-) -> Optional[tuple[Member, Member]]:
-    """The first member in canonical order forcing C0 and the first forcing C1, if both exist.
+def find_separated_pair(block: Iterable[int], classes: Sequence[Optional[Condition]]) -> Optional[tuple[int, int]]:
+    """The block's first position whose member forces C0 and its first forcing C1, if both exist.
 
-    ``lbgraph.forced_condition`` answers for each member.  A block whose
-    every candidate for S0 lies wholly in A pins nothing: None.
+    ``classes[i]`` is ``lbgraph.forced_condition`` of member i; positions
+    ascend in canonical order.  A block whose every candidate for S0 lies
+    wholly in A pins nothing: None.
     """
-    first: dict[Optional[Condition], Member] = {}
-    for s in sorted(members):
-        first.setdefault(forced_condition(s, a_side, b_side, k), s)
+    first: dict[Optional[Condition], int] = {}
+    for i in block:
+        first.setdefault(classes[i], i)
         if Condition.C0 in first and Condition.C1 in first:
             return first[Condition.C0], first[Condition.C1]
     return None
@@ -285,13 +284,14 @@ def choose_partition(
     trial assigns W-members to A or B uniformly (resampling until both sides
     reach size k).  All trials' splits, every member's ``role_inputs`` under
     them and the role entries of each role's distinct inputs are fixed
-    first, with each trial's member -> input index array per role; then each
-    node encodes each role's distinct views once across all trials, and per
-    trial records an indistinguishable separated pair wherever the common
-    block contains both kinds.  The first trial with the most pinned nodes
-    wins, and each of its records is re-verified from scratch; a failure
-    raises BrokenPairRecord.  Trial seeds are derived by counter, so the
-    result is a pure function of the inputs.
+    first, with each trial's member -> input index array per role, and each
+    member, in sorted order, is classified once per trial; then each node
+    encodes each role's distinct views once across all trials, and per trial
+    records an indistinguishable separated pair wherever the common block
+    contains both kinds.  The first trial with the most pinned nodes wins,
+    and each of its records is re-verified from scratch; a failure raises
+    BrokenPairRecord.  Trial seeds are derived by counter, so the result is
+    a pure function of the inputs.
     ``family`` must hold distinct (2k-1)-subsets of W, the candidate sigma
     neighborhoods, and at least one of them, and ``trials`` must be
     positive, else ValueError.
@@ -300,7 +300,7 @@ def choose_partition(
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     v_ids, w_ids, _, _ = layout(n)
-    members = family.members
+    members = sorted(family.members)  # ascending positions are canonical order
     if not members:
         raise ValueError("the family is empty: no candidate sigma neighborhood")
     if any(len(member) != 2 * k - 1 for member in members):
@@ -322,22 +322,21 @@ def choose_partition(
         for trial in inputs
     ]
     entries = [[role_entries(key, advice, n, k) for key in role_keys] for role_keys, advice in zip(keys, Advice)]
-    position = {member: i for i, member in enumerate(members)}
+    # classes[t][i]: the condition member i forces under trial t's split.
+    classes = [[forced_condition(member, *split, k) for member in members] for split in splits]
     goods: list[dict[int, SeparatedPairRecord]] = [{} for _ in splits]
     for node in v_ids:
         roles = message_partitions(protocol, node, entries, n, k)
-        for (a_side, b_side), trial_indices, good in zip(splits, indices, goods):
-            block = common_block(roles, trial_indices, members)
-            pair = find_separated_pair(block, a_side, b_side, k)
+        for trial_indices, trial_classes, good in zip(indices, classes, goods):
+            pair = find_separated_pair(common_block(roles, trial_indices), trial_classes)
             if pair is None:
                 continue
-            s0, s1 = pair
-            i = position[s0]
+            i, j = pair
             witnesses = {
                 WITNESS_FIELDS[advice]: role.message(index[i])
                 for advice, role, index in zip(Advice, roles, trial_indices)
             }
-            good[node] = SeparatedPairRecord(node, s0, s1, **witnesses)
+            good[node] = SeparatedPairRecord(node, members[i], members[j], **witnesses)
 
     if not any(goods):
         raise NoGoodPartition(

@@ -55,9 +55,17 @@ def partitions_of_split(proto, node, fam, a_side, b_side):
     for role in coded:
         assert list(role.alphabet) == sorted(set(role.alphabet))  # code order is Bits order
     indices = [np.array([role_keys.index(key) for key in column]) for role_keys, column in zip(keys, columns)]
-    block = common_block(coded, indices, fam.members)
+    block = tuple(fam.members[i] for i in common_block(coded, indices))
     messages = [{key: role.message(i) for i, key in enumerate(role_keys)} for role_keys, role in zip(keys, coded)]
     return (*messages, block)
+
+
+def separated_pair(block, a_side, b_side, k):
+    """``find_separated_pair`` on members: sorted, classified by ``forced_condition``, positions mapped back."""
+    members = sorted(block)
+    classes = [forced_condition(s, a_side, b_side, k) for s in members]
+    pair = find_separated_pair(range(len(members)), classes)
+    return None if pair is None else (members[pair[0]], members[pair[1]])
 
 
 def blocks(messages):
@@ -144,13 +152,18 @@ def test_find_separated_pair_cases():
     a_side = frozenset({1, 2, 3})
     b_side = frozenset({4, 5, 6})
     # all members inside A: no connected-side witness
-    assert find_separated_pair([(1, 2, 3)], a_side, b_side, 2) is None
+    assert separated_pair([(1, 2, 3)], a_side, b_side, 2) is None
     # one member of each kind
-    pair = find_separated_pair([(1, 2, 4), (1, 4, 5)], a_side, b_side, 2)
+    pair = separated_pair([(1, 2, 4), (1, 4, 5)], a_side, b_side, 2)
     assert pair == ((1, 2, 4), (1, 4, 5))
     # preference: S0 keeping a nonempty B-projection wins over an all-A one
-    pair = find_separated_pair([(1, 2, 3), (2, 3, 4), (1, 4, 5)], a_side, b_side, 2)
+    pair = separated_pair([(1, 2, 3), (2, 3, 4), (1, 4, 5)], a_side, b_side, 2)
     assert pair == ((2, 3, 4), (1, 4, 5))
+    # positions are scanned in the block's order, unsorted, and only looked up in the classes
+    classes = [Condition.C1, Condition.C0, None, Condition.C1, Condition.C0]
+    assert find_separated_pair([1, 3, 4], classes) == (1, 3)
+    assert find_separated_pair([4, 3, 1], classes) == (4, 3)
+    assert find_separated_pair([0, 2, 3], classes) is None
 
 
 def test_find_separated_pair_pins_no_s0_without_b_edge():
@@ -158,15 +171,15 @@ def test_find_separated_pair_pins_no_s0_without_b_edge():
     # node wired by it would have no B-edge, so the block pins nothing.
     a_side, b_side = frozenset({1, 2, 3, 4}), frozenset({5, 6, 7})
     block = [(1, 2, 3), (1, 2, 4), (2, 3, 4), (1, 5, 6), (4, 6, 7)]
-    assert find_separated_pair(block, a_side, b_side, 2) is None
-    assert find_separated_pair(block + [(3, 4, 7)], a_side, b_side, 2) == ((3, 4, 7), (1, 5, 6))
+    assert separated_pair(block, a_side, b_side, 2) is None
+    assert separated_pair(block + [(3, 4, 7)], a_side, b_side, 2) == ((3, 4, 7), (1, 5, 6))
 
 
 def test_find_separated_pair_unequal_sizes_pin_nothing():
     # (1, 4) has at most k-1 ids in A yet fewer than k in B, so it fails the
     # S1 half; choose_partition refuses such members before any search.
     a_side, b_side = frozenset({1, 2, 3}), frozenset({4, 5, 6})
-    assert find_separated_pair([(1, 2, 4), (1, 4)], a_side, b_side, 2) is None
+    assert separated_pair([(1, 2, 4), (1, 4)], a_side, b_side, 2) is None
 
 
 @st.composite
@@ -187,7 +200,7 @@ def test_find_separated_pair_takes_the_first_of_each_half(case):
     forced = {s: forced_condition(s, a_side, b_side, k) for s in block}
     c0 = sorted(s for s in block if forced[s] is Condition.C0)
     c1 = sorted(s for s in block if forced[s] is Condition.C1)
-    pair = find_separated_pair(block, a_side, b_side, k)
+    pair = separated_pair(block, a_side, b_side, k)
     assert (pair is not None) == bool(c0 and c1)
     if pair is not None:
         assert pair == (c0[0], c1[0])
@@ -242,7 +255,7 @@ def test_find_separated_pair_classification_sweep():
         for chosen in itertools.combinations(members, size):
             has_c0 = any(len(set(s) & a_side) >= 2 and set(s) & b_side for s in chosen)
             has_c1 = any(len(set(s) & a_side) <= 1 for s in chosen)
-            pair = find_separated_pair(chosen, a_side, b_side, 2)
+            pair = separated_pair(chosen, a_side, b_side, 2)
             assert (pair is not None) == (has_c0 and has_c1)
             if pair:
                 s0, s1 = pair
@@ -344,7 +357,7 @@ def test_choose_partition_refuses_repeated_members():
 def test_common_block_groups_codes_beyond_a_dense_table():
     # Three alphabets of 2^14 codes: 2^42 possible triples, so a table per
     # triple would not fit in memory.  Two groups of three tie; the smaller
-    # triple wins, and the block comes back in member order.
+    # triple wins, and the block comes back as ascending positions.
     width, count = 2**14, 5000
     rng = np.random.default_rng(3)
     alphabet = tuple(Bits.from_int(code, 14) for code in range(width))
@@ -364,12 +377,12 @@ def test_common_block_groups_codes_beyond_a_dense_table():
         groups.setdefault(triple, []).append(members[i])
     expect = min(groups.items(), key=lambda item: (-len(item[1]), item[0]))[1]
     assert len(expect) == 3 and len(groups) > count - 10
-    block = common_block(roles, indices, members)
-    assert block == ((5,), (2500,), (4999,)) and list(block) == expect
+    block = common_block(roles, indices)
+    assert block.tolist() == [5, 2500, 4999] and [members[i] for i in block] == expect
     # Three alphabets of 2^21: the joined codes would overflow int64.
     wide = RoleCodes(range(2**21), sigma.codes)
     with pytest.raises(ValueError, match="do not fit in int64"):
-        common_block((wide, wide, wide), indices, members)
+        common_block((wide, wide, wide), indices)
 
 
 def test_message_partitions_returns_codes_in_advice_order():
@@ -438,9 +451,12 @@ def reference_choose_partition(protocol, family, w_ids, k, trials, seed):
             for s, (pa, pb) in proj.items():
                 groups.setdefault((msg_s[s], msg_a[pa], msg_b[pb]), []).append(s)
             triple = min(groups, key=lambda t: (-len(groups[t]), t))
-            pair = find_separated_pair(groups[triple], a_side, b_side, k)
-            if pair is not None:
-                good[node] = SeparatedPairRecord(node, *pair, *triple)
+            # The pair rule: the group's first C0 member and first C1 member, in sorted order.
+            group = sorted(groups[triple])
+            forced = [forced_condition(s, a_side, b_side, k) for s in group]
+            if Condition.C0 in forced and Condition.C1 in forced:
+                s0, s1 = group[forced.index(Condition.C0)], group[forced.index(Condition.C1)]
+                good[node] = SeparatedPairRecord(node, s0, s1, *triple)
         if best is None or len(good) > len(best.good):
             best = PartitionContext(a_side=a_side, b_side=b_side, family=family, good=good)
     return best
@@ -451,8 +467,10 @@ def reference_choose_partition(protocol, family, w_ids, k, trials, seed):
 def test_choose_partition_matches_per_trial_reference(name, n):
     _, w_ids, _, _ = layout(n)
     proto = make_protocol(name, n, 2)
-    for fam_seed, seed, trials in ((11, 5, 1), (12, 9, 2), (13, 21, 3)):
+    # The last case lists the second case's family in reverse: the search must not depend on member order.
+    for fam_seed, seed, trials, step in ((11, 5, 1, 1), (12, 9, 2, 1), (13, 21, 3, 1), (12, 9, 2, -1)):
         fam = random_family(w_ids, 3, 24, seed=fam_seed)
+        fam = replace(fam, members=fam.members[::step])
         expect = reference_choose_partition(proto, fam, w_ids, 2, trials, seed)
         if not expect.good:
             with pytest.raises(NoGoodPartition):
@@ -475,6 +493,25 @@ def test_build_context_golden(seed, prefix):
     # messages were shared across trials, less the family's overlap-bound key.
     ctx = build_context(make_protocol("toy2", 256, 2), 96, 48, 2, seed, trials=4)
     assert hashlib.sha256(ctx.to_json().encode()).hexdigest()[:16] == prefix
+
+
+def test_choose_partition_classifies_each_member_once_per_trial(monkeypatch):
+    # The search asks for each member's forced condition once per trial; the
+    # re-verification asks again for both members of each returned record.
+    import sketchbench.setfam as setfam
+
+    calls = []
+    honest = setfam.forced_condition
+
+    def counting(*args):
+        calls.append(args[0])
+        return honest(*args)
+
+    monkeypatch.setattr(setfam, "forced_condition", counting)
+    fam = fam40()
+    ctx = choose_partition(toy_two_bit(2), fam, N16, 2, trials=4, seed=5)
+    assert ctx.good
+    assert len(calls) == 4 * len(fam.members) + 2 * len(ctx.good)
 
 
 def test_choose_partition_encodes_each_view_once(monkeypatch):
