@@ -191,4 +191,4 @@ def record(versions: dict) -> tuple[dict, dict]:
 
 
 if __name__ == "__main__":
-    layer_record.main(__doc__, "BENCH_lb.json", ("lbgraph", "setfam", "reduction", "model"), NEEDS, record)
+    layer_record.main(__doc__, "BENCH_lb.json", ("lbgraph", "setfam", "reduction", "model", "protocols"), NEEDS, record)

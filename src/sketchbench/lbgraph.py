@@ -142,7 +142,7 @@ def role_view(
     node: int, w_neighbors: Iterable[int], advice: Optional[Advice], n: int, k: int
 ) -> NodeView:
     """The view of V-node ``node`` in a family member, given its W-edges and role."""
-    return NodeView(node, role_entries(w_neighbors, advice, n, k), advice, n, k)
+    return tuple.__new__(NodeView, (node, role_entries(w_neighbors, advice, n, k), advice, n, k))
 
 
 @dataclass

@@ -238,6 +238,9 @@ class MultiGraph:
         return f"MultiGraph(n={self.n}, edges={self.edge_slot_count()})"
 
 
+# Views are built as ``tuple.__new__(NodeView, (...))``: the ``NamedTuple``'s
+# own ``__new__`` is Python code that costs about twice as much, and the
+# lower-bound pipeline builds hundreds of thousands of views per search.
 class NodeView(NamedTuple):
     """Everything a node knows when it encodes: its id, 1-hop multiset, advice, (n, k)."""
 
@@ -253,7 +256,7 @@ def node_view(graph: MultiGraph, node: int, advice: Optional[Advice], k: int) ->
     n = graph.n
     if not 1 <= node <= n:
         raise UnknownNode(node)
-    return NodeView(node, tuple(sorted(graph._adj.get(node, _NO_NEIGHBORS).items())), advice, n, k)
+    return tuple.__new__(NodeView, (node, tuple(sorted(graph._adj.get(node, _NO_NEIGHBORS).items())), advice, n, k))
 
 
 class SharedRandomness:

@@ -111,14 +111,29 @@ def truncation(bits: int, n: int, k: int) -> SketchProtocol:
     ``bits`` above ``full_information_bits(n)`` is refused with ValueError:
     a payload within that budget has no bit beyond it, so a longer message
     adds only zero padding.
+
+    Only the payload's tail is formatted: the fewest last neighbor entries,
+    joined by commas, that span its last ceil(bits / 8) bytes, and the whole
+    payload only when those entries run out.  The payload is ASCII, one byte
+    per character, so that tail holds every kept bit.
     """
     limit = full_information_bits(n)
     if bits > limit:
         raise ValueError(f"protocol: trunc:{bits} is longer than the full-information budget, {limit} bits at n={n}")
 
+    mask, tail_bytes = (1 << bits) - 1, -(-bits // 8)
+
     def encode(view: NodeView, _rand) -> Bits:
-        full = int.from_bytes(view_payload(view).encode("utf-8"), "big")
-        return Bits.from_int(full & ((1 << bits) - 1), bits)
+        entries, size = [], -1  # size: the length of the entries joined
+        for v, m in reversed(view.neighbors):
+            entries.append(f"{v}x{m}")
+            size += len(entries[-1]) + 1
+            if size >= tail_bytes:
+                tail = ",".join(reversed(entries))
+                break
+        else:
+            tail = view_payload(view)
+        return Bits.from_int(int.from_bytes(tail.encode(), "big") & mask, bits)
 
     def decode(messages, _rand) -> Decision:
         return _parity_decision(messages)
@@ -146,14 +161,31 @@ def toy_two_bit(k: int) -> SketchProtocol:
     Nodes without advice hash their full view, so hub and clique messages
     track the graph.  Advised nodes hash (id, role, min W-neighbor) only,
     which makes neighborhoods sharing their minimum indistinguishable.
+
+    That triple is the whole input of an advised node's message, so each
+    protocol object keeps one table from (id, advice value, min W-neighbor,
+    0 if none) to the message, filled on first use and kept as long as the
+    object: ``hash_bits`` runs once per key.  On the hard family's views at
+    one n, where only V-nodes are advised, the table holds at most
+    |V| * 3 * (|W| + 1) entries (12,138 at n=256).
     """
+    table: dict[tuple[int, str, int], Bits] = {}
 
     def encode(view: NodeView, _rand) -> Bits:
-        if view.advice is None:
-            return hash_bits(2, "raw", view.id, view.neighbors)
-        w_ids = layout(view.n)[1]
-        w_neighbors = [v for v, _ in view.neighbors if w_ids.start <= v < w_ids.stop]
-        return hash_bits(2, "role", view.id, view.advice.value, min(w_neighbors, default=0))
+        node, neighbors, advice, n, _ = view
+        if advice is None:
+            return hash_bits(2, "raw", node, neighbors)
+        w_ids = layout(n)[1]
+        start, stop = w_ids.start, w_ids.stop
+        low = 0
+        for v, _ in neighbors:
+            if start <= v < stop and (not low or v < low):
+                low = v
+        key = (node, advice._value_, low)
+        bits = table.get(key)
+        if bits is None:
+            bits = table[key] = hash_bits(2, "role", *key)
+        return bits
 
     def decode(messages, _rand) -> Decision:
         return _parity_decision(messages)

@@ -131,7 +131,9 @@ def message_partitions(
     encode = protocol.encode
 
     def coded(inputs: Sequence[Entries], advice: Advice) -> RoleCodes:
-        messages = [encode(NodeView(node, entries, advice, n, k), EMPTY_RANDOMNESS) for entries in inputs]
+        messages = [
+            encode(tuple.__new__(NodeView, (node, entries, advice, n, k)), EMPTY_RANDOMNESS) for entries in inputs
+        ]
         alphabet = sorted(set(messages))
         rank = {bits: code for code, bits in enumerate(alphabet)}
         return RoleCodes(tuple(alphabet), np.fromiter(map(rank.__getitem__, messages), np.int64, len(messages)))
@@ -215,7 +217,13 @@ def verify_record(
     n: int,
     k: int,
 ) -> bool:
-    """Recheck the pair's shape, then re-encode every witness; nothing cached is trusted."""
+    """Recheck the pair's shape, then re-encode every witness through ``protocol.encode``.
+
+    Nothing the search computed is trusted: not its splits' classes, its
+    role entries or its message codes.  A protocol's own memo, such as
+    ``toy2``'s message table, is part of its encoder; that table is pinned
+    against ``hash_bits`` by ``tests/test_model.py::test_toy2_matches_hash_bits``.
+    """
     s0, s1 = set(record.s0), set(record.s1)
     forced = (forced_condition(s0, a_side, b_side, k), forced_condition(s1, a_side, b_side, k))
     return forced == (Condition.C0, Condition.C1) and all(

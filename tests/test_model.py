@@ -1,4 +1,5 @@
 import copy
+import itertools
 import os
 import pickle
 import re
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketchbench import model
-from sketchbench.lbgraph import Condition, build_lb_graph, layout, random_spec
+from sketchbench.lbgraph import Condition, build_lb_graph, layout, random_spec, role_view
 from sketchbench.model import (
     Advice,
     Bits,
@@ -20,6 +21,7 @@ from sketchbench.model import (
     EMPTY_RANDOMNESS,
     EncodingOverflow,
     MultiGraph,
+    NodeView,
     SharedRandomness,
     SketchProtocol,
     UnknownNode,
@@ -29,7 +31,15 @@ from sketchbench.model import (
     node_view,
     save_graph,
 )
-from sketchbench.protocols import constant, full_information, truncation, view_payload
+from sketchbench.protocols import (
+    constant,
+    full_information,
+    full_information_bits,
+    hash_bits,
+    toy_two_bit,
+    truncation,
+    view_payload,
+)
 
 
 def triangle():
@@ -317,16 +327,53 @@ def test_single_node_graph():
 
 def test_truncation_transcript_matches_standalone_encodes():
     # Recompute each node's message directly from its view and compare.
-    spec = random_spec(36, 3, seed=11)
+    n, k = 36, 3
+    spec = random_spec(n, k, seed=11)
     graph, advice = build_lb_graph(spec)
-    proto = truncation(5, 36, 3)
+    proto = truncation(5, n, k)
     messages = dict(execute(proto, graph, advice).messages)
-    for node in range(1, 37):
-        view = node_view(graph, node, advice.get(node), 3)
-        assert messages[node] == proto.encode(view, EMPTY_RANDOMNESS)
+    views = [node_view(graph, node, advice.get(node), k) for node in range(1, n + 1)]
+    for view in views:
+        assert messages[view.id] == proto.encode(view, EMPTY_RANDOMNESS)
         # The text definition: the payload's last 5 bits, zero-padded on the left.
         full = "".join(f"{byte:08b}" for byte in view_payload(view).encode("utf-8"))
-        assert str(messages[node]) == full[-5:].rjust(5, "0")
+        assert str(messages[view.id]) == full[-5:].rjust(5, "0")
+    # Every width against the whole payload's integer: within the last entry,
+    # across byte and entry boundaries, the whole payload, one bit past it and
+    # the budget; on every view of the member, the hubs' with their many
+    # entries among them, and on views with no neighbors.
+    _, _, u_a, u_b = layout(n)
+    assert min(len(views[hub - 1].neighbors) for hub in (u_a, u_b)) > 8
+    bare = [NodeView(1, (), None, n, k), NodeView(2, (), Advice.SIGMA, n, k)]
+    for view in views + bare:
+        payload = view_payload(view).encode()
+        for bits in (1, 3, 8, 9, 40, 41, 8 * len(payload), 8 * len(payload) + 1, full_information_bits(n)):
+            expected = int.from_bytes(payload, "big") & ((1 << bits) - 1)
+            assert truncation(bits, n, k).encode(view, EMPTY_RANDOMNESS) == Bits.from_int(expected, bits)
+
+
+def test_toy2_matches_hash_bits():
+    # One protocol object, so one message table, serves both sizes: a role
+    # message is the hash of (id, role, smallest W-neighbor), whatever n is.
+    proto = toy_two_bit(2)
+    for n in (64, 256):
+        v_ids, w_ids, _, _ = layout(n)
+        for node, advice in itertools.product((v_ids[0], v_ids[len(v_ids) // 2], v_ids[-1]), Advice):
+            for size in range(4):
+                for w_neighbors in itertools.combinations(w_ids, size):
+                    expected = hash_bits(2, "role", node, advice.value, min(w_neighbors, default=0))
+                    for _ in range(2):  # the first call fills the table, the second reads it
+                        assert proto.encode(role_view(node, w_neighbors, advice, n, 2), EMPTY_RANDOMNESS) == expected
+        # Nodes without advice hash their whole view; advised ones take the role formula.
+        graph, advice_of = build_lb_graph(random_spec(n, 2, seed=n))
+        transcript = execute(proto, graph, advice_of)
+        for node, message in transcript.messages:
+            view = node_view(graph, node, advice_of.get(node), 2)
+            if view.advice is None:
+                assert message == hash_bits(2, "raw", node, view.neighbors)
+            else:
+                low = min((v for v, _ in view.neighbors if v in w_ids), default=0)
+                assert message == hash_bits(2, "role", node, view.advice.value, low)
 
 
 def test_execute_deterministic():
