@@ -238,9 +238,11 @@ class MultiGraph:
         return f"MultiGraph(n={self.n}, edges={self.edge_slot_count()})"
 
 
-# Views are built as ``tuple.__new__(NodeView, (...))``: the ``NamedTuple``'s
-# own ``__new__`` is Python code that costs about twice as much, and the
-# lower-bound pipeline builds hundreds of thousands of views per search.
+# The two bulk builders, ``lbgraph.role_view`` and ``setfam.message_partitions``,
+# build views as ``tuple.__new__(NodeView, (...))``: the ``NamedTuple``'s own
+# ``__new__`` is Python code that costs about twice as much, and one set-family
+# search builds hundreds of thousands of views.  That call skips the arity
+# check, so a change to these fields must change both builders too.
 class NodeView(NamedTuple):
     """Everything a node knows when it encodes: its id, 1-hop multiset, advice, (n, k)."""
 
@@ -256,7 +258,7 @@ def node_view(graph: MultiGraph, node: int, advice: Optional[Advice], k: int) ->
     n = graph.n
     if not 1 <= node <= n:
         raise UnknownNode(node)
-    return tuple.__new__(NodeView, (node, tuple(sorted(graph._adj.get(node, _NO_NEIGHBORS).items())), advice, n, k))
+    return NodeView(node, tuple(sorted(graph._adj.get(node, _NO_NEIGHBORS).items())), advice, n, k)
 
 
 class SharedRandomness:

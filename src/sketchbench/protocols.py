@@ -8,6 +8,7 @@ hub-range neighbor (so role partitions collapse predictably).
 
 from __future__ import annotations
 
+import functools
 from hashlib import blake2b
 
 from .lbgraph import layout
@@ -111,29 +112,15 @@ def truncation(bits: int, n: int, k: int) -> SketchProtocol:
     ``bits`` above ``full_information_bits(n)`` is refused with ValueError:
     a payload within that budget has no bit beyond it, so a longer message
     adds only zero padding.
-
-    Only the payload's tail is formatted: the fewest last neighbor entries,
-    joined by commas, that span its last ceil(bits / 8) bytes, and the whole
-    payload only when those entries run out.  The payload is ASCII, one byte
-    per character, so that tail holds every kept bit.
     """
     limit = full_information_bits(n)
     if bits > limit:
         raise ValueError(f"protocol: trunc:{bits} is longer than the full-information budget, {limit} bits at n={n}")
 
-    mask, tail_bytes = (1 << bits) - 1, -(-bits // 8)
+    mask = (1 << bits) - 1
 
     def encode(view: NodeView, _rand) -> Bits:
-        entries, size = [], -1  # size: the length of the entries joined
-        for v, m in reversed(view.neighbors):
-            entries.append(f"{v}x{m}")
-            size += len(entries[-1]) + 1
-            if size >= tail_bytes:
-                tail = ",".join(reversed(entries))
-                break
-        else:
-            tail = view_payload(view)
-        return Bits.from_int(int.from_bytes(tail.encode(), "big") & mask, bits)
+        return Bits.from_int(int.from_bytes(view_payload(view).encode(), "big") & mask, bits)
 
     def decode(messages, _rand) -> Decision:
         return _parity_decision(messages)
@@ -163,13 +150,13 @@ def toy_two_bit(k: int) -> SketchProtocol:
     which makes neighborhoods sharing their minimum indistinguishable.
 
     That triple is the whole input of an advised node's message, so each
-    protocol object keeps one table from (id, advice value, min W-neighbor,
-    0 if none) to the message, filled on first use and kept as long as the
-    object: ``hash_bits`` runs once per key.  On the hard family's views at
-    one n, where only V-nodes are advised, the table holds at most
-    |V| * 3 * (|W| + 1) entries (12,138 at n=256).
+    protocol object caches the role hash on (id, advice value, min
+    W-neighbor, 0 if none) for as long as the object lives: ``hash_bits``
+    runs once per key.  On the hard family's views at one n, where only
+    V-nodes are advised, the cache holds at most |V| * 3 * (|W| + 1)
+    entries (12,138 at n=256).
     """
-    table: dict[tuple[int, str, int], Bits] = {}
+    role = functools.cache(functools.partial(hash_bits, 2, "role"))
 
     def encode(view: NodeView, _rand) -> Bits:
         node, neighbors, advice, n, _ = view
@@ -181,11 +168,7 @@ def toy_two_bit(k: int) -> SketchProtocol:
         for v, _ in neighbors:
             if start <= v < stop and (not low or v < low):
                 low = v
-        key = (node, advice._value_, low)
-        bits = table.get(key)
-        if bits is None:
-            bits = table[key] = hash_bits(2, "role", *key)
-        return bits
+        return role(node, advice._value_, low)
 
     def decode(messages, _rand) -> Decision:
         return _parity_decision(messages)

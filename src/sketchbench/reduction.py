@@ -242,9 +242,8 @@ def _party_messages(
         v = ctx.node_of(i)
         for w in wiring.ends[i - 1][vector[i]]:
             wired[w].append((v, 1))
-    n, k = ctx.n, ctx.k
     return [
-        (w, protocol.encode(tuple.__new__(NodeView, (w, (*sorted(wired[w]), *tail), None, n, k)), EMPTY_RANDOMNESS))
+        (w, protocol.encode(NodeView(w, (*sorted(wired[w]), *tail), None, ctx.n, ctx.k), EMPTY_RANDOMNESS))
         for w, tail in wiring.tails.items()
     ]
 
@@ -321,8 +320,7 @@ def charlie_messages(
     for hub, wiring in ((u_a, ctx.alice), (u_b, ctx.bob)):
         # V ids precede W ids, so the entries come out ascending.
         entries = (*attached[hub], *((w, 1) for w in wiring.tails))
-        view = tuple.__new__(NodeView, (hub, entries, None, ctx.n, ctx.k))
-        messages.append((hub, protocol.encode(view, EMPTY_RANDOMNESS)))
+        messages.append((hub, protocol.encode(NodeView(hub, entries, None, ctx.n, ctx.k), EMPTY_RANDOMNESS)))
     fixed = ctx.fixed_messages
     messages.extend((v, fixed[v] if witness is None else witness) for v, (_, _, witness) in roles.items())
     return messages

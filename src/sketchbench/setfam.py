@@ -221,7 +221,7 @@ def verify_record(
 
     Nothing the search computed is trusted: not its splits' classes, its
     role entries or its message codes.  A protocol's own memo, such as
-    ``toy2``'s message table, is part of its encoder; that table is pinned
+    ``toy2``'s role-hash cache, is part of its encoder; that cache is pinned
     against ``hash_bits`` by ``tests/test_model.py::test_toy2_matches_hash_bits``.
     """
     s0, s1 = set(record.s0), set(record.s1)

@@ -353,7 +353,7 @@ def test_truncation_transcript_matches_standalone_encodes():
 
 
 def test_toy2_matches_hash_bits():
-    # One protocol object, so one message table, serves both sizes: a role
+    # One protocol object, so one role-hash cache, serves both sizes: a role
     # message is the hash of (id, role, smallest W-neighbor), whatever n is.
     proto = toy_two_bit(2)
     for n in (64, 256):
@@ -362,7 +362,7 @@ def test_toy2_matches_hash_bits():
             for size in range(4):
                 for w_neighbors in itertools.combinations(w_ids, size):
                     expected = hash_bits(2, "role", node, advice.value, min(w_neighbors, default=0))
-                    for _ in range(2):  # the first call fills the table, the second reads it
+                    for _ in range(2):  # the first call fills the cache, the second reads it
                         assert proto.encode(role_view(node, w_neighbors, advice, n, 2), EMPTY_RANDOMNESS) == expected
         # Nodes without advice hash their whole view; advised ones take the role formula.
         graph, advice_of = build_lb_graph(random_spec(n, 2, seed=n))
