@@ -239,10 +239,11 @@ class MultiGraph:
 
 
 # The two bulk builders, ``lbgraph.role_view`` and ``setfam.message_partitions``,
-# build views as ``tuple.__new__(NodeView, (...))``: the ``NamedTuple``'s own
-# ``__new__`` is Python code that costs about twice as much, and one set-family
-# search builds hundreds of thousands of views.  That call skips the arity
-# check, so a change to these fields must change both builders too.
+# and the per-op ``node_view`` build views as ``tuple.__new__(NodeView, (...))``:
+# the ``NamedTuple``'s own ``__new__`` is Python code that costs about twice as
+# much, one set-family search builds hundreds of thousands of views, and every
+# ``execute`` builds one per node.  That call skips the arity check, so a change
+# to these fields must change all three builders too.
 class NodeView(NamedTuple):
     """Everything a node knows when it encodes: its id, 1-hop multiset, advice, (n, k)."""
 
@@ -258,7 +259,7 @@ def node_view(graph: MultiGraph, node: int, advice: Optional[Advice], k: int) ->
     n = graph.n
     if not 1 <= node <= n:
         raise UnknownNode(node)
-    return NodeView(node, tuple(sorted(graph._adj.get(node, _NO_NEIGHBORS).items())), advice, n, k)
+    return tuple.__new__(NodeView, (node, tuple(sorted(graph._adj.get(node, _NO_NEIGHBORS).items())), advice, n, k))
 
 
 class SharedRandomness:

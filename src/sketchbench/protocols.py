@@ -33,14 +33,24 @@ def bits_to_text(bits: Bits) -> str:
     return bits.data.decode("utf-8")
 
 
-def hash_bits(nbits: int, *key) -> Bits:
-    digest = blake2b(repr(key).encode(), digest_size=8).digest()
+def _digest_bits(nbits: int, text: str) -> Bits:
+    """The low ``nbits`` bits of the 8-byte blake2b digest of ``text``."""
+    digest = blake2b(text.encode(), digest_size=8).digest()
     return Bits.from_int(int.from_bytes(digest, "big") % (1 << nbits), nbits)
 
 
+def hash_bits(nbits: int, *key) -> Bits:
+    """``nbits`` bits hashed from the text ``repr(key)``, ``key`` being the tuple of the other arguments.
+
+    ``toy_two_bit``'s path for views without advice builds this same text
+    itself; ``test_toy2_matches_hash_bits`` pins the two together.
+    """
+    return _digest_bits(nbits, repr(key))
+
+
 def _parity_decision(messages) -> Decision:
-    # Padding bits are zero, so the one bits of the data bytes, bits[0], are the message's.
-    ones = sum(int.from_bytes(bits[0], "big").bit_count() for _, bits in messages)
+    # Padding bits are zero, so the one bits of the data bytes, bits[0], are the messages'.
+    ones = int.from_bytes(b"".join([bits[0] for _, bits in messages]), "big").bit_count()
     return Decision.CONNECTED if ones % 2 == 0 else Decision.NOT_CONNECTED
 
 
@@ -155,13 +165,27 @@ def toy_two_bit(k: int) -> SketchProtocol:
     runs once per key.  On the hard family's views at one n, where only
     V-nodes are advised, the cache holds at most |V| * 3 * (|W| + 1)
     entries (12,138 at n=256).
+
+    A view without advice hashes the text ``repr(("raw", id, neighbors))``,
+    as ``hash_bits(2, "raw", id, neighbors)`` does, but builds it from the
+    ``repr`` of each (neighbor, multiplicity) entry, cached per protocol
+    object for as long as it lives and keyed on the entry itself, so
+    ``repr`` runs once per distinct entry.  Entries are pairs of ints, whose
+    text depends only on their value.  On graphs of n nodes the cache holds
+    at most n times the distinct multiplicities entries: 2n on the hard
+    family's, whose multiplicities are 1 and k.
     """
     role = functools.cache(functools.partial(hash_bits, 2, "role"))
+    entry = functools.cache(repr)
 
     def encode(view: NodeView, _rand) -> Bits:
         node, neighbors, advice, n, _ = view
         if advice is None:
-            return hash_bits(2, "raw", node, neighbors)
+            # The tuple's own repr: entries joined by ", ", one entry keeps a trailing comma.
+            body = ", ".join(map(entry, neighbors))
+            if len(neighbors) == 1:
+                body += ","
+            return _digest_bits(2, f"('raw', {node!r}, ({body}))")
         w_ids = layout(n)[1]
         start, stop = w_ids.start, w_ids.stop
         low = 0

@@ -36,6 +36,7 @@ from sketchbench.protocols import (
     full_information,
     full_information_bits,
     hash_bits,
+    parity,
     toy_two_bit,
     truncation,
     view_payload,
@@ -140,6 +141,12 @@ def test_node_view_entries_ascending():
     g = MultiGraph(5, [(3, 5, 2), (3, 1, 1), (4, 3, 3)])
     assert node_view(g, 3, Advice.SIGMA, 2) == (3, ((1, 1), (4, 3), (5, 2)), Advice.SIGMA, 5, 2)
     assert node_view(g, 2, None, 2).neighbors == ()
+    # node_view skips NodeView's arity check; it must still build what the checked constructor builds.
+    for view, checked in (
+        (node_view(g, 3, Advice.SIGMA, 2), NodeView(3, ((1, 1), (4, 3), (5, 2)), Advice.SIGMA, 5, 2)),
+        (node_view(g, 2, None, 2), NodeView(2, (), None, 5, 2)),
+    ):
+        assert type(view) is NodeView and view == checked
 
 
 @st.composite
@@ -374,6 +381,42 @@ def test_toy2_matches_hash_bits():
             else:
                 low = min((v for v, _ in view.neighbors if v in w_ids), default=0)
                 assert message == hash_bits(2, "role", node, view.advice.value, low)
+    # No unadvised node of a family graph has 0 or 1 entries, so the text's
+    # "()" and "((v, m),)" forms are asked for here, with a hub-sized view.
+    for neighbors in ((), ((7, 1),), ((7, 2),), ((300, 5),), tuple((v, 1 + v % 3) for v in range(2, 402, 2))):
+        view = NodeView(1, neighbors, None, 512, 2)
+        for _ in range(2):  # the first call fills the entry cache, the second reads it
+            assert proto.encode(view, EMPTY_RANDOMNESS) == hash_bits(2, "raw", 1, neighbors)
+
+
+_sorted_entries = st.dictionaries(st.integers(1, 10**6), st.integers(1, 50), max_size=40).map(
+    lambda row: tuple(sorted(row.items()))
+)
+
+
+@given(st.integers(1, 10**6), st.lists(_sorted_entries, min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_toy2_unadvised_matches_hash_bits(node, views):
+    # One protocol object per example, so later views reuse entries cached by earlier ones.
+    proto = toy_two_bit(2)
+    for neighbors in views + views:
+        assert proto.encode(NodeView(node, neighbors, None, 10**6, 2), EMPTY_RANDOMNESS) == hash_bits(
+            2, "raw", node, neighbors
+        )
+
+
+_message_lengths = st.sampled_from((0, 1, 7, 8, 9))
+
+
+@given(st.lists(_message_lengths.flatmap(lambda n: st.integers(0, (1 << n) - 1).map(lambda v: Bits.from_int(v, n)))))
+@settings(max_examples=200, deadline=None)
+def test_parity_referee_counts_every_one_bit(messages):
+    # The referee counts the one bits of all messages at once; padding is zero, so the
+    # count is the sum of each message's own.
+    ones = sum(str(bits).count("1") for bits in messages)
+    expected = Decision.CONNECTED if ones % 2 == 0 else Decision.NOT_CONNECTED
+    for proto in (parity(2), truncation(9, 4, 2), toy_two_bit(2)):
+        assert proto.decode(list(enumerate(messages, 1)), EMPTY_RANDOMNESS) is expected
 
 
 def test_execute_deterministic():
