@@ -512,6 +512,4 @@ def make_agm_protocol(n: int, k: int, delta: float) -> SketchProtocol:
         max_bits=budget_bits(n, k, delta),
         encode=encode,
         decode=decode,
-        deterministic=False,
-        fixed_length=True,
     )

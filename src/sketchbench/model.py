@@ -298,11 +298,12 @@ class SketchProtocol:
     """A one-shot sketching algorithm: per-node encoder plus referee decoder.
 
     ``encode`` must be a pure function of (view, randomness) and stay within
-    ``max_bits``.  ``decode`` sees only the sorted (id, message) list and the
-    shared randomness, never the graph.  ``k`` is the connectivity threshold
-    the decoder answers for.  ``fixed_length`` declares that every message is
-    exactly ``max_bits`` long; execution does not enforce it, and the
-    ``verify-fidelity`` command reports whether a run kept it.
+    ``max_bits``, which ``check_message`` enforces.  ``decode`` sees only the
+    sorted (id, message) list and the shared randomness, never the graph.
+    ``k`` is the connectivity threshold the decoder answers for.  A
+    deterministic protocol never draws from its randomness, so it runs on
+    ``EMPTY_RANDOMNESS``; a randomized one is refused at its first draw from
+    that source, which raises ValueError.
     """
 
     name: str
@@ -310,8 +311,6 @@ class SketchProtocol:
     max_bits: int
     encode: Callable[[NodeView, SharedRandomness], Bits]
     decode: Callable[[Sequence[tuple[int, Bits]], SharedRandomness], Decision]
-    deterministic: bool = True
-    fixed_length: bool = False
 
 
 @dataclass(frozen=True)

@@ -22,17 +22,6 @@ def view_payload(view: NodeView) -> str:
     return f"{view.id}|{adv}|{nbrs}"
 
 
-def text_to_bits(text: str) -> Bits:
-    data = text.encode("utf-8")
-    return Bits(data, 8 * len(data))
-
-
-def bits_to_text(bits: Bits) -> str:
-    if len(bits) % 8 != 0:
-        raise ValueError("bit length not a multiple of 8")
-    return bits.data.decode("utf-8")
-
-
 def _digest_bits(nbits: int, text: str) -> Bits:
     """The low ``nbits`` bits of the 8-byte blake2b digest of ``text``."""
     digest = blake2b(text.encode(), digest_size=8).digest()
@@ -48,7 +37,8 @@ def hash_bits(nbits: int, *key) -> Bits:
     return _digest_bits(nbits, repr(key))
 
 
-def _parity_decision(messages) -> Decision:
+def _parity_decision(messages, _rand) -> Decision:
+    """Referee of ``parity``, ``trunc:<bits>`` and ``toy2``: CONNECTED iff the messages hold an even number of ones."""
     # Padding bits are zero, so the one bits of the data bytes, bits[0], are the messages'.
     ones = int.from_bytes(b"".join([bits[0] for _, bits in messages]), "big").bit_count()
     return Decision.CONNECTED if ones % 2 == 0 else Decision.NOT_CONNECTED
@@ -68,16 +58,18 @@ def full_information(n: int, k: int) -> SketchProtocol:
     """
 
     def encode(view: NodeView, _rand) -> Bits:
-        return text_to_bits(view_payload(view))
+        data = view_payload(view).encode()
+        return Bits(data, 8 * len(data))
 
     def decode(messages, _rand) -> Decision:
         n_nodes = len(messages)
         if n_nodes < 2:
             return Decision.CONNECTED
         graph = MultiGraph(n_nodes)
-        for node, bits in messages:
-            payload = bits_to_text(bits)
-            _id, _adv, nbrs = payload.split("|")
+        for node, (data, length) in messages:
+            if length % 8:
+                raise ValueError("bit length not a multiple of 8")
+            _id, _adv, nbrs = data.decode().split("|")
             if not nbrs:
                 continue
             for entry in nbrs.split(","):
@@ -109,7 +101,7 @@ def constant(k: int) -> SketchProtocol:
     def decode(_messages, _rand) -> Decision:
         return Decision.CONNECTED
 
-    return SketchProtocol(name="const", k=k, max_bits=1, encode=encode, decode=decode, fixed_length=True)
+    return SketchProtocol(name="const", k=k, max_bits=1, encode=encode, decode=decode)
 
 
 def truncation(bits: int, n: int, k: int) -> SketchProtocol:
@@ -132,12 +124,7 @@ def truncation(bits: int, n: int, k: int) -> SketchProtocol:
     def encode(view: NodeView, _rand) -> Bits:
         return Bits.from_int(int.from_bytes(view_payload(view).encode(), "big") & mask, bits)
 
-    def decode(messages, _rand) -> Decision:
-        return _parity_decision(messages)
-
-    return SketchProtocol(
-        name=f"trunc:{bits}", k=k, max_bits=bits, encode=encode, decode=decode, fixed_length=True
-    )
+    return SketchProtocol(name=f"trunc:{bits}", k=k, max_bits=bits, encode=encode, decode=_parity_decision)
 
 
 def parity(k: int) -> SketchProtocol:
@@ -146,10 +133,7 @@ def parity(k: int) -> SketchProtocol:
     def encode(view: NodeView, _rand) -> Bits:
         return Bits.from_int(sum(v * m for v, m in view.neighbors) & 1, 1)
 
-    def decode(messages, _rand) -> Decision:
-        return _parity_decision(messages)
-
-    return SketchProtocol(name="parity", k=k, max_bits=1, encode=encode, decode=decode, fixed_length=True)
+    return SketchProtocol(name="parity", k=k, max_bits=1, encode=encode, decode=_parity_decision)
 
 
 def toy_two_bit(k: int) -> SketchProtocol:
@@ -194,10 +178,7 @@ def toy_two_bit(k: int) -> SketchProtocol:
                 low = v
         return role(node, advice._value_, low)
 
-    def decode(messages, _rand) -> Decision:
-        return _parity_decision(messages)
-
-    return SketchProtocol(name="toy2", k=k, max_bits=2, encode=encode, decode=decode, fixed_length=True)
+    return SketchProtocol(name="toy2", k=k, max_bits=2, encode=encode, decode=_parity_decision)
 
 
 #: Sketch protocols by name, built from (n, k); ``trunc:<bits>`` is parsed apart.

@@ -170,17 +170,14 @@ def build_context(
     k: int,
     seed: int,
     trials: int = 32,
-    family: Optional[SetFamily] = None,
 ) -> ReductionContext:
     """Choose the partition and pin the first m nodes carrying pairs."""
     check_parameters(m, s)
     if protocol.k != k:
         raise ValueError(f"protocol decides k={protocol.k}, context asked for k={k}")
     n = reduction_size(m)
-    if family is None:
-        family = neighborhood_family(layout(n)[1], k)
     try:
-        partition = choose_partition(protocol, family, n, k, trials, seed)
+        partition = choose_partition(protocol, neighborhood_family(layout(n)[1], k), n, k, trials, seed)
     except NoGoodPartition:
         raise NotEnoughGoodNodes(0, m) from None
     good_sorted = sorted(partition.good)

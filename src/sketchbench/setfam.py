@@ -18,8 +18,9 @@ Splits of W are sampled once (``lbgraph.check_sizes`` vets (n, k)), each
 member is classified once per split, and the role entries of every distinct
 input of each role are built once, since they do not depend on the node.
 Blocks and pairs are member positions in canonical (sorted) order.  Each node
-encodes each role's distinct views once across trials, and
-``message_partitions`` alone refuses randomized protocols.
+encodes each role's distinct views once across trials, with
+``EMPTY_RANDOMNESS``, so a randomized protocol is refused at its first
+encode, before any record is made.
 Only the winning trial's records are re-verified from scratch, by
 ``verify_record``.
 """
@@ -36,10 +37,6 @@ import numpy as np
 
 from .lbgraph import Condition, Member, check_sizes, forced_condition, layout, role_entries, role_inputs, role_view
 from .model import Advice, Bits, EMPTY_RANDOMNESS, NodeView, SketchProtocol
-
-
-class DeterminismRequired(TypeError):
-    """Message partitions are only defined for deterministic protocols."""
 
 
 class NoGoodPartition(RuntimeError):
@@ -126,8 +123,6 @@ def message_partitions(
     trials and encodes each distinct view once.  Codes rank the distinct
     messages in ``Bits`` order, so comparing codes compares messages.
     """
-    if not protocol.deterministic:
-        raise DeterminismRequired(f"protocol {protocol.name!r} is randomized")
     encode = protocol.encode
 
     def coded(inputs: Sequence[Entries], advice: Advice) -> RoleCodes:

@@ -8,7 +8,7 @@ import pytest
 import sketchbench.cli as cli
 import sketchbench.reduction as reduction
 import sketchbench.setfam as setfam
-from sketchbench.model import Bits, MultiGraph
+from sketchbench.model import Bits, EncodingOverflow, MultiGraph
 from sketchbench.overlap import enumerate_valid_instances
 from sketchbench.protocols import make_protocol
 
@@ -198,7 +198,8 @@ def test_verify_fidelity_instance(tmp_path, capsys):
     )
     assert_clean(code, report)
     assert report["results"] == {"answer": "no", "truth": "yes", "good_ids": list(range(1, 10))}
-    for invariant in ("fidelity", "semantic_correspondence", "within_budget", "exact_length"):
+    assert set(report["outcomes"]) == {"completed", "fidelity", "semantic_correspondence"}
+    for invariant in ("fidelity", "semantic_correspondence"):
         assert passes(report, invariant) == 1
     (context_path,) = report["artifacts"]
     assert context_path.endswith("r.context.json")
@@ -238,7 +239,8 @@ def test_instance_must_fit_m_and_s(tmp_path, capsys, argv):
 def test_verify_fidelity(capsys):
     code, report = run(capsys, "verify-fidelity", "--m", 6, "--s", 2, "--k", 2)
     assert_clean(code, report)
-    for invariant in ("fidelity", "semantic_correspondence", "within_budget", "exact_length"):
+    assert set(report["outcomes"]) == {"completed", "fidelity", "semantic_correspondence"}
+    for invariant in ("fidelity", "semantic_correspondence"):
         assert passes(report, invariant) == 960
     assert list(report["results"]) == ["good_ids"]
 
@@ -307,26 +309,21 @@ def test_reduction_checks_run_each_party_once(monkeypatch):
     verdict = cli._reduction_checks(instance, ctx, protocol, report)
 
     assert calls == Counter({name: 1 for name in names})
-    assert not report.failed and len(report.outcomes) == 4
+    assert not report.failed and len(report.outcomes) == 2
     assert verdict == reduction.simulate(instance, ctx, protocol)[0]
 
 
-def test_reduction_checks_exact_length_only_for_fixed_length_protocols():
-    # Every protocol is held to the budget; only one that declares a fixed
-    # length is held to sending exactly max_bits per W-node.
+def test_reduction_checks_refuse_an_over_budget_message():
+    # The assembled messages are checked against max_bits before any outcome
+    # is recorded, so an over-budget run stops with none recorded.
     protocol = make_protocol("toy2", reduction.reduction_size(6), 2)
     ctx = reduction.build_context(protocol, 6, 2, 2, seed=0, trials=32)
     instance = next(enumerate_valid_instances(6, 2))
-    short = replace(protocol, encode=lambda view, rand: Bits.from_str("0"), fixed_length=False)
-    for proto, outcomes in (
-        (protocol, {"within_budget": True, "exact_length": True}),
-        (short, {"within_budget": True}),
-        (replace(short, fixed_length=True), {"within_budget": True, "exact_length": False}),
-    ):
-        report = cli.RunReport(command="verify-fidelity", parameters={}, seed=0)
-        cli._reduction_checks(instance, ctx, proto, report)
-        got = {name: report.outcomes[name]["pass"] == 1 for name in report.outcomes}
-        assert {name: ok for name, ok in got.items() if name in ("within_budget", "exact_length")} == outcomes
+    long = replace(protocol, encode=lambda view, rand: Bits.from_str("000"))
+    report = cli.RunReport(command="verify-fidelity", parameters={}, seed=0)
+    with pytest.raises(EncodingOverflow, match="budget 2"):
+        cli._reduction_checks(instance, ctx, long, report)
+    assert report.outcomes == {}
 
 
 @pytest.mark.parametrize(

@@ -487,6 +487,16 @@ def test_accounting_exact(toy_ctx):
         assert bits <= w_count * proto.max_bits
 
 
+@pytest.mark.parametrize("name", ["toy2", "const", "parity", "trunc:3"])
+def test_every_assembled_message_is_max_bits_long(name):
+    # Each registered protocol that the chain can run sends exactly max_bits
+    # per node; ``full`` has no context to run on.
+    proto = make_protocol(name, reduction_size(6), 2)
+    ctx = build_context(proto, m=6, s=2, k=2, seed=0)
+    for inst in some_instances(6, 2, 97):
+        assert {len(bits) for _, bits in check_instance(inst, ctx, proto).assembled} == {proto.max_bits}
+
+
 def test_forced_full_information_context_decides_correctly():
     # Degenerate two-member family with one pair shared by every pinned node;
     # the referee reconstructs the graph from the higher-id endpoints, so the

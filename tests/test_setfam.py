@@ -22,7 +22,6 @@ from sketchbench.protocols import (
 from sketchbench.reduction import NotEnoughGoodNodes, build_context, reduction_size
 from sketchbench.setfam import (
     BrokenPairRecord,
-    DeterminismRequired,
     NoGoodPartition,
     RoleCodes,
     SetFamily,
@@ -127,7 +126,7 @@ def test_partitions_require_determinism():
 
     fam = fam40()
     a_side = frozenset(list(W16)[:8])
-    with pytest.raises(DeterminismRequired):
+    with pytest.raises(ValueError, match="empty source"):
         partitions_of_split(make_agm_protocol(N16, 2, 0.1), 5, fam, a_side, frozenset(W16) - a_side)
 
 
@@ -329,8 +328,6 @@ def test_choose_partition_rejects_wrong_member_size(d):
     family = complete_family(layout(n)[1], d)
     with pytest.raises(ValueError, match="size 2k-1 = 3"):
         choose_partition(toy_two_bit(2), family, n, 2, 2, seed=1)
-    with pytest.raises(ValueError, match="size 2k-1 = 3"):
-        build_context(toy_two_bit(2), 30, 3, 2, seed=1, trials=2, family=family)
 
 
 def test_choose_partition_refuses_an_empty_family():
@@ -565,14 +562,14 @@ def test_choose_partition_refuses_k_below_2():
     assert err.value.rule == "sizes"
 
 
-def test_randomized_protocol_refused_by_message_partitions():
-    # The one determinism check sits in message_partitions, which every
-    # builder reaches before it makes a record.
+def test_randomized_protocol_refused_at_its_first_encode():
+    # Every view is encoded with the empty randomness source, which a
+    # randomized protocol refuses on its first draw, before any record is made.
     from sketchbench.agm import make_agm_protocol
 
-    with pytest.raises(DeterminismRequired):
+    with pytest.raises(ValueError, match="empty source"):
         choose_partition(make_agm_protocol(N16, 2, 0.1), fam40(), N16, 2, trials=1, seed=0)
-    with pytest.raises(DeterminismRequired):
+    with pytest.raises(ValueError, match="empty source"):
         build_context(make_agm_protocol(reduction_size(6), 2, 0.1), m=6, s=3, k=2, seed=0)
 
 
@@ -603,5 +600,5 @@ def test_threshold_bit_pins_no_node(m, s):
     with pytest.raises(NoGoodPartition):
         choose_partition(degk(k), family, n, k, trials=4, seed=1)
     with pytest.raises(NotEnoughGoodNodes) as caught:
-        build_context(degk(k), m, s, k, seed=1, trials=4, family=family)
+        build_context(degk(k), m, s, k, seed=1, trials=4)
     assert caught.value.found == 0
