@@ -22,7 +22,11 @@ that ``execute`` reaches through module globals:
   message in place;
 - ``certificate_cut_ms``: ``agm.global_min_cut`` on the union certificate;
 - ``peel_ms``: the rest of ``agm.agm_decide_kconn``: peeling the k forests,
-  with the earlier forests subtracted, and building the certificate graph;
+  with the earlier forests subtracted, and building the certificate graph.
+  It includes page faults: glibc hands the freed top of the heap back to the
+  system after each Borůvka round, and the next round faults about 1 MB of
+  fresh pages in again.  ``bench/run.py`` shows none of this, since its
+  memory calibration kernel raises glibc's trim threshold;
 - ``component_sketches_ms``: ``agm._component_sketches``, inside ``peel_ms``:
   each round's component sums, earlier forests subtracted;
 - ``extract_ms``: ``agm._extract_edges``, inside ``peel_ms``: one edge per
@@ -42,7 +46,11 @@ length, and per version:
   ``sys.getsizeof`` of each ``Bits`` pair and its bytes: 46.5 MB at n=1024;
 - ``execute_peak_mb``: the peak of the memory that ``tracemalloc`` sees
   allocated during one more, untimed, execution: the messages, the
-  encoder's and the decoder's arrays.
+  encoder's and the decoder's arrays;
+- ``component_sketch_calls``: the ``agm._component_sketches`` calls, one per
+  Borůvka round run, of that execution's decode.  A stack ends at its first
+  all-zero round, so C0 members, whose later stacks run out of boundary
+  edges, need fewer rounds.
 
 ``layer_record`` describes the repeats, ranges and report.
 """
@@ -50,6 +58,7 @@ length, and per version:
 import hashlib
 import sys
 import tracemalloc
+from contextlib import contextmanager
 from time import perf_counter
 
 import layer_record  # first: it pins the thread pools and puts src/ and bench/ on sys.path
@@ -106,18 +115,42 @@ def message_mb(bits) -> float:
     return (sys.getsizeof(bits) + sys.getsizeof(bits.data)) / 2**20
 
 
+@contextmanager
+def counted_rounds(agm):
+    """A one-item list that counts the ``agm._component_sketches`` calls made inside the block.
+
+    The count stays None in a version without that function.
+    """
+    if not hasattr(agm, "_component_sketches"):
+        yield [None]
+        return
+    calls, inner = [0], agm._component_sketches
+
+    def counting(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    agm._component_sketches = counting
+    try:
+        yield calls
+    finally:
+        agm._component_sketches = inner
+
+
 def measure(inputs: tuple, versions: dict) -> dict:
     """The row of one graph: its layer spreads per version and its transcript digest."""
     graph, advice, seed = inputs
     protocols = {name: package.agm.make_agm_protocol(graph.n, K, DELTA) for name, package in versions.items()}
-    sizes, peaks = {}, {}
+    sizes, peaks, rounds = {}, {}, {}
     for name, package in versions.items():
         tracemalloc.start()
         try:
-            package.model.execute(protocols[name], graph, advice, package.model.SharedRandomness(seed))
+            with counted_rounds(package.agm) as calls:
+                package.model.execute(protocols[name], graph, advice, package.model.SharedRandomness(seed))
             peaks[name] = round(tracemalloc.get_traced_memory()[1] / 2**20, 1)
         finally:
             tracemalloc.stop()
+        rounds[name] = calls[0]
 
     def execute(name, package):
         totals = {
@@ -144,6 +177,7 @@ def measure(inputs: tuple, versions: dict) -> dict:
         "transcript_sha256": digest,
         "transcript_mb": sizes,
         "execute_peak_mb": peaks,
+        "component_sketch_calls": rounds,
         **spreads,
     }
 

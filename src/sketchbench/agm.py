@@ -8,7 +8,13 @@ sketch stacks and decides k-edge connectivity exactly on the union
 certificate.  Peeling runs Borůvka one (stack, round) at a time: it sums that
 round's cells per component, subtracts the earlier forests' edges that cross
 between components (an edge inside one component cancels), and extracts one
-edge per component in a single array pass.
+edge per component in a single array pass.  A stack ends at its first round
+whose component sketches are zero in every cell.  When no component has a
+boundary edge left, every later round is zero too, so the stop changes
+nothing; it differs from running every round only when a live boundary's
+triple, fingerprint included, vanishes at every level of every repetition of
+that round at once, a fingerprint collision of the kind that every 1-sparse
+test already risks.
 
 Nothing is tabulated over the n^2 edge slots.  The shared randomness fixes one
 64-bit key per sampling configuration and a fingerprint base; only the slots
@@ -145,6 +151,12 @@ def _keys(seed: int, n: int, stacks: int, rounds: int, reps: int, levels: int):
     return keys, int(rng.integers(2, PRIME))
 
 
+@lru_cache(maxsize=8)
+def _sketch_config(n: int, k: int, delta: float) -> SketchConfig:
+    """``SketchConfig.make`` once per (n, k, delta), which every node's sketch of a run shares."""
+    return SketchConfig.make(n, k, delta)
+
+
 def _config_tables(seeds: SharedRandomness, cfg: SketchConfig) -> tuple[np.ndarray, int]:
     """The run's hash state: one uint64 key per configuration and the fingerprint base.
 
@@ -247,20 +259,24 @@ def _level_sums(
 
     Update i adds signed[i] * (1, slots[i], base^slots[i]) to the cells of
     owner[i], or of ``owner`` if it is an int, at every level of each config
-    that keeps the slot; ``signed`` holds multiplicities mod PRIME.  Each
-    (config, slot) pair gets its depth; one ``bincount`` sums the terms by
-    (owner, config, depth, cell), and products with ``_suffix_matrix``, a
-    block of rows at a time, turn depths into levels, up to the deepest slot
-    only.  Each block's cells are written back over its own histogram rows,
-    read as uint64, so the histogram is the only array of the result's size;
-    its bins past the deepest slot are 0.0, which reads as 0.  Exact in
-    float64 while no owner has more than 2^22 updates, as 2^22 terms below
-    2^31 sum below 2^53: a node has fewer than n, a decoder component at most
-    one per earlier forest edge, (k-1)(n-1), which ``SketchConfig.make``
-    bounds by 2^22.
+    that keeps the slot; ``signed`` holds multiplicities mod PRIME, each below
+    PRIME, so it is its own count term.  Each (config, slot) pair gets its
+    depth; one ``bincount`` sums the terms by (owner, config, depth, cell),
+    and products with ``_suffix_matrix``, a block of rows at a time, turn
+    depths into levels, up to the deepest slot only.  Each block's cells are
+    written back over its own histogram rows, read as uint64, so the
+    histogram is the only array of the result's size; its bins past the
+    deepest slot are 0.0, which reads as 0.  Exact in float64 while no owner
+    has more than 2^22 updates, as 2^22 terms below 2^31 sum below 2^53: a
+    node has fewer than n, a decoder component at most one per earlier forest
+    edge, (k-1)(n-1), which ``SketchConfig.make`` bounds by 2^22.
     """
     configs = len(keys)
-    terms = np.array([np.ones_like(slots), slots, _powers(base, n, slots)]) * signed % PRIME  # (3, slots)
+    terms = np.empty((3, len(slots)), dtype=np.uint64)  # signed * (1, slot, base^slot) mod PRIME
+    terms[0] = signed
+    np.multiply(slots, signed, out=terms[1])
+    np.multiply(_powers(base, n, slots), signed, out=terms[2])
+    _mod(terms[1:])
     depth = _depths(_slot_hashes(keys, slots), levels)
     width = 3 * (int(depth.max(initial=-1)) + 1)  # the cells of levels 0..deepest
     # (configs, 3, slots); a scalar owner shifts only the (configs, 3, 1) offsets.
@@ -278,8 +294,8 @@ def _sketch_cells(
     keys: np.ndarray, base: int, n: int, levels: int, incident: Sequence[tuple[int, int]]
 ) -> np.ndarray:
     """Cell array (len(keys), levels, 3) of signed slot updates, one row per config key."""
-    slots = np.array([e for e, _ in incident], dtype=np.uint64)
-    signed = np.array([c % PRIME for _, c in incident], dtype=np.uint64)
+    slots = np.fromiter((e for e, _ in incident), dtype=np.uint64, count=len(incident))
+    signed = np.fromiter((c % PRIME for _, c in incident), dtype=np.uint64, count=len(incident))
     return _level_sums(keys, base, n, levels, slots, signed, 0, 1)[0]
 
 
@@ -297,8 +313,12 @@ def _incidence(view: NodeView) -> list[tuple[int, int]]:
 def node_sketch(
     view: NodeView, seeds: SharedRandomness, k: int, delta: float
 ) -> np.ndarray:
-    """Raw cell array of one node's incidence vector."""
-    cfg = SketchConfig.make(view.n, k, delta)
+    """Raw cell array of one node's incidence vector.
+
+    The run's ``SketchConfig`` is made once per (n, k, delta) and cached, as
+    the hash keys are; an invalid argument raises on every call.
+    """
+    cfg = _sketch_config(view.n, k, delta)
     keys, base = _config_tables(seeds, cfg)
     cells = _sketch_cells(keys, base, view.n, cfg.levels, _incidence(view))
     return cells.reshape(cfg.stacks, cfg.rounds, cfg.reps, cfg.levels, 3)
@@ -420,6 +440,17 @@ def _peel_forest(
     extracts one edge per component and merges along the extracted edges in
     slot order.  ``used`` maps each slot claimed by earlier forests to its
     multiplicity.
+
+    The stack ends at its first round whose sketches are zero in every cell.
+    When no component has a boundary edge left, that round and every later
+    one are exactly zero, so the forest is the same.  Otherwise the round is
+    zero only if a live boundary's triple (count, id sum, fingerprint
+    sum c * base^slot) vanishes mod PRIME at level 0, which keeps every slot,
+    and at every other level of every repetition, while every other
+    component's does too: the fingerprint risk each 1-sparse test already
+    takes.  Only then might a later round, with other keys, have found an
+    edge.  A round whose sketches are nonzero but yield no edge is skipped,
+    and the next round runs.
     """
     n, reps, levels = len(rows), cfg.reps, cfg.levels
     config_bytes = levels * _CELLS_PER_TRIPLE * _CELL_BITS // 8
@@ -441,6 +472,8 @@ def _peel_forest(
         start, stop = config * config_bytes, (config + reps) * config_bytes
         cells = np.frombuffer(b"".join(map(itemgetter(slice(start, stop)), rows)), ">u4").reshape(n, reps, levels, 3)
         sketches = _component_sketches(cells, keys[config : config + reps], base, component, earlier)
+        if not sketches.any():  # no boundary left to sample, bar a fingerprint collision
+            break
         proposals = _extract_edges(sketches, base, n)
         del cells, sketches  # the round's bytes and sums go before the next round gathers its own
         if not proposals.any():  # no edge to merge along: the components stay as they are

@@ -113,6 +113,10 @@ _SHORT: dict[tuple[int, int], Bits] = {}
 _SHORT.update(
     ((value, length), Bits.from_int(value, length)) for length in range(9) for value in range(1 << length)
 )
+#: The identities of ``_SHORT``'s objects, which ``check_message`` takes as
+#: checked: ``_SHORT`` keeps them alive, so no other object has their ids, and
+#: a ``Bits`` is immutable.
+_SHORT_IDS = frozenset(map(id, _SHORT.values()))
 
 
 def check_bits(bits: Bits) -> Bits:
@@ -325,9 +329,11 @@ def check_message(protocol: SketchProtocol, node: int, bits: Bits) -> Bits:
     """Return ``bits`` if it is a well-formed message within the protocol's budget.
 
     Raises ValueError (from ``check_bits``) or ``EncodingOverflow``; every
-    path that hands messages to a referee checks them here.
+    path that hands messages to a referee checks them here.  A message that is
+    one of ``_SHORT``'s shared objects is well-formed by construction, so only
+    its length is read; every other message goes through ``check_bits``.
     """
-    length = check_bits(bits)[1]
+    length = bits[1] if id(bits) in _SHORT_IDS else check_bits(bits)[1]
     if length > protocol.max_bits:
         raise EncodingOverflow(f"node {node} emitted {length} bits, budget {protocol.max_bits}")
     return bits

@@ -584,6 +584,56 @@ def test_peeling_matches_reference_on_hard_family(monkeypatch, n, condition):
     _assert_peels_like_reference(monkeypatch, graph, advice, 3, 0.05, 12)
 
 
+@pytest.mark.parametrize("seed", [1, 4])
+def test_stack_stops_at_first_all_zero_round(monkeypatch, seed):
+    # On a C0 member G less the first forests is disconnected, so a later
+    # stack runs out of boundary edges with rounds to spare.  That stack ends
+    # at its first all-zero round, and the certificate is still the one that
+    # the every-round Boruvka reference peels.
+    n, k, delta = 64, 3, 0.05
+    graph, advice = build_lb_graph(random_spec(n, k, seed, condition=Condition.C0))
+    peel, sketch, stacks = agm._peel_forest, agm._component_sketches, []
+
+    def peel_spy(*args):
+        stacks.append([])
+        return peel(*args)
+
+    def sketch_spy(*args):
+        out = sketch(*args)
+        stacks[-1].append(bool(out.any()))
+        return out
+
+    monkeypatch.setattr(agm, "_peel_forest", peel_spy)
+    monkeypatch.setattr(agm, "_component_sketches", sketch_spy)
+    _assert_peels_like_reference(monkeypatch, graph, advice, k, delta, seed)
+    rounds = SketchConfig.make(n, k, delta).rounds
+    stopped = [nonzero for nonzero in stacks if not all(nonzero)]
+    assert len(stacks) == k and stopped
+    for nonzero in stopped:  # the first all-zero round is the stack's last, with rounds left
+        assert nonzero.index(False) == len(nonzero) - 1 < rounds - 1
+
+
+def test_nonzero_round_without_an_edge_runs_the_next_round(monkeypatch):
+    # A round whose sketches are nonzero but yield no edge does not end the
+    # stack: the next round runs over the same components.
+    n, delta = 64, 0.05
+    graph, advice = build_lb_graph(random_spec(n, 3, 1, condition=Condition.C1))
+    seeds = SharedRandomness(1)
+    msgs = _encode_all(graph, advice, seeds, 1, delta)
+    extract, reads = agm._extract_edges, []
+
+    def blank_first(sketches, base, n):
+        reads.append(len(sketches))
+        if len(reads) == 1:
+            assert sketches.any()
+            return np.zeros(len(sketches), dtype=np.uint64)
+        return extract(sketches, base, n)
+
+    monkeypatch.setattr(agm, "_extract_edges", blank_first)
+    assert agm_decide_kconn(msgs, seeds, n, 1, delta) is Decision.CONNECTED  # the one forest spans
+    assert reads[:2] == [n, n]  # round 1 still sees every node alone
+
+
 @pytest.mark.parametrize("n,k", [(64, 2), (64, 3), (100, 4)])
 def test_hard_family_agreement(n, k):
     # Members of the hard family sit at the k threshold: sigma's neighbourhood

@@ -508,6 +508,25 @@ def test_execute_refuses_malformed_bits(message, named):
     assert named in str(err.value)
 
 
+def test_check_message_trusts_only_the_shared_short_messages(monkeypatch):
+    # A shared short message is well-formed, so check_message reads only its
+    # length; an equal Bits that is another object still goes through
+    # check_bits, and a malformed one is refused.
+    assert all(check_bits(bits) is bits for bits in model._SHORT.values())
+    checked = []
+    monkeypatch.setattr(model, "check_bits", lambda bits: checked.append(bits) or check_bits(bits))
+    shared = Bits.from_str("01")
+    assert shared is model._SHORT[1, 2]
+    assert model.check_message(_emitting(shared), 1, shared) is shared
+    assert checked == []
+    copy = Bits(b"\x40", 2)
+    assert copy == shared and copy is not shared
+    assert model.check_message(_emitting(copy), 1, copy) is copy
+    assert checked == [copy]
+    with pytest.raises(ValueError, match="nonzero padding"):
+        execute(_emitting(Bits(b"\x41", 2)), triangle())
+
+
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 @pytest.mark.parametrize("bad", ["2", "\x00", "é"], ids=["digit", "nul", "non-ascii"])
 def test_execute_refuses_long_message_with_one_bad_character(where, bad):

@@ -64,8 +64,13 @@ def test_agm_record_row(scripts):
     spec = lbgraph.random_spec(36, 3, 1, condition=lbgraph.Condition.C1)
     graph, advice = lbgraph.build_lb_graph(spec)
     row = scripts.agm.measure((graph, advice, 1), scripts.versions)
-    assert set(row) == {"n", "bits", "transcript_sha256", "transcript_mb", "execute_peak_mb", "current", "baseline"}
+    assert set(row) == {
+        "n", "bits", "transcript_sha256", "transcript_mb", "execute_peak_mb", "component_sketch_calls", "current",
+        "baseline",
+    }
     assert row["n"] == 36 and len(row["transcript_sha256"]) == 64
+    # A C1 member: every stack peels a spanning forest, in at least one round.
+    assert row["component_sketch_calls"]["current"] == row["component_sketch_calls"]["baseline"] >= 3
     # The peak holds the transcript at least: 36 messages of row["bits"] bits.
     for peak in row["execute_peak_mb"].values():
         assert peak >= 36 * row["bits"] / 8 / 2**20
