@@ -11,16 +11,20 @@ the rest are the oracle's worst cases:
 - ``heavy-path``: the path 1-2-...-256 with multiplicity 3 on every edge,
   closed into a cycle by one single edge (256, 1), lambda = 4;
 - ``cycle-2048``: the 2,048-node cycle, lambda = 2;
-- ``torus-32x32``: the 32 x 32 torus with unit edges, lambda = 4.
+- ``torus-32x32``: the 32 x 32 torus with unit edges, lambda = 4;
+- ``star-4096``: node 1 joined to each of the nodes 2..4096, lambda = 1.
 
 On the cycles and the heavy path, each maximum-adjacency phase labels every
-vertex but the last below the best cut, so each phase contracts one pair.  The
-last two groups took 1.86 s and 0.61 s per call before any contraction rule
-was added, so with 20 repeats of both versions they add about 100 s to a
-``--baseline`` run.  Each graph records n, its edges (total multiplicity),
-lambda and one layer, ``global_min_cut_ms``.  Every call's side must certify
-its value by this checkout's ``mincut.crossing_value``, and every call must
-give the same lambda.  ``layer_record`` describes the repeats, ranges and
+vertex but the last below the best cut, so each phase contracts one pair; the
+oracle's heavy-edge pass contracts them first.  No edge of the torus passes
+that pass's tests, so the torus times the phases alone.  The star times the
+pass's merges into one large row.  Without the pass, ``cycle-2048`` takes
+about 1 s per call and ``torus-32x32`` about 0.3 s on 2 CPUs, so a
+``--baseline`` run against such a checkout takes about 35 s.  Each graph
+records n, its edges (total multiplicity), lambda and one layer,
+``global_min_cut_ms``.  Every call's side must certify its value by this
+checkout's ``mincut.crossing_value``, and every call must give the same
+lambda.  ``layer_record`` describes the repeats, ranges and
 report.
 """
 
@@ -65,6 +69,10 @@ def torus(side: int) -> MultiGraph:
     return MultiGraph(side * side, edges)
 
 
+def star(n: int) -> MultiGraph:
+    return MultiGraph(n, [(1, v, 1) for v in range(2, n + 1)])
+
+
 def measure(graph: MultiGraph, versions: dict) -> dict:
     """The row of one graph: its oracle spreads per version and its certified lambda."""
 
@@ -88,6 +96,7 @@ def record(versions: dict) -> tuple[dict, dict]:
         "heavy-path": [heavy_path(256)],
         "cycle-2048": [cycle(2048)],
         "torus-32x32": [torus(32)],
+        "star-4096": [star(4096)],
     }
     measure(groups["cycle"][0], versions)  # warm-up: first allocations
     rows = {name: [measure(graph, versions) for graph in graphs] for name, graphs in groups.items()}

@@ -50,6 +50,18 @@ def test_gen_lb_feeds_kconn(tmp_path, capsys):
     assert passes(report, "oracle_agreement") == 1
 
 
+def test_kconn_on_a_long_cycle(tmp_path, capsys):
+    # A cycle gives the maximum-adjacency phases one pair per phase, 2,047 of
+    # them here; the heavy-edge pass contracts it whole instead.
+    graph_path = tmp_path / "cycle.graph.txt"
+    cli.save_graph(MultiGraph(2048, [(i, i % 2048 + 1, 1) for i in range(1, 2049)]), graph_path)
+    code, report = run(capsys, "kconn", "--graph", graph_path, "--k", 2)
+    assert_clean(code, report)
+    assert passes(report, "cut_certificate") == 1
+    assert report["results"]["min_cut"] == 2
+    assert report["results"]["k_edge_connected"] is True
+
+
 @pytest.mark.parametrize("k", [0, -1])
 def test_kconn_refuses_k_below_1(tmp_path, capsys, monkeypatch, k):
     # Every graph is 0-edge connected, so such a k asks nothing; kconn refuses

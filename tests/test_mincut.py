@@ -10,6 +10,7 @@ from sketchbench.lbgraph import Condition, build_lb_graph, layout, random_spec
 from sketchbench.mincut import (
     CutResult,
     TooSmall,
+    _contract_heavy_edges,
     _ma_order,
     crossing_value,
     global_min_cut,
@@ -40,6 +41,21 @@ def random_graph(rng, n_max=12) -> MultiGraph:
     if g.edge_slot_count() == 0:
         g.add_edge(1, 2, 1)
     return g
+
+
+def star(n: int) -> MultiGraph:
+    """Node 1 joined to each of the nodes 2..n by one edge."""
+    return MultiGraph(n, [(1, v, 1) for v in range(2, n + 1)])
+
+
+def torus_edges(side: int) -> list[tuple[int, int, int]]:
+    """The side x side grid with wrap-around and unit edges, node (r, c) numbered r * side + c + 1."""
+
+    def node(r: int, c: int) -> int:
+        return r % side * side + c % side + 1
+
+    edges = [(node(r, c), node(r, c + 1), 1) for r in range(side) for c in range(side)]
+    return edges + [(node(r, c), node(r + 1, c), 1) for r in range(side) for c in range(side)]
 
 
 def test_cycle_min_cut():
@@ -143,6 +159,12 @@ def test_oracle_ignores_the_order_edges_were_added_in(seed):
         MultiGraph(12, [(i, i % 12 + 1, 1) for i in range(1, 13)]),
         MultiGraph(6, [(u, v, 2) for u, v in itertools.combinations(range(1, 7), 2)]),
         MultiGraph(9, [(1, 2, 1), (2, 3, 1), (4, 5, 2), (7, 8, 1)]),  # disconnected
+        # Pendant vertices of equal degree on a K4, two of them on node 1.
+        MultiGraph(8, [(u, v, 1) for u, v in itertools.combinations(range(1, 5), 2)] + [(1, 5, 1), (1, 6, 1), (2, 7, 1)]),
+        star(40),
+        # Node 1 passes tests with both 3 and 4, and merging either side
+        # finds a different cut of weight 1.
+        MultiGraph(5, [(1, 3, 1), (1, 4, 2), (2, 3, 1), (2, 5, 3)]),
         *(build_lb_graph(random_spec(64, 3, seed, condition=c))[0] for c in (Condition.C0, Condition.C1)),
     ]
     for graph in graphs:
@@ -220,19 +242,38 @@ def test_hard_family_agrees_with_networkx(n, condition):
 
 
 @pytest.mark.parametrize(
-    "edges, value",
+    "graph, value, left",
     [
-        ([(i, i % 256 + 1, 1) for i in range(1, 257)], 2),
-        ([(i, i + 1, 3) for i in range(1, 256)] + [(256, 1, 1)], 4),
+        (MultiGraph(256, [(i, i % 256 + 1, 1) for i in range(1, 257)]), 2, 1),
+        (MultiGraph(256, [(i, i + 1, 3) for i in range(1, 256)] + [(256, 1, 1)]), 4, 1),
+        (MultiGraph(64, torus_edges(8)), 4, 64),
+        # A path of weight-5 edges hung on node 64 passes test 1 and collapses
+        # into it, so the pass stops partway.
+        (MultiGraph(72, torus_edges(8) + [(v, v + 1, 5) for v in range(64, 72)]), 4, 64),
     ],
-    ids=["cycle", "heavy-path"],
+    ids=["cycle", "heavy-path", "torus-8x8", "torus-with-heavy-tail"],
 )
-def test_no_contraction_worst_case(edges, value):
-    # Every MA label but the last stays below the best cut, so each phase
-    # contracts one pair and the loop runs all n-1 phases.
-    g = MultiGraph(256, edges)
-    assert global_min_cut(g).value == value
-    assert_matches_networkx(g)
+def test_no_contraction_worst_case(graph, value, left):
+    # The MA phases' worst cases.  On the cycle and the heavy path every label
+    # but the last stays below the best cut, so a phase contracts one pair and
+    # n-1 phases would run; every edge passes Padberg-Rinaldi test 2, so the
+    # heavy-edge pass contracts both to one vertex first.  The torus's unit
+    # edges and degree 4 pass neither test (1 < 4 and 2 < 4), so the phases
+    # do all the work that the pass leaves, ``left`` vertices.
+    assert global_min_cut(graph).value == value
+    assert_matches_networkx(graph)
+    adj = graph.rows()
+    _contract_heavy_edges(adj)
+    assert len(adj) == left
+
+
+def test_star_centred_at_node_1():
+    # Every leaf passes test 1 into node 1.  A merged vertex re-tested on its
+    # whole row would rescan the hub's row after each of the 4,095 merges.
+    g = star(4096)
+    res = global_min_cut(g)
+    assert res == CutResult(1, frozenset({2}))
+    assert crossing_value(g, res.side) == 1
 
 
 def python_min_cut(g: MultiGraph) -> int:
