@@ -43,7 +43,10 @@ the functions named through ``reduction``'s globals:
 - ``simulate_ms``: the whole three-party run, referee included;
 - ``alice_ms``, ``bob_ms``: ``alice_messages`` and ``bob_messages``;
 - ``charlie_ms``: ``charlie_messages``;
-- ``compatible_graph_ms``: ``build_compatible_graph``;
+- ``compatible_graph_ms``: ``build_compatible_graph``, spec assembly and
+  the build;
+- ``lb_graph_ms``: ``build_lb_graph``, the build alone, inside
+  ``compatible_graph_ms``: the rest of that layer is spec assembly;
 - ``execute_ms``: ``execute``, the honest run on the compatible graph.
 
 Every call must give the same ``transcripts_sha256``, the SHA-256 of the
@@ -87,6 +90,7 @@ REDUCE_LAYERS = {
     "bob_ms": ("reduction", "bob_messages"),
     "charlie_ms": ("reduction", "charlie_messages"),
     "compatible_graph_ms": ("reduction", "build_compatible_graph"),
+    "lb_graph_ms": ("reduction", "build_lb_graph"),
     "execute_ms": ("reduction", "execute"),
 }
 

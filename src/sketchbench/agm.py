@@ -62,8 +62,6 @@ SAMPLER_ATTEMPT_FAILURE = 0.15
 
 _CELLS_PER_TRIPLE = 3
 _CELL_BITS = 32
-#: How ``_message_rows`` reads a message's big-endian cells in place: as little-endian words.
-_SWAPPED_CELL = np.dtype("<u4")
 
 
 class DecodeError(ValueError):
@@ -333,11 +331,8 @@ def _message_rows(messages: Sequence[tuple[int, Bits]], cfg: SketchConfig) -> li
     """The message bytes of nodes 1..n, in node order, each checked in place.
 
     A message must be a ``Bits`` of cfg.bits bits held in ``bytes``, and
-    every cell must lie below PRIME = 0x7FFFFFFF.  Read as a little-endian
-    word, a big-endian cell's top byte is the word's lowest: the cell is at
-    least 2^31 when that byte's top bit is set, and is PRIME itself when the
-    word is 0xFFFFFF7F, the largest word without that bit.  So one OR and one
-    maximum over the words check a message, and nothing is copied.
+    every cell must lie below PRIME: one maximum over the message's
+    big-endian cells, read from its bytes in place, checks it.
     """
     rows: list[memoryview] = [None] * len(messages)
     for node, bits in messages:
@@ -347,8 +342,7 @@ def _message_rows(messages: Sequence[tuple[int, Bits]], cfg: SketchConfig) -> li
         # cfg.bits is a whole number of bytes, so a matching byte count leaves no padding.
         if length != cfg.bits or type(data) is not bytes or len(data) * 8 != cfg.bits:
             raise DecodeError(f"expected {cfg.bits} bits, got {length!r} bits in a {type(data).__name__}")
-        words = np.frombuffer(data, dtype=_SWAPPED_CELL)
-        if np.bitwise_or.reduce(words) & 0x80 or words.max() >= 0xFFFFFF7F:
+        if np.frombuffer(data, ">u4").max() >= PRIME:
             raise DecodeError(f"node {node}'s message holds a cell outside the field of size {PRIME}")
         rows[node - 1] = memoryview(data)
     return rows

@@ -224,7 +224,7 @@ def build_lb_graph(spec: LBGraphSpec) -> tuple[MultiGraph, dict[int, Optional[Ad
 
     rows: dict[int, dict[int, int]] = {u_a: {}, u_b: {}}
     for v in v_ids:
-        rows[u_b if advice[v] is Advice.B_RESTRICTED else u_a][v] = k
+        rows[u_b if advice[v] is _B_RESTRICTED else u_a][v] = k
     for side, hub in ((spec.a_side, u_a), (spec.b_side, u_b)):
         ordered = sorted(side)
         rows[hub].update(dict.fromkeys(ordered, 1))
@@ -265,13 +265,13 @@ def random_spec(n: int, k: int, seed: int, condition: Optional[Condition] = None
     for v in v_ids:
         if v == sigma:
             continue
+        # rng.random(size) draws what size scalar calls would, one per candidate W-node.
         if rng.random() < 0.5:
-            restrictions[v] = Advice.A_RESTRICTED
-            picks = [w for w in a_sorted if rng.random() < 0.4]
-            w_neighbors[v] = frozenset(picks)
+            restrictions[v] = _A_RESTRICTED
+            w_neighbors[v] = frozenset(itertools.compress(a_sorted, (rng.random(len(a_sorted)) < 0.4).tolist()))
         else:
-            restrictions[v] = Advice.B_RESTRICTED
-            picks = [w for w in b_sorted if rng.random() < 0.4]
+            restrictions[v] = _B_RESTRICTED
+            picks = list(itertools.compress(b_sorted, (rng.random(len(b_sorted)) < 0.4).tolist()))
             if not picks:
                 picks = [b_sorted[int(rng.integers(0, len(b_sorted)))]]
             w_neighbors[v] = frozenset(picks)

@@ -19,9 +19,10 @@ supports meeting in an index outside both kept sets give two instances with
 the same messages but opposite answers.
 
 Each promise has one rule, which every builder, sweep, attack and loader
-calls: ``check_parameters`` for (m, s), ``check_support`` for a support and
-``shared_index`` for the overlap.  Vectors fix their support and support bits
-when built, and the sweep shares each support's 2^s fills among instances.
+calls: ``check_parameters`` for (m, s), ``check_support`` for a support,
+``check_vector`` for a vector's support and ``shared_index`` for the overlap.
+Vectors fix their support and support bits when built, and the sweep shares
+each support's 2^s fills among instances.
 
 A message is one table lookup.  Each protocol keeps one table per kept-position
 pattern, mapping a fill's bits to its message and filled on first use; every
@@ -75,6 +76,17 @@ def check_support(support, m: int, s: int) -> None:
     """Raise ``InvalidInstance("support")`` unless ``support`` is an ascending s-subset of 1..m."""
     if not (_is_support(support, m) and len(support) == s):
         raise InvalidInstance("support", f"not an s={s} subset of [1..{m}]: {support!r}")
+
+
+def check_vector(vector, m: int, s: int) -> None:
+    """Raise ``InvalidInstance("support")`` unless ``vector``'s support is an ascending s-subset of 1..m.
+
+    A ``TernaryVector`` of length m checked its support against 1..m when it
+    was built, so only the support's size is left; any other vector's
+    support is walked in full by ``check_support``.
+    """
+    if not (isinstance(vector, TernaryVector) and vector.length == m and len(vector.support) == s):
+        check_support(vector.support, m, s)
 
 
 @dataclass(frozen=True)
@@ -155,7 +167,7 @@ def validate_instance(x: TernaryVector, y: TernaryVector, m: int, s: int) -> int
     if x.length != m or y.length != m:
         raise InvalidInstance("support", f"vectors must have length {m}")
     for vector in (x, y):
-        check_support(vector.support, m, s)
+        check_vector(vector, m, s)
     sigma = shared_index(x.support, y.support)
     if x[sigma] == y[sigma]:
         raise InvalidInstance("P1", f"bits at shared index {sigma} must differ")

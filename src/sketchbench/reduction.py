@@ -49,7 +49,7 @@ from .model import (
     check_message,
     execute,
 )
-from .overlap import OverlapInstance, TernaryVector, check_parameters, check_support, shared_index
+from .overlap import OverlapInstance, check_parameters, check_support, check_vector, shared_index
 from .setfam import (
     Entries,
     NoGoodPartition,
@@ -85,7 +85,7 @@ class PartyWiring(NamedTuple):
     """
 
     tails: dict[int, Entries]
-    ends: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    ends: tuple[tuple[frozenset[int], frozenset[int]], ...]
 
 
 class ProtocolMismatch(ValueError):
@@ -109,7 +109,7 @@ class ReductionContext:
     k: int
     n: int
     partition: PartitionContext
-    good_ids: tuple[int, ...]  # instance coordinate i lives at node good_ids[i-1]
+    good_ids: tuple[int, ...]  # ascending; instance coordinate i lives at node good_ids[i-1]
     protocol_name: str
     fixed_messages: dict[int, Bits] = field(repr=False)
     alice: PartyWiring = field(init=False, repr=False, compare=False)
@@ -198,28 +198,14 @@ def build_context(
     )
 
 
-def _pair_ends(record: SeparatedPairRecord, bit: int, alice: bool, side: frozenset[int]) -> tuple[int, ...]:
+def _pair_ends(record: SeparatedPairRecord, bit: int, alice: bool, side: frozenset[int]) -> frozenset[int]:
     """W-ends on ``side`` of the pair edges one party wires for a coordinate holding ``bit``.
 
     Alice's bit 0 selects S1 and her bit 1 selects S0; Bob's bits select the
     other way round.
     """
     chosen = record.s1 if (bit == 0) == alice else record.s0
-    return tuple(filter(side.__contains__, chosen))
-
-
-def _check_vectors(ctx: ReductionContext, *vectors) -> None:
-    """Raise ``InvalidInstance("support")`` unless each vector's support is an ascending s-subset of 1..m.
-
-    A ``TernaryVector`` of length m checked its support against 1..m when it
-    was built, so only the support's size is left; any other vector's support
-    is walked in full.  The public entry points that take vectors check them
-    here, ``charlie_messages`` walks its bare supports, and ``_party_messages``
-    and ``_roles`` trust what their callers checked.
-    """
-    for vector in vectors:
-        if not (isinstance(vector, TernaryVector) and vector.length == ctx.m and len(vector.support) == ctx.s):
-            check_support(vector.support, ctx.m, ctx.s)
+    return side.intersection(chosen)
 
 
 def _party_messages(
@@ -230,17 +216,21 @@ def _party_messages(
     The party's graph holds its side's clique, the hub edge for every node of
     the side, and for each coordinate in its support the pair edges into the
     side.  A W-node's view is the V-ends its vector wires to it, ascending,
-    then its fixed tail from the context's ``PartyWiring``.  The caller has
-    checked the support.
+    then its fixed tail from the context's ``PartyWiring``.  The V-ends need
+    no sort: they are wired in support order, the support ascends, and
+    ``good_ids`` ascends with the coordinate.  The caller has checked the
+    support.
     """
     wiring = ctx.alice if alice else ctx.bob
+    nodes, ends = ctx.good_ids, wiring.ends
     wired: dict[int, list[tuple[int, int]]] = {w: [] for w in wiring.tails}
-    for i in vector.support:
-        v = ctx.node_of(i)
-        for w in wiring.ends[i - 1][vector[i]]:
-            wired[w].append((v, 1))
+    for i, bit in zip(vector.support, map(int, vector.bits)):
+        edge = (nodes[i - 1], 1)
+        for w in ends[i - 1][bit]:
+            wired[w].append(edge)
+    n, k, encode = ctx.n, ctx.k, protocol.encode
     return [
-        (w, protocol.encode(NodeView(w, (*sorted(wired[w]), *tail), None, ctx.n, ctx.k), EMPTY_RANDOMNESS))
+        (w, encode(tuple.__new__(NodeView, (w, (*wired[w], *tail), None, n, k)), EMPTY_RANDOMNESS))
         for w, tail in wiring.tails.items()
     ]
 
@@ -249,7 +239,7 @@ def alice_messages(
     x, ctx: ReductionContext, protocol: SketchProtocol
 ) -> list[tuple[int, Bits]]:
     """Sketches of the A-side nodes, computed from Alice's local wiring."""
-    _check_vectors(ctx, x)
+    check_vector(x, ctx.m, ctx.s)
     return _party_messages(x, ctx, protocol, alice=True)
 
 
@@ -257,7 +247,7 @@ def bob_messages(
     y, ctx: ReductionContext, protocol: SketchProtocol
 ) -> list[tuple[int, Bits]]:
     """Mirror of Alice on the B-side."""
-    _check_vectors(ctx, y)
+    check_vector(y, ctx.m, ctx.s)
     return _party_messages(y, ctx, protocol, alice=False)
 
 
@@ -309,17 +299,18 @@ def charlie_messages(
         )
     roles = _roles(supp_x, supp_y, ctx)
     _, _, u_a, u_b = layout(ctx.n)
+    n, k = ctx.n, ctx.k
     attached: dict[int, list[tuple[int, int]]] = {u_a: [], u_b: []}
     for v, (_, hub, _) in roles.items():
-        attached[hub].append((v, ctx.k))
+        attached[hub].append((v, k))
 
     messages = []
     for hub, wiring in ((u_a, ctx.alice), (u_b, ctx.bob)):
         # V ids precede W ids, so the entries come out ascending.
         entries = (*attached[hub], *((w, 1) for w in wiring.tails))
-        messages.append((hub, protocol.encode(NodeView(hub, entries, None, ctx.n, ctx.k), EMPTY_RANDOMNESS)))
+        messages.append((hub, protocol.encode(tuple.__new__(NodeView, (hub, entries, None, n, k)), EMPTY_RANDOMNESS)))
     fixed = ctx.fixed_messages
-    messages.extend((v, fixed[v] if witness is None else witness) for v, (_, _, witness) in roles.items())
+    messages += [(v, fixed[v] if witness is None else witness) for v, (_, _, witness) in roles.items()]
     return messages
 
 
@@ -355,22 +346,25 @@ def build_compatible_graph(
     instance: OverlapInstance, ctx: ReductionContext
 ) -> tuple[MultiGraph, dict[int, Optional[Advice]]]:
     """The family member determined by the instance through the stored pairs."""
-    _check_vectors(ctx, instance.x, instance.y)
-    roles = _roles(instance.x.support, instance.y.support, ctx)
-    restrictions = {v: advice for v, (advice, _, _) in roles.items() if advice is not Advice.SIGMA}
-    (sigma_node,) = roles.keys() - restrictions.keys()
+    x, y = instance.x, instance.y
+    for vector in (x, y):
+        check_vector(vector, ctx.m, ctx.s)
     nodes, records = ctx.good_ids, ctx.partition.good
+    roles = _roles(x.support, y.support, ctx)
+    sigma_role = Advice.SIGMA  # bound once: an Enum attribute lookup costs about 150 ns
+    restrictions = {v: advice for v, (advice, _, _) in roles.items() if advice is not sigma_role}
+    # A host's W-neighbourhood is its pair ends; only sigma's joins both parties'.
     w_neighbors: dict[int, frozenset[int]] = {}
-    for vector, alice, side in ((instance.x, True, ctx.a_side), (instance.y, False, ctx.b_side)):
+    for vector, alice, side in ((x, True, ctx.a_side), (y, False, ctx.b_side)):
         for i, bit in zip(vector.support, map(int, vector.bits)):
             v = nodes[i - 1]
             ends = _pair_ends(records[v], bit, alice, side)
-            w_neighbors[v] = w_neighbors.get(v, frozenset()).union(ends)
+            w_neighbors[v] = ends.union(w_neighbors[v]) if v in w_neighbors else ends
 
     spec = LBGraphSpec(
         n=ctx.n,
         k=ctx.k,
-        sigma=sigma_node,
+        sigma=nodes[shared_index(x.support, y.support) - 1],
         a_side=ctx.a_side,
         b_side=ctx.b_side,
         restrictions=restrictions,

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 
 import pytest
@@ -219,6 +220,16 @@ def test_random_specs_valid_and_dichotomy():
     for seed in range(30):
         spec = random_spec(49, 3, seed=seed)
         assert verify_dichotomy(spec)
+
+
+def test_random_spec_golden():
+    # Thirty specs at n=256, k=3, free and forced to each side, pinned while
+    # each candidate W-node still drew its own scalar.
+    digest = hashlib.sha256()
+    for seed in range(10):
+        for condition in (None, Condition.C0, Condition.C1):
+            digest.update(random_spec(256, 3, seed, condition=condition).to_json().encode())
+    assert digest.hexdigest()[:16] == "933d894ff348f46a"
 
 
 def edge_built(spec: LBGraphSpec):

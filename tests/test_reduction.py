@@ -208,6 +208,18 @@ def test_charlie_messages_golden(toy_ctx):
     assert digest.hexdigest()[:16] == "8e45c579305ff9bf"
 
 
+def test_simulate_golden(toy_ctx):
+    # The verdict and the assembled messages of all 5,760 instances, pinned
+    # before the parties stopped sorting each W-node's V-ends.
+    proto = toy_two_bit(2)
+    digest, count = hashlib.sha256(), 0
+    for inst in enumerate_valid_instances(6, 3):
+        digest.update(repr(simulate(inst, toy_ctx, proto)).encode())
+        count += 1
+    assert count == 5760
+    assert digest.hexdigest()[:16] == "da2b649c3c658eda"
+
+
 def test_compatible_graph_golden(toy_ctx):
     # Edges and advice of the compatible graph of all 5,760 instances, pinned
     # before the role map replaced the per-function role rules.

@@ -124,6 +124,11 @@ def test_lb_reduce_record_row(scripts):
         digest.update(repr(reduction.simulate(workload.instance(i), ctx, protocol)[1]).encode())
     assert row["transcripts_sha256"] == digest.hexdigest()
     _check_spreads(row, set(scripts.lb.REDUCE_LAYERS))
+    # The build runs inside build_compatible_graph, so each repeat's build
+    # time is at most its compatible-graph time, and so is each statistic.
+    assert scripts.lb.REDUCE_LAYERS["lb_graph_ms"] == ("reduction", "build_lb_graph")
+    for name in ("current", "baseline"):
+        assert all(map(float.__le__, row[name]["lb_graph_ms"], row[name]["compatible_graph_ms"]))
     assert scripts.versions["baseline"].reduction.simulate.__module__ == "sketchbench_baseline.reduction"
 
 
