@@ -26,8 +26,13 @@ forest subtraction (each component's crossing earlier-forest edges) alike: one
 histogram by (owner, configuration, depth, cell), one suffix sum over depths
 and one reduction mod PRIME, with no (configuration, level, slot) mask.
 Fingerprint powers are two lookups in split tables, base^lo and base^(hi *
-2^h), cached per (base, n) with about sqrt(n(n - 1)) entries each.  Encode
-memory is O(configs * (levels + degree)).
+2^h), with about sqrt(n(n - 1)) entries each.  Encode memory is O(configs *
+(levels + degree)).
+
+Everything one run's (n, k, delta, seed) fixes is derived once, by ``_run``:
+the dimensions, the keys and base, the power tables, and the kernel's
+histogram bin offsets and depth-to-level suffix matrix.  Every node's encode
+and the decode of a run share that one record.
 
 A message is the node's cells as big-endian 32-bit words in array order,
 (stacks, rounds, reps, levels, 3), packed into a ``Bits`` by one ``tobytes``;
@@ -45,7 +50,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -85,7 +90,7 @@ class SketchConfig:
         if n < 1 or k < 1:
             raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
         if n * (n - 1) >= PRIME:
-            # slot_of(n - 1, n, n) = n(n - 1) is the largest slot; extract_edge
+            # slot_of(n - 1, n, n) = n(n - 1) is the largest slot; _extract_edges
             # recovers slots modulo PRIME, so every slot must lie below it
             # (n <= 46,341).
             raise ValueError(f"n={n}: edge slot n(n-1) = {n * (n - 1)} is not below the field size {PRIME}")
@@ -140,32 +145,6 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _PRIME = np.uint64(PRIME)
 
 
-@lru_cache(maxsize=8)
-def _keys(seed: int, n: int, stacks: int, rounds: int, reps: int, levels: int):
-    """Per-configuration hash keys and the fingerprint base of one run."""
-    rng = SharedRandomness(seed).generator("agm-keys", n, stacks, rounds, reps, levels)
-    keys = rng.integers(0, 1 << 64, size=stacks * rounds * reps, dtype=np.uint64, endpoint=False)
-    keys.flags.writeable = False
-    return keys, int(rng.integers(2, PRIME))
-
-
-@lru_cache(maxsize=8)
-def _sketch_config(n: int, k: int, delta: float) -> SketchConfig:
-    """``SketchConfig.make`` once per (n, k, delta), which every node's sketch of a run shares."""
-    return SketchConfig.make(n, k, delta)
-
-
-def _config_tables(seeds: SharedRandomness, cfg: SketchConfig) -> tuple[np.ndarray, int]:
-    """The run's hash state: one uint64 key per configuration and the fingerprint base.
-
-    Slot hashes and fingerprint powers are computed on demand from these, for
-    the slots a node touches only (see ``_slot_hashes`` and ``_powers``).
-    """
-    if seeds.is_empty:
-        raise ValueError("sketching needs shared randomness; got the empty source")
-    return _keys(seeds.seed, cfg.n, cfg.stacks, cfg.rounds, cfg.reps, cfg.levels)
-
-
 def _slot_hashes(keys: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """uint64 (configs, slots): the SplitMix64 finalizer of each slot offset by each config's key."""
     z = keys[:, None] + slots * _GOLDEN
@@ -203,7 +182,6 @@ def _geometric(ratio: int, count: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
 def _power_tables(base: int, n: int) -> tuple[int, np.ndarray, np.ndarray]:
     """(h, base^lo for lo < 2^h, base^(hi * 2^h) for hi <= n(n-1) >> h), h half the slots' width.
 
@@ -215,9 +193,41 @@ def _power_tables(base: int, n: int) -> tuple[int, np.ndarray, np.ndarray]:
     return half, _geometric(base, 1 << half), _geometric(pow(base, 1 << half, PRIME), (largest >> half) + 1)
 
 
-def _powers(base: int, n: int, slots: np.ndarray) -> np.ndarray:
-    """base**slot mod PRIME per uint64 slot in 0..n(n-1), from the split power tables."""
-    half, low, high = _power_tables(base, n)
+class _Run(NamedTuple):
+    """What one (n, k, delta, seed) fixes: the encoder's and the decoder's shared state."""
+
+    cfg: SketchConfig
+    keys: np.ndarray  # uint64, one hash key per configuration
+    base: int  # the fingerprint base
+    powers: tuple[int, np.ndarray, np.ndarray]  # _power_tables(base, n)
+    offsets: np.ndarray  # (configs, 3, 1): the first histogram bin of each (config, cell) at depth 0
+    suffix: np.ndarray  # float64 (3 levels, 3 levels): row (d, j) adds into column (l, j) for every level l <= d
+
+
+@lru_cache(maxsize=8)
+def _run(n: int, k: int, delta: float, seed: Optional[int]) -> _Run:
+    """The run's dimensions, hash keys, fingerprint base and the tables they fix, arrays read-only.
+
+    Slot hashes and fingerprint powers are computed on demand from these, for
+    the slots being summed only (see ``_slot_hashes`` and ``_powers``).  An
+    invalid argument or the empty source (seed None) raises on every call.
+    """
+    cfg = SketchConfig.make(n, k, delta)
+    if seed is None:
+        raise ValueError("sketching needs shared randomness; got the empty source")
+    rng = SharedRandomness(seed).generator("agm-keys", n, cfg.stacks, cfg.rounds, cfg.reps, cfg.levels)
+    keys = rng.integers(0, 1 << 64, size=cfg.configs, dtype=np.uint64, endpoint=False)
+    base = int(rng.integers(2, PRIME))
+    offsets = (np.arange(cfg.configs) * (3 * cfg.levels))[:, None, None] + np.arange(3)[:, None]
+    suffix = np.kron(np.tril(np.ones((cfg.levels, cfg.levels))), np.eye(3))
+    for table in (keys, offsets, suffix):
+        table.flags.writeable = False
+    return _Run(cfg, keys, base, _power_tables(base, n), offsets, suffix)
+
+
+def _powers(run: _Run, slots: np.ndarray) -> np.ndarray:
+    """base**slot mod PRIME per uint64 slot in 0..n(n-1), from the run's split power tables."""
+    half, low, high = run.powers
     return low[slots & np.uint64((1 << half) - 1)] * high[slots >> np.uint64(half)] % PRIME
 
 
@@ -227,22 +237,6 @@ def _mod(x: np.ndarray) -> np.ndarray:
     return x
 
 
-@lru_cache(maxsize=8)
-def _bin_offsets(configs: int, levels: int) -> np.ndarray:
-    """(configs, 3, 1): the first histogram bin of each (config, cell) at depth 0."""
-    offsets = (np.arange(configs) * (3 * levels))[:, None, None] + np.arange(3)[:, None]
-    offsets.flags.writeable = False
-    return offsets
-
-
-@lru_cache(maxsize=8)
-def _suffix_matrix(levels: int) -> np.ndarray:
-    """float64 (3 levels, 3 levels): row (d, j) adds into column (l, j) for every level l <= d."""
-    suffix = np.kron(np.tril(np.ones((levels, levels))), np.eye(3))
-    suffix.flags.writeable = False
-    return suffix
-
-
 #: Histogram rows, one per (owner, config), that ``_level_sums`` turns into
 #: level sums per matrix product, so that its temporaries stay below 0.5 MB
 #: each (rows of at most 3 * 34 cells).
@@ -250,17 +244,17 @@ _ROWS_PER_PRODUCT = 512
 
 
 def _level_sums(
-    keys: np.ndarray, base: int, n: int, levels: int,
-    slots: np.ndarray, signed: np.ndarray, owner: int | np.ndarray, owners: int,
+    run: _Run, keys: np.ndarray, slots: np.ndarray, signed: np.ndarray, owner: int | np.ndarray, owners: int
 ) -> np.ndarray:
     """uint64 cells (owners, len(keys), levels, 3) of signed slot updates, mod PRIME.
 
-    Update i adds signed[i] * (1, slots[i], base^slots[i]) to the cells of
-    owner[i], or of ``owner`` if it is an int, at every level of each config
-    that keeps the slot; ``signed`` holds multiplicities mod PRIME, each below
-    PRIME, so it is its own count term.  Each (config, slot) pair gets its
-    depth; one ``bincount`` sums the terms by (owner, config, depth, cell),
-    and products with ``_suffix_matrix``, a block of rows at a time, turn
+    ``keys`` are the run's keys of the configs summed: all of them, or one
+    round's.  Update i adds signed[i] * (1, slots[i], base^slots[i]) to the
+    cells of owner[i], or of ``owner`` if it is an int, at every level of each
+    config that keeps the slot; ``signed`` holds multiplicities mod PRIME, each
+    below PRIME, so it is its own count term.  Each (config, slot) pair gets
+    its depth; one ``bincount`` sums the terms by (owner, config, depth, cell),
+    and products with the run's suffix matrix, a block of rows at a time, turn
     depths into levels, up to the deepest slot only.  Each block's cells are
     written back over its own histogram rows, read as uint64, so the
     histogram is the only array of the result's size; its bins past the
@@ -269,32 +263,30 @@ def _level_sums(
     node has fewer than n, a decoder component at most one per earlier forest
     edge, (k-1)(n-1), which ``SketchConfig.make`` bounds by 2^22.
     """
-    configs = len(keys)
+    configs, levels = len(keys), run.cfg.levels
     terms = np.empty((3, len(slots)), dtype=np.uint64)  # signed * (1, slot, base^slot) mod PRIME
     terms[0] = signed
     np.multiply(slots, signed, out=terms[1])
-    np.multiply(_powers(base, n, slots), signed, out=terms[2])
+    np.multiply(_powers(run, slots), signed, out=terms[2])
     _mod(terms[1:])
     depth = _depths(_slot_hashes(keys, slots), levels)
     width = 3 * (int(depth.max(initial=-1)) + 1)  # the cells of levels 0..deepest
     # (configs, 3, slots); a scalar owner shifts only the (configs, 3, 1) offsets.
-    bins = depth[:, None, :] * 3 + (_bin_offsets(configs, levels) + owner * (configs * levels * 3))
+    bins = depth[:, None, :] * 3 + (run.offsets[:configs] + owner * (configs * levels * 3))
     weights = np.tile(terms.astype(np.float64).ravel(), configs)
     hist = np.bincount(bins.ravel(), weights, minlength=owners * configs * levels * 3).reshape(owners * configs, -1)
-    cells, suffix = hist.view(np.uint64), _suffix_matrix(levels)[:width, :width]
+    cells, suffix = hist.view(np.uint64), run.suffix[:width, :width]
     for first in range(0, len(hist), _ROWS_PER_PRODUCT):
         rows = slice(first, first + _ROWS_PER_PRODUCT)
         cells[rows, :width] = _mod((hist[rows, :width] @ suffix).astype(np.uint64))
     return cells.reshape(owners, configs, levels, 3)
 
 
-def _sketch_cells(
-    keys: np.ndarray, base: int, n: int, levels: int, incident: Sequence[tuple[int, int]]
-) -> np.ndarray:
-    """Cell array (len(keys), levels, 3) of signed slot updates, one row per config key."""
+def _sketch_cells(run: _Run, incident: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Cell array (configs, levels, 3) of signed slot updates, one row per config key."""
     slots = np.fromiter((e for e, _ in incident), dtype=np.uint64, count=len(incident))
     signed = np.fromiter((c % PRIME for _, c in incident), dtype=np.uint64, count=len(incident))
-    return _level_sums(keys, base, n, levels, slots, signed, 0, 1)[0]
+    return _level_sums(run, run.keys, slots, signed, 0, 1)[0]
 
 
 def _incidence(view: NodeView) -> list[tuple[int, int]]:
@@ -311,15 +303,10 @@ def _incidence(view: NodeView) -> list[tuple[int, int]]:
 def node_sketch(
     view: NodeView, seeds: SharedRandomness, k: int, delta: float
 ) -> np.ndarray:
-    """Raw cell array of one node's incidence vector.
-
-    The run's ``SketchConfig`` is made once per (n, k, delta) and cached, as
-    the hash keys are; an invalid argument raises on every call.
-    """
-    cfg = _sketch_config(view.n, k, delta)
-    keys, base = _config_tables(seeds, cfg)
-    cells = _sketch_cells(keys, base, view.n, cfg.levels, _incidence(view))
-    return cells.reshape(cfg.stacks, cfg.rounds, cfg.reps, cfg.levels, 3)
+    """Raw cell array of one node's incidence vector, from the run's cached ``_run`` record."""
+    run = _run(view.n, k, delta, seeds.seed)
+    cfg = run.cfg
+    return _sketch_cells(run, _incidence(view)).reshape(cfg.stacks, cfg.rounds, cfg.reps, cfg.levels, 3)
 
 
 def _cells_to_bits(cells: np.ndarray) -> Bits:
@@ -353,7 +340,7 @@ def agm_encode(view: NodeView, seeds: SharedRandomness, k: int, delta: float) ->
     return _cells_to_bits(node_sketch(view, seeds, k, delta))
 
 
-def _extract_edges(cells: np.ndarray, base: int, n: int) -> np.ndarray:
+def _extract_edges(cells: np.ndarray, run: _Run) -> np.ndarray:
     """uint64 slot recovered from each (reps, levels, 3) slice of ``cells``, 0 where none is.
 
     A slice yields its first 1-sparse triple in row order: a nonzero count c
@@ -361,6 +348,7 @@ def _extract_edges(cells: np.ndarray, base: int, n: int) -> np.ndarray:
     a fingerprint equal to c * base^slot.  Cells lie in [0, PRIME), so every
     nonzero count has an inverse.
     """
+    n = run.cfg.n
     flat = cells.reshape(len(cells), -1, 3)
     out = np.zeros(len(cells), dtype=np.uint64)
     where, row = np.nonzero(flat[:, :, 0])  # row-major: by slice, then by row
@@ -374,29 +362,24 @@ def _extract_edges(cells: np.ndarray, base: int, n: int) -> np.ndarray:
     u, v = np.divmod(slot - np.uint64(1), np.uint64(n))  # pair_of_slot, less one on each side
     ok = (slot > 0) & (u < v)
     where, cnt, fp, slot = where[ok], cnt[ok], fp[ok], slot[ok]
-    ok = cnt * _powers(base, n, slot) % PRIME == fp
+    ok = cnt * _powers(run, slot) % PRIME == fp
     found, first = np.unique(where[ok], return_index=True)
     out[found] = slot[ok][first]
     return out
 
 
-def extract_edge(cells: np.ndarray, base: int, n: int) -> Optional[int]:
-    """Recover a slot from one (reps, levels, 3) slice if some triple is 1-sparse."""
-    return int(_extract_edges(cells[None], base, n)[0]) or None
-
-
 def _component_sketches(
     cells: np.ndarray,
+    run: _Run,
     keys: np.ndarray,
-    base: int,
     component: np.ndarray,
     earlier: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """uint64 sketches (components, reps, levels, 3) of one round, earlier forests subtracted.
 
     ``cells`` is the round's big-endian uint32 (n, reps, levels, 3) slice of every node,
-    ``keys`` its reps config keys and ``component[node - 1]`` the node's label
-    in 0..c-1.  ``earlier`` holds the slots claimed by earlier forests and
+    ``keys`` the run's keys of the round's reps configs and ``component[node - 1]``
+    the node's label in 0..c-1.  ``earlier`` holds the slots claimed by earlier forests and
     their multiplicities, below PRIME.  A component's sketch is the sum of its
     nodes' cells.  An earlier edge counts only when its ends lie in different
     components: inside one, its +1 at u and -1 at v cancel.  ``_level_sums``
@@ -404,7 +387,7 @@ def _component_sketches(
     histogram's memory, and they are added into the component sums in place:
     a round holds the sums and that histogram.
     """
-    n, _, levels = cells.shape[:3]
+    n = len(cells)
     order = np.argsort(component, kind="stable")
     starts = np.searchsorted(component[order], np.arange(component.max() + 1))
     if len(starts) == n:  # every node alone, as in round 0: the labels are the node order
@@ -420,13 +403,11 @@ def _component_sketches(
         # (u < v holds it as +1, v as -1); the added cells lie below 2^31.
         slots, counts = np.tile(slots[cross], 2), np.concatenate([PRIME - counts[cross], counts[cross]])
         owner = np.concatenate([cu[cross], cv[cross]])
-        sums += _level_sums(keys, base, n, levels, slots, counts, owner, len(sums))
+        sums += _level_sums(run, keys, slots, counts, owner, len(sums))
     return _mod(sums)
 
 
-def _peel_forest(
-    rows: list[memoryview], cfg: SketchConfig, stack: int, keys: np.ndarray, base: int, used: dict[int, int]
-) -> list[int]:
+def _peel_forest(rows: list[memoryview], run: _Run, stack: int, used: dict[int, int]) -> list[int]:
     """One spanning forest from stack ``stack`` of the messages ``rows``, less the edges in ``used``.
 
     Borůvka: each round gathers its (n, reps, levels, 3) cells, one byte
@@ -446,6 +427,7 @@ def _peel_forest(
     edge.  A round whose sketches are nonzero but yield no edge is skipped,
     and the next round runs.
     """
+    cfg = run.cfg
     n, reps, levels = len(rows), cfg.reps, cfg.levels
     config_bytes = levels * _CELLS_PER_TRIPLE * _CELL_BITS // 8
     earlier = (np.array(list(used), dtype=np.uint64), np.array(list(used.values()), dtype=np.uint64))
@@ -465,10 +447,10 @@ def _peel_forest(
         config = (stack * cfg.rounds + rnd) * reps  # the round's first config, in key and message order
         start, stop = config * config_bytes, (config + reps) * config_bytes
         cells = np.frombuffer(b"".join(map(itemgetter(slice(start, stop)), rows)), ">u4").reshape(n, reps, levels, 3)
-        sketches = _component_sketches(cells, keys[config : config + reps], base, component, earlier)
+        sketches = _component_sketches(cells, run, run.keys[config : config + reps], component, earlier)
         if not sketches.any():  # no boundary left to sample, bar a fingerprint collision
             break
-        proposals = _extract_edges(sketches, base, n)
+        proposals = _extract_edges(sketches, run)
         del cells, sketches  # the round's bytes and sums go before the next round gathers its own
         if not proposals.any():  # no edge to merge along: the components stay as they are
             continue
@@ -504,13 +486,12 @@ def agm_decide_kconn(
         raise DecodeError("need exactly one message per node 1..n")
     if n == 1:
         return Decision.CONNECTED
-    cfg = SketchConfig.make(n, k, delta)
-    keys, base = _config_tables(seeds, cfg)
-    rows = _message_rows(messages, cfg)
+    run = _run(n, k, delta, seeds.seed)
+    rows = _message_rows(messages, run.cfg)
 
     used: dict[int, int] = {}  # slot -> multiplicity claimed by earlier forests
-    for stack in range(cfg.stacks):
-        forest = _peel_forest(rows, cfg, stack, keys, base, used)
+    for stack in range(run.cfg.stacks):
+        forest = _peel_forest(rows, run, stack, used)
         for slot in forest:
             used[slot] = used.get(slot, 0) + 1
 

@@ -50,8 +50,11 @@ lighter; then every v_i with r(v_i) >= best is contracted into v_{i-1}.  A cut
 lighter than ``best`` separates none of these pairs, so it survives and the
 answer stays exact.  v_t always qualifies, so each phase removes a vertex.
 
-The contracted graph is a dict of adjacency dicts, first copied by
-``MultiGraph.rows``, so memory grows with the edges, not with n^2, and
+A graph in which some node has no edge is disconnected: it gets value 0 and
+node 1's component, found by a search over the edges from node 1, with no
+per-node work.  Only a graph whose every node has an edge, so n <= 2m, reaches
+the contractions.  Their graph is a dict of adjacency dicts, first copied by
+``MultiGraph.rows``, so memory grows with the edges, not with n, and
 weights are Python integers of any size.  Every phase grows its MA order from
 the head that holds node 1, with a heap keyed (-attachment, id), so ties go
 to the smallest id.  Each contracted vertex is merged into its head's dict,
@@ -106,6 +109,17 @@ def _members(children: dict[int, list[int]], heads) -> frozenset[int]:
         v = stack.pop()
         found.append(v)
         stack += children.get(v, ())
+    return frozenset(found)
+
+
+def _component(graph: MultiGraph, node: int) -> frozenset[int]:
+    """The nodes joined to ``node`` by a path in ``graph``, ``node`` included."""
+    found, stack = {node}, [node]
+    while stack:
+        for w in graph.neighborhood(stack.pop()):
+            if w not in found:
+                found.add(w)
+                stack.append(w)
     return frozenset(found)
 
 
@@ -197,12 +211,15 @@ def global_min_cut(graph: MultiGraph) -> CutResult:
     """Exact minimum cut: heavy edges contracted, then Nagamochi-Ibaraki phases, integer weights.
 
     A disconnected graph yields value 0 with node 1's connected component as
-    the certified side: the first MA order, grown from the head that holds
-    node 1, stops short when the graph is disconnected.
+    the certified side: found over the edges alone where some node has no
+    edge, else by the first MA order, grown from the head that holds node 1,
+    which stops short when the graph is disconnected.
     """
     n = graph.n
     if n < 2:
         raise TooSmall(f"need at least 2 nodes, got {n}")
+    if graph.edge_node_count() < n:
+        return CutResult(0, _component(graph, 1))
 
     # Weighted adjacency of the contracted graph, keyed by each group's head.
     adj = graph.rows()

@@ -233,6 +233,10 @@ class MultiGraph:
     def edge_slot_count(self) -> int:
         return sum(map(len, self._adj.values())) // 2
 
+    def edge_node_count(self) -> int:
+        """How many nodes have at least one edge."""
+        return len(self._adj)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiGraph):
             return NotImplemented
@@ -242,12 +246,14 @@ class MultiGraph:
         return f"MultiGraph(n={self.n}, edges={self.edge_slot_count()})"
 
 
-# The two bulk builders, ``lbgraph.role_view`` and ``setfam.message_partitions``,
-# and the per-op ``node_view`` build views as ``tuple.__new__(NodeView, (...))``:
-# the ``NamedTuple``'s own ``__new__`` is Python code that costs about twice as
-# much, one set-family search builds hundreds of thousands of views, and every
-# ``execute`` builds one per node.  That call skips the arity check, so a change
-# to these fields must change all three builders too.
+# The bulk builders (``lbgraph.role_view``, ``setfam.message_partitions`` and
+# the parties in ``reduction``) and the per-op ``node_view`` build views as
+# ``tuple.__new__(NodeView, (...))``: the ``NamedTuple``'s own ``__new__`` is
+# Python code that costs about twice as much, one set-family search builds
+# hundreds of thousands of views, and every ``execute`` builds one per node.
+# That call skips the arity check, which
+# ``tests/test_source.py::test_node_view_builders_pass_every_field`` makes up
+# for: each such call must pass a tuple of one element per field.
 class NodeView(NamedTuple):
     """Everything a node knows when it encodes: its id, 1-hop multiset, advice, (n, k)."""
 

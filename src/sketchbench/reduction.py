@@ -34,7 +34,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from .lbgraph import LBGraphSpec, build_lb_graph, hub_of, layout, role_view
@@ -56,7 +55,6 @@ from .setfam import (
     PartitionContext,
     SeparatedPairRecord,
     SetFamily,
-    WITNESS_FIELDS,
     choose_partition,
     neighborhood_family,
 )
@@ -264,15 +262,17 @@ def _roles(
     sigma = shared_index(supp_x, supp_y)
     nodes, records = ctx.good_ids, ctx.partition.good
     roles = dict.fromkeys(layout(ctx.n)[0], (Advice.A_RESTRICTED, hub_of(Advice.A_RESTRICTED, ctx.n), None))
-    for advice, support in (
-        (Advice.A_RESTRICTED, supp_x),
-        (Advice.B_RESTRICTED, supp_y),
-        (Advice.SIGMA, (sigma,)),
+    # ``at`` is the role's witness position, in ``Advice`` order.  Sigma's
+    # host lies in both other supports, so its role is written last.
+    for advice, at, support in (
+        (Advice.A_RESTRICTED, 1, supp_x),
+        (Advice.B_RESTRICTED, 2, supp_y),
+        (Advice.SIGMA, 0, (sigma,)),
     ):
-        hub, witness = hub_of(advice, ctx.n), attrgetter(WITNESS_FIELDS[advice])
+        hub = hub_of(advice, ctx.n)
         for i in support:
             v = nodes[i - 1]
-            roles[v] = (advice, hub, witness(records[v]))
+            roles[v] = (advice, hub, records[v].witnesses[at])
     return roles
 
 

@@ -176,32 +176,18 @@ def find_separated_pair(block: Iterable[int], classes: Sequence[Optional[Conditi
     return None
 
 
-#: Each role's witness field of a ``SeparatedPairRecord``, in ``Advice`` order.
-#: The report key of a witness is its field name without "message_".
-WITNESS_FIELDS = {
-    Advice.SIGMA: "message_sigma",
-    Advice.A_RESTRICTED: "message_a",
-    Advice.B_RESTRICTED: "message_b",
-}
-
-
 @dataclass(frozen=True)
 class SeparatedPairRecord:
     """An indistinguishable separated pair for one node, with the witness message of each role.
 
-    ``WITNESS_FIELDS`` names the field that holds each role's witness.
+    ``witnesses`` holds, in ``Advice`` order, the message both members give
+    in each role.
     """
 
     node: int
     s0: Member
     s1: Member
-    message_sigma: Bits
-    message_a: Bits
-    message_b: Bits
-
-    def witness(self, advice: Advice) -> Bits:
-        """The message both members give in ``advice``'s role."""
-        return getattr(self, WITNESS_FIELDS[advice])
+    witnesses: tuple[Bits, Bits, Bits]
 
 
 def verify_record(
@@ -222,9 +208,9 @@ def verify_record(
     s0, s1 = set(record.s0), set(record.s1)
     forced = (forced_condition(s0, a_side, b_side, k), forced_condition(s1, a_side, b_side, k))
     return forced == (Condition.C0, Condition.C1) and all(
-        protocol.encode(role_view(record.node, nbrs, advice, n, k), EMPTY_RANDOMNESS) == record.witness(advice)
+        protocol.encode(role_view(record.node, nbrs, advice, n, k), EMPTY_RANDOMNESS) == witness
         for member in (s0, s1)
-        for advice, nbrs in zip(Advice, role_inputs(member, a_side, b_side))
+        for advice, nbrs, witness in zip(Advice, role_inputs(member, a_side, b_side), record.witnesses, strict=True)
     )
 
 
@@ -246,10 +232,7 @@ class PartitionContext:
                 str(node): {
                     "S0": list(rec.s0),
                     "S1": list(rec.s1),
-                    "witness": {
-                        name.removeprefix("message_"): str(rec.witness(advice))
-                        for advice, name in WITNESS_FIELDS.items()
-                    },
+                    "witness": dict(zip(("sigma", "a", "b"), map(str, rec.witnesses))),  # Advice order
                 }
                 for node, rec in sorted(self.good.items())
             },
@@ -335,11 +318,8 @@ def choose_partition(
             if pair is None:
                 continue
             i, j = pair
-            witnesses = {
-                WITNESS_FIELDS[advice]: role.message(index[i])
-                for advice, role, index in zip(Advice, roles, trial_indices)
-            }
-            good[node] = SeparatedPairRecord(node, members[i], members[j], **witnesses)
+            witnesses = tuple(role.message(index[i]) for role, index in zip(roles, trial_indices))
+            good[node] = SeparatedPairRecord(node, members[i], members[j], witnesses)
 
     if not any(goods):
         raise NoGoodPartition(

@@ -79,10 +79,15 @@ def test_largest_slot_roundtrips():
     n = 46341
     view = NodeView(id=n - 1, neighbors=((n, 1),), advice=None, n=n, k=1)
     cells = agm.node_sketch(view, SEEDS, 1, 0.1)
-    _, base = agm._config_tables(SEEDS, SketchConfig.make(n, 1, 0.1))
+    run = agm._run(n, 1, 0.1, SEEDS.seed)
     slot = agm.slot_of(n - 1, n, n)
-    assert agm.extract_edge(cells[0, 0], base, n) == slot
+    assert _extract_edge(cells[0, 0], run) == slot
     assert agm.pair_of_slot(slot, n) == (n - 1, n)
+
+
+def _extract_edge(cells, run):
+    # The slot recovered from one (reps, levels, 3) slice, None where none is.
+    return int(agm._extract_edges(cells[None], run)[0]) or None
 
 
 def _extract_edge_reference(cells, base, n):
@@ -102,7 +107,7 @@ def _extract_edge_reference(cells, base, n):
 def test_extract_edge_matches_reference_scan():
     n, k, delta = 64, 2, 0.1
     cfg = SketchConfig.make(n, k, delta)
-    _, base = agm._config_tables(SEEDS, cfg)
+    run = agm._run(n, k, delta, SEEDS.seed)
     graph, advice = build_lb_graph(random_spec(n, k, 7, condition=Condition.C1))
     sketches = [agm.node_sketch(node_view(graph, v, advice.get(v), k), SEEDS, k, delta) for v in range(1, n + 1)]
     rng = np.random.default_rng(3)
@@ -122,8 +127,8 @@ def test_extract_edge_matches_reference_scan():
     slices.append(forged)
     found = 0
     for cells in slices:
-        expect = _extract_edge_reference(cells, base, n)
-        assert agm.extract_edge(cells, base, n) == expect
+        expect = _extract_edge_reference(cells, run.base, n)
+        assert _extract_edge(cells, run) == expect
         found += expect is not None
     assert 0 < found < len(slices)
 
@@ -143,7 +148,7 @@ def test_sampler_attempt_success_rate():
     n, k, delta = 32, 1, 0.05
     seeds = SharedRandomness(123)
     cfg = SketchConfig.make(n, k, delta)
-    _, base = agm._config_tables(seeds, cfg)
+    run = agm._run(n, k, delta, seeds.seed)
     g = MultiGraph(n)
     for _ in range(80):
         u, v = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
@@ -160,7 +165,7 @@ def test_sampler_attempt_success_rate():
         if not any((u in side) != (v in side) for u, v, _ in g.edges()):
             continue
         total = sum(sketches[u][0] for u in side) % agm.PRIME
-        slot = agm.extract_edge(total[t % cfg.rounds], base, n)
+        slot = _extract_edge(total[t % cfg.rounds], run)
         trials += 1
         if slot is not None:
             u, v = agm.pair_of_slot(slot, n)
@@ -287,8 +292,8 @@ def test_sketch_cells_match_loop_reference():
         g.add_edge(node, int(v), int(rng.integers(1, 10**6)))
     view = node_view(g, node, None, k)
     cfg = SketchConfig.make(n, k, delta)
-    keys, base = agm._config_tables(SEEDS, cfg)
-    expect = _sketch_cells_reference(keys, base, cfg.levels, agm._incidence(view))
+    run = agm._run(n, k, delta, SEEDS.seed)
+    expect = _sketch_cells_reference(run.keys, run.base, cfg.levels, agm._incidence(view))
     got = agm.node_sketch(view, SEEDS, k, delta)
     assert np.array_equal(got, expect.reshape(got.shape))
 
@@ -317,11 +322,11 @@ def _boundary(rng, n):
 def test_sketch_cells_match_loop_reference_on_wide_and_signed_input(make):
     n, k, delta = 300, 1, 0.25
     cfg = SketchConfig.make(n, k, delta)
-    keys, base = agm._config_tables(SEEDS, cfg)
+    run = agm._run(n, k, delta, SEEDS.seed)
     incident = make(np.random.default_rng(9), n)
     assert len(incident) in (0, 130, 140)
-    got = agm._sketch_cells(keys, base, n, cfg.levels, incident)
-    assert np.array_equal(got, _sketch_cells_reference(keys, base, cfg.levels, incident))
+    got = agm._sketch_cells(run, incident)
+    assert np.array_equal(got, _sketch_cells_reference(run.keys, run.base, cfg.levels, incident))
 
 
 def test_level_sums_match_loop_reference_per_owner():
@@ -340,7 +345,8 @@ def test_level_sums_match_loop_reference_a_few_rows_per_product(monkeypatch):
 def _assert_level_sums_match_loop_reference_per_owner():
     n, k, delta = 300, 1, 0.25
     cfg = SketchConfig.make(n, k, delta)
-    keys, base = agm._config_tables(SEEDS, cfg)
+    run = agm._run(n, k, delta, SEEDS.seed)
+    keys, base = run.keys, run.base
     rng = np.random.default_rng(10)
     shared = agm.slot_of(3, 250, n)
     by_owner = [
@@ -352,7 +358,7 @@ def _assert_level_sums_match_loop_reference_per_owner():
     updates = [(owner, slot, mult) for owner, incident in enumerate(by_owner) for slot, mult in incident]
     owner, slots, mults = zip(*updates)
     got = agm._level_sums(
-        keys, base, n, cfg.levels, np.array(slots, dtype=np.uint64),
+        run, keys, np.array(slots, dtype=np.uint64),
         np.array([m % agm.PRIME for m in mults], dtype=np.uint64), np.array(owner), len(by_owner),
     )
     assert got.shape == (3, len(keys), cfg.levels, 3)
@@ -363,10 +369,11 @@ def _assert_level_sums_match_loop_reference_per_owner():
 
 @pytest.mark.parametrize("n", [2, 256, 1024, 46341])
 def test_power_tables_match_pow(n):
-    _, base = agm._config_tables(SEEDS, SketchConfig.make(n, 1, 0.1))
-    for b in (base, 2, agm.PRIME - 1):
+    run = agm._run(n, 1, 0.1, SEEDS.seed)
+    for b in (run.base, 2, agm.PRIME - 1):
         slots = np.array([1, n * (n - 1)], dtype=np.uint64)
-        assert agm._powers(b, n, slots).tolist() == [pow(b, 1, agm.PRIME), pow(b, n * (n - 1), agm.PRIME)]
+        tables = run._replace(powers=agm._power_tables(b, n))
+        assert agm._powers(tables, slots).tolist() == [pow(b, 1, agm.PRIME), pow(b, n * (n - 1), agm.PRIME)]
 
 
 @pytest.mark.parametrize("levels", [4, 18, 34])
@@ -399,6 +406,18 @@ def test_transcripts_match_golden():
     assert digest.hexdigest() == "de3610fdf35cd03e9352f06b67de0a941b26fecdbdcfacf346a71be2c88d0aae"
 
 
+def test_one_run_record_per_execute():
+    # Every encode of an agm-hard-sized run and its decode share one cached
+    # run record: a seed no other test uses misses once, then hits 256 times.
+    n, k, delta = 256, 3, 0.05
+    graph, advice = build_lb_graph(random_spec(n, k, 5, condition=Condition.C1))
+    before = agm._run.cache_info()
+    transcript = execute(make_agm_protocol(n, k, delta), graph, advice, SharedRandomness(90210))
+    after = agm._run.cache_info()
+    assert transcript.decision is Decision.CONNECTED
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, n)
+
+
 def _encode_all(graph, advice, seeds, k, delta):
     return [
         (v, agm_encode(node_view(graph, v, (advice or {}).get(v), k), seeds, k, delta))
@@ -421,8 +440,8 @@ def test_forest_subtraction_matches_from_scratch(monkeypatch):
         forests.append(peel(*args))
         return forests[-1]
 
-    def sketch_spy(cells, keys, base, component, earlier):
-        out = sketch(cells, keys, base, component, earlier)
+    def sketch_spy(cells, run, keys, component, earlier):
+        out = sketch(cells, run, keys, component, earlier)
         reads.append((len(forests), component.copy(), out))
         return out
 
@@ -430,7 +449,7 @@ def test_forest_subtraction_matches_from_scratch(monkeypatch):
     monkeypatch.setattr(agm, "_component_sketches", sketch_spy)
     assert agm_decide_kconn(msgs, seeds, n, k, delta) is Decision.CONNECTED
     cfg = SketchConfig.make(n, k, delta)
-    keys, base = agm._config_tables(seeds, cfg)
+    run = agm._run(n, k, delta, seeds.seed)
     rounds = [0] * cfg.stacks
     for stack, component, sketches in reads:
         config = (stack * cfg.rounds + rounds[stack]) * cfg.reps
@@ -446,7 +465,7 @@ def test_forest_subtraction_matches_from_scratch(monkeypatch):
                 u, v = agm.pair_of_slot(slot, n)
                 if (u in side) != (v in side):
                     boundary.append((slot, mult if u in side else -mult))
-            expect = agm._sketch_cells(keys[config : config + cfg.reps], base, n, cfg.levels, boundary)
+            expect = agm._sketch_cells(run, boundary)[config : config + cfg.reps]
             assert np.array_equal(got, expect), (stack, rounds[stack] - 1, label)
     assert len(forests) == k and len(forests[-1]) == n - 1
     assert min(rounds) > 1  # every stack merged over several rounds
@@ -508,7 +527,8 @@ def _certificate_reference(messages, seeds, n, k, delta):
     # Slot -> multiplicity of the union certificate, with each forest
     # subtracted from the later stacks of its endpoints, node by node.
     cfg = SketchConfig.make(n, k, delta)
-    keys, base = agm._config_tables(seeds, cfg)
+    run = agm._run(n, k, delta, seeds.seed)
+    keys, base = run.keys, run.base
     shape = (cfg.stacks, cfg.rounds, cfg.reps, cfg.levels, 3)
     cells = np.array([np.frombuffer(bits.data, dtype=">u4").reshape(shape) for _, bits in sorted(messages)], np.uint64)
     per_stack = cfg.rounds * cfg.reps
@@ -622,12 +642,12 @@ def test_nonzero_round_without_an_edge_runs_the_next_round(monkeypatch):
     msgs = _encode_all(graph, advice, seeds, 1, delta)
     extract, reads = agm._extract_edges, []
 
-    def blank_first(sketches, base, n):
+    def blank_first(sketches, run):
         reads.append(len(sketches))
         if len(reads) == 1:
             assert sketches.any()
             return np.zeros(len(sketches), dtype=np.uint64)
-        return extract(sketches, base, n)
+        return extract(sketches, run)
 
     monkeypatch.setattr(agm, "_extract_edges", blank_first)
     assert agm_decide_kconn(msgs, seeds, n, 1, delta) is Decision.CONNECTED  # the one forest spans

@@ -62,6 +62,18 @@ def test_kconn_on_a_long_cycle(tmp_path, capsys):
     assert report["results"]["k_edge_connected"] is True
 
 
+def test_kconn_on_a_million_nodes_with_one_edge(tmp_path, capsys):
+    # The header alone sets n: the cut is node 1's component, found over the
+    # one edge, with no per-node work.
+    graph_path = tmp_path / "sparse.graph.txt"
+    graph_path.write_text("n 1000000\n1 2 1\n", encoding="utf-8")
+    code, report = run(capsys, "kconn", "--graph", graph_path, "--k", 1)
+    assert_clean(code, report)
+    assert passes(report, "cut_certificate") == 1
+    assert report["results"]["min_cut"] == 0 and report["results"]["side"] == [1, 2]
+    assert report["results"]["k_edge_connected"] is False
+
+
 @pytest.mark.parametrize("k", [0, -1])
 def test_kconn_refuses_k_below_1(tmp_path, capsys, monkeypatch, k):
     # Every graph is 0-edge connected, so such a k asks nothing; kconn refuses

@@ -329,6 +329,23 @@ def test_crossing_value_refuses_side_outside_nodes(side):
         crossing_value(g, side)
 
 
+@pytest.mark.parametrize(
+    "edges,side", [([(1, 2, 1)], {1, 2}), ([(5, 9, 3)], {1})], ids=["node-1-joined", "node-1-isolated"]
+)
+def test_oracle_cost_does_not_grow_with_n_on_a_sparse_graph(edges, side):
+    # One edge among a million nodes: copying a row per node took seconds and
+    # about 190 MB; the disconnected answer needs the edges alone.
+    g = MultiGraph(10**6, edges)
+    tracemalloc.start()
+    try:
+        res = global_min_cut(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == CutResult(0, frozenset(side))
+    assert peak < 64 * 2**10, f"peak {peak / 2**10:.1f} KB"
+
+
 def test_oracle_memory_grows_with_edges_not_n_squared():
     # A 4096-node path: a dense n x n int64 matrix alone would take 128 MB.
     n = 4096

@@ -370,10 +370,9 @@ def test_fidelity_names_mutated_node(toy_ctx):
     broken = copy.deepcopy(toy_ctx)
     node = broken.node_of(inst.sigma)
     rec = broken.partition.good[node]
-    data = rec.message_sigma.data
-    broken.partition.good[node] = replace(
-        rec, message_sigma=Bits(bytes([data[0] ^ 0x80]) + data[1:], len(rec.message_sigma))
-    )
+    sigma = rec.witnesses[0]
+    flipped = Bits(bytes([sigma.data[0] ^ 0x80]) + sigma.data[1:], len(sigma))
+    broken.partition.good[node] = replace(rec, witnesses=(flipped, *rec.witnesses[1:]))
     assert not verify_fidelity(inst, broken, proto)
     assert check_instance(inst, broken, proto).mismatches == [node]
 
@@ -531,9 +530,11 @@ def test_forced_full_information_context_decides_correctly():
             node=v,
             s0=s0,
             s1=s1,
-            message_sigma=enc(v, s0, Advice.SIGMA),
-            message_a=enc(v, [x for x in s0 if x in a_side], Advice.A_RESTRICTED),
-            message_b=enc(v, [x for x in s0 if x in b_side], Advice.B_RESTRICTED),
+            witnesses=(
+                enc(v, s0, Advice.SIGMA),
+                enc(v, [x for x in s0 if x in a_side], Advice.A_RESTRICTED),
+                enc(v, [x for x in s0 if x in b_side], Advice.B_RESTRICTED),
+            ),
         )
         for v in range(1, m + 1)
     }

@@ -297,8 +297,9 @@ def test_record_mutation_fails_reverify():
     proto = toy_two_bit(2)
     ctx = choose_partition(proto, fam, N16, 2, trials=8, seed=5)
     node, rec = next(iter(ctx.good.items()))
-    data = rec.message_sigma.data
-    broken = replace(rec, message_sigma=Bits(bytes([data[0] ^ 0x80]) + data[1:], len(rec.message_sigma)))
+    sigma = rec.witnesses[0]
+    flipped = Bits(bytes([sigma.data[0] ^ 0x80]) + sigma.data[1:], len(sigma))
+    broken = replace(rec, witnesses=(flipped, *rec.witnesses[1:]))
     assert not verify_record(broken, proto, ctx.a_side, ctx.b_side, N16, 2)
 
 
@@ -316,7 +317,8 @@ def test_partition_context_rejects_malformed_witness(toy_partition, role, bad):
     proto, ctx = toy_two_bit(2), toy_partition
     record = next(iter(ctx.good.values()))
     assert verify_record(record, proto, ctx.a_side, ctx.b_side, N16, 2)
-    broken = replace(record, **{f"message_{role}": bad})
+    at = ("sigma", "a", "b").index(role)
+    broken = replace(record, witnesses=(*record.witnesses[:at], bad, *record.witnesses[at + 1 :]))
     assert not verify_record(broken, proto, ctx.a_side, ctx.b_side, N16, 2)
 
 
@@ -453,7 +455,7 @@ def reference_choose_partition(protocol, family, w_ids, k, trials, seed):
             forced = [forced_condition(s, a_side, b_side, k) for s in group]
             if Condition.C0 in forced and Condition.C1 in forced:
                 s0, s1 = group[forced.index(Condition.C0)], group[forced.index(Condition.C1)]
-                good[node] = SeparatedPairRecord(node, s0, s1, *triple)
+                good[node] = SeparatedPairRecord(node, s0, s1, triple)
         if best is None or len(good) > len(best.good):
             best = PartitionContext(a_side=a_side, b_side=b_side, family=family, good=good)
     return best
@@ -550,9 +552,7 @@ def test_record_without_b_edge_fails_check():
     b_side = frozenset(w_ids) - a_side
     zero = Bits.from_str("0")
     for s0, shaped in (((29, 30, 31), False), ((29, 30, 32), True)):
-        record = SeparatedPairRecord(
-            node=1, s0=s0, s1=(29, 32, 33), message_sigma=zero, message_a=zero, message_b=zero
-        )
+        record = SeparatedPairRecord(node=1, s0=s0, s1=(29, 32, 33), witnesses=(zero, zero, zero))
         assert verify_record(record, constant(2), a_side, b_side, n, k) is shaped
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import sketchbench
+from sketchbench.model import NodeView
 
 SOURCES = sorted(Path(sketchbench.__file__).parent.glob("*.py"))
 TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
@@ -76,3 +77,24 @@ def test_imports_are_read():
                     if name not in loaded:
                         unread.append(f"{module}.{name}")
     assert len(TREES) > 1 and len(SCRIPT_TREES) > 1 and not unread, unread
+
+
+def test_node_view_builders_pass_every_field():
+    # ``tuple.__new__(NodeView, (...))`` skips the NamedTuple's arity check, so
+    # each such call must pass a tuple display of one element per field.
+    calls = [
+        (f"{module}:{node.lineno}", node.args[1])
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "tuple.__new__"
+        and ast.unparse(node.args[0]) == "NodeView"
+    ]
+    wrong = [
+        site
+        for site, fields in calls
+        if not isinstance(fields, ast.Tuple)
+        or len(fields.elts) != len(NodeView._fields)
+        or any(isinstance(element, ast.Starred) for element in fields.elts)
+    ]
+    assert len(calls) >= 5 and not wrong, (len(calls), wrong)
